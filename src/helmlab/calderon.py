@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteOperator, Medium, solve_dirichlet, weak_neumann_trace
+from .assembly import (DiscreteOperator, resonance_guard, solve_dirichlet,
+                       verified_solve)
 from .errors import AgreementViolation, ContextMismatch
-from .fields import GridField, hminus1_norm_fourier
+from .fields import GridField, hminus1_norm_fourier, spd_inverse_sqrt
 from .geometry import BoundaryChart, boundary_chart
 
 
@@ -49,16 +50,12 @@ def dtn_map(op: DiscreteOperator, chart: BoundaryChart = None,
     grid = op.grid
     if chart is None:
         chart = boundary_chart(grid)
-    if spectrum is not None:
-        rec = spectrum.admissibility(op.k, guard=True)
-        if not rec["admissible"]:
-            from .errors import NearResonance
-            raise NearResonance(f"k={op.k:g} not admissible: {rec}")
+    resonance_guard(op, spectrum)
     gamma_ids = np.sort(chart.gamma_ids())
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
 
     rhs = -op.L_IB[:, bpos].toarray()
-    u_int = op.lu().solve(rhs)
+    u_int = verified_solve(op.L_II, op.lu(), rhs)
 
     # dual values = residual of the full operator rows at gamma nodes
     L_BI = op.L[grid.boundary_index][:, grid.interior_index].tocsr()
@@ -72,20 +69,13 @@ def dtn_apply(dtn: DtnMatrix, gvals: np.ndarray) -> np.ndarray:
     return dtn.matrix @ gvals
 
 
-def dtn_bilinear(dtn: DtnMatrix, g1: np.ndarray, g2: np.ndarray) -> float:
-    return float(g2 @ dtn.matrix @ g1)
-
-
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
     """Operator norm of the difference, supported trace norm -> its dual."""
     if a.op.grid is not b.op.grid or a.k != b.k \
             or not np.array_equal(a.gamma_ids, b.gamma_ids):
         raise ContextMismatch("maps built on different grids, k, or gamma")
-    order = np.argsort(a.chart.node_ids)
-    cpos = order[np.searchsorted(a.chart.node_ids, a.gamma_ids, sorter=order)]
-    G = a.chart.h_half_gram(cpos)
-    evals, Q = np.linalg.eigh(0.5 * (G + G.T))
-    G_half_inv = Q @ ((np.clip(evals, 1e-300, None) ** -0.5)[:, None] * Q.T)
+    G = a.chart.h_half_gram(a.chart.positions(a.gamma_ids))
+    G_half_inv = spd_inverse_sqrt(G)
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv
     return float(np.linalg.norm(0.5 * (M + M.T), 2))

@@ -19,7 +19,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,12 +28,9 @@ from . import __version__
 from .errors import ConfigInvalid, LabError
 from .geometry import DomainSpec
 
-EXPERIMENTS = ("spectrum", "solve", "runge_sweep", "three_balls", "chain",
-               "carleman", "improved_ucp", "bessel_optimality", "calderon")
-
 _TOP_KEYS = {"experiment", "domain", "medium", "k_list", "epsilon_list",
              "seeds", "seed", "output_dir", "admissibility_c", "h",
-             "tolerances", "params", "workers"}
+             "tolerances", "params"}
 _DOMAIN_KEYS = {"kind", "radius", "center", "r_inner", "r_outer", "corners",
                 "rectangles", "gamma"}
 _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
@@ -91,8 +87,8 @@ def validate_config(cfg: dict) -> list:
     if unknown:
         problems.append(f"unknown config keys {sorted(unknown)}")
     exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        problems.append(f"unknown experiment {exp!r}; valid: {EXPERIMENTS}")
+    if exp not in _RUNNERS:
+        problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")
         return problems
 
     dom = cfg.get("domain")
@@ -125,7 +121,8 @@ def validate_config(cfg: dict) -> list:
 
 def _assumption_report(cfg, spec, med, needs_monotone) -> list:
     """Sample the medium on a coarse probe grid and check the pinch bounds,
-    monotonicity where required, and a quick admissibility pre-check."""
+    monotonicity where required, and a quick admissibility pre-check of the
+    frequencies the probe grid resolves."""
     from .geometry import build_grid
     from .profiles import make_medium
     from .assembly import radial_derivative
@@ -162,13 +159,21 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
             rep = compute_sigma(grid, medium, 24,
                                 shifts=tuple(float(k) ** 2 for k in k_list))
             c = cfg.get("admissibility_c", 0.01)
+            lam = rep.eigenvalues
             for k in k_list:
                 try:
                     rec = check_admissibility(float(k), rep, c=c)
                 except SpectrumTooShort:
                     continue
                 # on the coarse probe grid the eigenvalues themselves carry a
-                # discretization displacement; flag anything inside that band
+                # discretization displacement; flag anything inside that band.
+                # A band as wide as half the gap around k^2 would flag every
+                # k in the gap: the probe grid does not resolve k, and the
+                # guard on the solve grid decides instead.
+                below, above = lam[lam <= k * k], lam[lam > k * k]
+                if below.size and above.size and rec["continuum_guard"] \
+                        >= 0.5 * (above[0] - below[-1]):
+                    continue
                 slack = max(rec["threshold"], rec["continuum_guard"])
                 if rec["dist"] <= slack:
                     problems.append(
@@ -249,6 +254,7 @@ def make_manifest(cfg: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def _setup(cfg, monotone=False, kappa_default=None):
+    from .assembly import default_spacing
     from .geometry import build_grid
     from .profiles import make_medium
     spec = domain_from_config(cfg["domain"])
@@ -257,9 +263,7 @@ def _setup(cfg, monotone=False, kappa_default=None):
     kappa = med.get("kappa", kappa_default)
     h = cfg.get("h")
     if h is None:
-        k_max = max(k_list)
-        kap = kappa if kappa else 2.0
-        h = min(2 * np.pi / (10.0 * 1.1 * k_max * math.sqrt(kap)) * 0.95,
+        h = min(default_spacing(max(k_list), kappa if kappa else 2.0),
                 _probe_spacing(spec) * 1.2)
     grid = build_grid(spec, float(h))
     medium = make_medium(grid, med.get("q"), med.get("V"), kappa,
@@ -287,7 +291,7 @@ def run_solve(cfg, out: Path, workers: int) -> list:
     from .assembly import assemble, solve_dirichlet
     from .fields import norm
     from .geometry import boundary_chart
-    from .spectral import compute_sigma
+    from .spectral import check_admissibility, compute_sigma
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
     rep = compute_sigma(grid, medium, 24, shifts=(k * k,),
@@ -303,7 +307,7 @@ def run_solve(cfg, out: Path, workers: int) -> list:
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = solve_dirichlet(assemble(grid, medium, k), g=trace, spectrum=rep)
     man = make_manifest(cfg, h=h, k=k,
-                        admissibility=rep.admissibility(k))
+                        admissibility=check_admissibility(k, rep))
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     rows = [dict({f"x{d}": grid.nodes[i, d] for d in range(grid.dim)},
                  value=u.values[i]) for i in range(grid.n_nodes)]
@@ -536,8 +540,8 @@ def run_bessel_optimality(cfg, out: Path, workers: int) -> list:
 
 def run_calderon(cfg, out: Path, workers: int) -> list:
     from .assembly import assemble
-    from .calderon import StabilityRecord, alessandrini_gap, difference_field, \
-        dtn_distance, dtn_map, perturbation_record, stability_check
+    from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
+        stability_check
     from .geometry import boundary_chart
     from .profiles import make_medium
     from .spectral import compute_sigma

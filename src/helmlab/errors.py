@@ -109,7 +109,3 @@ class AgreementViolation(LabError):
 
 class ConfigInvalid(LabError):
     """Experiment configuration failed schema or assumption validation."""
-
-
-class ComputeFailed(LabError):
-    """An experiment failed while computing."""

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RegionMismatch, SupportTouchesBox, GeometryViolation
+from .errors import (GeometryViolation, GramNotSPD, RegionMismatch,
+                     SupportTouchesBox)
 from .geometry import BoundaryChart, Grid
 
 
@@ -70,12 +71,6 @@ class GridField:
     def restricted(self, region: np.ndarray) -> "GridField":
         vals = np.where(region, self.values, 0.0)
         return GridField(self.grid, vals, region.copy())
-
-
-def field_from_function(grid: Grid, fn, region=None) -> GridField:
-    """Sample ``fn(points) -> values`` on the grid nodes."""
-    vals = np.asarray(fn(grid.nodes))
-    return GridField(grid, vals, region)
 
 
 def field_from_radial(grid: Grid, radial_fn, center=None, region=None) -> GridField:
@@ -204,11 +199,6 @@ def norm(f: GridField, which: str = "L2", region: Optional[np.ndarray] = None) -
     raise ValueError(f"unknown norm {which!r}")
 
 
-def integrate(f: GridField, region: Optional[np.ndarray] = None) -> float:
-    region = f.region if region is None else region
-    return float(np.sum(f.grid.quad_weights[region] * f.values[region]))
-
-
 def lp_norm(f: GridField, p: float, region: Optional[np.ndarray] = None) -> float:
     region = f.region if region is None else region
     w = f.grid.quad_weights
@@ -258,6 +248,15 @@ class BoundaryFunctional:
 
     def pair(self, t: BoundaryTrace) -> float:
         return float(self.dual_values @ t.values)
+
+
+def spd_inverse_sqrt(G: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of the symmetric part of a trace Gram matrix; raises
+    :class:`GramNotSPD` unless every eigenvalue is positive."""
+    evals, Q = np.linalg.eigh(0.5 * (G + G.T))
+    if evals.min() <= 0:
+        raise GramNotSPD(f"trace Gram has min eigenvalue {evals.min():.3e}")
+    return Q @ ((evals ** -0.5)[:, None] * Q.T)
 
 
 def mask_to_gamma(t: BoundaryTrace) -> BoundaryTrace:

@@ -168,14 +168,6 @@ class Grid:
             return max(self.dr, float(self.radii[-1]) * self.dtheta)
         return float(np.max(self.spacings))
 
-    def full_region(self) -> np.ndarray:
-        return np.ones(self.n_nodes, dtype=bool)
-
-    def interior_region(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.interior_index] = True
-        return mask
-
     def validate(self) -> None:
         n = self.n_nodes
         both = np.intersect1d(self.interior_index, self.boundary_index)
@@ -459,23 +451,22 @@ def annulus_mask(grid: Grid, r_lo: float, r_hi: float, center=None) -> np.ndarra
 
 
 def check_nested_separation(grid: Grid, inner_mask: np.ndarray,
-                            min_layers: int = 4) -> float:
-    """Distance between an inner mask and the outer boundary.
+                            min_layers: int = 4,
+                            boundary_ids: Optional[np.ndarray] = None) -> float:
+    """Distance between an inner mask and a set of boundary nodes (default:
+    the whole boundary).
 
     Nested configurations need a strictly positive separation; raises
     :class:`GeometryViolation` when the gap is thinner than ``min_layers``
     grid layers.  Returns the measured separation.
     """
-    inner_pts = grid.nodes[inner_mask]
-    bnd_pts = grid.nodes[grid.boundary_index]
-    if inner_pts.size == 0:
+    if boundary_ids is None:
+        boundary_ids = grid.boundary_index
+    if not np.any(inner_mask):
         raise GeometryViolation("empty inner mask")
-    # block the distance computation to keep memory bounded
-    sep = np.inf
-    for start in range(0, inner_pts.shape[0], 4096):
-        blk = inner_pts[start:start + 4096]
-        d = np.linalg.norm(blk[:, None, :] - bnd_pts[None, :, :], axis=2)
-        sep = min(sep, float(d.min()))
+    from scipy.spatial import cKDTree
+    dist, _ = cKDTree(grid.nodes[boundary_ids]).query(grid.nodes[inner_mask])
+    sep = float(dist.min())
     min_sep = min_layers * grid.max_spacing()
     if sep < min_sep:
         raise GeometryViolation(
@@ -532,6 +523,11 @@ class BoundaryChart:
 
     def gamma_ids(self) -> np.ndarray:
         return self.node_ids[self.gamma_mask]
+
+    def positions(self, ids: np.ndarray) -> np.ndarray:
+        """Chart positions of the boundary node ids ``ids``."""
+        order = np.argsort(self.node_ids)
+        return order[np.searchsorted(self.node_ids, ids, sorter=order)]
 
     # -- modal decomposition -------------------------------------------------
 
@@ -691,7 +687,6 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
         wanted = set(gamma["edges"])
         mask = np.isin(names, list(wanted))
         # relatively open subset: drop nodes shared with an unselected edge
-        corner = np.isin(np.roll(names, 1), list(wanted)) != np.isin(names, list(wanted))
         prev_name = np.roll(names, 1)
         for t in range(ids.size):
             if mask[t] and prev_name[t] not in wanted and names[t] in wanted:

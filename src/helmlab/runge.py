@@ -23,22 +23,17 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, mask_dirichlet_ring, mask_flux_pairing,
-                       solve_dirichlet, solve_on_mask, weak_neumann_trace)
-from .errors import (GeometryViolation, GramNotSPD, InsufficientAdmissibleK,
-                     TargetUnreachable)
-from .fields import (BoundaryTrace, GridField, functional_norm, norm, riesz_map)
+from .assembly import (DiscreteOperator, default_spacing, mask_dirichlet_ring,
+                       mask_flux_pairing, resonance_guard, solve_dirichlet,
+                       verified_solve, weak_neumann_trace)
+from .errors import GeometryViolation, InsufficientAdmissibleK, TargetUnreachable
+from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
 from .geometry import BoundaryChart, check_nested_separation, mask_connected
 
 
 # ---------------------------------------------------------------------------
 # Forward map
 # ---------------------------------------------------------------------------
-
-def _positions_in_chart(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
-    order = np.argsort(chart.node_ids)
-    return order[np.searchsorted(chart.node_ids, ids, sorter=order)]
-
 
 @dataclass
 class ForwardMap:
@@ -57,7 +52,7 @@ class ForwardMap:
         return self.op.k
 
     def gamma_positions(self) -> np.ndarray:
-        return _positions_in_chart(self.chart, self.gamma_ids)
+        return self.chart.positions(self.gamma_ids)
 
     def restrict(self, f: GridField) -> np.ndarray:
         return f.values[self.omega1_ids]
@@ -78,48 +73,26 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     spectrum report is passed the frequency is required to be admissible.
     """
     grid = op.grid
-    if spectrum is not None:
-        rec = spectrum.admissibility(op.k, guard=True)
-        if not rec["admissible"]:
-            from .errors import NearResonance
-            raise NearResonance(f"k={op.k:g} not admissible: {rec}")
+    resonance_guard(op, spectrum)
     if not mask_connected(grid, ~omega1_mask):
         raise GeometryViolation("complement of the target region is disconnected")
-    _chart_separation(grid, omega1_mask, chart, min_layers)
+    # an uncharted inner boundary may touch the region; its data is pinned
+    check_nested_separation(grid, omega1_mask, min_layers,
+                            boundary_ids=chart.node_ids)
 
     omega1_ids = np.intersect1d(np.flatnonzero(omega1_mask), grid.interior_index)
     gamma_ids = np.sort(chart.gamma_ids())
 
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
     rhs = -op.L_IB[:, bpos].toarray()
-    u_int = op.lu().solve(rhs)
+    u_int = verified_solve(op.L_II, op.lu(), rhs)
     ipos = np.searchsorted(grid.interior_index, omega1_ids)
     A = u_int[ipos, :]
 
-    gram_gamma = chart.h_half_gram(_positions_in_chart(chart, gamma_ids))
+    gram_gamma = chart.h_half_gram(chart.positions(gamma_ids))
     wx = grid.quad_weights[omega1_ids]
     return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
                       gamma_ids=gamma_ids, A=A, gram_gamma=gram_gamma, wx=wx)
-
-
-def _chart_separation(grid, omega1_mask, chart, min_layers):
-    """Separation of the target region from the charted boundary component
-    (an uncharted inner boundary may touch the region; its data is pinned)."""
-    pts = grid.nodes[omega1_mask]
-    bnd = grid.nodes[chart.node_ids]
-    sep = np.inf
-    for start in range(0, pts.shape[0], 4096):
-        blk = pts[start:start + 4096]
-        d = np.linalg.norm(blk[:, None, :] - bnd[None, :, :], axis=2)
-        sep = min(sep, float(d.min()))
-    need = min_layers * grid.max_spacing()
-    if sep < need:
-        raise GeometryViolation(
-            f"target region within {sep:g} of the charted boundary (< {need:g})")
-
-
-def apply_forward(fmap: ForwardMap, gvals: np.ndarray) -> np.ndarray:
-    return fmap.A @ gvals
 
 
 def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
@@ -166,11 +139,7 @@ class SvdSystem:
 
 
 def svd(fmap: ForwardMap) -> SvdSystem:
-    G = 0.5 * (fmap.gram_gamma + fmap.gram_gamma.T)
-    evals, Q = np.linalg.eigh(G)
-    if evals.min() <= 0:
-        raise GramNotSPD(f"trace Gram has min eigenvalue {evals.min():.3e}")
-    G_half_inv = Q @ ((evals ** -0.5)[:, None] * Q.T)
+    G_half_inv = spd_inverse_sqrt(fmap.gram_gamma)
     sqw = np.sqrt(fmap.wx)
     At = sqw[:, None] * fmap.A @ G_half_inv
     U, s, Vt = np.linalg.svd(At, full_matrices=False)
@@ -357,16 +326,6 @@ class MaskSolutionBasis:
         return GridField(self.grid, vals / h1, self.mask.copy())
 
 
-def random_solution_on_mask(op: DiscreteOperator, mask: np.ndarray,
-                            rng: np.random.Generator, decay: float = 1.5,
-                            m_max: Optional[int] = None,
-                            normalize_region: Optional[np.ndarray] = None) -> GridField:
-    """One random submesh solution (see :class:`MaskSolutionBasis`)."""
-    basis = MaskSolutionBasis(op, mask, m_max=m_max,
-                              normalize_region=normalize_region)
-    return basis.sample(rng, decay=decay)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and exponent fits
 # ---------------------------------------------------------------------------
@@ -449,9 +408,7 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None,
         spec = DomainSpec.disk(1.0)
         q_spec = {"profile": "constant", "value": 1.0}
         kappa, monotone = 1.001, False
-    k_max = max(k_targets)
-    h = min(2 * np.pi / (10.0 * 1.1 * k_max * math.sqrt(kappa)) * 0.95,
-            p["h_cap"])
+    h = min(default_spacing(max(k_targets), kappa), p["h_cap"])
     if "h" in p and p["h"]:
         h = p["h"]
     grid = build_grid(spec, h)

@@ -49,12 +49,6 @@ class SpectrumReport:
             raise SpectrumTooShort("empty spectrum")
         return float(np.min(np.abs(self.eigenvalues - ksq)))
 
-    def admissibility(self, k: float, c: float = None, guard: bool = False) -> dict:
-        """Distance record for k^2; ``guard=True`` widens the threshold by the
-        discretization-error term used by the solver guard band."""
-        c = self.c_admissibility if c is None else c
-        return _admissibility(self, k, c, guard, dim=self.dim)
-
     def to_dict(self) -> dict:
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
@@ -66,13 +60,20 @@ class SpectrumReport:
         }
 
 
-def _admissibility(report: SpectrumReport, k: float, c: float, guard: bool,
-                   dim: int) -> dict:
+def check_admissibility(k: float, report: SpectrumReport, c: float = None,
+                        guard: bool = False) -> dict:
+    """Margin record {admissible, dist, threshold, continuum_guard} for
+    dist(k^2, Sigma) > c k^(2-dim), with ``c`` defaulting to the report's
+    constant.  ``guard=True`` widens the threshold to cover the numerical
+    uncertainty of the nearest computed eigenvalue (the solver guard band).
+    Raises :class:`SpectrumTooShort` when the certified window cannot rule
+    out a closer uncomputed eigenvalue."""
+    c = report.c_admissibility if c is None else c
     ksq = k * k
     dist = report.dist(ksq)
     near = int(np.argmin(np.abs(report.eigenvalues - ksq)))
     lam_near = report.eigenvalues[near]
-    threshold = c * k ** (2 - dim)
+    threshold = c * k ** (2 - report.dim)
     if guard:
         # distance is measured against the computed discrete spectrum, so the
         # enforced guard only needs to cover the numerical uncertainty of the
@@ -210,22 +211,11 @@ def _merge_windows(windows):
     return out
 
 
-def check_admissibility(k: float, report: SpectrumReport, c: float = None,
-                        dim: int = None, guard: bool = False) -> dict:
-    """Margin record {admissible, dist, threshold} for dist(k^2, Sigma) >
-    c k^(2-dim).  Raises :class:`SpectrumTooShort` when the certified window
-    cannot rule out a closer uncomputed eigenvalue."""
-    c = report.c_admissibility if c is None else c
-    return _admissibility(report, k, c, guard, report.dim if dim is None else dim)
-
-
 def find_admissible_k(report: SpectrumReport, k_target: float,
-                      c: float = None, dim: int = None) -> float:
+                      c: float = None) -> float:
     """Nearest admissible frequency to ``k_target``: the square root of the
     midpoint of the spectral gap containing (or nearest to) k_target^2, which
     locally maximizes dist(k^2, Sigma).  Clamped to k >= 1."""
-    c = report.c_admissibility if c is None else c
-    dim = report.dim if dim is None else dim
     lam = report.eigenvalues
     ksq = k_target ** 2
     grid_pts = np.concatenate([[0.0], lam])
@@ -245,7 +235,7 @@ def find_admissible_k(report: SpectrumReport, k_target: float,
         if m <= 0:
             continue
         kc = max(np.sqrt(m), 1.0)
-        rec = _admissibility(report, kc, c, False, dim)
+        rec = check_admissibility(kc, report, c)
         score = (rec["admissible"], -abs(kc - k_target), rec["dist"])
         if best is None or score > best[0]:
             best = (score, kc)

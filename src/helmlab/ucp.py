@@ -16,7 +16,7 @@ combines the result with an exact Hoelder bound on the boundary layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -213,12 +213,11 @@ def _level_curve(grid: Grid, delta: float) -> np.ndarray:
         pts = []
         c = np.asarray(spec.center, float)
         for r in (spec.r_inner + delta, spec.r_outer - delta):
-            if spec.r_inner + delta < r < spec.r_outer - delta or True:
-                if spec.r_inner < r < spec.r_outer:
-                    n = max(int(np.ceil(2 * np.pi * r / step)), 6)
-                    th = np.arange(n) * 2 * np.pi / n
-                    pts.append(np.column_stack([c[0] + r * np.cos(th),
-                                                c[1] + r * np.sin(th)]))
+            if spec.r_inner < r < spec.r_outer:
+                n = max(int(np.ceil(2 * np.pi * r / step)), 6)
+                th = np.arange(n) * 2 * np.pi / n
+                pts.append(np.column_stack([c[0] + r * np.cos(th),
+                                            c[1] + r * np.sin(th)]))
         return np.vstack(pts)
     if spec.kind == "rectangle":
         lo = np.asarray(spec.corners[0], float)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmlab.assembly import (Medium, assemble, mask_dirichlet_ring,
                               mask_flux_pairing, radial_derivative,
-                              solve_dirichlet, solve_on_mask, weak_neumann_trace)
+                              solve_dirichlet, solve_on_mask, verified_solve,
+                              weak_neumann_trace)
 from helmlab.bessel import bessel_j, bessel_j0_root, bessel_j_prime
+from helmlab.calderon import dtn_map
 from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
-                            UnderResolved)
+                            SolverBreakdown, UnderResolved)
 from helmlab.fields import BoundaryTrace, GridField, field_from_radial, norm
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.profiles import make_medium
+from helmlab.runge import build_forward_map
 
 from helpers import disk_setup, disk_spectrum
 
@@ -77,9 +82,61 @@ def test_near_resonance_guard():
     op = assemble(grid, med, k_res)
     with pytest.raises(NearResonance):
         solve_dirichlet(op, spectrum=rep)
+    # the multi-column maps apply the same guard
+    chart = boundary_chart(grid)
+    with pytest.raises(NearResonance):
+        build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart, spectrum=rep)
+    with pytest.raises(NearResonance):
+        dtn_map(op, chart, spectrum=rep)
     # without the spectrum the solve is attempted (and succeeds away from the
     # exact discrete eigenvalue)
     solve_dirichlet(op, g=np.ones(grid.boundary_index.size))
+
+
+class _ScaledFactor:
+    """Factor whose solutions are off by a constant factor."""
+
+    def __init__(self, A, scale):
+        self.lu = spla.splu(A)
+        self.scale = scale
+        self.calls = 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.scale * self.lu.solve(b)
+
+
+def _tridiagonal(n=50):
+    return sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1]).tocsc()
+
+
+def test_verified_solve_refines_once():
+    A = _tridiagonal()
+    rhs = np.random.default_rng(0).standard_normal((50, 70))
+    exact = spla.splu(A).solve(rhs)
+    factor = _ScaledFactor(A, 1.0)
+    assert np.array_equal(verified_solve(A, factor, rhs), exact)
+    assert factor.calls == 1
+    # one refinement per block of 64 columns
+    factor = _ScaledFactor(A, 1.0 + 1e-6)
+    x = verified_solve(A, factor, rhs)
+    assert factor.calls == 3
+    assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+    # one column goes through the same path
+    factor = _ScaledFactor(A, 1.0 + 1e-6)
+    x1 = verified_solve(A, factor, rhs[:, 0])
+    assert factor.calls == 2 and x1.shape == (50,)
+    assert np.max(np.abs(x1 - exact[:, 0])) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_verified_solve_breakdown():
+    A = _tridiagonal()
+    rhs = np.random.default_rng(1).standard_normal((50, 2))
+    factor = _ScaledFactor(A, 1.5)
+    with pytest.raises(SolverBreakdown):
+        verified_solve(A, factor, rhs)
+    assert factor.calls == 2
 
 
 def test_medium_invariants():

@@ -46,6 +46,10 @@ def test_unknown_keys_rejected():
     cfg = _spectrum_cfg()
     cfg["surprise"] = 1
     assert any("unknown config keys" in p for p in validate_config(cfg))
+    # the worker count is a command-line flag, not a config key
+    cfg = _spectrum_cfg()
+    cfg["workers"] = 4
+    assert any("unknown config keys" in p for p in validate_config(cfg))
 
 
 def test_pinch_violation_flagged():
@@ -75,6 +79,28 @@ def test_admissibility_precheck_flags_resonance(tmp_path):
     cfg["k_list"] = [np.sqrt(2.0)]      # ground state of the square
     msgs = validate_config(cfg)
     assert any("admissibility" in m for m in msgs)
+
+
+def test_admissibility_precheck_skips_unresolved_frequencies():
+    # the probe grids' eigenvalue error bands at these k^2 cover half the
+    # surrounding spectral gap, so the pre-check leaves them to the guard on
+    # the solve grid
+    convex = {
+        "experiment": "runge_sweep",
+        "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0},
+        "medium": {"q": {"profile": "radial_quadratic", "amplitude": 0.25},
+                   "kappa": 2.02, "monotone": True},
+        "k_list": [2, 4, 8],
+        "params": {"scenario": "convex"},
+    }
+    assert validate_config(convex) == []
+    chain = {
+        "experiment": "chain",
+        "domain": {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]},
+        "medium": {"q": {"profile": "constant", "value": 1.0}},
+        "k_list": [6.0],
+    }
+    assert validate_config(chain) == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from helmlab.assembly import solve_dirichlet
+from helmlab.assembly import assemble, solve_dirichlet
 from helmlab.errors import GeometryViolation, GramNotSPD, TargetUnreachable
 from helmlab.fields import GridField, norm
-from helmlab.geometry import ball_mask, boundary_chart
+from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask,
+                              boundary_chart, build_grid,
+                              check_nested_separation)
 from helmlab.modes import mode_field
+from helmlab.profiles import make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply,
                            adjoint_apply_matrix, aggregate_median,
                            build_forward_map, curvature_statistic, expand,
@@ -43,6 +46,36 @@ def test_adjoint_pairing_and_matrix_agreement():
         tr_mat = adjoint_apply_matrix(fmap, uv)
         scale = np.max(np.abs(tr_mat.values))
         assert np.max(np.abs(tr_pde.values - tr_mat.values)) <= 1e-8 * scale
+
+
+def test_forward_map_rejects_target_near_charted_boundary():
+    grid, _, op, chart = disk_setup(2.0)
+    with pytest.raises(GeometryViolation):
+        build_forward_map(op, ball_mask(grid, (0, 0), 0.9), chart)
+
+
+def test_forward_map_accepts_target_on_uncharted_boundary():
+    grid = build_grid(DomainSpec.annulus(0.5, 2.0), 0.1)
+    op = assemble(grid, make_medium(grid), 2.0)
+    chart = boundary_chart(grid)
+    omega1 = annulus_mask(grid, 0.5, 1.0)          # touches the inner circle
+    with pytest.raises(GeometryViolation):
+        check_nested_separation(grid, omega1)
+    fmap = build_forward_map(op, omega1, chart)
+    assert fmap.A.shape == (fmap.omega1_ids.size, chart.n)
+
+
+def test_separation_matches_brute_force():
+    grid = build_grid(DomainSpec.annulus(0.5, 1.0), 0.05)
+    mask = ball_mask(grid, (0.1, 0.7), 0.15)
+    chart_ids = boundary_chart(grid).node_ids
+    for ids in (grid.boundary_index, chart_ids):
+        brute = np.min(np.linalg.norm(grid.nodes[mask][:, None, :]
+                                      - grid.nodes[ids][None, :, :], axis=2))
+        sep = check_nested_separation(grid, mask, 0, boundary_ids=ids)
+        assert abs(sep - brute) <= 1e-14
+    assert check_nested_separation(grid, mask, 0) < \
+        check_nested_separation(grid, mask, 0, boundary_ids=chart_ids)
 
 
 def test_svd_identities():
