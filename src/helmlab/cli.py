@@ -413,6 +413,7 @@ def run_chain(cfg, out: Path, workers: int) -> list:
     eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
     M = norm(u, "H1")
     c_sob = 1.5 * lp_norm(u, 4) / M
+    measured = norm(u, "L2")
     rows = []
     for eps in eps_list:
         res = chain_propagate(op, chart, u, eta, M, eps, fit,
@@ -422,7 +423,7 @@ def run_chain(cfg, out: Path, workers: int) -> list:
                      "bound_interior": res.bound_interior,
                      "bound_layer": res.bound_layer,
                      "bound_log": res.bound_log,
-                     "measured": norm(u, "L2")})
+                     "measured": measured})
     man = make_manifest(cfg, h=h, k=k, alpha_hat=fit.alpha_hat)
     return [write_csv(out / "chain.csv", man,
                       ["epsilon", "n_balls", "n_cover", "bound",

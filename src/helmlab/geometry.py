@@ -435,11 +435,15 @@ def build_grid(spec: DomainSpec, h_target: float) -> Grid:
 # Region masks
 # ---------------------------------------------------------------------------
 
-def ball_mask(grid: Grid, center, radius: float) -> np.ndarray:
-    """Nodes inside the closed ball of given center and radius."""
+def ball_mask(grid: Grid, center, radius) -> np.ndarray:
+    """Nodes inside the closed ball of given center and radius.
+
+    A sequence of radii gives one mask row per radius, all from a single
+    distance pass over the nodes.
+    """
     c = np.asarray(center, dtype=float)
     d = np.linalg.norm(grid.nodes - c, axis=1)
-    return d <= radius + 1e-12
+    return d <= np.asarray(radius, dtype=float)[..., None] + 1e-12
 
 
 def annulus_mask(grid: Grid, r_lo: float, r_hi: float, center=None) -> np.ndarray:

@@ -15,6 +15,7 @@ combines the result with an exact Hoelder bound on the boundary layer.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,11 +49,9 @@ def boundary_distance(grid: Grid, points: np.ndarray) -> np.ndarray:
         d = np.minimum(pts - lo, hi - pts)
         return np.min(d, axis=1)
     # masked union: distance to the discrete boundary node set
-    bnd = grid.nodes[grid.boundary_index]
-    out = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        out[i] = np.min(np.linalg.norm(bnd - p, axis=1))
-    return out
+    from scipy.spatial import cKDTree
+    dist, _ = cKDTree(grid.nodes[grid.boundary_index]).query(pts)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,12 @@ class BallTriple:
         return min(self.norm_half, self.norm_mid, self.norm_big) <= 0.0
 
 
+def _triple_norms(u: GridField, x0: np.ndarray, r: float) -> list:
+    """L2 norms of u over B_{r/2}, B_r and B_{2r} centered at x0."""
+    return [norm(u, "L2", m)
+            for m in ball_mask(u.grid, x0, (r / 2.0, r, 2.0 * r))]
+
+
 def three_ball_ratio(u: GridField, x0, r: float, k: float,
                      family: str = "") -> BallTriple:
     """Quadrature norms of a solution over B_{r/2}, B_r, B_{2r} centered at
@@ -88,10 +93,7 @@ def three_ball_ratio(u: GridField, x0, r: float, k: float,
     layer = grid.dr if grid.topology == "polar" else grid.max_spacing()
     if r / 2.0 < 8.0 * layer - 1e-12:
         raise GeometryViolation(f"smallest ball radius {r / 2:g} below 8 layers")
-    norms = []
-    for rad in (r / 2.0, r, 2.0 * r):
-        norms.append(norm(u, "L2", ball_mask(grid, x0, rad)))
-    nh, nm, nb = norms
+    nh, nm, nb = _triple_norms(u, x0, r)
     if not (nh <= nm + 1e-14 and nm <= nb + 1e-14):
         raise GeometryViolation("nested ball norms are not monotone")
     return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
@@ -102,12 +104,8 @@ def boundary_three_ball(u: GridField, x0, r: float, k: float, eta: float,
                         family: str = "") -> BallTriple:
     """Boundary-bulk variant: norms over B+ = B cap Omega for x0 on the data
     sub-boundary, with the Cauchy-data size eta attached."""
-    grid = u.grid
     x0 = np.asarray(x0, float)
-    norms = []
-    for rad in (r / 2.0, r, 2.0 * r):
-        norms.append(norm(u, "L2", ball_mask(grid, x0, rad)))
-    nh, nm, nb = norms
+    nh, nm, nb = _triple_norms(u, x0, r)
     return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
                       norm_big=nb, eta=eta, boundary=True, family=family)
 
@@ -254,8 +252,13 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         m_next = C(k) M^(1-alpha) m^alpha
 
     starting from the boundary-bulk envelope at a start ball on the data
-    sub-boundary.  The boundary layer W_eps is bounded by the exact Hoelder
-    step ||u||_{L2(W)} <= |W|^(1/4) ||u||_{L4} <= |W|^(1/4) C_S M (plane
+    sub-boundary; a KD-tree over the centers yields each ball's edges.  The
+    deep nodes are then covered greedily by certified balls in order of
+    value.  A KD-tree over the grid nodes proposes each ball's candidate
+    nodes and the exact distance test |x - c| <= r decides membership, so
+    the cover is the one a scan of every node gives.  The boundary layer
+    W_eps is bounded by the exact Hoelder step
+    ||u||_{L2(W)} <= |W|^(1/4) ||u||_{L4} <= |W|^(1/4) C_S M (plane
     exponents).  Also evaluates the closed-form logarithmic bound
     k |log(eta/(M+eta))|^(-mu_hat) (M+eta) with unit constant.
     """
@@ -312,22 +315,44 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     a0 = bfit.alpha_hat
     m0 = min(math.exp(bfit.log_c(k)) * (M + eta) ** (1 - a0) * eta ** a0, M)
 
-    value = np.full(centers.shape[0], np.inf)
-    hops = np.zeros(centers.shape[0], dtype=int)
     seed = np.linalg.norm(centers - x0, axis=1) + radii <= r0
     if not np.any(seed):
         raise ChainBlocked("start ball reaches no chain ball; enlarge gamma "
                            "or epsilon")
-    value[seed] = m0
+    a = fit.alpha_hat
+    amp = math.exp(fit.log_c(k)) * M ** (1 - a)
+    value, hops = _certify(centers, radii, seed, m0,
+                           lambda m: min(amp * m ** a, M))
+    unreached = int(np.count_nonzero(np.isinf(value)))
+    if unreached:
+        raise ChainBlocked(f"{unreached} chain balls unreachable at "
+                           f"epsilon={epsilon:g}")
 
-    # Dijkstra over the ball graph: an edge x -> y exists when the half-ball
-    # of y sits inside the ball of x; values only degrade along edges, so
-    # processing by increasing value is optimal
-    import heapq
+    cover_sq, n_cover, left = _greedy_cover(grid.nodes, omega_eps, centers,
+                                            radii, value)
+    if left:
+        raise ChainBlocked(f"{left} deep nodes outside every chain ball")
+    bound_interior = math.sqrt(cover_sq)
+    bound = math.sqrt(bound_interior ** 2 + bound_layer ** 2)
+    return ChainResult(bound=bound, n_balls=int(hops.max()), n_cover=n_cover,
+                       bound_interior=bound_interior, bound_layer=bound_layer,
+                       bound_log=bound_log, covered=True)
+
+
+def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,
+             m0: float, step) -> tuple:
+    """Dijkstra over the ball graph from the ``seed`` balls at value m0.
+
+    An edge x -> y exists when the half-ball of y sits inside the ball of x
+    and carries the value ``step(m)``; values only degrade along edges, so
+    processing by increasing value is optimal.  Returns each ball's value
+    (inf where unreachable) and hop count.
+    """
     from scipy.spatial import cKDTree
     tree = cKDTree(centers)
-    a, logc = fit.alpha_hat, fit.log_c(k)
-    amp = math.exp(logc) * M ** (1 - a)
+    value = np.full(centers.shape[0], np.inf)
+    value[seed] = m0
+    hops = np.zeros(centers.shape[0], dtype=int)
     done = np.zeros(centers.shape[0], dtype=bool)
     heap = [(m0, int(i)) for i in np.flatnonzero(seed)]
     heapq.heapify(heap)
@@ -336,45 +361,50 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         if done[i]:
             continue
         done[i] = True
-        nbrs = tree.query_ball_point(centers[i], r=radii[i])
+        nbrs = np.asarray(tree.query_ball_point(centers[i], r=radii[i]),
+                          dtype=np.intp)
+        nbrs = nbrs[~done[nbrs]]
+        dist = np.linalg.norm(centers[nbrs] - centers[i], axis=1)
+        cand = step(val)
+        nbrs = nbrs[(dist + radii[nbrs] / 2.0 <= radii[i] + 1e-12)
+                    & (cand < value[nbrs])]
+        value[nbrs] = cand
+        hops[nbrs] = hops[i] + 1
         for j in nbrs:
-            if done[j]:
-                continue
-            dist = float(np.linalg.norm(centers[i] - centers[j]))
-            if dist + radii[j] / 2.0 <= radii[i] + 1e-12:
-                cand = min(amp * val ** a, M)
-                if cand < value[j]:
-                    value[j] = cand
-                    hops[j] = hops[i] + 1
-                    heapq.heappush(heap, (cand, int(j)))
-    if not np.all(done):
-        raise ChainBlocked(
-            f"{int((~done).sum())} chain balls unreachable at "
-            f"epsilon={epsilon:g}")
+            heapq.heappush(heap, (cand, int(j)))
+    return value, hops
 
-    # greedy cover of the deep grid nodes by certified balls
-    nodes = grid.nodes
-    uncovered = omega_eps.copy()
+
+def _ball_nodes(tree, nodes: np.ndarray, c: np.ndarray,
+                r: float) -> np.ndarray:
+    """Indices of the nodes x with ``np.linalg.norm(x - c) <= r``, the same
+    set a full scan finds: a slightly enlarged tree query proposes the
+    candidates and the exact norm decides."""
+    cand = np.asarray(tree.query_ball_point(c, r * (1 + 1e-9)), dtype=np.intp)
+    return cand[np.linalg.norm(nodes[cand] - c, axis=1) <= r]
+
+
+def _greedy_cover(nodes: np.ndarray, deep: np.ndarray, centers: np.ndarray,
+                  radii: np.ndarray, value: np.ndarray) -> tuple:
+    """Cover the ``deep`` nodes with balls taken by increasing value, using a
+    ball only when it adds a node.  Returns the sum of squared values of the
+    balls used, their number and the count of nodes left uncovered."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(nodes)
+    uncovered = deep.copy()
+    left = int(np.count_nonzero(uncovered))
     cover_sq, n_cover = 0.0, 0
-    order = np.argsort(value)
-    for ci in order:
-        if not np.any(uncovered):
+    for ci in np.argsort(value):
+        if not left:
             break
-        ball = np.linalg.norm(nodes - centers[ci], axis=1) <= radii[ci]
-        gain = uncovered & ball
-        if np.any(gain):
+        ids = _ball_nodes(tree, nodes, centers[ci], radii[ci])
+        ids = ids[uncovered[ids]]
+        if ids.size:
             cover_sq += value[ci] ** 2
             n_cover += 1
-            uncovered &= ~ball
-    covered = not np.any(uncovered)
-    if not covered:
-        raise ChainBlocked(
-            f"{int(uncovered.sum())} deep nodes outside every chain ball")
-    bound_interior = math.sqrt(cover_sq)
-    bound = math.sqrt(bound_interior ** 2 + bound_layer ** 2)
-    return ChainResult(bound=bound, n_balls=int(hops.max()), n_cover=n_cover,
-                       bound_interior=bound_interior, bound_layer=bound_layer,
-                       bound_log=bound_log, covered=covered)
+            uncovered[ids] = False
+            left -= ids.size
+    return cover_sq, n_cover, left
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_nested_separation_guard():
     assert 0.4 < sep < 0.55
 
 
+def test_ball_mask_radii_rows():
+    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    d = np.linalg.norm(g.nodes - np.array([0.1, -0.2]), axis=1)
+    rows = ball_mask(g, (0.1, -0.2), (0.2, 0.4, 0.8))
+    assert rows.shape == (3, g.n_nodes)
+    for row, r in zip(rows, (0.2, 0.4, 0.8)):
+        assert np.array_equal(row, d <= r + 1e-12)
+        assert np.array_equal(ball_mask(g, (0.1, -0.2), r), row)
+
+
 def test_mask_connectivity():
     g = build_grid(DomainSpec.disk(1.0), 0.05)
     assert mask_connected(g, ball_mask(g, (0, 0), 0.4))

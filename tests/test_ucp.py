@@ -1,6 +1,10 @@
+import heapq
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from helmlab import ucp
 from helmlab.bessel import bessel_j, gauss_legendre
 from helmlab.errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from helmlab.fields import BoundaryTrace, GridField, lp_norm, norm, trace_norm
@@ -130,6 +134,83 @@ def test_chain_growth_and_validity():
     assert r2 >= 0.95
 
 
+def _certify_reference(centers, radii, seed, m0, step):
+    # one scalar distance and containment test per edge
+    tree = cKDTree(centers)
+    value = np.full(centers.shape[0], np.inf)
+    value[seed] = m0
+    hops = np.zeros(centers.shape[0], dtype=int)
+    done = np.zeros(centers.shape[0], dtype=bool)
+    heap = [(m0, int(i)) for i in np.flatnonzero(seed)]
+    heapq.heapify(heap)
+    while heap:
+        val, i = heapq.heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        for j in tree.query_ball_point(centers[i], r=radii[i]):
+            if done[j]:
+                continue
+            dist = float(np.linalg.norm(centers[i] - centers[j]))
+            if dist + radii[j] / 2.0 <= radii[i] + 1e-12:
+                cand = step(val)
+                if cand < value[j]:
+                    value[j] = cand
+                    hops[j] = hops[i] + 1
+                    heapq.heappush(heap, (cand, int(j)))
+    return value, hops
+
+
+def _greedy_cover_reference(nodes, deep, centers, radii, value):
+    # each ball tested against every grid node
+    uncovered = deep.copy()
+    cover_sq, n_cover = 0.0, 0
+    for ci in np.argsort(value):
+        if not np.any(uncovered):
+            break
+        ball = np.linalg.norm(nodes - centers[ci], axis=1) <= radii[ci]
+        if np.any(uncovered & ball):
+            cover_sq += value[ci] ** 2
+            n_cover += 1
+            uncovered &= ~ball
+    return cover_sq, n_cover, int(uncovered.sum())
+
+
+def test_chain_matches_scalar_reference(monkeypatch):
+    grid, _, op, _ = disk_setup(4.0, h=0.02)
+    fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
+    u = random_mode_superposition(grid, 4.0, 10, np.random.default_rng(3))
+    M = norm(u, "H1")
+    runs = []
+    for gamma in ("full", {"angles": [[0.0, np.pi]]}):
+        chart = boundary_chart(grid, gamma)
+        eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
+        runs += [(chart, eta, eps) for eps in (0.2, 0.1)]
+    fast = [chain_propagate(op, chart, u, eta, M, eps, fit)
+            for chart, eta, eps in runs]
+    monkeypatch.setattr(ucp, "_certify", _certify_reference)
+    monkeypatch.setattr(ucp, "_greedy_cover", _greedy_cover_reference)
+    slow = [chain_propagate(op, chart, u, eta, M, eps, fit)
+            for chart, eta, eps in runs]
+    assert all(r.n_balls > 0 and r.n_cover > 0 for r in slow)
+    assert fast == slow
+
+
+def test_ball_nodes_match_full_scan():
+    g = disk_grid(0.02)
+    nodes = g.nodes
+    tree = cKDTree(nodes)
+    rng = np.random.default_rng(5)
+    centers = np.vstack([[0.0, 0.0], nodes[rng.integers(g.n_nodes, size=20)],
+                         rng.uniform(-1.0, 1.0, (40, 2))])
+    for c in centers:
+        d = np.linalg.norm(nodes - c, axis=1)
+        # radii equal to exact node distances put nodes on the sphere
+        for r in d[rng.integers(g.n_nodes, size=5)]:
+            got = np.sort(ucp._ball_nodes(tree, nodes, c, r))
+            assert np.array_equal(got, np.flatnonzero(d <= r))
+
+
 def test_chain_zero_data():
     grid, _, op, chart = disk_setup(4.0, h=0.02)
     fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
@@ -157,6 +238,16 @@ def test_boundary_distance_analytic():
     ga = build_grid(DomainSpec.annulus(0.5, 2.0), 0.1)
     d2 = boundary_distance(ga, np.array([[1.0, 0.0], [1.8, 0.0]]))
     assert np.allclose(d2, [0.5, 0.2])
+
+
+def test_boundary_distance_masked_union():
+    g = build_grid(DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2))]),
+                   0.02)
+    bnd = g.nodes[g.boundary_index]
+    pts = np.vstack([g.nodes,
+                     np.random.default_rng(2).uniform(0.0, 2.0, (200, 2))])
+    brute = np.array([np.min(np.linalg.norm(bnd - p, axis=1)) for p in pts])
+    np.testing.assert_array_max_ulp(boundary_distance(g, pts), brute, maxulp=1)
 
 
 def test_caccioppoli_uniform_over_family():
