@@ -1,11 +1,13 @@
 """Config-driven experiment runner.
 
 ``lab run <config.json>`` executes one experiment described by a JSON file
-and writes CSV/JSON artifacts into the output directory.  Every artifact
-carries a manifest (config hash, code version, grid spacing, admissibility
-constant), rows are emitted in deterministic order, and all randomness is
-derived from the config seed, so a rerun with the same config produces
-byte-identical files.
+and writes CSV/JSON artifacts into the output directory.  Each runner
+computes its rows and payloads, then hands them to :func:`write_artifacts`,
+the one writer: it builds the run's manifest (config hash, code version,
+grid spacing, admissibility constant) and writes every file under it.  Rows
+are emitted in deterministic order, and all randomness is derived from the
+config seed, so a rerun with the same config produces byte-identical files.
+Every experiment runs serially; ``--workers`` is accepted and ignored.
 
 Commands:
     lab run <config>        run the experiment (exit 0 ok, 1 compute, 2 config)
@@ -24,9 +26,25 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .errors import ConfigInvalid, LabError
-from .geometry import DomainSpec
+# ``solve_dirichlet`` is reached through its module: perfbench/selftest.py
+# counts the bindings of that function across helmlab.
+from . import __version__, assembly
+from .assembly import assemble, default_spacing, radial_derivative
+from .bessel import check_bessel_inequalities, optimality_lower_bound
+from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
+    stability_check
+from .carleman import adapted_compact_sample, carleman_check, \
+    improved_ucp_probe, random_compact_sample
+from .errors import ConfigInvalid, GeometryViolation, HypothesisViolated, \
+    LabError, SpectrumTooShort
+from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
+from .geometry import DomainSpec, boundary_chart, build_grid
+from .modes import mode_field, random_mode_superposition
+from .profiles import make_medium
+from .runge import aggregate_median, sweep_and_fit, sweep_params
+from .spectral import check_admissibility, compute_sigma, find_admissible_k, \
+    weyl_exponent
+from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
 
 _TOP_KEYS = {"experiment", "domain", "medium", "k_list", "epsilon_list",
              "seeds", "seed", "output_dir", "admissibility_c", "h",
@@ -123,12 +141,6 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
     """Sample the medium on a coarse probe grid and check the pinch bounds,
     monotonicity where required, and a quick admissibility pre-check of the
     frequencies the probe grid resolves."""
-    from .geometry import build_grid
-    from .profiles import make_medium
-    from .assembly import radial_derivative
-    from .spectral import check_admissibility, compute_sigma
-    from .errors import SpectrumTooShort
-
     problems = []
     h_probe = _probe_spacing(spec)
     try:
@@ -241,25 +253,33 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def make_manifest(cfg: dict, **extra) -> dict:
+def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
+    """Write each artifact into ``out``, in order, under one manifest: the
+    config hash, code version, admissibility constant and tolerances plus
+    ``extra``.  ``(name, columns, rows)`` is a CSV file and ``(name,
+    payload)`` a JSON document.  Returns the written paths."""
     man = {"config_sha256": config_hash(cfg), "code_version": __version__,
            "admissibility_c": cfg.get("admissibility_c", 0.01),
-           "tolerances": cfg.get("tolerances", {})}
-    man.update(extra)
-    return man
+           "tolerances": cfg.get("tolerances", {}), **extra}
+    return [write_csv(out / name, man, *body) if len(body) == 2
+            else write_json(out / name, man, *body)
+            for name, *body in artifacts]
 
 
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-def _setup(cfg, monotone=False, kappa_default=None):
-    from .assembly import default_spacing
-    from .geometry import build_grid
-    from .profiles import make_medium
+# frequencies the Carleman uniformity scan checks when the config names none
+_CARLEMAN_KS = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def _setup(cfg, k_default=(1.0,), kappa_default=None):
+    """Grid and medium of the config.  Without ``h`` the spacing resolves the
+    largest frequency of ``k_list``, or of ``k_default`` if it has none."""
     spec = domain_from_config(cfg["domain"])
     med = cfg.get("medium", {})
-    k_list = [float(k) for k in cfg.get("k_list", [1.0])]
+    k_list = [float(k) for k in cfg.get("k_list", k_default)]
     kappa = med.get("kappa", kappa_default)
     h = cfg.get("h")
     if h is None:
@@ -267,31 +287,25 @@ def _setup(cfg, monotone=False, kappa_default=None):
                 _probe_spacing(spec) * 1.2)
     grid = build_grid(spec, float(h))
     medium = make_medium(grid, med.get("q"), med.get("V"), kappa,
-                         monotone=med.get("monotone", monotone))
+                         monotone=med.get("monotone", False))
     return grid, medium, k_list, float(h)
 
 
-def run_spectrum(cfg, out: Path, workers: int) -> list:
-    from .spectral import compute_sigma, weyl_exponent
+def run_spectrum(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     count = int(cfg.get("params", {}).get("count", 24))
     shifts = tuple(k * k for k in k_list) if cfg.get("k_list") else (0.0,)
     rep = compute_sigma(grid, medium, count, shifts=shifts,
                         c_admissibility=cfg.get("admissibility_c", 0.01))
-    man = make_manifest(cfg, h=h)
     payload = rep.to_dict()
     try:
         payload["weyl_exponent"] = weyl_exponent(rep)
     except LabError:
         pass
-    return [write_json(out / "spectrum.json", man, payload)]
+    return write_artifacts(cfg, out, [("spectrum.json", payload)], h=h)
 
 
-def run_solve(cfg, out: Path, workers: int) -> list:
-    from .assembly import assemble, solve_dirichlet
-    from .fields import norm
-    from .geometry import boundary_chart
-    from .spectral import check_admissibility, compute_sigma
+def run_solve(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
     rep = compute_sigma(grid, medium, 24, shifts=(k * k,),
@@ -303,22 +317,19 @@ def run_solve(cfg, out: Path, workers: int) -> list:
     coeff = rng.standard_normal(lam.size) * (1.0 + lam) ** (-float(
         params.get("data_decay", 1.0)))
     gvals = chart.synthesize(coeff)
-    from .fields import BoundaryTrace, mask_to_gamma
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
-    u = solve_dirichlet(assemble(grid, medium, k), g=trace, spectrum=rep)
-    man = make_manifest(cfg, h=h, k=k,
-                        admissibility=check_admissibility(k, rep))
+    u = assembly.solve_dirichlet(assemble(grid, medium, k), g=trace,
+                                 spectrum=rep)
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     rows = [dict({f"x{d}": grid.nodes[i, d] for d in range(grid.dim)},
                  value=u.values[i]) for i in range(grid.n_nodes)]
-    paths = [write_csv(out / "field.csv", man, cols, rows)]
-    paths.append(write_json(out / "solve.json", man, {
-        "l2": norm(u, "L2"), "h1": norm(u, "H1"), "k": k}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("field.csv", cols, rows),
+        ("solve.json", {"l2": norm(u, "L2"), "h1": norm(u, "H1"), "k": k})],
+        h=h, k=k, admissibility=check_admissibility(k, rep))
 
 
-def run_runge_sweep(cfg, out: Path, workers: int) -> list:
-    from .runge import aggregate_median, sweep_and_fit, sweep_params
+def run_runge_sweep(cfg, out: Path) -> list:
     params = dict(cfg.get("params", {}))
     scenario = params.pop("scenario", "interior")
     overrides = {}
@@ -331,33 +342,28 @@ def run_runge_sweep(cfg, out: Path, workers: int) -> list:
     if cfg.get("h"):
         overrides["h"] = float(cfg["h"])
     overrides.update(params)
-    fit = sweep_and_fit(scenario, sweep_params(scenario, **overrides),
-                        workers=workers)
+    fit = sweep_and_fit(scenario, sweep_params(scenario, **overrides))
     h = fit.records[0]["h"] if fit.records else None
-    man = make_manifest(cfg, h=h, scenario=scenario)
     cols = ["scenario", "k", "epsilon", "seed", "alpha", "err", "cost",
             "cost_rel", "v_norm_h1", "v_l2", "admissible_margin", "h",
             "n_retained", "residue"]
-    paths = [write_csv(out / "runge_records.csv", man, cols, fit.records)]
     key = "cost_rel" if scenario == "convex" else "cost"
     n_seeds = len({r["seed"] for r in fit.records}) if fit.records else 0
     med = aggregate_median(fit.records, by=("k", "epsilon"), key=key,
                            min_count=max(2, n_seeds // 2))
-    paths.append(write_json(out / "runge_fit.json", man, {
-        "fit": fit.to_dict(), "medians": med}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("runge_records.csv", cols, fit.records),
+        ("runge_fit.json", {"fit": fit.to_dict(), "medians": med})],
+        h=h, scenario=scenario)
 
 
-def run_three_balls(cfg, out: Path, workers: int) -> list:
-    from .modes import mode_field
-    from .ucp import estimate_exponent, three_ball_ratio
+def run_three_balls(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     params = cfg.get("params", {})
     r = float(params.get("r", 0.16))
     centers = params.get("centers",
                          [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22],
                           [0.3, 0.0], [0.0, -0.3]])
-    from .errors import GeometryViolation
     rows, samples = [], []
     for k in k_list:
         ell_max = int(params.get("ell_margin", 8) + 2 * k)
@@ -365,7 +371,7 @@ def run_three_balls(cfg, out: Path, workers: int) -> list:
             u = mode_field(grid, ell, k)
             for c in centers:
                 try:
-                    t = three_ball_ratio(u, c, r, k, family=f"mode{ell}")
+                    t = three_ball_ratio(u, c, r, k)
                 except GeometryViolation:
                     continue
                 if t.degenerate():
@@ -375,23 +381,16 @@ def run_three_balls(cfg, out: Path, workers: int) -> list:
                              "r": r, "norm_half": t.norm_half,
                              "norm_mid": t.norm_mid, "norm_big": t.norm_big})
     fit = estimate_exponent(samples)
-    man = make_manifest(cfg, h=h)
-    paths = [write_csv(out / "triples.csv", man,
-                       ["k", "ell", "x0", "x1", "r", "norm_half", "norm_mid",
-                        "norm_big"], rows)]
-    paths.append(write_json(out / "three_balls_fit.json", man, {
-        "alpha_hat": fit.alpha_hat,
-        "log_c": {str(k): v for k, v in sorted(fit.intercepts.items())},
-        "n_samples": fit.n_samples}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("triples.csv", ["k", "ell", "x0", "x1", "r", "norm_half", "norm_mid",
+                         "norm_big"], rows),
+        ("three_balls_fit.json", {
+            "alpha_hat": fit.alpha_hat,
+            "log_c": {str(k): v for k, v in sorted(fit.intercepts.items())},
+            "n_samples": fit.n_samples})], h=h)
 
 
-def run_chain(cfg, out: Path, workers: int) -> list:
-    from .assembly import assemble
-    from .fields import BoundaryTrace, lp_norm, norm, trace_norm
-    from .geometry import boundary_chart
-    from .modes import mode_field, random_mode_superposition
-    from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
+def run_chain(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
     params = cfg.get("params", {})
@@ -424,20 +423,18 @@ def run_chain(cfg, out: Path, workers: int) -> list:
                      "bound_layer": res.bound_layer,
                      "bound_log": res.bound_log,
                      "measured": measured})
-    man = make_manifest(cfg, h=h, k=k, alpha_hat=fit.alpha_hat)
-    return [write_csv(out / "chain.csv", man,
-                      ["epsilon", "n_balls", "n_cover", "bound",
+    return write_artifacts(cfg, out, [
+        ("chain.csv", ["epsilon", "n_balls", "n_cover", "bound",
                        "bound_interior", "bound_layer", "bound_log",
-                       "measured"], rows)]
+                       "measured"], rows)],
+        h=h, k=k, alpha_hat=fit.alpha_hat)
 
 
-def run_carleman(cfg, out: Path, workers: int) -> list:
-    from .carleman import adapted_compact_sample, carleman_check, \
-        random_compact_sample
-    grid, medium, k_list, h = _setup(cfg, monotone=True)
+def run_carleman(cfg, out: Path) -> list:
+    grid, medium, k_list, h = _setup(cfg, k_default=_CARLEMAN_KS)
     params = cfg.get("params", {})
     taus = [float(t) for t in params.get("tau_list", [10, 20, 40, 80])]
-    ks = k_list if cfg.get("k_list") else [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    ks = k_list or _CARLEMAN_KS
     n_adapted = int(params.get("samples_per_cell", 16))
     n_generic = int(params.get("generic_per_cell", 3))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
@@ -463,24 +460,20 @@ def run_carleman(cfg, out: Path, workers: int) -> list:
                    for t in taus[:-1] for k in ks if (2 * t, k) in worst]
     factors_k = [worst[(t, 2 * k)] / worst[(t, k)]
                  for k in ks[:-1] for t in taus if (t, 2 * k) in worst]
-    man = make_manifest(cfg, h=h)
-    paths = [write_csv(out / "carleman_samples.csv", man,
-                       ["tau", "k", "sample", "lhs_tau", "lhs_grad",
-                        "lhs_freq", "rhs_f", "rhs_div", "ratio"], rows)]
-    paths.append(write_json(out / "carleman_uniformity.json", man, {
-        "max_ratio": {f"{t:g},{k:g}": v for (t, k), v in sorted(worst.items())},
-        "tau_doubling_factors": factors_tau,
-        "k_doubling_factors": factors_k,
-        "n_samples": len(rows)}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("carleman_samples.csv", ["tau", "k", "sample", "lhs_tau", "lhs_grad",
+                                  "lhs_freq", "rhs_f", "rhs_div", "ratio"],
+         rows),
+        ("carleman_uniformity.json", {
+            "max_ratio": {f"{t:g},{k:g}": v for (t, k), v in
+                          sorted(worst.items())},
+            "tau_doubling_factors": factors_tau,
+            "k_doubling_factors": factors_k,
+            "n_samples": len(rows)})], h=h)
 
 
-def run_improved_ucp(cfg, out: Path, workers: int) -> list:
-    from .assembly import assemble
-    from .carleman import improved_ucp_probe
-    from .errors import HypothesisViolated
-    from .spectral import compute_sigma, find_admissible_k
-    grid, medium, k_list, h = _setup(cfg, monotone=True)
+def run_improved_ucp(cfg, out: Path) -> list:
+    grid, medium, k_list, h = _setup(cfg)
     params = cfg.get("params", {})
     deltas = [float(d) for d in params.get("delta_list", [0.1, 0.2, 0.4])]
     rep = compute_sigma(grid, medium, 40,
@@ -508,17 +501,13 @@ def run_improved_ucp(cfg, out: Path, workers: int) -> list:
             x = np.log([r["k"] ** 3 * r["eta"] / r["M"] for r in sub])
             y = np.log([r["lhs"] / r["M"] for r in sub])
             fits[str(delta)] = float(np.polyfit(x, y, 1)[0])
-    man = make_manifest(cfg, h=h)
-    paths = [write_csv(out / "improved_ucp.csv", man,
-                       ["k", "ell", "delta", "eta", "M", "lhs", "lhs_full",
-                        "rhs_log", "rhs_poly"], rows)]
-    paths.append(write_json(out / "improved_ucp_fit.json", man,
-                            {"nu_hat_per_delta": fits}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("improved_ucp.csv", ["k", "ell", "delta", "eta", "M", "lhs",
+                              "lhs_full", "rhs_log", "rhs_poly"], rows),
+        ("improved_ucp_fit.json", {"nu_hat_per_delta": fits})], h=h)
 
 
-def run_bessel_optimality(cfg, out: Path, workers: int) -> list:
-    from .bessel import check_bessel_inequalities, optimality_lower_bound
+def run_bessel_optimality(cfg, out: Path) -> list:
     params = cfg.get("params", {})
     k = float(cfg.get("k_list", [2.0])[0])
     n = int(params.get("n", 2))
@@ -530,22 +519,13 @@ def run_bessel_optimality(cfg, out: Path, workers: int) -> list:
                      "min_boundary_norm": rec.min_boundary_norm,
                      "bound_2ell": rec.bound_2ell,
                      "alpha_ell": rec.alpha_ell, "g_l2": rec.g_l2})
-    report = check_bessel_inequalities()
-    man = make_manifest(cfg)
-    paths = [write_csv(out / "optimality.csv", man,
-                       ["ell", "k", "epsilon", "min_boundary_norm",
-                        "bound_2ell", "alpha_ell", "g_l2"], rows)]
-    paths.append(write_json(out / "bessel_inequalities.json", man, report))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("optimality.csv", ["ell", "k", "epsilon", "min_boundary_norm",
+                            "bound_2ell", "alpha_ell", "g_l2"], rows),
+        ("bessel_inequalities.json", check_bessel_inequalities())])
 
 
-def run_calderon(cfg, out: Path, workers: int) -> list:
-    from .assembly import assemble
-    from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
-        stability_check
-    from .geometry import boundary_chart
-    from .profiles import make_medium
-    from .spectral import compute_sigma
+def run_calderon(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg, kappa_default=1.01)
     params = cfg.get("params", {})
     amplitudes = [float(a) for a in params.get("amplitudes", [0.5, 1.0, 2.0])]
@@ -579,14 +559,13 @@ def run_calderon(cfg, out: Path, workers: int) -> list:
             rows.append({"k": k, "amplitude": amp, "delta": rec.delta,
                          "lhs": rec.lhs, "identity_rel": ident})
     result = stability_check(records, n=grid.dim)
-    man = make_manifest(cfg, h=h)
-    paths = [write_csv(out / "calderon.csv", man,
-                       ["k", "amplitude", "delta", "lhs", "identity_rel"],
-                       rows)]
-    paths.append(write_json(out / "calderon_stability.json", man, {
-        "best_C": result["best_C"], "validated": result["validated"],
-        "worst_identity_rel": worst_identity, "n_records": len(records)}))
-    return paths
+    return write_artifacts(cfg, out, [
+        ("calderon.csv", ["k", "amplitude", "delta", "lhs", "identity_rel"],
+         rows),
+        ("calderon_stability.json", {
+            "best_C": result["best_C"], "validated": result["validated"],
+            "worst_identity_rel": worst_identity, "n_records": len(records)})],
+        h=h)
 
 
 _RUNNERS = {
@@ -603,13 +582,15 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> list:
-    """Validate, run, and write artifacts; returns the written paths."""
+    """Validate, run, and write artifacts; returns the written paths.
+
+    ``workers`` is accepted and ignored: every experiment runs serially."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigInvalid("; ".join(problems))
     out = Path(out_dir or cfg.get("output_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg["experiment"]](cfg, out, workers)
+    return _RUNNERS[cfg["experiment"]](cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +604,8 @@ def main(argv=None) -> int:
     for name in ("run", "validate", "sigma"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored; experiments run serially")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
@@ -641,8 +623,7 @@ def main(argv=None) -> int:
         if args.command == "sigma":
             cfg = dict(cfg)
             cfg["experiment"] = "spectrum"
-        paths = run_experiment(cfg, out_dir=args.out,
-                               workers=max(1, args.workers))
+        paths = run_experiment(cfg, out_dir=args.out)
         for p in paths:
             print(p)
         return 0

@@ -379,8 +379,7 @@ def sweep_params(scenario: str, **overrides) -> dict:
     return params
 
 
-def sweep_and_fit(scenario: str, params: Optional[dict] = None,
-                  workers: int = 1) -> FitReport:
+def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     """Run the (epsilon, k) sweep for one scenario and fit its exponents.
 
     One shared grid (resolved for the largest frequency) carries all cells;
@@ -440,6 +439,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None,
     if len(ks) < (2 if len(k_targets) > 1 else 1):
         raise InsufficientAdmissibleK(f"only {len(ks)} admissible frequencies")
 
+    # one call per frequency, so that its factor, forward map and SVD are
+    # freed before the next frequency's are built
     def run_one_k(k):
         op = assemble(grid, medium, k)
         fmap = build_forward_map(op, omega1, chart, spectrum=report)
@@ -471,13 +472,7 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None,
                 })
         return out
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(run_one_k, ks))
-    else:
-        chunks = [run_one_k(k) for k in ks]
-    records = [r for chunk in chunks for r in chunk]
+    records = [r for k in ks for r in run_one_k(k)]
     records.sort(key=lambda r: (r["k"], -r["epsilon"], r["seed"]))
 
     fit = fit_records(scenario, records,

@@ -68,7 +68,6 @@ class BallTriple:
     norm_big: float
     eta: float = 0.0
     boundary: bool = False
-    family: str = ""
 
     def degenerate(self) -> bool:
         return min(self.norm_half, self.norm_mid, self.norm_big) <= 0.0
@@ -80,8 +79,7 @@ def _triple_norms(u: GridField, x0: np.ndarray, r: float) -> list:
             for m in ball_mask(u.grid, x0, (r / 2.0, r, 2.0 * r))]
 
 
-def three_ball_ratio(u: GridField, x0, r: float, k: float,
-                     family: str = "") -> BallTriple:
+def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:
     """Quadrature norms of a solution over B_{r/2}, B_r, B_{2r} centered at
     x0; requires B_{4r}(x0) inside the domain and r/2 >= 8 grid layers."""
     grid = u.grid
@@ -97,17 +95,17 @@ def three_ball_ratio(u: GridField, x0, r: float, k: float,
     if not (nh <= nm + 1e-14 and nm <= nb + 1e-14):
         raise GeometryViolation("nested ball norms are not monotone")
     return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
-                      norm_big=nb, family=family)
+                      norm_big=nb)
 
 
-def boundary_three_ball(u: GridField, x0, r: float, k: float, eta: float,
-                        family: str = "") -> BallTriple:
+def boundary_three_ball(u: GridField, x0, r: float, k: float,
+                        eta: float) -> BallTriple:
     """Boundary-bulk variant: norms over B+ = B cap Omega for x0 on the data
     sub-boundary, with the Cauchy-data size eta attached."""
     x0 = np.asarray(x0, float)
     nh, nm, nb = _triple_norms(u, x0, r)
     return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
-                      norm_big=nb, eta=eta, boundary=True, family=family)
+                      norm_big=nb, eta=eta, boundary=True)
 
 
 # ---------------------------------------------------------------------------

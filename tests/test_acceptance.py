@@ -109,7 +109,7 @@ def test_criterion_03_interior_vs_boundary_signatures():
 # -- 4 ------------------------------------------------------------------
 
 def test_criterion_04_convex_k_scaling_stable():
-    fit = sweep_and_fit("convex", workers=2)
+    fit = sweep_and_fit("convex")
     med = aggregate_median(fit.records, by=("k",), key="cost_rel", min_count=4)
     ks = np.array([m["k"] for m in med])
     cs = np.array([m["cost_rel"] for m in med])

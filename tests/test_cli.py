@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helmlab
+from helmlab import cli
+from helmlab.assembly import default_spacing
 from helmlab.cli import (load_config, main, run_experiment, validate_config)
 from helmlab.errors import ConfigInvalid
 
@@ -152,3 +159,118 @@ def test_load_config_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigInvalid):
         load_config(p)
+
+
+_MONOTONE = {"q": {"profile": "radial_quadratic", "amplitude": 0.25},
+             "kappa": 2.02, "monotone": True}
+_ANNULUS = {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0}
+_MANIFEST = {"config_sha256", "code_version", "admissibility_c", "tolerances"}
+
+# experiment config, artifacts in write order (CSV header or None for JSON),
+# manifest keys beyond the common ones
+_RUNNER_CASES = {
+    "chain": (
+        {"experiment": "chain",
+         "domain": {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]},
+         "medium": {"q": {"profile": "constant", "value": 1.0}},
+         "h": 0.01, "k_list": [2.0], "epsilon_list": [0.25], "seed": 0},
+        {"chain.csv": "epsilon,n_balls,n_cover,bound,bound_interior,"
+                      "bound_layer,bound_log,measured"},
+        {"h", "k", "alpha_hat"}),
+    "carleman": (
+        {"experiment": "carleman", "domain": _ANNULUS, "medium": _MONOTONE,
+         "h": 0.05, "k_list": [1.0, 2.0], "seed": 0,
+         "params": {"tau_list": [10, 20], "samples_per_cell": 2,
+                    "generic_per_cell": 1}},
+        {"carleman_samples.csv": "tau,k,sample,lhs_tau,lhs_grad,lhs_freq,"
+                                 "rhs_f,rhs_div,ratio",
+         "carleman_uniformity.json": None},
+        {"h"}),
+    "improved_ucp": (
+        {"experiment": "improved_ucp", "domain": _ANNULUS, "medium": _MONOTONE,
+         "h": 0.05, "k_list": [2.0], "seed": 0,
+         "params": {"delta_list": [0.2], "ell_span": 8}},
+        {"improved_ucp.csv": "k,ell,delta,eta,M,lhs,lhs_full,rhs_log,rhs_poly",
+         "improved_ucp_fit.json": None},
+        {"h"}),
+    "bessel_optimality": (
+        {"experiment": "bessel_optimality", "k_list": [2.0],
+         "params": {"ell_list": [12]}},
+        {"optimality.csv": "ell,k,epsilon,min_boundary_norm,bound_2ell,"
+                           "alpha_ell,g_l2",
+         "bessel_inequalities.json": None},
+        set()),
+    "calderon": (
+        {"experiment": "calderon",
+         "domain": {"kind": "box", "corners": [[0, 0, 0], [1, 1, 1]],
+                    "gamma": {"face": "z-"}},
+         "medium": {"q": {"profile": "constant", "value": 1.0},
+                    "kappa": 1.01},
+         "h": 1.0 / 8, "k_list": [1.0], "seed": 0,
+         "params": {"amplitudes": [1.0]}},
+        {"calderon.csv": "k,amplitude,delta,lhs,identity_rel",
+         "calderon_stability.json": None},
+        {"h"}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_RUNNER_CASES))
+def test_runner_artifacts(tmp_path, experiment):
+    cfg, artifacts, extra = _RUNNER_CASES[experiment]
+    paths = run_experiment(cfg, out_dir=tmp_path / "a")
+    assert [p.name for p in paths] == list(artifacts)
+    for name, header in artifacts.items():
+        text = (tmp_path / "a" / name).read_text()
+        if header is None:
+            manifest = json.loads(text)["manifest"]
+        else:
+            first, second = text.splitlines()[:2]
+            assert first.startswith("# manifest: ")
+            assert second == header
+            manifest = json.loads(first[len("# manifest: "):])
+        assert set(manifest) == _MANIFEST | extra
+    # the rerun goes through the command line with --workers, which is
+    # accepted and ignored
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", str(path), "--workers", "2",
+                 "--out", str(tmp_path / "b")]) == 0
+    for name in artifacts:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_carleman_default_grid_resolves_every_checked_k(tmp_path,
+                                                       monkeypatch):
+    # without h and k_list the runner checks k up to 32, so the grid must
+    # meet the wavelength rule at k=32, not at k=1
+    real_setup, spacings = cli._setup, []
+
+    def spy(*args, **kwargs):
+        spacings.append(real_setup(*args, **kwargs)[3])
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_setup", spy)
+    cfg = {"experiment": "carleman", "domain": _ANNULUS, "medium": _MONOTONE}
+    with pytest.raises(_Stop):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert spacings[0] <= default_spacing(32.0, 2.02)
+
+
+def test_cli_import_loads_no_new_scipy_module():
+    # a module-level import in cli must not load scipy submodules (or
+    # helmlab modules) that ``import helmlab`` leaves out: every lab run and
+    # benchmark pass pays them in start-up time and resident memory
+    code = ("import sys, helmlab; base = set(sys.modules); "
+            "import helmlab.cli; print(*sorted(set(sys.modules) - base))")
+    src = str(Path(helmlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert not [m for m in added if m.split(".")[0] == "scipy"]
+    assert {m for m in added if m.split(".")[0] == "helmlab"} <= \
+        {"helmlab.cli", "helmlab.modes", "helmlab.profiles"}

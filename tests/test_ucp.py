@@ -24,7 +24,7 @@ def _mode_samples(grid, k, rs=(0.16,), centers=None, ell_step=1):
         u = mode_field(grid, ell, k)
         for c in centers:
             for r in rs:
-                t = three_ball_ratio(u, c, r, k, family=f"m{ell}")
+                t = three_ball_ratio(u, c, r, k)
                 if not t.degenerate():
                     out.append(t)
     return out
