@@ -35,6 +35,11 @@ from .geometry import BoundaryChart, check_nested_separation, mask_connected
 # Forward map
 # ---------------------------------------------------------------------------
 
+# gamma columns solved together; a multiple of the residual block of
+# ``verified_solve``, so that refinement sees the same column blocks
+_FORWARD_BLOCK = 64
+
+
 @dataclass
 class ForwardMap:
     """Dense matrix of the data-to-restriction map with its two Grams."""
@@ -84,10 +89,15 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     gamma_ids = np.sort(chart.gamma_ids())
 
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
-    rhs = -op.L_IB[:, bpos].toarray()
-    u_int = verified_solve(op.L_II, op.lu(), rhs)
     ipos = np.searchsorted(grid.interior_index, omega1_ids)
-    A = u_int[ipos, :]
+    # a block of columns at a time: the dense right-hand sides and interior
+    # solutions never exist for all of gamma at once, only A does
+    lu = op.lu()
+    A = np.empty((ipos.size, bpos.size))
+    for start in range(0, bpos.size, _FORWARD_BLOCK):
+        cols = slice(start, start + _FORWARD_BLOCK)
+        rhs = -op.L_IB[:, bpos[cols]].toarray()
+        A[:, cols] = verified_solve(op.L_II, lu, rhs)[ipos]
 
     gram_gamma = chart.h_half_gram(chart.positions(gamma_ids))
     wx = grid.quad_weights[omega1_ids]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helmlab.assembly import assemble, solve_dirichlet
+from helmlab import runge
+from helmlab.assembly import assemble, solve_dirichlet, verified_solve
 from helmlab.errors import GeometryViolation, GramNotSPD, TargetUnreachable
 from helmlab.fields import GridField, norm
 from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask,
@@ -31,6 +32,19 @@ def test_forward_columns_are_solves():
     z = solve_dirichlet(fmap.op, g=fmap.trace_from_gamma(
         np.zeros(fmap.gamma_ids.size)))
     assert np.max(np.abs(z.values)) == 0.0
+
+
+def test_forward_map_blocks_match_one_solve():
+    # gamma columns are solved a block at a time; the blocks, a partial last
+    # one included, give the same bits as one solve of every column
+    fmap, _ = disk_pair_svd(5.0)
+    op, grid = fmap.op, fmap.op.grid
+    n_gamma = fmap.gamma_ids.size
+    assert n_gamma > runge._FORWARD_BLOCK and n_gamma % runge._FORWARD_BLOCK
+    bpos = np.searchsorted(grid.boundary_index, fmap.gamma_ids)
+    ipos = np.searchsorted(grid.interior_index, fmap.omega1_ids)
+    u_int = verified_solve(op.L_II, op.lu(), -op.L_IB[:, bpos].toarray())
+    assert np.array_equal(fmap.A, u_int[ipos, :])
 
 
 def test_adjoint_pairing_and_matrix_agreement():
