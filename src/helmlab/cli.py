@@ -104,6 +104,9 @@ def validate_config(cfg: dict) -> list:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown config keys {sorted(unknown)}")
+    if "k_list" in cfg and (not isinstance(cfg["k_list"], (list, tuple))
+                            or not cfg["k_list"]):
+        problems.append("k_list must be a non-empty list of frequencies")
     exp = cfg.get("experiment")
     if exp not in _RUNNERS:
         problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")

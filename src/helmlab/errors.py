@@ -64,7 +64,12 @@ class GramNotSPD(LabError):
 
 
 class TargetUnreachable(LabError):
-    """Even full mode retention cannot meet the requested error."""
+    """Even full mode retention cannot meet the requested error.  ``reason``
+    is a short tag naming the check that failed."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class InsufficientAdmissibleK(LabError):

@@ -18,6 +18,7 @@ cost^2 = sum beta_j^2 / mu_j and the bound cost <= ||v|| / alpha.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -195,7 +196,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
     budget.
     """
     if epsilon <= 0:
-        raise TargetUnreachable("epsilon must be positive")
+        raise TargetUnreachable("epsilon must be positive", "epsilon")
     fmap = system.fmap
     v_vals = v.values[fmap.omega1_ids]
     beta, residue = expand(system, v_vals)
@@ -210,11 +211,12 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
         budget = epsilon * v_h1
         if math.hypot(residue, 0.0) > budget:
             raise TargetUnreachable(
-                f"out-of-span residue {residue:.3e} exceeds budget {budget:.3e}")
+                f"out-of-span residue {residue:.3e} exceeds budget {budget:.3e}",
+                "residue")
         errs = np.hypot(tails, residue)
         n_keep = int(np.argmax(errs <= budget))
         if errs[n_keep] > budget:
-            raise TargetUnreachable("no admissible cutoff")
+            raise TargetUnreachable("no admissible cutoff", "cutoff")
         alpha = sv[n_keep - 1] if n_keep >= 1 else 2.0 * sv[0]
 
     kept = slice(0, n_keep)
@@ -347,10 +349,12 @@ class FitReport:
     r2: float
     n_cells: int
     records: list = field(default_factory=list)
+    dropped: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"scenario": self.scenario, "exponents": self.exponents,
-                "r2": self.r2, "n_cells": self.n_cells}
+                "r2": self.r2, "n_cells": self.n_cells,
+                "dropped": self.dropped}
 
 
 _SCENARIO_DEFAULTS = {
@@ -397,6 +401,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     (kept when the margin is already 3x the threshold, moved to the gap
     midpoint otherwise).  Cells are seeded deterministically and merged in
     (k, epsilon, seed) order, so rerunning a configuration is byte-stable.
+    Cells whose budget no cutoff meets are counted per (k, epsilon, reason)
+    in ``FitReport.dropped``.
     """
     from .assembly import assemble
     from .geometry import DomainSpec, annulus_mask, ball_mask, boundary_chart, build_grid
@@ -449,6 +455,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     if len(ks) < (2 if len(k_targets) > 1 else 1):
         raise InsufficientAdmissibleK(f"only {len(ks)} admissible frequencies")
 
+    dropped = Counter()       # (k, epsilon, reason) -> unreachable cells
+
     # one call per frequency, so that its factor, forward map and SVD are
     # freed before the next frequency's are built
     def run_one_k(k):
@@ -468,7 +476,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
             for eps in eps_list:
                 try:
                     ap = runge_approximate(system, v, eps, ref)
-                except TargetUnreachable:
+                except TargetUnreachable as exc:
+                    dropped[k, eps, exc.reason] += 1
                     continue
                 out.append({
                     "scenario": scenario, "k": k, "epsilon": eps,
@@ -488,6 +497,10 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     fit = fit_records(scenario, records,
                       key="cost_rel" if scenario == "convex" else "cost")
     fit.records = records
+    fit.dropped = [{"k": k, "epsilon": eps, "reason": reason,
+                    "count": dropped[k, eps, reason]}
+                   for k, eps, reason in sorted(
+                       dropped, key=lambda c: (c[0], -c[1], c[2]))]
     return fit
 
 

@@ -120,6 +120,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (tmp_path / "o2" / "spectrum.json").exists()
 
 
+def test_empty_k_list_rejected(tmp_path, capsys):
+    cfg = _spectrum_cfg()
+    del cfg["h"]
+    cfg["k_list"] = []
+    assert any("k_list" in p for p in validate_config(cfg))
+    path = _write(tmp_path, "empty_k.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    assert "valid" not in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = {
         "experiment": "three_balls",
@@ -135,6 +147,27 @@ def test_rerun_byte_identical(tmp_path):
     for name in ("triples.csv", "three_balls_fit.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_runge_fit_counts_dropped_cells(tmp_path):
+    cfg = {
+        "experiment": "runge_sweep",
+        "domain": {"kind": "disk", "radius": 1.0},
+        "medium": {"q": {"profile": "constant", "value": 1.0}},
+        "seeds": [0, 1],
+        "epsilon_list": [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 1e-14],
+        "k_list": [3.2],
+        "seed": 0,
+        "params": {"scenario": "interior"},
+    }
+    run_experiment(cfg, out_dir=tmp_path)
+    fit = json.loads((tmp_path / "runge_fit.json").read_text())["fit"]
+    assert set(fit["exponents"]) == {"nu"}
+    # no out-of-span residue on a disk grid fits a 1e-14 budget
+    assert fit["dropped"] == [{"k": 3.2, "epsilon": 1e-14,
+                               "reason": "residue", "count": 2}]
+    lines = (tmp_path / "runge_records.csv").read_text().splitlines()
+    assert len(lines) - 2 == 2 * 3
 
 
 def test_solve_experiment_artifacts(tmp_path):

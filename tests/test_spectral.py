@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 from helmlab.assembly import stiffness
 from helmlab.bessel import bessel_j0_root
@@ -9,6 +12,7 @@ from helmlab.fields import GridField
 from helmlab.assembly import Medium
 from helmlab.geometry import DomainSpec, build_grid
 from helmlab.profiles import make_medium
+from helmlab import spectral
 from helmlab.spectral import (check_admissibility, compute_sigma,
                               find_admissible_k, weyl_exponent)
 
@@ -114,3 +118,126 @@ def test_pencil_orthogonality():
     rep = compute_sigma(g, med, 8)
     assert rep.residuals.max() < 1e-8
     assert np.all(np.diff(rep.eigenvalues) > -1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Per-angular-mode spectrum on polar grids
+# ---------------------------------------------------------------------------
+
+_QUAD = {"profile": "radial_quadratic", "amplitude": 0.25}
+
+
+def _assert_windows_complete(rep, A, M, rtol=1e-9):
+    """Every eigenvalue of the dense pencil inside a coverage window is
+    reported, with its multiplicity."""
+    dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    for lo, hi in rep.coverage:
+        tol = rtol * max(abs(lo), abs(hi), 1.0)
+        for v in dense[(dense >= lo - tol) & (dense <= hi + tol)]:
+            want = int(np.sum(np.abs(dense - v) <= tol))
+            got = int(np.sum(np.abs(rep.eigenvalues - v) <= tol))
+            assert got >= want, (f"{want} copies of {v} in [{lo}, {hi}], "
+                                 f"{got} reported")
+
+
+def _assert_matches_general(rep, A, M, count, shifts, rtol=1e-10):
+    """Each eigenvalue of the shift-invert path has its own per-mode match;
+    per-mode extras are further copies at a window edge."""
+    lam, _, _ = spectral._shift_invert(A, M, min(count, A.shape[0] - 2),
+                                       shifts)
+    free = list(rep.eigenvalues)
+    for v in lam:
+        j = int(np.argmin(np.abs(np.array(free) - v)))
+        assert abs(free[j] - v) <= rtol * max(abs(v), 1.0)
+        free.pop(j)
+    edges = [e for w in rep.coverage for e in w]
+    for v in free:
+        assert min(abs(v - e) for e in edges) <= rtol * max(abs(v), 1.0)
+
+
+def test_window_edge_keeps_every_copy():
+    g = build_grid(DomainSpec.annulus(1.0, 2.0), 0.08)
+    med = make_medium(g, q_spec=_QUAD, kappa=2.02)
+    rep = compute_sigma(g, med, 10, shifts=(50.0,))
+    _assert_windows_complete(rep, *spectral._pencil(g, med))
+
+
+_POLAR_FIXTURES = [
+    (DomainSpec.disk(1.0), 0.05, None, 8, (0.0,)),
+    (DomainSpec.disk(1.0), 0.05, _QUAD, 8, (0.0,)),
+    (DomainSpec.annulus(1.0, 2.0), 0.08, _QUAD, 10, (50.0,)),
+    (DomainSpec.annulus(0.5, 2.0), 0.08, _QUAD, 30, (4.0, 16.0, 64.0)),
+    (DomainSpec.disk(1.0), 0.06, None, 10, (150.0,)),
+]
+
+
+@pytest.mark.parametrize("spec,h,q_spec,count,shifts", _POLAR_FIXTURES)
+def test_polar_modes_skip_lanczos_and_match_it(monkeypatch, spec, h, q_spec,
+                                               count, shifts):
+    g = build_grid(spec, h)
+    med = make_medium(g, q_spec=q_spec, kappa=2.02 if q_spec else None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("general spectrum path reached")
+
+    with monkeypatch.context() as mp:
+        for owner, name in ((spla, "eigsh"), (spectral, "_dense_fallback"),
+                            (spectral, "_dedupe_clusters")):
+            mp.setattr(owner, name, refuse)
+        rep = compute_sigma(g, med, count, shifts=shifts)
+    A, M = spectral._pencil(g, med)
+    assert rep.residuals.max() <= 1e-10
+    _assert_matches_general(rep, A, M, count, shifts)
+    _assert_windows_complete(rep, A, M)
+
+
+@pytest.mark.parametrize("q_spec,v_spec", [
+    ({"profile": "radial_quadratic", "amplitude": 0.25, "center": [0.3, 0.1]},
+     None),
+    (None, {"profile": "bump", "amplitude": 2.0, "center": [0.3, 0.1],
+            "radius": 0.4}),
+])
+def test_off_centre_medium_keeps_lanczos(monkeypatch, q_spec, v_spec):
+    g = build_grid(DomainSpec.disk(1.0), 0.08)
+    med = make_medium(g, q_spec=q_spec, v_spec=v_spec)
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["sigma"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    rep = compute_sigma(g, med, 8, shifts=(20.0,))
+    assert calls == [20.0]
+    A, M = spectral._pencil(g, med)
+    assert spectral._ring_coefficients(g, A, M) is None
+    dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    near = np.sort(dense[np.argsort(np.abs(dense - 20.0))[:8]])
+    assert np.allclose(rep.eigenvalues, near, rtol=1e-10, atol=0)
+
+
+@given(annulus=st.booleans(), r_outer=st.floats(0.8, 1.4),
+       hole=st.floats(0.15, 0.45), layers=st.integers(8, 10),
+       amplitude=st.floats(0.0, 0.5), v=st.floats(-2.0, 2.0),
+       count=st.integers(4, 16), shift=st.floats(0.0, 80.0))
+def test_per_mode_spectrum_properties(annulus, r_outer, hole, layers,
+                                      amplitude, v, count, shift):
+    # `layers` spacings across the narrowest feature keep the dense pencil
+    # under ~1,200 nodes
+    if annulus:
+        spec = DomainSpec.annulus(hole * r_outer, r_outer)
+        h = (1.0 - hole) * r_outer / layers
+    else:
+        spec = DomainSpec.disk(r_outer)
+        h = r_outer / layers
+    g = build_grid(spec, h)
+    med = make_medium(g, q_spec={"profile": "radial_quadratic",
+                                 "amplitude": amplitude},
+                      v_spec={"profile": "constant", "value": v})
+    A, M = spectral._pencil(g, med)
+    assert spectral._ring_coefficients(g, A, M) is not None
+    rep = compute_sigma(g, med, count, shifts=(shift,))
+    assert rep.residuals.max() <= 1e-10
+    _assert_matches_general(rep, A, M, count, (shift,))
+    _assert_windows_complete(rep, A, M)
