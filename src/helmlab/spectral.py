@@ -11,11 +11,14 @@ over interior nodes, on one of two paths chosen from the assembled pencil:
 * every other grid uses shift-invert Lanczos around each shift point
   (deterministic start vector), merged and deduplicated.
 
-Both paths report, per shift, a coverage window that holds every eigenvalue
-of the pencil inside it with its multiplicity (on the per-mode path by
-construction), and one relative pencil residual per eigenpair.  Reports
-carry a heuristic per-eigenvalue discretization error lambda^2 h^2 / 12
-used by the resonance guard band.
+Each shift gets a coverage window.  On the per-mode path it holds every
+eigenvalue of the pencil inside it, each copy of a multiple one included,
+by construction; on the shift-invert path it reaches the farthest
+eigenvalue returned, so a multiple eigenvalue on its edge may come back
+with fewer copies.  Both paths report the relative pencil residual of
+every eigenpair from one array pass.  Reports carry a heuristic
+per-eigenvalue discretization error lambda^2 h^2 / 12 used by the
+resonance guard band.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ class SpectrumReport:
     """Ascending eigenvalues with residuals and certified coverage windows.
 
     ``coverage`` intervals certify that every eigenvalue inside them was
-    found, every copy of a multiple eigenvalue included.  On ring-invariant
-    polar grids the per-mode solve knows the whole spectrum, so each window
-    is complete by construction; elsewhere shift-invert Lanczos returns the
-    eigenvalues nearest each shift."""
+    found.  On ring-invariant polar grids the per-mode solve knows the whole
+    spectrum, so each window holds every copy of every eigenvalue inside it
+    by construction; elsewhere shift-invert Lanczos returns the eigenvalues
+    nearest each shift, and a multiple eigenvalue on a window edge may show
+    fewer copies."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -140,7 +144,8 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
     else:
         lam, vecs, windows = _per_mode(rings, grid.lattice_shape[1], k_req,
                                        shifts)
-    return SpectrumReport(eigenvalues=lam, residuals=_residuals(A, M, lam, vecs),
+    return SpectrumReport(eigenvalues=lam,
+                          residuals=_residuals(A, M, lam, vecs),
                           count=count, grid_h=grid.max_spacing(),
                           c_admissibility=c_admissibility, dim=grid.dim,
                           coverage=_merge_windows(windows))
@@ -257,7 +262,9 @@ def _per_mode(rings, n_theta: int, k_req: int, shifts):
     for shift in shifts:
         dist = np.abs(lam - shift)
         order = np.argsort(dist, kind="stable")
-        radius = float(dist[order[np.searchsorted(np.cumsum(mult[order]), k_req)]])
+        # the k_req-th nearest eigenvalue, counting cos/sin copies
+        reach = np.searchsorted(np.cumsum(mult[order]), k_req)
+        radius = float(dist[order[reach]])
         keep |= dist <= radius
         windows.append((shift - radius, shift + radius))
 
@@ -292,7 +299,6 @@ def _residuals(A, M, lam, vecs) -> np.ndarray:
 
 
 def _dense_fallback(A, M):
-    import scipy.linalg as la
     lam, vecs = la.eigh(A.toarray(), M.toarray())
     return lam, vecs
 

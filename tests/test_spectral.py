@@ -11,7 +11,7 @@ from helmlab.errors import AssumptionIViolated, SpectrumTooShort
 from helmlab.fields import GridField
 from helmlab.assembly import Medium
 from helmlab.geometry import DomainSpec, build_grid
-from helmlab.profiles import make_medium
+from helmlab.profiles import bump_profile, make_medium
 from helmlab import spectral
 from helmlab.spectral import (check_admissibility, compute_sigma,
                               find_admissible_k, weyl_exponent)
@@ -191,15 +191,23 @@ def test_polar_modes_skip_lanczos_and_match_it(monkeypatch, spec, h, q_spec,
     _assert_windows_complete(rep, A, M)
 
 
-@pytest.mark.parametrize("q_spec,v_spec", [
-    ({"profile": "radial_quadratic", "amplitude": 0.25, "center": [0.3, 0.1]},
-     None),
-    (None, {"profile": "bump", "amplitude": 2.0, "center": [0.3, 0.1],
-            "radius": 0.4}),
+def _off_centre_bump_q(g):
+    """Medium with q = 1 + bump centred off the disk centre."""
+    bump = bump_profile(0.5, (0.3, 0.1), 0.4)(g.nodes)
+    return Medium(q=GridField(g, 1.0 + bump), V=GridField(g, np.zeros(g.n_nodes)),
+                  kappa=2.0)
+
+
+@pytest.mark.parametrize("medium", [
+    _off_centre_bump_q,
+    lambda g: make_medium(g, q_spec={"profile": "radial_quadratic",
+                                     "amplitude": 0.25, "center": [0.3, 0.1]}),
+    lambda g: make_medium(g, v_spec={"profile": "bump", "amplitude": 2.0,
+                                     "center": [0.3, 0.1], "radius": 0.4}),
 ])
-def test_off_centre_medium_keeps_lanczos(monkeypatch, q_spec, v_spec):
+def test_off_centre_medium_keeps_lanczos(monkeypatch, medium):
     g = build_grid(DomainSpec.disk(1.0), 0.08)
-    med = make_medium(g, q_spec=q_spec, v_spec=v_spec)
+    med = medium(g)
     calls = []
     eigsh = spla.eigsh
 
@@ -217,20 +225,17 @@ def test_off_centre_medium_keeps_lanczos(monkeypatch, q_spec, v_spec):
     assert np.allclose(rep.eigenvalues, near, rtol=1e-10, atol=0)
 
 
-@given(annulus=st.booleans(), r_outer=st.floats(0.8, 1.4),
-       hole=st.floats(0.15, 0.45), layers=st.integers(8, 10),
-       amplitude=st.floats(0.0, 0.5), v=st.floats(-2.0, 2.0),
-       count=st.integers(4, 16), shift=st.floats(0.0, 80.0))
-def test_per_mode_spectrum_properties(annulus, r_outer, hole, layers,
+# h >= 0.1 and r_outer <= 1.7 keep the dense pencil under ~1,500 nodes; an
+# annulus is at least 1.0 wide, so 8 layers span it at h <= 0.125
+@given(annulus=st.booleans(), h=st.floats(0.1, 0.125),
+       radius=st.floats(0.5, 1.4), r_inner=st.floats(0.1, 0.5),
+       width=st.floats(1.0, 1.2), amplitude=st.floats(0.0, 0.5),
+       v=st.floats(-2.0, 2.0), count=st.integers(4, 16),
+       shift=st.floats(0.0, 80.0))
+def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
                                       amplitude, v, count, shift):
-    # `layers` spacings across the narrowest feature keep the dense pencil
-    # under ~1,200 nodes
-    if annulus:
-        spec = DomainSpec.annulus(hole * r_outer, r_outer)
-        h = (1.0 - hole) * r_outer / layers
-    else:
-        spec = DomainSpec.disk(r_outer)
-        h = r_outer / layers
+    spec = (DomainSpec.annulus(r_inner, r_inner + width) if annulus
+            else DomainSpec.disk(radius))
     g = build_grid(spec, h)
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": amplitude},
