@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (HypothesisViolated, NearResonance, NotASolution,
                      RegionMismatch, SolverBreakdown, UnderResolved)
-from .fields import BoundaryFunctional, BoundaryTrace, GridField
+from .fields import BoundaryFunctional, BoundaryTrace, GridField, masked_gradient
 from .geometry import Grid, boundary_chart
 
 
@@ -77,7 +77,6 @@ def radial_derivative(f: GridField) -> np.ndarray:
         v = f.values.reshape(n_r, n_t)
         d = np.diff(v, axis=0) / np.diff(grid.radii)[:, None]
         return d.ravel()
-    from .fields import masked_gradient
     comps = masked_gradient(grid, f.values, np.ones(grid.n_nodes, bool))
     r = np.linalg.norm(grid.nodes, axis=1)
     r = np.where(r == 0, 1.0, r)

@@ -1,8 +1,8 @@
 """Grid functions, quadrature norms, and discrete trace spaces.
 
 L2/H1 norms are quadrature sums over node masks; H1 seminorms difference the
-lattice with centered stencils inside a region and one-sided second-order
-stencils at region edges, so no ghost values are needed.
+lattice inside a region with the stencils that :func:`masked_gradient`
+states, so no ghost values are needed.
 
 Trace spaces on the outer boundary are realized spectrally: with ``lambda_m``
 and ``c_m`` the eigenvalues/coefficients of the discrete boundary
@@ -91,87 +91,67 @@ def field_from_radial(grid: Grid, radial_fn, center=None, region=None) -> GridFi
 # Norms
 # ---------------------------------------------------------------------------
 
-def _segment_derivative(vals: np.ndarray, mask: np.ndarray, h: float,
-                        periodic: bool) -> np.ndarray:
-    """d/ds along the leading axis on masked 1D segments.
-
-    Centered differences inside a segment, one-sided second-order stencils at
-    segment ends; segments of length 2 fall back to first order, isolated
-    nodes get 0.
-    """
-    n = vals.shape[0]
-    out = np.zeros_like(vals, dtype=vals.dtype)
-    if periodic and mask.all():
-        out[:] = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * h)
-        return out
-
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return out
-    # split masked indices into runs of consecutive positions (cyclically when
-    # periodic)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    runs = np.split(idx, breaks + 1)
-    if periodic and len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1:
-        runs[0] = np.concatenate([runs[-1], runs[0]])
-        runs = runs[:-1]
-    for run in runs:
-        m = run.size
-        if m == 1:
-            continue
-        v = vals[run]
-        d = np.empty_like(v)
-        if m == 2:
-            d[0] = d[1] = (v[1] - v[0]) / h
-        else:
-            d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-            d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-            d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-        out[run] = d
-    return out
-
-
 def masked_gradient(grid: Grid, values: np.ndarray, region: np.ndarray):
     """Componentwise gradient restricted to a region mask.
 
     Returns a list of arrays (one per frame direction).  Polar grids return
     (d/dr, (1/r) d/dtheta) which is an orthonormal frame, so the Euclidean
     |grad u|^2 is the sum of squares.
-    """
-    if grid.topology == "polar":
-        n_r, n_t = grid.lattice_shape
-        v = values.reshape(n_r, n_t)
-        m = region.reshape(n_r, n_t)
-        dr = np.zeros_like(v, dtype=values.dtype)
-        for j in range(n_t):
-            dr[:, j] = _segment_derivative(v[:, j], m[:, j], grid.dr, periodic=False)
-        dt = np.zeros_like(v, dtype=values.dtype)
-        for i in range(n_r):
-            dt[i, :] = _segment_derivative(v[i, :], m[i, :], grid.dtheta,
-                                           periodic=True)
-        dt /= grid.radii[:, None]
-        return [dr.ravel(), dt.ravel()]
 
+    Each lattice axis is differenced on the runs of consecutive region nodes
+    along it, with step h = dr, dtheta or the Cartesian spacing:
+
+    - inside a run, the centred difference (u[i+1] - u[i-1]) / 2h;
+    - at a run end, the one-sided second-order stencil
+      (-3u[i] + 4u[i+1] - u[i+2]) / 2h, or its mirror image;
+    - on a run of two nodes, (u[i+1] - u[i]) / h at both nodes;
+    - on an isolated node, and off the region, 0.
+
+    The theta axis of a polar grid is periodic, so its runs wrap around and
+    a full ring is centred everywhere.  Runs end at the lattice edge and at
+    holes: region gaps, and lattice sites a masked union leaves out.  Values
+    off the region are never read.
+    """
     shape = grid.lattice_shape
-    full = np.zeros(shape, dtype=values.dtype)
-    mfull = np.zeros(shape, dtype=bool)
     ok = grid.lattice_id >= 0
-    full[ok] = values[grid.lattice_id[ok]]
-    mfull[ok] = region[grid.lattice_id[ok]]
+    pos = np.empty(grid.n_nodes, dtype=int)         # node id -> lattice index
+    pos[grid.lattice_id[ok]] = np.flatnonzero(ok)
+    m = np.zeros(ok.size, dtype=bool)
+    v = np.zeros(ok.size, dtype=values.dtype)
+    m[pos] = region
+    v[pos[region]] = values[region]
+    m, v = m.reshape(shape), v.reshape(shape)
+    polar = grid.topology == "polar"
     comps = []
-    for axis in range(len(shape)):
-        moved = np.moveaxis(full, axis, 0)
-        mmoved = np.moveaxis(mfull, axis, 0)
-        d = np.zeros_like(moved)
-        flat_v = moved.reshape(shape[axis], -1)
-        flat_m = mmoved.reshape(shape[axis], -1)
-        dflat = d.reshape(shape[axis], -1)
-        for col in range(flat_v.shape[1]):
-            if flat_m[:, col].any():
-                dflat[:, col] = _segment_derivative(
-                    flat_v[:, col], flat_m[:, col], grid.spacings[axis],
-                    periodic=False)
-        comps.append(np.moveaxis(d, 0, axis)[ok][np.argsort(grid.lattice_id[ok])])
+    for axis, h in enumerate((grid.dr, grid.dtheta) if polar else grid.spacings):
+        periodic = polar and axis == 1
+        pad = [(2, 2) if i == axis else (0, 0) for i in range(len(shape))]
+
+        def shifted(a):
+            """``a[i+s]`` for s = 0, 1, -1, 2, -2 along the axis; views in
+            lattice order, so differences of them ravel without a copy."""
+            p = np.pad(a, pad, mode="wrap" if periodic else "constant")
+            return [p[(slice(None),) * axis + (slice(2 + s, 2 + s + shape[axis]),)]
+                    for s in (0, 1, -1, 2, -2)]
+
+        v0, vp1, vm1, vp2, vm2 = shifted(v)
+        m0, mp1, mm1, mp2, mm2 = shifted(m)
+        # centred differences inside runs, then the few run ends in place
+        fwd, bwd = m0 & mp1 & ~mm1, m0 & mm1 & ~mp1
+        d = vp1 - vm1
+        d /= 2 * h
+        d[~(m0 & mp1 & mm1)] = 0
+        e = fwd & mp2
+        d[e] = (-3 * v0[e] + 4 * vp1[e] - vp2[e]) / (2 * h)
+        e = bwd & mm2
+        d[e] = (3 * v0[e] - 4 * vm1[e] + vm2[e]) / (2 * h)
+        e = fwd & ~mp2
+        d[e] = (vp1[e] - v0[e]) / h
+        e = bwd & ~mm2
+        d[e] = (v0[e] - vm1[e]) / h
+        if periodic:
+            d /= grid.radii[:, None]
+        comps.append(d.ravel()[pos])
     return comps
 
 

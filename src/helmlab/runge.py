@@ -24,12 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, default_spacing, mask_dirichlet_ring,
-                       mask_flux_pairing, resonance_guard, solve_dirichlet,
-                       verified_solve, weak_neumann_trace)
+from .assembly import (DiscreteOperator, assemble, default_spacing,
+                       mask_dirichlet_ring, mask_flux_pairing, resonance_guard,
+                       solve_dirichlet, solve_on_mask_multi, verified_solve,
+                       weak_neumann_trace)
 from .errors import GeometryViolation, InsufficientAdmissibleK, TargetUnreachable
 from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
-from .geometry import BoundaryChart, check_nested_separation, mask_connected
+from .geometry import (BoundaryChart, DomainSpec, annulus_mask, ball_mask,
+                       boundary_chart, build_grid, check_nested_separation,
+                       mask_connected)
+from .profiles import make_medium
+from .spectral import check_admissibility, compute_sigma, find_admissible_k
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +284,6 @@ class MaskSolutionBasis:
     def __init__(self, op: DiscreteOperator, mask: np.ndarray,
                  m_max: Optional[int] = None,
                  normalize_region: Optional[np.ndarray] = None):
-        from .assembly import solve_on_mask_multi
         grid = op.grid
         ring = mask_dirichlet_ring(op, mask)
         gb = grid.is_boundary_mask()
@@ -404,11 +408,6 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     Cells whose budget no cutoff meets are counted per (k, epsilon, reason)
     in ``FitReport.dropped``.
     """
-    from .assembly import assemble
-    from .geometry import DomainSpec, annulus_mask, ball_mask, boundary_chart, build_grid
-    from .profiles import make_medium
-    from .spectral import check_admissibility, compute_sigma, find_admissible_k
-
     p = sweep_params(scenario) if params is None else dict(params)
     k_targets = [float(k) for k in p["k_list"]]
     eps_list = [float(e) for e in p["epsilon_list"]]

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from helmlab.assembly import radial_derivative
 from helmlab.bessel import bessel_j, gauss_legendre
 from helmlab.errors import RegionMismatch, SupportTouchesBox
 from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
                             field_from_radial, functional_norm,
-                            hminus1_norm_fourier, lp_norm, mask_to_gamma, norm,
-                            riesz_map, trace_norm)
+                            hminus1_norm_fourier, lp_norm, mask_to_gamma,
+                            masked_gradient, norm, riesz_map, trace_norm)
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.profiles import bump_profile
 
@@ -155,3 +157,150 @@ def test_lp_norm_matches_l2():
     rng = np.random.default_rng(4)
     f = GridField(g, rng.standard_normal(g.n_nodes))
     assert abs(lp_norm(f, 2.0) - norm(f, "L2")) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# masked_gradient against the per-line loop it replaced
+# ---------------------------------------------------------------------------
+
+def _segment_derivative(vals, mask, h, periodic):
+    """d/ds along the leading axis on masked 1D segments.
+
+    Centered differences inside a segment, one-sided second-order stencils at
+    segment ends; segments of length 2 fall back to first order, isolated
+    nodes get 0.
+    """
+    n = vals.shape[0]
+    out = np.zeros_like(vals, dtype=vals.dtype)
+    if periodic and mask.all():
+        out[:] = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * h)
+        return out
+
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return out
+    # split masked indices into runs of consecutive positions (cyclically when
+    # periodic)
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    runs = np.split(idx, breaks + 1)
+    if periodic and len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1:
+        runs[0] = np.concatenate([runs[-1], runs[0]])
+        runs = runs[:-1]
+    for run in runs:
+        m = run.size
+        if m == 1:
+            continue
+        v = vals[run]
+        d = np.empty_like(v)
+        if m == 2:
+            d[0] = d[1] = (v[1] - v[0]) / h
+        else:
+            d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+            d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+            d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+        out[run] = d
+    return out
+
+
+def _reference_gradient(grid, values, region):
+    """One lattice line at a time: rows and columns on polar grids, every
+    line along each axis on Cartesian ones."""
+    if grid.topology == "polar":
+        n_r, n_t = grid.lattice_shape
+        v = values.reshape(n_r, n_t)
+        m = region.reshape(n_r, n_t)
+        dr = np.zeros_like(v, dtype=values.dtype)
+        for j in range(n_t):
+            dr[:, j] = _segment_derivative(v[:, j], m[:, j], grid.dr, periodic=False)
+        dt = np.zeros_like(v, dtype=values.dtype)
+        for i in range(n_r):
+            dt[i, :] = _segment_derivative(v[i, :], m[i, :], grid.dtheta,
+                                           periodic=True)
+        dt /= grid.radii[:, None]
+        return [dr.ravel(), dt.ravel()]
+
+    shape = grid.lattice_shape
+    full = np.zeros(shape, dtype=values.dtype)
+    mfull = np.zeros(shape, dtype=bool)
+    ok = grid.lattice_id >= 0
+    full[ok] = values[grid.lattice_id[ok]]
+    mfull[ok] = region[grid.lattice_id[ok]]
+    comps = []
+    for axis in range(len(shape)):
+        moved = np.moveaxis(full, axis, 0)
+        flat_v = moved.reshape(shape[axis], -1)
+        flat_m = np.moveaxis(mfull, axis, 0).reshape(shape[axis], -1)
+        # the reshape of a moved 3D axis is a copy: fill it, then fold back
+        dflat = np.zeros_like(flat_v)
+        for col in range(flat_v.shape[1]):
+            if flat_m[:, col].any():
+                dflat[:, col] = _segment_derivative(
+                    flat_v[:, col], flat_m[:, col], grid.spacings[axis],
+                    periodic=False)
+        d = np.moveaxis(dflat.reshape(moved.shape), 0, axis)
+        comps.append(d[ok][np.argsort(grid.lattice_id[ok])])
+    return comps
+
+
+_EIGHTH = 1 / 8
+# an L and a square frame around a hole, each bar 8 layers thick at h = 1/8
+_UNIONS = ((((0, 0), (2, 1)), ((0, 1), (1, 2))),
+           (((0, 0), (3, 1)), ((0, 2), (3, 3)), ((0, 1), (1, 2)),
+            ((2, 1), (3, 2))))
+
+# every lattice stays under ~2,000 nodes: disks <= 1,320, annuli <= 1,391,
+# rectangles <= 625, unions <= 576, boxes <= 1,728
+_LATTICES = {
+    "disk": st.builds(lambda r, h: (DomainSpec.disk(r), min(h, r / 4)),
+                      st.floats(0.8, 1.4), st.floats(0.1, 0.2)),
+    "annulus": st.builds(lambda r0, w, h: (DomainSpec.annulus(r0, r0 + w), h),
+                         st.floats(0.1, 0.5), st.floats(1.0, 1.2),
+                         st.floats(0.1, 0.125)),
+    "rectangle": st.builds(lambda nx, ny: (DomainSpec.rectangle(
+        (0, 0), (nx * _EIGHTH, ny * _EIGHTH)), _EIGHTH),
+        st.integers(8, 24), st.integers(8, 24)),
+    "masked_union": st.builds(
+        lambda rects: (DomainSpec.masked_union(rects), _EIGHTH),
+        st.sampled_from(_UNIONS)),
+    "box": st.builds(lambda nx, ny, nz: (DomainSpec.box(
+        (0, 0, 0), (nx * _EIGHTH, ny * _EIGHTH, nz * _EIGHTH)), _EIGHTH),
+        st.integers(8, 11), st.integers(8, 11), st.integers(8, 11)),
+}
+
+
+# density 1 gives full polar rings, which wrap around without an end
+@pytest.mark.parametrize("kind", sorted(_LATTICES))
+@given(data=st.data(),
+       density=st.one_of(st.floats(0.05, 1.0), st.just(1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_masked_gradient_matches_line_loop(kind, data, density, seed):
+    lattice = data.draw(_LATTICES[kind])
+    g = build_grid(*lattice)
+    assert g.n_nodes <= 2000
+    rng = np.random.default_rng(seed)
+    region = rng.random(g.n_nodes) < density
+    # values off the region must never be read
+    values = np.where(region, rng.standard_normal(g.n_nodes), np.nan)
+    got = masked_gradient(g, values, region)
+    want = _reference_gradient(g, values, region)
+    assert len(got) == len(want) == g.dim
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_box_gradient_of_each_coordinate(axis):
+    g = build_grid(DomainSpec.box((0, 0, 0), (1, 1, 1)), 0.1)
+    u = g.nodes[:, axis].copy()
+    comps = masked_gradient(g, u, np.ones(g.n_nodes, bool))
+    for d, c in enumerate(comps):
+        assert np.max(np.abs(c - (d == axis))) < 1e-12
+    assert abs(norm(GridField(g, u), "H1_semi") - 1.0) < 1e-12
+
+
+def test_box_radial_derivative_of_r_squared():
+    # the stencils are exact on quadratics, so x . grad |x|^2 / |x| = 2|x|
+    g = build_grid(DomainSpec.box((-1, -1, -1), (1, 1, 1)), 0.25)
+    r = np.linalg.norm(g.nodes, axis=1)
+    rad = radial_derivative(GridField(g, r ** 2))
+    assert np.max(np.abs(rad - 2 * r)) < 1e-12
