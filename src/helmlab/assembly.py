@@ -7,8 +7,18 @@ The discrete operator is the quadrature-weighted form
 where K is the flux stiffness built from the grid's edge couplings.  Because
 every edge carries one symmetric coupling, L is exactly symmetric; boundary
 data is imposed by lifting (boundary columns moved to the right-hand side),
-which keeps the interior block symmetric and lets one sparse factorization
-serve many right-hand sides.
+which keeps the interior block symmetric and lets one factorization serve
+many right-hand sides.
+
+Two factorizations serve the blocks of L.  A block whose unknowns are whole
+consecutive rings of a polar grid, and whose diagonal, angular and radial
+couplings are constant on each ring (:func:`ring_coefficients`, read from
+the assembled entries), splits under an FFT in theta into one tridiagonal
+system over the rings per angular mode (Swarztrauber's separable direct
+method); :class:`RingFactor` factors each with LAPACK's partially pivoted
+gttrf, since L is indefinite.  Every other block, and every Dirichlet solve
+through :meth:`DiscreteOperator.lu`, uses SuperLU.  Both go through
+:func:`verified_solve` and its residual check.
 
 The weak (variational) Neumann trace of a solution is the residual of the
 full-operator rows at boundary nodes,
@@ -29,6 +39,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import (HypothesisViolated, NearResonance, NotASolution,
                      RegionMismatch, SolverBreakdown, UnderResolved)
@@ -191,6 +202,107 @@ def resonance_guard(op: DiscreteOperator, spectrum) -> None:
 
 _RESIDUAL_TOL = 1e-10
 _RESIDUAL_BLOCK = 64
+_RING_TOL = 1e-13
+
+
+def whole_rings(grid: Grid, ids: np.ndarray) -> bool:
+    """Whether the ascending node ids ``ids`` are two or more whole
+    consecutive rings of a polar grid."""
+    if grid.topology != "polar":
+        return False
+    n_rings, rest = divmod(ids.size, grid.lattice_shape[1])
+    if n_rings < 2 or rest:
+        return False
+    first = ids[0] // grid.lattice_shape[1]
+    return np.array_equal(ids, grid.lattice_id[first:first + n_rings].ravel())
+
+
+def ring_coefficients(grid: Grid, ids: np.ndarray, A, M=None):
+    """Per-ring (diagonal, angular coupling, radial coupling to the next
+    ring) of the block ``A`` over the node ids ``ids``, followed by the
+    per-ring diagonal of ``M`` when it is given.
+
+    None unless ``ids`` are whole rings (:func:`whole_rings`), each of these
+    is constant on every ring to a relative 1e-13, ``A`` has no entries but
+    the diagonal and the angular and radial neighbours, and ``M`` is
+    diagonal."""
+    if not whole_rings(grid, ids):
+        return None
+    p = np.arange(ids.size).reshape(-1, grid.lattice_shape[1])
+
+    def entries(rows, cols):
+        return np.asarray(A[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+
+    diag, ang = entries(p, p), entries(p, np.roll(p, -1, axis=1))
+    rad = entries(p[:-1], p[1:])
+    couplings = np.count_nonzero(ang) + np.count_nonzero(rad)
+    if A.count_nonzero() != np.count_nonzero(diag) + 2 * couplings:
+        return None
+    parts = [diag, ang, rad]
+    if M is not None:
+        parts.append(M.diagonal().reshape(p.shape))
+        if M.count_nonzero() != np.count_nonzero(parts[-1]):
+            return None
+    for x in parts:
+        if np.any(np.ptp(x, axis=1) > _RING_TOL * np.max(np.abs(x), axis=1)):
+            return None
+    return tuple(x.mean(axis=1) for x in parts)
+
+
+class RingFactor:
+    """Factor of a ring-invariant polar block, one angular mode at a time.
+
+    Mode m = 0 .. n_theta/2 of the block is the tridiagonal matrix with
+    diagonal diag + 2 ang cos(2 pi m / n_theta) and off-diagonal rad over
+    the rings.  Each mode is factored by LAPACK's gttrf, LU with partial
+    pivoting (the block is indefinite, so no pivot-free sweep).  ``solve``
+    takes the rfft of the right-hand side along each ring, applies every
+    mode's factors to it (the row exchanges and eliminations of LAPACK's
+    gttrs, one ring at a time across all modes and columns), and transforms
+    back.  Raises :class:`SolverBreakdown` when a mode is exactly singular.
+    """
+
+    def __init__(self, diag, ang, rad, n_theta: int):
+        self.n_theta = n_theta
+        factors = []
+        for m in range(n_theta // 2 + 1):
+            *lu, info = lapack.dgttrf(
+                rad, diag + 2.0 * ang * math.cos(2.0 * math.pi * m / n_theta),
+                rad)
+            if info != 0:
+                raise SolverBreakdown(f"angular mode {m} is singular")
+            factors.append(lu)
+        # per ring, the factors of every mode: (ring, mode, 1) broadcasts
+        # over the columns
+        self._dl, self._d, self._du, self._du2, ipiv = (
+            np.stack(x, axis=1)[:, :, None] for x in zip(*factors))
+        self._swaps = [np.flatnonzero(ipiv[i, :, 0] != i + 1)
+                       for i in range(diag.size - 1)]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        n_rings = self._d.shape[0]
+        F = np.fft.rfft(rhs.reshape(n_rings, self.n_theta, -1), axis=1)
+        # (ring, mode, real and imaginary part of each column)
+        b = F.view(np.float64)
+        for i, swap in enumerate(self._swaps):
+            b[i, swap], b[i + 1, swap] = b[i + 1, swap], b[i, swap]
+            b[i + 1] -= self._dl[i] * b[i]
+        b[-1] /= self._d[-1]
+        b[-2] -= self._du[-1] * b[-1]
+        b[-2] /= self._d[-2]
+        for i in range(n_rings - 3, -1, -1):
+            b[i] -= self._du[i] * b[i + 1] + self._du2[i] * b[i + 2]
+            b[i] /= self._d[i]
+        x = np.fft.irfft(F, n=self.n_theta, axis=1)
+        return x.reshape(rhs.shape)
+
+
+def ring_factor(grid: Grid, ids: np.ndarray, A) -> Optional[RingFactor]:
+    """Per-mode factor of the block ``A`` over the node ids ``ids``, or None
+    unless the block is ring-invariant (:func:`ring_coefficients`)."""
+    rings = ring_coefficients(grid, ids, A)
+    return None if rings is None else RingFactor(*rings,
+                                                 grid.lattice_shape[1])
 
 
 def verified_solve(A, factor, rhs: np.ndarray) -> np.ndarray:
@@ -310,7 +422,8 @@ def solve_on_mask_multi(op: DiscreteOperator, mask: np.ndarray,
 
     ``ring_data`` has one row per ring node (ring node ids in ascending
     order) and one column per solve; returns (n_nodes, n_cols) with zeros
-    outside the mask.
+    outside the mask.  A ring-invariant submesh block is solved one angular
+    mode at a time (:func:`ring_factor`), every other one by SuperLU.
     """
     ring = mask_dirichlet_ring(op, mask)
     inner = mask & ~ring
@@ -328,7 +441,8 @@ def solve_on_mask_multi(op: DiscreteOperator, mask: np.ndarray,
     if f is not None:
         rhs = rhs + (op.grid.quad_weights[idx_inner]
                      * f.values[idx_inner])[:, None]
-    u_inner = verified_solve(A, spla.splu(A), rhs)
+    factor = ring_factor(op.grid, idx_inner, A) or spla.splu(A)
+    u_inner = verified_solve(A, factor, rhs)
 
     out = np.zeros((op.grid.n_nodes, ring_data.shape[1]))
     out[idx_inner, :] = u_inner

@@ -16,14 +16,20 @@ from .geometry import Grid
 
 def mode_field(grid: Grid, ell: int, k: float, parity: str = "cos",
                center=None) -> GridField:
+    """J_ell(k r) {cos, sin}(ell theta) about ``center`` (default: the
+    domain centre).  On a polar grid centred there the Bessel profile is
+    evaluated once per ring, at ``grid.radii``; elsewhere at every node."""
     c = np.asarray(center if center is not None else grid.spec.center, float)
-    dx = grid.nodes[:, 0] - c[0]
-    dy = grid.nodes[:, 1] - c[1]
-    r = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx)
-    rad = radial_profile(ell, k, 2, r)
+    if grid.topology == "polar" and np.array_equal(c, grid.spec.center):
+        rad = radial_profile(ell, k, 2, grid.radii)[:, None]
+        th = grid.thetas
+    else:
+        dx = grid.nodes[:, 0] - c[0]
+        dy = grid.nodes[:, 1] - c[1]
+        rad = radial_profile(ell, k, 2, np.hypot(dx, dy))
+        th = np.arctan2(dy, dx)
     ang = np.cos(ell * th) if parity == "cos" else np.sin(ell * th)
-    return GridField(grid, rad * ang)
+    return GridField(grid, (rad * ang).ravel())
 
 
 def mode_superposition(grid: Grid, k: float, coeffs, center=None) -> GridField:

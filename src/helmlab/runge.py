@@ -13,6 +13,14 @@ inner product on the sub-boundary, quadrature weights on the interior region)
 via symmetric square-root transforms, so the cutoff approximant built from
 the leading singular directions satisfies the exact cost identity
 cost^2 = sum beta_j^2 / mu_j and the bound cost <= ||v|| / alpha.
+
+When the whole map is invariant under rotation -- a polar grid whose
+interior operator is constant on every ring, the sub-boundary the whole
+outer circle and the region whole interior rings -- the forward map is
+solved one angular mode at a time (:class:`assembly.RingFactor`) and the
+singular system is exact per mode: a cos or sin wave of order m is sent to
+one radial profile times the same wave.  Every other map uses SuperLU and
+the dense SVD, which remain the oracle for the per-mode path.
 """
 
 from __future__ import annotations
@@ -26,9 +34,10 @@ import numpy as np
 
 from .assembly import (DiscreteOperator, assemble, default_spacing,
                        mask_dirichlet_ring, mask_flux_pairing, resonance_guard,
-                       solve_dirichlet, solve_on_mask_multi, verified_solve,
-                       weak_neumann_trace)
-from .errors import GeometryViolation, InsufficientAdmissibleK, TargetUnreachable
+                       ring_factor, solve_dirichlet, solve_on_mask_multi,
+                       verified_solve, weak_neumann_trace, whole_rings)
+from .errors import (GeometryViolation, GramNotSPD, InsufficientAdmissibleK,
+                     TargetUnreachable)
 from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
 from .geometry import (BoundaryChart, DomainSpec, annulus_mask, ball_mask,
                        boundary_chart, build_grid, check_nested_separation,
@@ -57,6 +66,7 @@ class ForwardMap:
     A: np.ndarray                   # (n_omega1, n_gamma)
     gram_gamma: np.ndarray          # trace Gram on gamma nodal values
     wx: np.ndarray                  # quadrature weights on omega1 nodes
+    per_mode: bool = False          # invariant under rotation, see svd
 
     @property
     def k(self) -> float:
@@ -82,6 +92,9 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     Verifies that the complement of the target region is connected and that
     the target keeps a positive separation from the charted boundary.  When a
     spectrum report is passed the frequency is required to be admissible.
+    A map invariant under rotation (gamma the whole outer circle of a polar
+    grid, the region whole rings, the interior operator ring-invariant) is
+    solved one angular mode at a time, every other one by SuperLU.
     """
     grid = op.grid
     resonance_guard(op, spectrum)
@@ -96,19 +109,24 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
 
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
     ipos = np.searchsorted(grid.interior_index, omega1_ids)
+    factor = None
+    if chart.gamma_mask.all() and whole_rings(grid, omega1_ids):
+        factor = ring_factor(grid, grid.interior_index, op.L_II)
+    per_mode = factor is not None
+    factor = factor or op.lu()
     # a block of columns at a time: the dense right-hand sides and interior
     # solutions never exist for all of gamma at once, only A does
-    lu = op.lu()
     A = np.empty((ipos.size, bpos.size))
     for start in range(0, bpos.size, _FORWARD_BLOCK):
         cols = slice(start, start + _FORWARD_BLOCK)
         rhs = -op.L_IB[:, bpos[cols]].toarray()
-        A[:, cols] = verified_solve(op.L_II, lu, rhs)[ipos]
+        A[:, cols] = verified_solve(op.L_II, factor, rhs)[ipos]
 
     gram_gamma = chart.h_half_gram(chart.positions(gamma_ids))
     wx = grid.quad_weights[omega1_ids]
     return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
-                      gamma_ids=gamma_ids, A=A, gram_gamma=gram_gamma, wx=wx)
+                      gamma_ids=gamma_ids, A=A, gram_gamma=gram_gamma, wx=wx,
+                      per_mode=per_mode)
 
 
 def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
@@ -155,6 +173,56 @@ class SvdSystem:
 
 
 def svd(fmap: ForwardMap) -> SvdSystem:
+    """Singular system of a forward map: exact per angular mode when the map
+    is invariant under rotation and its trace Gram is circulant, by the
+    dense SVD otherwise.  Raises :class:`GramNotSPD` unless the Gram is
+    positive definite."""
+    symbol = _circulant_symbol(fmap.gram_gamma) if fmap.per_mode else None
+    return _dense_svd(fmap) if symbol is None else _mode_svd(fmap, symbol)
+
+
+def _circulant_symbol(G: np.ndarray) -> Optional[np.ndarray]:
+    """Eigenvalues g_m, m = 0 .. n/2, of the symmetric part of a circulant
+    G, or None unless G is circulant to a relative 1e-12."""
+    n = G.shape[0]
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    if np.max(np.abs(G - G[lag, 0])) > 1e-12 * np.max(np.abs(G)):
+        return None
+    return np.fft.rfft(G[:, 0]).real
+
+
+def _mode_svd(fmap: ForwardMap, g: np.ndarray) -> SvdSystem:
+    """Exact singular system of a map invariant under rotation.
+
+    The cos or sin wave of order m on gamma is sent to Y_m(r) times the same
+    wave on the region, Y_m the real rfft coefficient of column 0 of A along
+    each ring.  With g_m the eigenvalues of the circulant trace Gram,
+    mu_m = sum_r w_r Y_m(r)^2 / g_m; phi is the Gram-normalised wave and psi
+    the wx-normalised profile times the wave.  Modes 0 < m < n/2 give a cos
+    and a sin column of equal mu."""
+    if g.min() <= 0:
+        raise GramNotSPD(f"trace Gram has min eigenvalue {g.min():.3e}")
+    n = fmap.gamma_ids.size
+    Y = np.fft.rfft(fmap.A[:, 0].reshape(-1, n), axis=1).real
+    energy = fmap.wx.reshape(Y.shape[0], n)[:, 0] @ Y ** 2
+    m = np.arange(g.size)
+    pair = (m > 0) & (2 * m < n)            # a cos and a sin column
+    mode = np.concatenate([m, m[pair]])
+    sine = np.arange(mode.size) >= m.size
+    mu = energy[mode] / g[mode]
+    order = np.argsort(-mu, kind="stable")  # cos before sin of equal mu
+    mode, sine, mu = mode[order], sine[order], mu[order]
+
+    phase = 2.0 * np.pi * ((np.arange(n)[:, None] * mode) % n) / n
+    waves = np.where(sine, np.sin(phase), np.cos(phase))
+    wave_sq = np.where(pair[mode], n / 2, n)    # sum of squared wave values
+    phi = waves / np.sqrt(g[mode] * wave_sq)
+    psi = (Y[:, None, mode] * waves).reshape(fmap.omega1_ids.size, n)
+    psi /= np.sqrt(energy[mode] * wave_sq)
+    return SvdSystem(fmap=fmap, mu=mu, phi=phi, psi=psi)
+
+
+def _dense_svd(fmap: ForwardMap) -> SvdSystem:
     G_half_inv = spd_inverse_sqrt(fmap.gram_gamma)
     sqw = np.sqrt(fmap.wx)
     At = sqw[:, None] * fmap.A @ G_half_inv

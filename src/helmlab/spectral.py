@@ -11,14 +11,15 @@ over interior nodes, on one of two paths chosen from the assembled pencil:
 * every other grid uses shift-invert Lanczos around each shift point
   (deterministic start vector), merged and deduplicated.
 
-Each shift gets a coverage window.  On the per-mode path it holds every
-eigenvalue of the pencil inside it, each copy of a multiple one included,
-by construction; on the shift-invert path it reaches the farthest
-eigenvalue returned, so a multiple eigenvalue on its edge may come back
-with fewer copies.  Both paths report the relative pencil residual of
-every eigenpair from one array pass.  Reports carry a heuristic
-per-eigenvalue discretization error lambda^2 h^2 / 12 used by the
-resonance guard band.
+Each shift gets a coverage window that holds every eigenvalue of the
+pencil inside it, each copy of a multiple one included.  On the per-mode
+path this holds by construction.  Shift-invert Lanczos returns the
+eigenvalues nearest the shift, but of a cluster tied with the farthest one
+it may return only some copies, so its window stops at the farthest
+eigenvalue returned outside that cluster.  Both paths report the relative
+pencil residual of every eigenpair from one array pass.  Reports carry a
+heuristic per-eigenvalue discretization error lambda^2 h^2 / 12 used by
+the resonance guard band.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import Medium, stiffness
+from .assembly import Medium, ring_coefficients, stiffness
 from .errors import AssumptionIViolated, SpectrumTooShort
 from .geometry import Grid
 
 _TWO_PI = 2.0 * np.pi
-_RING_TOL = 1e-13
+_CLUSTER_TOL = 1e-6        # relative gap below which eigenvalues are one cluster
 
 
 @dataclass
@@ -44,11 +45,11 @@ class SpectrumReport:
     """Ascending eigenvalues with residuals and certified coverage windows.
 
     ``coverage`` intervals certify that every eigenvalue inside them was
-    found.  On ring-invariant polar grids the per-mode solve knows the whole
-    spectrum, so each window holds every copy of every eigenvalue inside it
-    by construction; elsewhere shift-invert Lanczos returns the eigenvalues
-    nearest each shift, and a multiple eigenvalue on a window edge may show
-    fewer copies."""
+    found, each copy of a multiple one included.  On ring-invariant polar
+    grids the per-mode solve knows the whole spectrum; elsewhere each
+    shift-invert window stops short of the cluster tied with the farthest
+    eigenvalue returned, whose copies may be incomplete.  Eigenvalues of
+    that cluster are still reported, outside the window."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -138,7 +139,7 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
     A, M = _pencil(grid, medium)
     _check_invertible(A)
     k_req = min(count, A.shape[0] - 2)
-    rings = _ring_coefficients(grid, A, M)
+    rings = ring_coefficients(grid, grid.interior_index, A, M)
     if rings is None:
         lam, vecs, windows = _shift_invert(A, M, k_req, shifts)
     else:
@@ -174,8 +175,8 @@ def _check_invertible(A) -> None:
 
 def _shift_invert(A, M, k_req: int, shifts):
     """The ``k_req`` eigenpairs nearest each shift by shift-invert Lanczos
-    (dense below 200 unknowns), merged over shifts, with one window per
-    shift reaching the farthest eigenvalue it returned."""
+    (dense below 200 unknowns), merged over shifts, with one complete
+    window per shift (:func:`_complete_window`)."""
     n = A.shape[0]
     vals_all, vecs_all, windows = [], [], []
     v0 = np.ones(n)
@@ -189,8 +190,7 @@ def _shift_invert(A, M, k_req: int, shifts):
                                    v0=v0, tol=0)
         vals_all.append(np.real(lam))
         vecs_all.append(vecs)
-        radius = float(np.max(np.abs(np.real(lam) - shift)))
-        windows.append((shift - radius, shift + radius))
+        windows.append(_complete_window(vals_all[-1], shift))
 
     lam = np.concatenate(vals_all)
     vecs = np.hstack(vecs_all)
@@ -201,36 +201,18 @@ def _shift_invert(A, M, k_req: int, shifts):
     return lam, vecs, windows
 
 
-def _ring_coefficients(grid: Grid, A, M):
-    """Per-ring (diagonal, angular coupling, radial coupling to the next
-    ring, mass) of the pencil over the interior rings of a polar grid, or
-    None unless every one of them is constant on each ring to a relative
-    1e-13 and the pencil has no other entries."""
-    if grid.topology != "polar":
-        return None
-    n_theta = grid.lattice_shape[1]
-    interior = grid.interior_index
-    first, n_rings = interior[0] // n_theta, interior.size // n_theta
-    if not np.array_equal(interior,
-                          grid.lattice_id[first:first + n_rings].ravel()):
-        return None
-    p = np.arange(interior.size).reshape(n_rings, n_theta)
+def _complete_window(lam, shift: float) -> tuple:
+    """Window around ``shift`` holding every copy of each eigenvalue in it,
+    given that ``lam`` are the eigenvalues nearest the shift.
 
-    def entries(rows, cols):
-        return np.asarray(A[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-
-    diag, ang = entries(p, p), entries(p, np.roll(p, -1, axis=1))
-    rad = entries(p[:-1], p[1:])
-    mass = M.diagonal().reshape(p.shape)
-    couplings = np.count_nonzero(ang) + np.count_nonzero(rad)
-    if A.count_nonzero() != np.count_nonzero(diag) + 2 * couplings \
-            or M.count_nonzero() != np.count_nonzero(mass):
-        return None
-    parts = (diag, ang, rad, mass)
-    for x in parts:
-        if np.any(np.ptp(x, axis=1) > _RING_TOL * np.max(np.abs(x), axis=1)):
-            return None
-    return tuple(x.mean(axis=1) for x in parts)
+    Eigenvalues as far from the shift as the farthest one (to the cluster
+    tolerance) may miss copies that were not returned, so the window
+    reaches the farthest of the others (a single point if there are none)."""
+    dist = np.abs(lam - shift)
+    far = int(np.argmax(dist))
+    inside = dist[dist < dist[far] - _CLUSTER_TOL * max(abs(lam[far]), 1.0)]
+    radius = float(inside.max()) if inside.size else 0.0
+    return shift - radius, shift + radius
 
 
 def _per_mode(rings, n_theta: int, k_req: int, shifts):
@@ -303,7 +285,7 @@ def _dense_fallback(A, M):
     return lam, vecs
 
 
-def _dedupe_clusters(lam, vecs, M, tol=1e-6):
+def _dedupe_clusters(lam, vecs, M, tol=_CLUSTER_TOL):
     """Merge copies found by overlapping shift windows.
 
     Within a cluster of nearly equal eigenvalues, a candidate is a duplicate

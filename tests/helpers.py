@@ -40,6 +40,30 @@ def disk_pair_svd(k: float, h: float = None, inner: float = 0.5):
 
 
 @lru_cache(maxsize=None)
+def disk_arc_map(k: float, h: float = None, inner: float = 0.5):
+    """Forward map of the nested disk pair with gamma the arc
+    0 < theta < 3 pi / 2; not invariant under rotation, so it is solved by
+    SuperLU."""
+    grid, _, op, _ = disk_setup(k, h)
+    chart = boundary_chart(grid, {"angles": [(0.0, 1.5 * np.pi)]})
+    return build_forward_map(op, ball_mask(grid, (0, 0), inner), chart)
+
+
+@lru_cache(maxsize=None)
+def convex_map(k: float = 4.0, h: float = 0.1):
+    """Forward map of the convex scenario: annulus 0.5 < |x| < 2 with the
+    radially monotone q = 1 + r^2/4, data on the outer circle and the
+    region 0.5 < |x| < 1."""
+    grid = build_grid(DomainSpec.annulus(0.5, 2.0), h)
+    medium = make_medium(grid, q_spec={"profile": "radial_quadratic",
+                                       "amplitude": 0.25},
+                         kappa=2.02, monotone=True)
+    op = assemble(grid, medium, k)
+    return build_forward_map(op, annulus_mask(grid, 0.5, 1.0),
+                             boundary_chart(grid))
+
+
+@lru_cache(maxsize=None)
 def disk_spectrum(h: float = 0.03, count: int = 40):
     grid = disk_grid(h)
     medium = make_medium(grid)

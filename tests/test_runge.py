@@ -1,26 +1,31 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helmlab import runge
-from helmlab.assembly import assemble, solve_dirichlet, verified_solve
+from helmlab.assembly import (Medium, assemble, mask_dirichlet_ring,
+                              ring_factor, solve_dirichlet, solve_on_mask_multi,
+                              verified_solve)
 from helmlab.errors import GeometryViolation, GramNotSPD, TargetUnreachable
 from helmlab.fields import GridField, norm
 from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask,
                               boundary_chart, build_grid,
                               check_nested_separation)
 from helmlab.modes import mode_field
-from helmlab.profiles import make_medium
+from helmlab.profiles import bump_profile, make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply,
                            adjoint_apply_matrix, aggregate_median,
                            build_forward_map, curvature_statistic, expand,
                            fit_records, runge_approximate, svd, sweep_and_fit,
                            sweep_params, trace_inner, truncation_energy_identity)
 
-from helpers import disk_pair_svd, disk_setup, fit_line
+from helpers import (convex_map, disk_arc_map, disk_pair_svd, disk_setup,
+                     fit_line)
 
 
 def test_forward_columns_are_solves():
-    fmap, _ = disk_pair_svd(5.0)
+    # an arc gamma keeps the map on SuperLU, the factor solve_dirichlet uses
+    fmap = disk_arc_map(5.0)
     rng = np.random.default_rng(0)
     for j in rng.integers(0, fmap.gamma_ids.size, size=3):
         e = np.zeros(fmap.gamma_ids.size)
@@ -36,8 +41,9 @@ def test_forward_columns_are_solves():
 
 def test_forward_map_blocks_match_one_solve():
     # gamma columns are solved a block at a time; the blocks, a partial last
-    # one included, give the same bits as one solve of every column
-    fmap, _ = disk_pair_svd(5.0)
+    # one included, give the same bits as one solve of every column (SuperLU
+    # path: gamma an arc)
+    fmap = disk_arc_map(5.0)
     op, grid = fmap.op, fmap.op.grid
     n_gamma = fmap.gamma_ids.size
     assert n_gamma > runge._FORWARD_BLOCK and n_gamma % runge._FORWARD_BLOCK
@@ -93,7 +99,10 @@ def test_separation_matches_brute_force():
 
 
 def test_svd_identities():
-    fmap, system = disk_pair_svd(5.0)
+    _assert_svd_identities(*disk_pair_svd(5.0))
+
+
+def _assert_svd_identities(fmap, system):
     sv = system.singular_values
     assert np.all(np.diff(system.mu) <= 1e-12)
     m = min(20, sv.size)
@@ -110,6 +119,158 @@ def test_svd_identities():
         (system.phi.T @ fmap.gram_gamma)
     target = np.sqrt(fmap.wx)[:, None] * fmap.A
     assert np.linalg.norm(recon - target) <= 1e-8 * np.linalg.norm(target)
+
+
+def _one_solve(fmap, factor):
+    """A from one verified solve of every gamma column with ``factor``."""
+    op, grid = fmap.op, fmap.op.grid
+    bpos = np.searchsorted(grid.boundary_index, fmap.gamma_ids)
+    ipos = np.searchsorted(grid.interior_index, fmap.omega1_ids)
+    return verified_solve(op.L_II, factor, -op.L_IB[:, bpos].toarray())[ipos]
+
+
+def _dense_svd_calls(monkeypatch):
+    """List that grows by one entry per call of np.linalg.svd."""
+    calls, dense = [], np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _rotation_invariant_maps():
+    return [disk_pair_svd(5.0)[0], convex_map()]
+
+
+def test_per_mode_forward_blocks_match_one_solve():
+    # the per-mode twin of test_forward_map_blocks_match_one_solve
+    fmap, _ = disk_pair_svd(5.0)
+    op, grid = fmap.op, fmap.op.grid
+    n_gamma = fmap.gamma_ids.size
+    assert fmap.per_mode
+    assert n_gamma > runge._FORWARD_BLOCK and n_gamma % runge._FORWARD_BLOCK
+    factor = ring_factor(grid, grid.interior_index, op.L_II)
+    assert np.array_equal(fmap.A, _one_solve(fmap, factor))
+
+
+def test_per_mode_forward_columns_are_solves():
+    # the per-mode twin of test_forward_columns_are_solves
+    fmap, _ = disk_pair_svd(5.0)
+    for j in np.random.default_rng(0).integers(0, fmap.gamma_ids.size, size=3):
+        e = np.zeros(fmap.gamma_ids.size)
+        e[j] = 1.0
+        u = solve_dirichlet(fmap.op, g=fmap.trace_from_gamma(e))
+        col = u.values[fmap.omega1_ids]
+        assert np.max(np.abs(col - fmap.A[:, j])) <= 1e-10 * np.max(np.abs(col))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["disk_pair", "convex_annulus"])
+def test_per_mode_map_and_mu_match_superlu_and_dense_svd(case):
+    fmap = _rotation_invariant_maps()[case]
+    assert fmap.per_mode
+    ref = _one_solve(fmap, fmap.op.lu())
+    assert np.max(np.abs(fmap.A - ref)) <= 1e-10 * np.max(np.abs(ref))
+    mu, dense = svd(fmap).mu, runge._dense_svd(fmap).mu
+    assert mu.shape == dense.shape
+    assert np.max(np.abs(mu - dense)) <= 1e-10 * dense[0]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["disk_pair", "convex_annulus"])
+def test_per_mode_svd_identities_without_dense_svd(monkeypatch, case):
+    fmap = _rotation_invariant_maps()[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense singular value path reached")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", refuse)
+        mp.setattr(runge, "spd_inverse_sqrt", refuse)
+        system = svd(fmap)
+    _assert_svd_identities(fmap, system)
+    # cos/sin pairs are exactly degenerate: every mu but the m = 0 and
+    # m = n/2 ones comes twice
+    _, counts = np.unique(system.mu, return_counts=True)
+    assert np.sum(counts == 1) == 2 - fmap.gamma_ids.size % 2
+    assert np.all(counts <= 2)
+
+
+def _arc_gamma():
+    return disk_arc_map(5.0)
+
+
+def _off_centre_bump_q():
+    grid, _, _, chart = disk_setup(5.0)
+    bump = bump_profile(0.5, (0.3, 0.1), 0.3)(grid.nodes)
+    medium = Medium(q=GridField(grid, 1.0 + bump),
+                    V=GridField(grid, np.zeros(grid.n_nodes)), kappa=2.0)
+    op = assemble(grid, medium, 2.0)
+    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart)
+
+
+def _off_centre_region():
+    grid, _, op, chart = disk_setup(5.0)
+    return build_forward_map(op, ball_mask(grid, (0.1, 0.0), 0.4), chart)
+
+
+def _cartesian():
+    grid = build_grid(DomainSpec.rectangle((-1, -1), (1, 1)), 0.05)
+    op = assemble(grid, make_medium(grid), 3.0)
+    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5),
+                             boundary_chart(grid))
+
+
+@pytest.mark.parametrize("build", [_arc_gamma, _off_centre_bump_q,
+                                   _off_centre_region, _cartesian])
+def test_other_maps_keep_superlu_and_dense_svd(monkeypatch, build):
+    fmap = build()
+    assert not fmap.per_mode
+    assert np.array_equal(fmap.A, _one_solve(fmap, fmap.op.lu()))
+    calls = _dense_svd_calls(monkeypatch)
+    svd(fmap)
+    assert calls == [1]
+
+
+def test_non_circulant_gram_takes_dense_svd(monkeypatch):
+    import dataclasses
+    fmap, _ = disk_pair_svd(2.0)
+    G = fmap.gram_gamma.copy()
+    G[0, 0] *= 1.5                      # still SPD, no longer circulant
+    calls = _dense_svd_calls(monkeypatch)
+    system = svd(dataclasses.replace(fmap, gram_gamma=G))
+    assert calls == [1]
+    _assert_svd_identities(system.fmap, system)
+
+
+@pytest.mark.parametrize("case", ["disk", "convex_annulus"])
+def test_mask_solutions_per_mode_match_splu(case):
+    if case == "disk":
+        grid, _, op, _ = disk_setup(5.0)
+        mask = ball_mask(grid, (0, 0), 0.6)
+    else:
+        op = convex_map().op
+        grid = op.grid
+        mask = annulus_mask(grid, 0.5, 1.25)
+    ring = mask_dirichlet_ring(op, mask)
+    inner = np.flatnonzero(mask & ~ring)
+    A = op.L[inner][:, inner].tocsc()
+    assert ring_factor(grid, inner, A) is not None
+    data = np.random.default_rng(4).standard_normal(
+        (np.count_nonzero(ring), 70))
+    sols = solve_on_mask_multi(op, mask, data)
+    rhs = -op.L[inner][:, np.flatnonzero(ring)] @ data
+    ref = spla.splu(A).solve(rhs)
+    assert np.max(np.abs(sols[inner] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert not np.any(sols[~mask])
+
+
+def test_off_centre_mask_keeps_splu():
+    grid, _, op, _ = disk_setup(5.0)
+    mask = ball_mask(grid, (0.1, 0.0), 0.5)
+    inner = np.flatnonzero(mask & ~mask_dirichlet_ring(op, mask))
+    assert ring_factor(grid, inner, op.L[inner][:, inner].tocsc()) is None
 
 
 def test_singular_value_decay():

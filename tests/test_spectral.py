@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
-from helmlab.assembly import stiffness
+from helmlab.assembly import ring_coefficients, stiffness
 from helmlab.bessel import bessel_j0_root
 from helmlab.errors import AssumptionIViolated, SpectrumTooShort
 from helmlab.fields import GridField
@@ -162,6 +162,27 @@ def test_window_edge_keeps_every_copy():
     _assert_windows_complete(rep, *spectral._pencil(g, med))
 
 
+@pytest.mark.parametrize("count", [2, 5, 7])
+def test_shift_invert_window_counts_every_copy(count):
+    # on the square (0, pi)^2 the count-th nearest eigenvalue to 0 is one
+    # copy of a double (5, 10, 13); its other copy is not returned, so the
+    # window must stop short of the pair
+    g = build_grid(DomainSpec.rectangle((0, 0), (np.pi, np.pi)), np.pi / 30)
+    med = make_medium(g)
+    rep = compute_sigma(g, med, count)
+    A, M = spectral._pencil(g, med)
+    dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    assert len(rep.coverage) == 1
+    lo, hi = rep.coverage[0]
+    tol = 1e-9 * max(abs(lo), abs(hi), 1.0)
+
+    def inside(lam):
+        return int(np.sum((lam >= lo - tol) & (lam <= hi + tol)))
+
+    assert inside(rep.eigenvalues) == inside(dense)
+    assert rep.eigenvalues.size == count
+
+
 _POLAR_FIXTURES = [
     (DomainSpec.disk(1.0), 0.05, None, 8, (0.0,)),
     (DomainSpec.disk(1.0), 0.05, _QUAD, 8, (0.0,)),
@@ -219,7 +240,7 @@ def test_off_centre_medium_keeps_lanczos(monkeypatch, medium):
     rep = compute_sigma(g, med, 8, shifts=(20.0,))
     assert calls == [20.0]
     A, M = spectral._pencil(g, med)
-    assert spectral._ring_coefficients(g, A, M) is None
+    assert ring_coefficients(g, g.interior_index, A, M) is None
     dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     near = np.sort(dense[np.argsort(np.abs(dense - 20.0))[:8]])
     assert np.allclose(rep.eigenvalues, near, rtol=1e-10, atol=0)
@@ -241,7 +262,7 @@ def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
                                  "amplitude": amplitude},
                       v_spec={"profile": "constant", "value": v})
     A, M = spectral._pencil(g, med)
-    assert spectral._ring_coefficients(g, A, M) is not None
+    assert ring_coefficients(g, g.interior_index, A, M) is not None
     rep = compute_sigma(g, med, count, shifts=(shift,))
     assert rep.residuals.max() <= 1e-10
     _assert_matches_general(rep, A, M, count, (shift,))

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from helmlab import ucp
-from helmlab.bessel import bessel_j, gauss_legendre
+from helmlab.bessel import bessel_j, gauss_legendre, radial_profile
 from helmlab.errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from helmlab.fields import BoundaryTrace, GridField, lp_norm, norm, trace_norm
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
@@ -28,6 +28,32 @@ def _mode_samples(grid, k, rs=(0.16,), centers=None, ell_step=1):
                 if not t.degenerate():
                     out.append(t)
     return out
+
+
+def _mode_at_nodes(grid, ell, k, parity, center):
+    """mode_field evaluated at every node."""
+    dx, dy = (grid.nodes - np.asarray(center, float)).T
+    th = np.arctan2(dy, dx)
+    ang = np.cos(ell * th) if parity == "cos" else np.sin(ell * th)
+    return radial_profile(ell, k, 2, np.hypot(dx, dy)) * ang
+
+
+@pytest.mark.parametrize("spec,center", [
+    (DomainSpec.disk(1.0), None),
+    (DomainSpec.disk(1.0, center=(0.3, -0.2)), None),
+    (DomainSpec.annulus(0.5, 2.0), (0.0, 0.0)),
+    (DomainSpec.disk(1.0), (0.15, 0.05)),               # off-centre: node path
+    (DomainSpec.rectangle((-1, -1), (1, 1)), (0.0, 0.0)),
+])
+def test_mode_field_per_ring_matches_nodes(spec, center):
+    g = build_grid(spec, 0.05)
+    c = g.spec.center if center is None else center
+    for ell in (0, 1, 4, 11):
+        for parity in ("cos", "sin"):
+            got = mode_field(g, ell, 4.0, parity, center).values
+            want = _mode_at_nodes(g, ell, 4.0, parity, c)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)),
+                                                          1e-300)
 
 
 def test_ball_norms_match_radial_quadrature():
