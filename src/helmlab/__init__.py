@@ -14,8 +14,8 @@ from .spectral import SpectrumReport, compute_sigma, check_admissibility, \
     find_admissible_k
 from .runge import (ForwardMap, SvdSystem, RungeApproximant, build_forward_map,
                     adjoint_apply, svd, runge_approximate)
-from .bessel import bessel_j, bessel_j_prime, RadialMode, radial_mode, \
-    check_bessel_inequalities, optimality_lower_bound
+from .bessel import bessel_j, bessel_j_prime, check_bessel_inequalities, \
+    optimality_lower_bound
 from .ucp import BallTriple, three_ball_ratio, estimate_exponent, chain_propagate
 from .carleman import CarlemanSample, carleman_check, improved_ucp_probe
 from .calderon import DtnMatrix, dtn_map, dtn_distance, stability_check

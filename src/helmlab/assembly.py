@@ -80,8 +80,12 @@ class Medium:
 
 
 def radial_derivative(f: GridField) -> np.ndarray:
-    """Discrete x . grad f / |x| (forward differences along rays on polar
-    grids, centered radial differences on cartesian ones)."""
+    """Discrete x . grad f / |x|.
+
+    On polar grids these are forward differences along rays, one value per
+    radial edge: (n_r - 1) * n_theta of them, ring-major, not one per node.
+    On cartesian grids they are centered radial differences, one per
+    node."""
     grid = f.grid
     if grid.topology == "polar":
         n_r, n_t = grid.lattice_shape
@@ -364,20 +368,19 @@ def solve_dirichlet(op: DiscreteOperator, f: Optional[GridField] = None,
 
 
 def weak_neumann_trace(op: DiscreteOperator, u: GridField,
-                       f: Optional[GridField] = None,
-                       check: bool = True) -> BoundaryFunctional:
+                       f: Optional[GridField] = None) -> BoundaryFunctional:
     """Variational normal-derivative functional of a solution on the outer
-    chart: ell(phi) = sum_b (w f - L u)_b phi_b."""
+    chart: ell(phi) = sum_b (w f - L u)_b phi_b.  Raises
+    :class:`NotASolution` unless the interior rows vanish to 1e-8 of L u."""
     w = op.grid.quad_weights
     resid = -(op.L @ u.values)
     if f is not None:
         resid = resid + w * f.values
-    if check:
-        scale = max(float(np.max(np.abs(op.L @ u.values))), 1e-300)
-        interior_resid = np.max(np.abs(resid[op.interior]))
-        if interior_resid > 1e-8 * scale:
-            raise NotASolution(
-                f"field does not solve the equation (residual {interior_resid:.2e})")
+    scale = max(float(np.max(np.abs(op.L @ u.values))), 1e-300)
+    interior_resid = np.max(np.abs(resid[op.interior]))
+    if interior_resid > 1e-8 * scale:
+        raise NotASolution(
+            f"field does not solve the equation (residual {interior_resid:.2e})")
     chart = boundary_chart(op.grid)
     return BoundaryFunctional(chart, resid[chart.node_ids])
 
@@ -399,8 +402,8 @@ def mask_dirichlet_ring(op: DiscreteOperator, mask: np.ndarray) -> np.ndarray:
     return ring & mask
 
 
-def solve_on_mask(op: DiscreteOperator, mask: np.ndarray, ring_values: dict,
-                  f: Optional[GridField] = None) -> GridField:
+def solve_on_mask(op: DiscreteOperator, mask: np.ndarray,
+                  ring_values: dict) -> GridField:
     """Dirichlet solve on the submesh induced by a node mask.
 
     ``ring_values`` maps ring node ids to data (missing ids default to 0).
@@ -411,13 +414,12 @@ def solve_on_mask(op: DiscreteOperator, mask: np.ndarray, ring_values: dict,
     gvals = np.zeros(op.grid.n_nodes)
     for node, val in ring_values.items():
         gvals[int(node)] = val
-    sols = solve_on_mask_multi(op, mask, gvals[idx_ring][:, None], f=f)
+    sols = solve_on_mask_multi(op, mask, gvals[idx_ring][:, None])
     return GridField(op.grid, sols[:, 0], mask.copy())
 
 
 def solve_on_mask_multi(op: DiscreteOperator, mask: np.ndarray,
-                        ring_data: np.ndarray,
-                        f: Optional[GridField] = None) -> np.ndarray:
+                        ring_data: np.ndarray) -> np.ndarray:
     """Masked solves for many ring-data columns with one factorization.
 
     ``ring_data`` has one row per ring node (ring node ids in ascending
@@ -438,9 +440,6 @@ def solve_on_mask_multi(op: DiscreteOperator, mask: np.ndarray,
     A = L[idx_inner][:, idx_inner].tocsc()
     C = L[idx_inner][:, idx_ring].tocsr()
     rhs = -C @ ring_data
-    if f is not None:
-        rhs = rhs + (op.grid.quad_weights[idx_inner]
-                     * f.values[idx_inner])[:, None]
     factor = ring_factor(op.grid, idx_inner, A) or spla.splu(A)
     u_inner = verified_solve(A, factor, rhs)
 

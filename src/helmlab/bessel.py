@@ -166,10 +166,10 @@ def bessel_j_prime(order: float, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_j0_root(bracket=(2.0, 3.0), tol: float = 1e-13) -> float:
-    """First positive zero of J_0 by bisection (reference value for tests
-    and resonance probes)."""
-    a, b = bracket
+def bessel_j0_root() -> float:
+    """First positive zero of J_0 by bisection on [2, 3] to 1e-13
+    (reference value for tests and resonance probes)."""
+    a, b = 2.0, 3.0
     fa = bessel_j(0.0, a)
     for _ in range(200):
         m = 0.5 * (a + b)
@@ -178,7 +178,7 @@ def bessel_j0_root(bracket=(2.0, 3.0), tol: float = 1e-13) -> float:
             b = m
         else:
             a, fa = m, fm
-        if b - a < tol:
+        if b - a < 1e-13:
             break
     return 0.5 * (a + b)
 
@@ -186,22 +186,6 @@ def bessel_j0_root(bracket=(2.0, 3.0), tol: float = 1e-13) -> float:
 # ---------------------------------------------------------------------------
 # Radial modes
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RadialMode:
-    """Separated radial factor of a Helmholtz mode of angular degree ell."""
-
-    ell: int
-    k: float
-    n: int
-    r: np.ndarray
-    values: np.ndarray
-    lambda_ell: float
-
-    @property
-    def bessel_order(self) -> float:
-        return self.ell + self.n / 2.0 - 1.0
-
 
 def radial_profile(ell: int, k: float, n: int, r: np.ndarray) -> np.ndarray:
     """R_ell(k r) = (k r)^{1-n/2} J_{ell+n/2-1}(k r), finite at r=0."""
@@ -235,29 +219,23 @@ def radial_profile_derivative(ell: int, k: float, n: int, r: np.ndarray) -> np.n
     return out
 
 
-def radial_mode(ell: int, k: float, n: int, r: np.ndarray) -> RadialMode:
-    return RadialMode(ell=ell, k=k, n=n, r=np.asarray(r, dtype=float),
-                      values=radial_profile(ell, k, n, r),
-                      lambda_ell=float(ell * (ell + n - 2)))
-
-
 def gauss_legendre(n_nodes: int, a: float, b: float):
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def mode_l2_sq(ell: int, k: float, n: int, r_max: float = 0.5,
-               n_quad: int = 320) -> float:
-    """int_0^{r_max} R_ell(k r)^2 r^{n-1} dr by Gauss-Legendre quadrature."""
-    r, w = gauss_legendre(n_quad, 0.0, r_max)
+def mode_l2_sq(ell: int, k: float, n: int) -> float:
+    """int_0^{1/2} R_ell(k r)^2 r^{n-1} dr, the squared L2 norm of the mode
+    on B_{1/2}, by 320-point Gauss-Legendre quadrature."""
+    r, w = gauss_legendre(320, 0.0, 0.5)
     vals = radial_profile(ell, k, n, r)
     return float(np.sum(w * vals ** 2 * r ** (n - 1)))
 
 
-def mode_h1_semi_sq(ell: int, k: float, n: int, r_max: float = 0.5,
-                    n_quad: int = 320) -> float:
-    """Gradient energy of R_ell(k r) * (unit spherical harmonic)."""
-    r, w = gauss_legendre(n_quad, 0.0, r_max)
+def mode_h1_semi_sq(ell: int, k: float, n: int) -> float:
+    """Gradient energy on B_{1/2} of R_ell(k r) * (unit spherical
+    harmonic), with the quadrature of :func:`mode_l2_sq`."""
+    r, w = gauss_legendre(320, 0.0, 0.5)
     vals = radial_profile(ell, k, n, r)
     dvals = radial_profile_derivative(ell, k, n, r)
     lam = ell * (ell + n - 2)
@@ -265,16 +243,17 @@ def mode_h1_semi_sq(ell: int, k: float, n: int, r_max: float = 0.5,
     return float(np.sum(w * integ))
 
 
-def mode_l2_sq_series(ell: int, k: float, n: int, tol: float = 1e-16) -> float:
+def mode_l2_sq_series(ell: int, k: float, n: int) -> float:
     """Same quantity as :func:`mode_l2_sq` via the partial-turning sum
-    2 k^{-n} sum_m (ell + n/2 + 2m) J_{ell+n/2+2m}(k/2)^2  (10.22.27)."""
+    2 k^{-n} sum_m (ell + n/2 + 2m) J_{ell+n/2+2m}(k/2)^2  (10.22.27),
+    summed until a term falls below 1e-16 of the total."""
     total = 0.0
     m = 0
     while m < 400:
         order = ell + n / 2.0 + 2 * m
         term = order * float(bessel_j(order, k / 2.0)) ** 2
         total += term
-        if m > 2 and term < tol * max(total, 1e-300):
+        if m > 2 and term < 1e-16 * max(total, 1e-300):
             break
         m += 1
     return 2.0 * k ** (-n) * total
@@ -284,29 +263,30 @@ def mode_l2_sq_series(ell: int, k: float, n: int, tol: float = 1e-16) -> float:
 # Two-sided inequalities for J_alpha(alpha x)
 # ---------------------------------------------------------------------------
 
-def check_bessel_inequalities(alpha_grid=None, x_grid=None) -> dict:
+_ALPHA_GRID = (5.0, 10.0, 20.0, 50.0)
+_X_GRID = tuple(0.1 * i for i in range(1, 10))
+
+
+def check_bessel_inequalities() -> dict:
     """Evaluate the three sharp inequalities for J_alpha(alpha x), x in (0,1):
 
         1 <= J_a(a x) / (x^a J_a(a)) <= exp(a (1-x)),
         0 <  1/x - J_a'(a x)/J_a(a x) < 1,
         J_a(a x)/J_{a+1}(a x) < (2a+2)/(a x),
 
-    plus monotone growth of x -> J_a(a x) sampled on the grid.  Returns the
-    minimum slack per inequality and the violation count (expected zero).
+    plus monotone growth of x -> J_a(a x), on alpha in ``_ALPHA_GRID`` and
+    x in ``_X_GRID``.  Returns the minimum slack per inequality, the
+    violation count (expected zero) and both grids.
     """
-    if alpha_grid is None:
-        alpha_grid = [5.0, 10.0, 20.0, 50.0]
-    if x_grid is None:
-        x_grid = [0.1 * i for i in range(1, 10)]
     slacks = {"ratio_lower": np.inf, "ratio_upper": np.inf,
               "logderiv_lower": np.inf, "logderiv_upper": np.inf,
               "neighbour_ratio": np.inf}
     violations = 0
     monotone = True
-    for a in alpha_grid:
+    for a in _ALPHA_GRID:
         j_at_a = float(bessel_j(a, a))
         prev = None
-        for xv in sorted(x_grid):
+        for xv in _X_GRID:
             arg = a * xv
             j = float(bessel_j(a, arg))
             jp = float(bessel_j_prime(a, arg))
@@ -330,7 +310,7 @@ def check_bessel_inequalities(alpha_grid=None, x_grid=None) -> dict:
             prev = j
     return {"min_slacks": slacks, "violations": violations,
             "monotone_increasing": monotone,
-            "alpha_grid": list(alpha_grid), "x_grid": sorted(x_grid)}
+            "alpha_grid": list(_ALPHA_GRID), "x_grid": list(_X_GRID)}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +330,7 @@ class OptimalityRecord:
 
 
 def optimality_lower_bound(k: float, ell: int, epsilon: float = None,
-                           n: int = 2, hypothesis_factor: float = 3.0) -> OptimalityRecord:
+                           n: int = 2) -> OptimalityRecord:
     """Minimal boundary norm over all global modes within epsilon of the
     normalized single mode, evaluated exactly in the modal decomposition.
 
@@ -360,14 +340,14 @@ def optimality_lower_bound(k: float, ell: int, epsilon: float = None,
         (1 + lambda_ell^(1/2))^(1/2) * max(alpha_ell - eps/||g||_L2, 0) * |R_ell(k)|.
 
     Also evaluates the closed-form lower bound built from the inequality
-    toolkit above; requires ``ell >= hypothesis_factor * max(k^2, n)`` and
+    toolkit above; requires ``ell >= 3 max(k^2, n)`` and
     ``ell + n/2 - 1 > k``.
     """
     order = ell + n / 2.0 - 1.0
-    if ell < hypothesis_factor * max(k * k, n) or order <= k:
+    if ell < 3.0 * max(k * k, n) or order <= k:
         raise HypothesisViolated(
             f"ell={ell} too small for k={k}, n={n} "
-            f"(needs >= {hypothesis_factor:g} * max(k^2, n) and order > k)")
+            f"(needs >= 3 * max(k^2, n) and order > k)")
     if epsilon is None:
         epsilon = 1.0 / (2.0 ** (n / 2.0 + 4.0) * ell)
 

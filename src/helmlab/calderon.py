@@ -106,13 +106,14 @@ def check_agreement(op1: DiscreteOperator, op2: DiscreteOperator,
 
 
 def alessandrini_gap(dtn1: DtnMatrix, dtn2: DtnMatrix, g1: np.ndarray,
-                     g2: np.ndarray, spectrum=None) -> tuple:
+                     g2: np.ndarray) -> tuple:
     """Both sides of the bilinear identity
 
         int (b2 - b1) u1 u2 = <(Lambda1 - Lambda2) g1, g2>
 
     for solutions u1 (medium 1, data g1) and u2 (medium 2, data g2), data
-    supported on gamma.  Exact discretely up to solver tolerance.
+    supported on gamma.  Exact discretely up to solver tolerance.  The
+    frequency was guarded when the maps were built (:func:`dtn_map`).
     """
     op1, op2 = dtn1.op, dtn2.op
     grid = op1.grid
@@ -121,8 +122,8 @@ def alessandrini_gap(dtn1: DtnMatrix, dtn2: DtnMatrix, g1: np.ndarray,
     bpos = np.searchsorted(grid.boundary_index, dtn1.gamma_ids)
     gb1[bpos] = g1
     gb2[bpos] = g2
-    u1 = solve_dirichlet(op1, g=gb1, spectrum=spectrum)
-    u2 = solve_dirichlet(op2, g=gb2, spectrum=spectrum)
+    u1 = solve_dirichlet(op1, g=gb1)
+    u2 = solve_dirichlet(op2, g=gb2)
     diff = difference_field(op1, op2)
     volume = float(np.sum(grid.quad_weights * diff.values
                           * u1.values * u2.values))
@@ -146,14 +147,11 @@ class StabilityRecord:
     lhs: float
 
 
-def stability_check(records: list, n: int = 3,
-                    c_grid=None) -> dict:
+def stability_check(records: list, n: int = 3) -> dict:
     """Smallest single constant C validating lhs <= rhs(C, k, delta) across
-    the whole test matrix, found by scanning a geometric C grid."""
-    if c_grid is None:
-        c_grid = np.geomspace(1e-3, 1e3, 241)
+    the whole test matrix, found by scanning 241 geometric C in [1e-3, 1e3]."""
     best = None
-    for C in c_grid:
+    for C in np.geomspace(1e-3, 1e3, 241):
         ok = all(r.lhs <= stability_rhs(C, r.k, r.delta, n) for r in records)
         if ok:
             best = float(C)

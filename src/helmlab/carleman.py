@@ -26,10 +26,15 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import (DiscreteOperator, Medium, radial_derivative, solve_dirichlet,
-                       stiffness, weak_neumann_trace)
+                       stiffness, verified_solve, weak_neumann_trace)
 from .errors import HypothesisViolated, SupportViolation
 from .fields import GridField, functional_norm, masked_gradient, norm
 from .geometry import Grid, annulus_mask
+
+# smallest weight exponent tau of the Carleman estimate
+TAU0 = 10.0
+# exponents of the logarithmic and polynomial continuation envelopes
+MU_HAT = NU_HAT = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +62,16 @@ def _collar_mask(grid: Grid, layers: int = 2) -> np.ndarray:
     return (ring >= layers) & (ring <= n_r - 1 - layers)
 
 
-def check_support(u: GridField, layers: int = 2) -> None:
-    inside = _collar_mask(u.grid, layers)
+def check_support(u: GridField) -> None:
+    """Raise :class:`SupportViolation` unless ``u`` vanishes on the 2-ring
+    collar of the annulus."""
+    inside = _collar_mask(u.grid, 2)
     mx = float(np.max(np.abs(u.values), initial=0.0))
     if mx == 0.0:
         return
     if np.max(np.abs(u.values[~inside]), initial=0.0) > 1e-14 * mx:
         raise SupportViolation(
-            f"sample not zero on a {layers}-layer collar of the annulus")
+            "sample not zero on a 2-layer collar of the annulus")
 
 
 def apply_principal(grid: Grid, medium: Medium, k: float,
@@ -89,20 +96,20 @@ def _polar_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
 
 def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
-                   f: Optional[GridField] = None, F: Optional[tuple] = None,
-                   tau0: float = 10.0) -> CarlemanSample:
+                   f: Optional[GridField] = None,
+                   F: Optional[tuple] = None) -> CarlemanSample:
     """Evaluate both sides of the weighted inequality for one sample.
 
     Default mode computes f = (Delta + k^2 q) u by direct differencing with
     F = 0; passing (f, F) uses the caller's splitting (the identity
     f + div F = (Delta + k^2 q) u is the caller's responsibility, see
     :func:`divergence_splitting`).  Requires the monotone flag and
-    tau >= tau0.
+    tau >= ``TAU0``.
     """
     if not medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
-    if tau < tau0:
-        raise HypothesisViolated(f"tau={tau:g} below tau0={tau0:g}")
+    if tau < TAU0:
+        raise HypothesisViolated(f"tau={tau:g} below tau0={TAU0:g}")
     grid = u.grid
     check_support(u)
 
@@ -140,17 +147,18 @@ def divergence_splitting(grid: Grid, medium: Medium, k: float,
                          u: GridField) -> tuple:
     """Split (Delta + k^2 q) u = f + div F with a gradient-potential F.
 
-    Solves a Poisson problem for a potential p, takes F = chi grad p with a
-    collar cutoff chi (keeps supp F inside the annulus), and folds the exact
-    discrete remainder into f, so f + div_h F matches the residual by
-    construction.
+    Solves a Poisson problem for a potential p (residual checked by
+    :func:`verified_solve`), takes F = chi grad p with a collar cutoff chi
+    (keeps supp F inside the annulus), and folds the exact discrete
+    remainder into f, so f + div_h F matches the residual by construction.
     """
     rho = apply_principal(grid, medium, k, u.values)
     K = stiffness(grid)
     I = grid.interior_index
     rhs = (grid.quad_weights * rho)[I]
     p = np.zeros(grid.n_nodes)
-    p[I] = spla.splu(K[I][:, I].tocsc()).solve(rhs)
+    K_II = K[I][:, I].tocsc()
+    p[I] = verified_solve(K_II, spla.splu(K_II), rhs)
     grads = masked_gradient(grid, p, np.ones(grid.n_nodes, bool))
     n_r, n_t = grid.lattice_shape
     th = np.tile(grid.thetas, n_r)
@@ -172,11 +180,11 @@ def _radial_bump(grid: Grid, mid: float, halfwidth: float) -> np.ndarray:
     return s
 
 
-def random_compact_sample(grid: Grid, rng: np.random.Generator,
-                          layers: int = 3) -> GridField:
-    """Smooth random field with exact compact support inside the annulus."""
+def random_compact_sample(grid: Grid, rng: np.random.Generator) -> GridField:
+    """Smooth random field with exact compact support inside the annulus,
+    three rings clear of either circle."""
     r_in, r_out = grid.radii[0], grid.radii[-1]
-    pad = layers * grid.dr
+    pad = 3 * grid.dr
     a = r_in + pad + rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
     b = r_out - pad - rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
     n_r, n_t = grid.lattice_shape
@@ -193,8 +201,8 @@ def random_compact_sample(grid: Grid, rng: np.random.Generator,
 
 
 def adapted_compact_sample(grid: Grid, medium: Medium,
-                           rng: np.random.Generator, tau: float, k: float,
-                           layers: int = 3) -> GridField:
+                           rng: np.random.Generator, tau: float,
+                           k: float) -> GridField:
     """Compactly supported sample concentrated where the weighted inequality
     is tight.
 
@@ -202,9 +210,10 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
     with small radial frequency, and the weight turns a flat profile into
     r^-tau; generic bumps drift away from the sharp constant as tau or k
     double, so the uniformity scan draws most samples from this family.
+    The support stays three rings clear of either circle.
     """
     r_in, r_out = grid.radii[0], grid.radii[-1]
-    pad = layers * grid.dr
+    pad = 3 * grid.dr
     a, b = r_in + pad, r_out - pad
     mid = rng.uniform(a + 0.25 * (b - a), b - 0.25 * (b - a))
     halfwidth = min(mid - a, b - mid) * rng.uniform(0.5, 1.0)
@@ -254,10 +263,11 @@ class ImprovedProbe:
 
 
 def improved_ucp_probe(op: DiscreteOperator, k: float, delta: float,
-                       ell: Optional[int] = None, spectrum=None,
-                       mu_hat: float = 0.5, nu_hat: float = 0.5) -> ImprovedProbe:
+                       ell: Optional[int] = None,
+                       spectrum=None) -> ImprovedProbe:
     """Manufacture a high-degree solution with small outer Cauchy data and
-    record the envelope quantities.
+    record the envelope quantities |log x|^(-MU_HAT) M and
+    (k^3 eta)^NU_HAT M^(1-NU_HAT), x = k^3 eta / M.
 
     The solve carries data cos(ell theta) on the inner circle and zero on the
     outer circle, so eta is the outer weak-Neumann norm alone; requires
@@ -290,7 +300,7 @@ def improved_ucp_probe(op: DiscreteOperator, k: float, delta: float,
     lhs = norm(u, "L2", outer)
     lhs_full = norm(u, "L2")
     x = k ** 3 * eta / M
-    rhs_log = abs(math.log(x)) ** (-mu_hat) * M
-    rhs_poly = (k ** 3 * eta) ** nu_hat * M ** (1 - nu_hat)
+    rhs_log = abs(math.log(x)) ** (-MU_HAT) * M
+    rhs_poly = (k ** 3 * eta) ** NU_HAT * M ** (1 - NU_HAT)
     return ImprovedProbe(k=k, ell=ell, delta=delta, eta=eta, M=M, lhs=lhs,
                          lhs_full=lhs_full, rhs_log=rhs_log, rhs_poly=rhs_poly)

@@ -68,23 +68,18 @@ class GridField:
 
     __rmul__ = __mul__
 
-    def restricted(self, region: np.ndarray) -> "GridField":
-        vals = np.where(region, self.values, 0.0)
-        return GridField(self.grid, vals, region.copy())
 
-
-def field_from_radial(grid: Grid, radial_fn, center=None, region=None) -> GridField:
-    """Sample a radial profile; on polar grids only the distinct radii are
-    evaluated, which keeps expensive special-function profiles cheap."""
-    c = np.asarray(center if center is not None else grid.spec.center
-                   if grid.topology == "polar" else np.zeros(grid.dim))
-    if grid.topology == "polar" and np.allclose(c, grid.spec.center):
+def field_from_radial(grid: Grid, radial_fn) -> GridField:
+    """Sample a radial profile about the domain centre of a polar grid, or
+    about the origin of a cartesian one; on polar grids only the distinct
+    radii are evaluated, which keeps expensive special-function profiles
+    cheap."""
+    if grid.topology == "polar":
         prof = np.asarray(radial_fn(grid.radii))
         vals = np.repeat(prof, grid.lattice_shape[1])
     else:
-        r = np.linalg.norm(grid.nodes - c, axis=1)
-        vals = np.asarray(radial_fn(r))
-    return GridField(grid, vals, region)
+        vals = np.asarray(radial_fn(np.linalg.norm(grid.nodes, axis=1)))
+    return GridField(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +174,11 @@ def norm(f: GridField, which: str = "L2", region: Optional[np.ndarray] = None) -
     raise ValueError(f"unknown norm {which!r}")
 
 
-def lp_norm(f: GridField, p: float, region: Optional[np.ndarray] = None) -> float:
-    region = f.region if region is None else region
-    w = f.grid.quad_weights
-    return float(np.sum(w[region] * np.abs(f.values[region]) ** p) ** (1.0 / p))
+def lp_norm(f: GridField, p: float) -> float:
+    """Quadrature-weighted L^p norm over the field region."""
+    region = f.region
+    return float(np.sum(f.grid.quad_weights[region]
+                        * np.abs(f.values[region]) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +294,12 @@ def riesz_map(ell: BoundaryFunctional,
 # Fourier-side H^-1 norm
 # ---------------------------------------------------------------------------
 
-def hminus1_norm_fourier(f: GridField, pad_factor: float = 2.0) -> float:
+def hminus1_norm_fourier(f: GridField) -> float:
     """H^-1 norm of a compactly supported field via the discrete Fourier
     transform on a zero-padded box.
 
-    The field is extended by zero to a box at least ``pad_factor`` times the
-    support extent in every direction (limits periodization error) and the
+    The field is extended by zero to a box at least twice the support
+    extent in every direction (limits periodization error) and the
     weighted integral (2 pi)^-n int |F(f)|^2 (1+|zeta|^2)^-1 d zeta is summed
     on the discrete frequency lattice.  Cartesian grids only.
     """
@@ -325,8 +321,8 @@ def hminus1_norm_fourier(f: GridField, pad_factor: float = 2.0) -> float:
             raise SupportTouchesBox("support touches the grid hull")
         lo, hi = np.flatnonzero(proj)[[0, -1]]
         extent = hi - lo + 1
-        if shape[axis] < pad_factor * extent:
-            pad = int(np.ceil(pad_factor * extent)) - shape[axis]
+        if shape[axis] < 2 * extent:
+            pad = 2 * extent - shape[axis]
             widths = [(0, 0)] * dim
             widths[axis] = (0, pad)
             vol = np.pad(vol, widths)
@@ -334,7 +330,6 @@ def hminus1_norm_fourier(f: GridField, pad_factor: float = 2.0) -> float:
 
     spac = grid.spacings
     F = np.fft.fftn(vol) * np.prod(spac)
-    weight = np.ones(padded_shape)
     zeta_sq = np.zeros(padded_shape)
     for axis in range(dim):
         freq = 2 * np.pi * np.fft.fftfreq(padded_shape[axis], d=spac[axis])

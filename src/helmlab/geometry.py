@@ -446,11 +446,11 @@ def ball_mask(grid: Grid, center, radius) -> np.ndarray:
     return d <= np.asarray(radius, dtype=float)[..., None] + 1e-12
 
 
-def annulus_mask(grid: Grid, r_lo: float, r_hi: float, center=None) -> np.ndarray:
-    c = np.asarray(center if center is not None else
-                   (grid.spec.center if grid.topology == "polar" else
-                    np.zeros(grid.dim)), dtype=float)
-    d = np.linalg.norm(grid.nodes - c, axis=1)
+def annulus_mask(grid: Grid, r_lo: float, r_hi: float) -> np.ndarray:
+    """Nodes with r_lo <= |x - c| <= r_hi, c the domain centre of a polar
+    grid and the origin of a cartesian one."""
+    c = grid.spec.center if grid.topology == "polar" else np.zeros(grid.dim)
+    d = np.linalg.norm(grid.nodes - np.asarray(c, dtype=float), axis=1)
     return (d >= r_lo - 1e-12) & (d <= r_hi + 1e-12)
 
 

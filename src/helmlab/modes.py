@@ -32,19 +32,22 @@ def mode_field(grid: Grid, ell: int, k: float, parity: str = "cos",
     return GridField(grid, (rad * ang).ravel())
 
 
-def mode_superposition(grid: Grid, k: float, coeffs, center=None) -> GridField:
-    """Linear combination of modes; ``coeffs`` iterates (ell, parity, c)."""
+def mode_superposition(grid: Grid, k: float, coeffs) -> GridField:
+    """Linear combination of modes about the domain centre; ``coeffs``
+    iterates (ell, parity, c)."""
     total = np.zeros(grid.n_nodes)
     for ell, parity, c in coeffs:
-        total += c * mode_field(grid, ell, k, parity, center).values
+        total += c * mode_field(grid, ell, k, parity).values
     return GridField(grid, total)
 
 
 def random_mode_superposition(grid: Grid, k: float, ell_max: int,
-                              rng: np.random.Generator, center=None) -> GridField:
+                              rng: np.random.Generator) -> GridField:
+    """Modes of order 0 .. ell_max about the domain centre, cos and sin,
+    with standard normal coefficients."""
     coeffs = []
     for ell in range(ell_max + 1):
         coeffs.append((ell, "cos", rng.standard_normal()))
         if ell > 0:
             coeffs.append((ell, "sin", rng.standard_normal()))
-    return mode_superposition(grid, k, coeffs, center)
+    return mode_superposition(grid, k, coeffs)

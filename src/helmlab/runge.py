@@ -75,9 +75,6 @@ class ForwardMap:
     def gamma_positions(self) -> np.ndarray:
         return self.chart.positions(self.gamma_ids)
 
-    def restrict(self, f: GridField) -> np.ndarray:
-        return f.values[self.omega1_ids]
-
     def trace_from_gamma(self, gvals: np.ndarray) -> BoundaryTrace:
         vals = np.zeros(self.chart.n)
         vals[self.gamma_positions()] = gvals
@@ -85,12 +82,11 @@ class ForwardMap:
 
 
 def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
-                      chart: BoundaryChart, spectrum=None,
-                      min_layers: int = 4) -> ForwardMap:
+                      chart: BoundaryChart, spectrum=None) -> ForwardMap:
     """One Dirichlet solve per supported-boundary basis function.
 
     Verifies that the complement of the target region is connected and that
-    the target keeps a positive separation from the charted boundary.  When a
+    the target stays at least four grid layers from the charted boundary.  When a
     spectrum report is passed the frequency is required to be admissible.
     A map invariant under rotation (gamma the whole outer circle of a polar
     grid, the region whole rings, the interior operator ring-invariant) is
@@ -101,8 +97,7 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     if not mask_connected(grid, ~omega1_mask):
         raise GeometryViolation("complement of the target region is disconnected")
     # an uncharted inner boundary may touch the region; its data is pinned
-    check_nested_separation(grid, omega1_mask, min_layers,
-                            boundary_ids=chart.node_ids)
+    check_nested_separation(grid, omega1_mask, boundary_ids=chart.node_ids)
 
     omega1_ids = np.intersect1d(np.flatnonzero(omega1_mask), grid.interior_index)
     gamma_ids = np.sort(chart.gamma_ids())
@@ -258,15 +253,16 @@ def expand(system: SvdSystem, v_vals: np.ndarray):
 
 
 def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
-                      v_h1: float, alpha: Optional[float] = None,
-                      spectrum=None) -> RungeApproximant:
+                      v_h1: float,
+                      alpha: Optional[float] = None) -> RungeApproximant:
     """Largest cutoff whose discarded-mode error (plus the out-of-span
     residue) stays within epsilon * v_h1.
 
     ``v`` must carry the target region in its mask; ``v_h1`` is the reference
     norm multiplying epsilon.  Passing ``alpha`` forces the cutoff instead.
     Raises :class:`TargetUnreachable` when full retention cannot meet the
-    budget.
+    budget.  The frequency was guarded when the forward map was built
+    (:func:`build_forward_map`).
     """
     if epsilon <= 0:
         raise TargetUnreachable("epsilon must be positive", "epsilon")
@@ -282,7 +278,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
         n_keep = int(np.sum(sv >= alpha))
     else:
         budget = epsilon * v_h1
-        if math.hypot(residue, 0.0) > budget:
+        if residue > budget:
             raise TargetUnreachable(
                 f"out-of-span residue {residue:.3e} exceeds budget {budget:.3e}",
                 "residue")
@@ -300,7 +296,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
         gvals = np.zeros(fmap.gamma_ids.size)
         cost = 0.0
     g_alpha = fmap.trace_from_gamma(gvals)
-    u_alpha = solve_dirichlet(fmap.op, g=g_alpha, spectrum=spectrum)
+    u_alpha = solve_dirichlet(fmap.op, g=g_alpha)
 
     diff = u_alpha.values[fmap.omega1_ids] - v_vals
     err = math.sqrt(float(np.sum(fmap.wx * diff ** 2)))
@@ -342,16 +338,15 @@ def truncation_energy_identity(fmap: ForwardMap, v: GridField,
 class MaskSolutionBasis:
     """Per-angular-mode solution basis on a submesh, reusable across draws.
 
-    Solves once per Fourier mode of the free Dirichlet ring (ring nodes on
-    the global boundary keep zero data, realizing pinned side conditions) and
-    normalizes each modal response on ``normalize_region`` (default: the
-    mask).  Per-mode normalization keeps accidental near-resonances of the
-    submesh from collapsing the random family onto one mode.
+    Solves once per Fourier mode m <= min(n/2 - 1, 80) of the n free
+    Dirichlet ring nodes (ring nodes on the global boundary keep zero data,
+    realizing pinned side conditions) and normalizes each modal response in
+    L2 on the mask.  Per-mode normalization keeps accidental
+    near-resonances of the submesh from collapsing the random family onto
+    one mode.
     """
 
-    def __init__(self, op: DiscreteOperator, mask: np.ndarray,
-                 m_max: Optional[int] = None,
-                 normalize_region: Optional[np.ndarray] = None):
+    def __init__(self, op: DiscreteOperator, mask: np.ndarray):
         grid = op.grid
         ring = mask_dirichlet_ring(op, mask)
         gb = grid.is_boundary_mask()
@@ -365,8 +360,7 @@ class MaskSolutionBasis:
         center = pts.mean(axis=0)
         ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
         n = free.size
-        if m_max is None:
-            m_max = min(n // 2 - 1, 80)
+        m_max = min(n // 2 - 1, 80)
 
         cols = [np.ones(n)]
         for m in range(1, m_max + 1):
@@ -376,8 +370,7 @@ class MaskSolutionBasis:
         data[free_pos, :] = np.column_stack(cols)
 
         sols = solve_on_mask_multi(op, mask, data)
-        region = mask if normalize_region is None else normalize_region
-        w = grid.quad_weights * region
+        w = grid.quad_weights * mask
         norms = np.sqrt(np.einsum("n,nc->c", w, sols ** 2))
         ok = norms > 1e-13 * norms.max()
         self.grid = grid

@@ -285,18 +285,20 @@ def _dense_fallback(A, M):
     return lam, vecs
 
 
-def _dedupe_clusters(lam, vecs, M, tol=_CLUSTER_TOL):
+def _dedupe_clusters(lam, vecs, M):
     """Merge copies found by overlapping shift windows.
 
-    Within a cluster of nearly equal eigenvalues, a candidate is a duplicate
-    when it lies (in the M inner product) inside the span of the vectors
-    already kept for the cluster; true multiplicities survive because a new
-    independent direction keeps a large orthogonal residual."""
+    Within a cluster of eigenvalues equal to ``_CLUSTER_TOL``, a candidate
+    is a duplicate when it lies (in the M inner product) inside the span of
+    the vectors already kept for the cluster; true multiplicities survive
+    because a new independent direction keeps a large orthogonal
+    residual."""
     keep_idx = []
     cluster = []          # M-orthonormalized kept vectors of current cluster
     cluster_ref = None
     for i in range(lam.size):
-        if cluster_ref is None or abs(lam[i] - cluster_ref) > tol * max(abs(lam[i]), 1.0):
+        if cluster_ref is None or abs(lam[i] - cluster_ref) > \
+                _CLUSTER_TOL * max(abs(lam[i]), 1.0):
             cluster = []
             cluster_ref = lam[i]
         v = vecs[:, i]
@@ -355,15 +357,16 @@ def find_admissible_k(report: SpectrumReport, k_target: float,
     return best[1]
 
 
-def weyl_exponent(report: SpectrumReport, skip: int = 3) -> float:
+def weyl_exponent(report: SpectrumReport) -> float:
     """Fitted growth power of the counting function N(E) ~ E^p over the
-    computed range (sanity check: p should be near dim/2)."""
+    computed range past the first three eigenvalues (sanity check: p should
+    be near dim/2)."""
     lam = report.eigenvalues
     lam = lam[lam > 0]
-    if lam.size < skip + 5:
+    if lam.size < 8:
         raise SpectrumTooShort("too few eigenvalues for a Weyl fit")
     counts = np.arange(1, lam.size + 1)
-    x = np.log(lam[skip:])
-    y = np.log(counts[skip:])
+    x = np.log(lam[3:])
+    y = np.log(counts[3:])
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)

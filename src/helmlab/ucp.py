@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -234,23 +233,20 @@ def _level_curve(grid: Grid, delta: float) -> np.ndarray:
 
 def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
                     eta: float, M: float, epsilon: float, fit: ExponentFit,
-                    boundary_fit: Optional[ExponentFit] = None,
-                    mu_hat: float = 0.5,
-                    sobolev_constant: float = 1.0,
-                    level_ratio: float = 0.91) -> ChainResult:
+                    sobolev_constant: float = 1.0) -> ChainResult:
     """Propagate boundary smallness into the deep set with the fitted
     three-balls inequality.
 
     Chain balls are geometric (not grid-bound): centers sit on inward level
-    sets of the boundary distance with radius depth/4, levels shrinking by a
-    fixed ratio from the inradius down to ``epsilon``, so the chain depth
+    sets of the boundary distance with radius depth/4, levels shrinking by
+    the ratio 0.91 from the inradius down to ``epsilon``, so the chain depth
     grows like log(1/epsilon).  A ball is certified once its half-ball lies
     inside an already certified ball, which iterates
 
         m_next = C(k) M^(1-alpha) m^alpha
 
-    starting from the boundary-bulk envelope at a start ball on the data
-    sub-boundary; a KD-tree over the centers yields each ball's edges.  The
+    starting from the envelope C(k) (M+eta)^(1-alpha) eta^alpha of ``fit``
+    at a start ball on the data sub-boundary; a KD-tree over the centers yields each ball's edges.  The
     deep nodes are then covered greedily by certified balls in order of
     value.  A KD-tree over the grid nodes proposes each ball's candidate
     nodes and the exact distance test |x - c| <= r decides membership, so
@@ -258,7 +254,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     W_eps is bounded by the exact Hoelder step
     ||u||_{L2(W)} <= |W|^(1/4) ||u||_{L4} <= |W|^(1/4) C_S M (plane
     exponents).  Also evaluates the closed-form logarithmic bound
-    k |log(eta/(M+eta))|^(-mu_hat) (M+eta) with unit constant.
+    k |log(eta/(M+eta))|^(-1/2) (M+eta) with unit constant.
     """
     grid = op.grid
     k = op.k
@@ -272,7 +268,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     bound_layer = sobolev_constant * layer_measure ** 0.25 * M
 
     ratio = eta / (M + eta) if (M + eta) > 0 else 0.0
-    bound_log = (k * abs(math.log(ratio)) ** (-mu_hat) * (M + eta)
+    bound_log = (k * abs(math.log(ratio)) ** -0.5 * (M + eta)
                  if 0.0 < ratio < 1.0 else 0.0)
 
     if eta == 0.0:
@@ -290,7 +286,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         raise ChainBlocked(f"epsilon={epsilon:g} at or above the inradius scale")
     levels = [d_top]
     while levels[-1] > epsilon:
-        levels.append(max(levels[-1] * level_ratio, 0.999 * epsilon))
+        levels.append(max(levels[-1] * 0.91, 0.999 * epsilon))
     centers, radii = [], []
     for dl in levels:
         pts = _level_curve(grid, dl)
@@ -309,16 +305,15 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         off = grid.nodes[chart.node_ids[~chart.gamma_mask]]
         r0 = min(0.25 * float(np.min(np.linalg.norm(off - x0, axis=1))),
                  0.5 * d_top)
-    bfit = boundary_fit if boundary_fit is not None else fit
-    a0 = bfit.alpha_hat
-    m0 = min(math.exp(bfit.log_c(k)) * (M + eta) ** (1 - a0) * eta ** a0, M)
+    a = fit.alpha_hat
+    c_k = math.exp(fit.log_c(k))
+    m0 = min(c_k * (M + eta) ** (1 - a) * eta ** a, M)
 
     seed = np.linalg.norm(centers - x0, axis=1) + radii <= r0
     if not np.any(seed):
         raise ChainBlocked("start ball reaches no chain ball; enlarge gamma "
                            "or epsilon")
-    a = fit.alpha_hat
-    amp = math.exp(fit.log_c(k)) * M ** (1 - a)
+    amp = c_k * M ** (1 - a)
     value, hops = _certify(centers, radii, seed, m0,
                            lambda m: min(amp * m ** a, M))
     unreached = int(np.count_nonzero(np.isinf(value)))

@@ -1,0 +1,118 @@
+"""Every defaulted parameter of the package is set by at least one caller.
+
+A default that no call in ``src``, ``tests`` or ``perfbench`` overrides is a
+configuration that nothing runs; it belongs inside its function as a
+constant.  The audit parses the sources with ``ast`` and matches calls to
+definitions by name: ``f(...)`` and ``obj.f(...)`` reach every definition
+named ``f``, and ``Cls(...)`` reaches ``Cls.__init__``.  A parameter counts
+as passed when a call names it as a keyword, fills its position, or spreads
+``*args`` over it or ``**kwargs`` into the call.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "helmlab"
+CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool):
+    """(name, position or None) of each defaulted parameter; positions
+    count from the first argument a caller writes (after ``self``)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method else 0
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _definitions():
+    """{call name: [(qualified name, defaulted parameters)]}."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    item.owner = node.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = getattr(node, "owner", None)
+            params = _defaulted(node, owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list))
+            if not params:
+                continue
+            key = owner if owner and node.name == "__init__" else node.name
+            qual = ".".join(filter(None, (path.stem, owner, node.name)))
+            defs.setdefault(key, []).append((qual, params))
+    return defs
+
+
+def _calls():
+    """Every call in the caller trees as (name, positional count, keyword
+    names, spreads *args, spreads **kwargs)."""
+    out = []
+    for base in CALLERS:
+        for path in sorted(base.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                if name is None:
+                    continue
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                kws = {k.arg for k in node.keywords if k.arg is not None}
+                dstar = any(k.arg is None for k in node.keywords)
+                out.append((name, n_pos, kws, star, dstar))
+    return out
+
+
+def _passed(param, calls) -> bool:
+    name, pos = param
+    for n_pos, kws, star, dstar in calls:
+        if name in kws or dstar:
+            return True
+        if pos is not None and (pos < n_pos or star):
+            return True
+    return False
+
+
+def audit():
+    """(all defaulted parameters, those no call passes), as qualified
+    ``module.function(parameter)`` strings."""
+    calls = {}
+    for name, *rest in _calls():
+        calls.setdefault(name, []).append(rest)
+    every, unpassed = [], []
+    for key, entries in _definitions().items():
+        for qual, params in entries:
+            for param in params:
+                label = f"{qual}({param[0]})"
+                every.append(label)
+                if not _passed(param, calls.get(key, [])):
+                    unpassed.append(label)
+    return sorted(every), sorted(unpassed)
+
+
+def test_every_default_is_overridden_by_some_caller():
+    every, unpassed = audit()
+    assert every, "the audit found no defaulted parameters"
+    assert not unpassed, (
+        f"{len(unpassed)} of {len(every)} defaulted parameters are never "
+        "passed:\n" + "\n".join(unpassed))
+
+
+if __name__ == "__main__":
+    every, unpassed = audit()
+    print(len(every), "defaulted;", len(unpassed), "never passed")
+    print("\n".join(unpassed))

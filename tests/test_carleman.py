@@ -4,11 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from helmlab import assembly
 from helmlab.assembly import assemble
 from helmlab.carleman import (adapted_compact_sample, carleman_check,
                               commutator_min, divergence_splitting,
                               improved_ucp_probe, random_compact_sample)
-from helmlab.errors import HypothesisViolated, SupportViolation
+from helmlab.errors import HypothesisViolated, SolverBreakdown, SupportViolation
 from helmlab.fields import GridField
 from helmlab.geometry import DomainSpec, build_grid
 from helmlab.profiles import make_medium
@@ -46,6 +47,16 @@ def test_divergence_mode():
     assert s.divergence_mode
     assert 0.0 < s.ratio < 1.0
     assert s.rhs_terms[1] > 0.0      # the max(tau, k)-weighted part is active
+
+
+def test_divergence_splitting_checks_its_poisson_solve(monkeypatch):
+    # the potential's solve meets the residual check every solve meets: with
+    # a zero tolerance no refinement can pass it
+    grid, med = _grid_medium()
+    u = random_compact_sample(grid, np.random.default_rng(1))
+    monkeypatch.setattr(assembly, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(SolverBreakdown):
+        divergence_splitting(grid, med, 5.0, u)
 
 
 def test_support_guards():

@@ -66,6 +66,18 @@ def test_pinch_violation_flagged():
     assert any("pinch" in m or "kappa" in m for m in msgs)
 
 
+@pytest.mark.parametrize("q", [
+    {"profile": "constant", "value": -1.0},
+    {"profile": "bump", "amplitude": -1.0, "center": [1.5, 1.5],
+     "radius": 0.5}])
+def test_nonpositive_q_flagged_as_pinch_violation(q):
+    # without kappa the pinch is fitted to q, and no kappa admits q <= 0
+    cfg = _spectrum_cfg()
+    cfg["medium"] = {"q": q}
+    msgs = validate_config(cfg)
+    assert any(m.startswith("medium violates the pinch bounds") for m in msgs)
+
+
 def test_monotone_requirement_flagged():
     cfg = {
         "experiment": "runge_sweep",
