@@ -373,10 +373,11 @@ def weak_neumann_trace(op: DiscreteOperator, u: GridField,
     chart: ell(phi) = sum_b (w f - L u)_b phi_b.  Raises
     :class:`NotASolution` unless the interior rows vanish to 1e-8 of L u."""
     w = op.grid.quad_weights
-    resid = -(op.L @ u.values)
+    lu = op.L @ u.values
+    resid = -lu
     if f is not None:
         resid = resid + w * f.values
-    scale = max(float(np.max(np.abs(op.L @ u.values))), 1e-300)
+    scale = max(float(np.max(np.abs(lu))), 1e-300)
     interior_resid = np.max(np.abs(resid[op.interior]))
     if interior_resid > 1e-8 * scale:
         raise NotASolution(

@@ -55,17 +55,17 @@ def _weighted_l2(grid: Grid, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grid.quad_weights * values ** 2)))
 
 
-def _collar_mask(grid: Grid, layers: int = 2) -> np.ndarray:
-    """Nodes at least ``layers`` rings away from both circles."""
+def _collar_mask(grid: Grid) -> np.ndarray:
+    """Nodes at least 2 rings away from both circles."""
     n_r, n_t = grid.lattice_shape
     ring = np.repeat(np.arange(n_r), n_t)
-    return (ring >= layers) & (ring <= n_r - 1 - layers)
+    return (ring >= 2) & (ring <= n_r - 3)
 
 
 def check_support(u: GridField) -> None:
     """Raise :class:`SupportViolation` unless ``u`` vanishes on the 2-ring
     collar of the annulus."""
-    inside = _collar_mask(u.grid, 2)
+    inside = _collar_mask(u.grid)
     mx = float(np.max(np.abs(u.values), initial=0.0))
     if mx == 0.0:
         return
@@ -162,7 +162,7 @@ def divergence_splitting(grid: Grid, medium: Medium, k: float,
     grads = masked_gradient(grid, p, np.ones(grid.n_nodes, bool))
     n_r, n_t = grid.lattice_shape
     th = np.tile(grid.thetas, n_r)
-    chi = _collar_mask(grid, 2).astype(float)
+    chi = _collar_mask(grid).astype(float)
     fx = chi * (grads[0] * np.cos(th) - grads[1] * np.sin(th))
     fy = chi * (grads[0] * np.sin(th) + grads[1] * np.cos(th))
     fv = rho - _polar_divergence(grid, fx, fy)

@@ -42,17 +42,36 @@ from .geometry import DomainSpec, boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
 from .profiles import make_medium
 from .runge import aggregate_median, sweep_and_fit, sweep_params
-from .spectral import check_admissibility, compute_sigma, find_admissible_k, \
-    weyl_exponent
+from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
+    find_admissible_k, weyl_exponent
 from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
 
 _TOP_KEYS = {"experiment", "domain", "medium", "k_list", "epsilon_list",
-             "seeds", "seed", "output_dir", "admissibility_c", "h",
-             "tolerances", "params"}
+             "seeds", "seed", "output_dir", "h", "tolerances", "params"}
 _DOMAIN_KEYS = {"kind", "radius", "center", "r_inner", "r_outer", "corners",
                 "rectangles", "gamma"}
 _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
+
+# each experiment's accepted ``params`` keys and their defaults; runge_sweep
+# also accepts the keys of :func:`sweep_params`, whose defaults depend on the
+# scenario
+_PARAMS = {
+    "spectrum": {"count": 24},
+    "solve": {"data_decay": 1.0},
+    "runge_sweep": {"scenario": "interior"},
+    "three_balls": {"r": 0.16, "ell_margin": 8,
+                    "centers": [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22],
+                                [0.3, 0.0], [0.0, -0.3]]},
+    "chain": {"r": 0.16},
+    "carleman": {"tau_list": [10, 20, 40, 80], "samples_per_cell": 16,
+                 "generic_per_cell": 3},
+    "improved_ucp": {"delta_list": [0.1, 0.2, 0.4], "ell_span": 24},
+    "bessel_optimality": {"n": 2, "ell_list": [12, 16, 20]},
+    "calderon": {"amplitudes": [0.5, 1.0, 2.0],
+                 "perturbation": {"profile": "bump", "center": [0.5, 0.5, 0.5],
+                                  "radius": 0.25}},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +130,16 @@ def validate_config(cfg: dict) -> list:
     if exp not in _RUNNERS:
         problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")
         return problems
+    params = cfg.get("params", {})
+    accepted = set(_PARAMS[exp])
+    if exp == "runge_sweep":
+        accepted |= set(sweep_params("interior"))
+    if not isinstance(params, dict):
+        problems.append("params must be an object")
+        params = {}
+    elif set(params) - accepted:
+        problems.append(f"unknown params keys {sorted(set(params) - accepted)} "
+                        f"for {exp}; valid: {sorted(accepted)}")
 
     dom = cfg.get("domain")
     spec = None
@@ -134,7 +163,7 @@ def validate_config(cfg: dict) -> list:
             problems.append(f"medium.{side} profile malformed")
 
     needs_monotone = exp in ("carleman", "improved_ucp") or \
-        (exp == "runge_sweep" and cfg.get("params", {}).get("scenario") == "convex")
+        (exp == "runge_sweep" and params.get("scenario") == "convex")
     if spec is not None and not problems:
         problems.extend(_assumption_report(cfg, spec, med, needs_monotone))
     return problems
@@ -167,11 +196,10 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
         try:
             rep = compute_sigma(grid, medium, 24,
                                 shifts=tuple(float(k) ** 2 for k in k_list))
-            c = cfg.get("admissibility_c", 0.01)
             lam = rep.eigenvalues
             for k in k_list:
                 try:
-                    rec = check_admissibility(float(k), rep, c=c)
+                    rec = check_admissibility(float(k), rep)
                 except SpectrumTooShort:
                     continue
                 # on the coarse probe grid the eigenvalues themselves carry a
@@ -256,7 +284,7 @@ def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
     ``extra``.  ``(name, columns, rows)`` is a CSV file and ``(name,
     payload)`` a JSON document.  Returns the written paths."""
     man = {"config_sha256": config_hash(cfg), "code_version": __version__,
-           "admissibility_c": cfg.get("admissibility_c", 0.01),
+           "admissibility_c": C_ADMISSIBILITY,
            "tolerances": cfg.get("tolerances", {}), **extra}
     return [write_csv(out / name, man, *body) if len(body) == 2
             else write_json(out / name, man, *body)
@@ -269,6 +297,11 @@ def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
 
 # frequencies the Carleman uniformity scan checks when the config names none
 _CARLEMAN_KS = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def _params(cfg) -> dict:
+    """The config's ``params`` over the defaults of its experiment."""
+    return {**_PARAMS[cfg["experiment"]], **cfg.get("params", {})}
 
 
 def _setup(cfg, k_default=(1.0,), kappa_default=None):
@@ -290,10 +323,9 @@ def _setup(cfg, k_default=(1.0,), kappa_default=None):
 
 def run_spectrum(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
-    count = int(cfg.get("params", {}).get("count", 24))
+    count = int(_params(cfg)["count"])
     shifts = tuple(k * k for k in k_list) if cfg.get("k_list") else (0.0,)
-    rep = compute_sigma(grid, medium, count, shifts=shifts,
-                        c_admissibility=cfg.get("admissibility_c", 0.01))
+    rep = compute_sigma(grid, medium, count, shifts=shifts)
     payload = rep.to_dict()
     try:
         payload["weyl_exponent"] = weyl_exponent(rep)
@@ -305,14 +337,12 @@ def run_spectrum(cfg, out: Path) -> list:
 def run_solve(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
-    rep = compute_sigma(grid, medium, 24, shifts=(k * k,),
-                        c_admissibility=cfg.get("admissibility_c", 0.01))
+    rep = compute_sigma(grid, medium, 24, shifts=(k * k,))
     chart = boundary_chart(grid)
-    params = cfg.get("params", {})
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     lam, E = chart.modal()
     coeff = rng.standard_normal(lam.size) * (1.0 + lam) ** (-float(
-        params.get("data_decay", 1.0)))
+        _params(cfg)["data_decay"]))
     gvals = chart.synthesize(coeff)
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = assembly.solve_dirichlet(assemble(grid, medium, k), g=trace,
@@ -327,8 +357,8 @@ def run_solve(cfg, out: Path) -> list:
 
 
 def run_runge_sweep(cfg, out: Path) -> list:
-    params = dict(cfg.get("params", {}))
-    scenario = params.pop("scenario", "interior")
+    params = _params(cfg)
+    scenario = params.pop("scenario")
     overrides = {}
     if cfg.get("k_list"):
         overrides["k_list"] = tuple(float(k) for k in cfg["k_list"])
@@ -356,14 +386,11 @@ def run_runge_sweep(cfg, out: Path) -> list:
 
 def run_three_balls(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
-    params = cfg.get("params", {})
-    r = float(params.get("r", 0.16))
-    centers = params.get("centers",
-                         [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22],
-                          [0.3, 0.0], [0.0, -0.3]])
+    params = _params(cfg)
+    r, centers = float(params["r"]), params["centers"]
     rows, samples = [], []
     for k in k_list:
-        ell_max = int(params.get("ell_margin", 8) + 2 * k)
+        ell_max = int(params["ell_margin"] + 2 * k)
         for ell in range(0, ell_max + 1):
             u = mode_field(grid, ell, k)
             for c in centers:
@@ -390,14 +417,14 @@ def run_three_balls(cfg, out: Path) -> list:
 def run_chain(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
-    params = cfg.get("params", {})
+    r = float(_params(cfg)["r"])
     eps_list = [float(e) for e in cfg.get("epsilon_list", [0.2, 0.1, 0.05, 0.025])]
 
     samples = []
     for ell in range(0, int(2 * k) + 9):
         u = mode_field(grid, ell, k)
         for c in [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22], [0.3, 0.0]]:
-            t = three_ball_ratio(u, c, float(params.get("r", 0.16)), k)
+            t = three_ball_ratio(u, c, r, k)
             if not t.degenerate():
                 samples.append(t)
     fit = estimate_exponent(samples)
@@ -429,10 +456,10 @@ def run_chain(cfg, out: Path) -> list:
 
 def run_carleman(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg, k_default=_CARLEMAN_KS)
-    params = cfg.get("params", {})
-    taus = [float(t) for t in params.get("tau_list", [10, 20, 40, 80])]
-    n_adapted = int(params.get("samples_per_cell", 16))
-    n_generic = int(params.get("generic_per_cell", 3))
+    params = _params(cfg)
+    taus = [float(t) for t in params["tau_list"]]
+    n_adapted = int(params["samples_per_cell"])
+    n_generic = int(params["generic_per_cell"])
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     rows = []
     worst = {}
@@ -470,17 +497,15 @@ def run_carleman(cfg, out: Path) -> list:
 
 def run_improved_ucp(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg)
-    params = cfg.get("params", {})
-    deltas = [float(d) for d in params.get("delta_list", [0.1, 0.2, 0.4])]
-    rep = compute_sigma(grid, medium, 40,
-                        shifts=tuple(k * k for k in k_list),
-                        c_admissibility=cfg.get("admissibility_c", 0.01))
+    params = _params(cfg)
+    deltas = [float(d) for d in params["delta_list"]]
+    rep = compute_sigma(grid, medium, 40, shifts=tuple(k * k for k in k_list))
     rows = []
     for kt in k_list:
         k = find_admissible_k(rep, kt)
         op = assemble(grid, medium, k)
         for delta in deltas:
-            for ell in range(int(k) + 2, int(k) + int(params.get("ell_span", 24))):
+            for ell in range(int(k) + 2, int(k) + int(params["ell_span"])):
                 try:
                     pr = improved_ucp_probe(op, k, delta, ell=ell, spectrum=rep)
                 except HypothesisViolated:
@@ -504,10 +529,10 @@ def run_improved_ucp(cfg, out: Path) -> list:
 
 
 def run_bessel_optimality(cfg, out: Path) -> list:
-    params = cfg.get("params", {})
+    params = _params(cfg)
     k = float(cfg.get("k_list", [2.0])[0])
-    n = int(params.get("n", 2))
-    ells = [int(e) for e in params.get("ell_list", [12, 16, 20])]
+    n = int(params["n"])
+    ells = [int(e) for e in params["ell_list"]]
     rows = []
     for ell in ells:
         rec = optimality_lower_bound(k, ell, n=n)
@@ -523,14 +548,11 @@ def run_bessel_optimality(cfg, out: Path) -> list:
 
 def run_calderon(cfg, out: Path) -> list:
     grid, medium, k_list, h = _setup(cfg, kappa_default=1.01)
-    params = cfg.get("params", {})
-    amplitudes = [float(a) for a in params.get("amplitudes", [0.5, 1.0, 2.0])]
-    pert = params.get("perturbation",
-                      {"profile": "bump", "center": [0.5, 0.5, 0.5],
-                       "radius": 0.25})
+    params = _params(cfg)
+    amplitudes = [float(a) for a in params["amplitudes"]]
+    pert = params["perturbation"]
     chart = boundary_chart(grid)
-    rep = compute_sigma(grid, medium, 20,
-                        c_admissibility=cfg.get("admissibility_c", 0.01))
+    rep = compute_sigma(grid, medium, 20)
     rows, records = [], []
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     worst_identity = 0.0
@@ -617,8 +639,12 @@ def main(argv=None) -> int:
             print("valid" if not problems else f"{len(problems)} problem(s)")
             return 0
         if args.command == "sigma":
-            cfg = dict(cfg)
-            cfg["experiment"] = "spectrum"
+            # the spectrum of the configured domain and medium: the params
+            # of the config's own experiment do not apply to it
+            cfg = dict(cfg, experiment="spectrum")
+            if isinstance(cfg.get("params"), dict):
+                cfg["params"] = {key: v for key, v in cfg["params"].items()
+                                 if key in _PARAMS["spectrum"]}
         paths = run_experiment(cfg, out_dir=args.out)
         for p in paths:
             print(p)

@@ -20,6 +20,7 @@ a field to an inner region is an index selection with no interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -103,17 +104,10 @@ class DomainSpec:
             return np.pi * self.radius ** 2
         if self.kind == "annulus":
             return np.pi * (self.r_outer ** 2 - self.r_inner ** 2)
-        if self.kind in ("rectangle", "box"):
-            a = np.asarray(self.corners[0], dtype=float)
-            b = np.asarray(self.corners[1], dtype=float)
-            return float(np.prod(np.abs(b - a)))
-        if self.kind == "masked_union":
-            # rectangles may not overlap (checked in build); sum is exact
-            total = 0.0
-            for a, b in self.rectangles:
-                total += float(np.prod(np.abs(np.asarray(b, float) - np.asarray(a, float))))
-            return total
-        raise GeometryViolation(self.kind)
+        # a block is a union of one rectangle; the sum over union
+        # rectangles is exact only when they do not overlap
+        rects = np.asarray(self.rectangles or (self.corners,), dtype=float)
+        return float(np.prod(np.abs(rects[:, 1] - rects[:, 0]), axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +203,28 @@ def _build_polar(spec: DomainSpec, h: float) -> Grid:
 
     lattice_id = np.arange(n_rings * n_theta).reshape(n_rings, n_theta)
 
-    boundary_rings = [n_rings - 1] + ([0] if inner_is_boundary else [])
-    boundary = np.concatenate([lattice_id[i] for i in boundary_rings])
-    interior = np.setdiff1d(np.arange(n_rings * n_theta), boundary)
+    # the outer ring is boundary, and so is the inner ring of an annulus
+    on_boundary = np.arange(n_rings) == n_rings - 1
+    on_boundary[0] = inner_is_boundary
 
     # radial cell extent per ring; boundary rings carry half cells
-    ext = np.full(n_rings, dr)
-    ext[n_rings - 1] = dr / 2.0
-    if inner_is_boundary:
-        ext[0] = dr / 2.0
+    ext = np.where(on_boundary, dr / 2.0, dr)
     weights = (radii * ext)[:, None] * dtheta * np.ones((1, n_theta))
 
-    # flux edges
-    ei, ej, ec = [], [], []
-    # radial edges between consecutive rings (face at the mid radius)
-    for i in range(n_rings - 1):
-        rf = 0.5 * (radii[i] + radii[i + 1])
-        c = rf * dtheta / dr
-        ei.append(lattice_id[i])
-        ej.append(lattice_id[i + 1])
-        ec.append(np.full(n_theta, c))
-    # angular edges around each ring
-    for i in range(n_rings):
-        c = ext[i] / (radii[i] * dtheta)
-        ei.append(lattice_id[i])
-        ej.append(np.roll(lattice_id[i], -1))
-        ec.append(np.full(n_theta, c))
+    # flux edges: radial ones between consecutive rings (face at the mid
+    # radius), then angular ones around each ring
+    c_radial = 0.5 * (radii[:-1] + radii[1:]) * dtheta / dr
+    c_angular = ext / (radii * dtheta)
 
     grid = Grid(
         spec=spec, topology="polar", h=h, nodes=nodes,
-        interior_index=interior, boundary_index=np.sort(boundary),
+        interior_index=lattice_id[~on_boundary].ravel(),
+        boundary_index=lattice_id[on_boundary].ravel(),
         quad_weights=weights.ravel(),
-        edges=(np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)),
+        edges=(np.concatenate([lattice_id[:-1].ravel(), lattice_id.ravel()]),
+               np.concatenate([lattice_id[1:].ravel(),
+                               np.roll(lattice_id, -1, axis=1).ravel()]),
+               np.repeat(np.concatenate([c_radial, c_angular]), n_theta)),
         lattice_shape=(n_rings, n_theta), lattice_id=lattice_id,
         radii=radii, thetas=thetas, dr=dr, dtheta=dtheta,
     )
@@ -263,61 +247,37 @@ def _build_cartesian_block(spec: DomainSpec, h: float) -> Grid:
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     dim = lo.size
 
-    axes, spac = [], []
-    for d in range(dim):
-        xs, hd = _axis_nodes(lo[d], hi[d], h)
-        axes.append(xs)
-        spac.append(hd)
-    spacings = np.asarray(spac)
+    axes, spacings = zip(*(_axis_nodes(a, b, h) for a, b in zip(lo, hi)))
+    spacings = np.asarray(spacings)
     shape = tuple(len(xs) for xs in axes)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
     lattice_id = np.arange(nodes.shape[0]).reshape(shape)
 
-    idx = np.indices(shape)
-    on_edge = np.zeros(shape, dtype=bool)
-    for d in range(dim):
-        on_edge |= (idx[d] == 0) | (idx[d] == shape[d] - 1)
-    boundary = lattice_id[on_edge]
-    interior = lattice_id[~on_edge]
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(1, -1),) * dim] = True
 
-    # per-axis cell extents, halved at the two ends
-    exts = []
-    for d in range(dim):
-        e = np.full(shape[d], spacings[d])
-        e[0] = e[-1] = spacings[d] / 2.0
-        exts.append(e)
-    wgrid = exts[0].copy()
-    for d in range(1, dim):
-        wgrid = np.multiply.outer(wgrid, exts[d])
+    # per-axis cell extents, halved at the two ends, as an open mesh
+    exts = np.ix_(*[np.r_[s / 2.0, np.full(n - 2, s), s / 2.0]
+                    for n, s in zip(shape, spacings)])
 
     ei, ej, ec = [], [], []
     for d in range(dim):
-        sl_a = [slice(None)] * dim
-        sl_b = [slice(None)] * dim
-        sl_a[d] = slice(0, shape[d] - 1)
-        sl_b[d] = slice(1, shape[d])
-        a_ids = lattice_id[tuple(sl_a)].ravel()
-        b_ids = lattice_id[tuple(sl_b)].ravel()
+        sl_a = (slice(None),) * d + (slice(0, -1),)
+        sl_b = (slice(None),) * d + (slice(1, None),)
         # face measure = product of transverse extents (same for both nodes
         # on axis-aligned blocks)
-        face = np.ones(shape)
-        for t in range(dim):
-            if t == d:
-                continue
-            sh = [1] * dim
-            sh[t] = shape[t]
-            face = face * exts[t].reshape(sh)
-        face_a = face[tuple(sl_a)].ravel()
-        ei.append(a_ids)
-        ej.append(b_ids)
-        ec.append(face_a / spacings[d])
+        face = np.broadcast_to(reduce(np.multiply, exts[:d] + exts[d + 1:]),
+                               shape)
+        ei.append(lattice_id[sl_a].ravel())
+        ej.append(lattice_id[sl_b].ravel())
+        ec.append(face[sl_a].ravel() / spacings[d])
 
     grid = Grid(
         spec=spec, topology="cartesian", h=h, nodes=nodes,
-        interior_index=np.sort(interior), boundary_index=np.sort(boundary),
-        quad_weights=wgrid.ravel(),
+        interior_index=lattice_id[inner], boundary_index=lattice_id[~inner],
+        quad_weights=reduce(np.multiply, exts).ravel(),
         edges=(np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)),
         lattice_shape=shape, lattice_id=lattice_id,
         origin=lo, spacings=spacings,
@@ -380,15 +340,13 @@ def _build_masked_union(spec: DomainSpec, h: float) -> Grid:
     ei, ej, ec = [], [], []
     # flux faces probed at the two face-half midpoints (exact for aligned
     # unions, including reentrant corners)
-    for axis, normal in ((0, np.array([h / 2, 0.0])),
-                        (1, np.array([0.0, h / 2]))):
-        sl_a = (slice(0, -1), slice(None)) if axis == 0 else (slice(None), slice(0, -1))
-        sl_b = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+    for axis, tang in ((0, np.array([0.0, h / 4])), (1, np.array([h / 4, 0.0]))):
+        sl_a = (slice(None),) * axis + (slice(0, -1),)
+        sl_b = (slice(None),) * axis + (slice(1, None),)
         ok = kept[sl_a] & kept[sl_b]
         a_ids = lattice_id[sl_a][ok]
         b_ids = lattice_id[sl_b][ok]
         mid = 0.5 * (pts[sl_a][ok] + pts[sl_b][ok])
-        tang = np.array([0.0, h / 4]) if axis == 0 else np.array([h / 4, 0.0])
         face = (h / 2) * (in_closure(mid + tang).astype(float)
                           + in_closure(mid - tang).astype(float))
         ei.append(a_ids); ej.append(b_ids); ec.append(face / h)
@@ -571,26 +529,24 @@ class BoundaryChart:
         return lam, E
 
     def _surface_stiffness(self) -> np.ndarray:
-        n = self.n
-        pos = {int(g): i for i, g in enumerate(self.node_ids)}
-        L = np.zeros((n, n))
+        pos = np.full(self.grid.n_nodes, -1)
+        pos[self.node_ids] = np.arange(self.n)
         ei, ej, _ = self.grid.edges
-        gi = np.asarray([pos.get(int(a), -1) for a in ei])
-        gj = np.asarray([pos.get(int(b), -1) for b in ej])
-        keep = (gi >= 0) & (gj >= 0)
-        for a, b in zip(gi[keep], gj[keep]):
-            p = self.grid.nodes[self.node_ids[a]]
-            q = self.grid.nodes[self.node_ids[b]]
-            dist = float(np.linalg.norm(p - q))
-            if self.grid.dim == 2:
-                c = 1.0 / dist
-            else:
-                # tangential face measure: smaller of the two node areas / dist
-                c = min(self.weights[a], self.weights[b]) / dist ** 2
-            L[a, a] += c
-            L[b, b] += c
-            L[a, b] -= c
-            L[b, a] -= c
+        keep = (pos[ei] >= 0) & (pos[ej] >= 0)
+        ei, ej = ei[keep], ej[keep]
+        a, b = pos[ei], pos[ej]
+        dist = np.linalg.norm(self.grid.nodes[ei] - self.grid.nodes[ej], axis=1)
+        if self.grid.dim == 2:
+            c = 1.0 / dist
+        else:
+            # tangential face measure: smaller of the two node areas / dist
+            c = np.minimum(self.weights[a], self.weights[b]) / dist ** 2
+        # one unbuffered add of (a,a), (b,b), (a,b), (b,a) edge by edge, so
+        # each diagonal sums its couplings in edge-list order
+        L = np.zeros((self.n, self.n))
+        np.add.at(L, (np.column_stack([a, b, a, b]).ravel(),
+                      np.column_stack([a, b, b, a]).ravel()),
+                  np.column_stack([c, c, -c, -c]).ravel())
         return L
 
     # -- norms in the (1 + lambda)^s scale ------------------------------------
@@ -647,11 +603,11 @@ def _polar_chart(grid: Grid, gamma) -> BoundaryChart:
     if gamma == "full":
         mask = np.ones(n_theta, dtype=bool)
     elif isinstance(gamma, dict) and "angles" in gamma:
-        mask = np.zeros(n_theta, dtype=bool)
-        for a, b in gamma["angles"]:
-            a, b = float(a), float(b)
-            th = np.mod(grid.thetas - a, _TWO_PI)
-            mask |= (th > 1e-12) & (th < np.mod(b - a, _TWO_PI) - 1e-12)
+        # one column per arc (a, b), open at both ends
+        a, b = np.asarray(gamma["angles"], dtype=float).reshape(-1, 2).T
+        th = np.mod(grid.thetas[:, None] - a, _TWO_PI)
+        mask = np.any((th > 1e-12) & (th < np.mod(b - a, _TWO_PI) - 1e-12),
+                      axis=1)
     else:
         raise GeometryViolation(f"bad gamma descriptor for circle: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
@@ -660,20 +616,12 @@ def _polar_chart(grid: Grid, gamma) -> BoundaryChart:
 
 def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
     if grid.spec.kind == "rectangle":
-        shape = grid.lattice_shape
-        nx, ny = shape[0] - 1, shape[1] - 1
+        # counterclockwise from the corner at lo, each side without its end
         lid = grid.lattice_id
-        seq, names = [], []
-        for i in range(0, nx):
-            seq.append(lid[i, 0]); names.append("bottom")
-        for j in range(0, ny):
-            seq.append(lid[nx, j]); names.append("right")
-        for i in range(nx, 0, -1):
-            seq.append(lid[i, ny]); names.append("top")
-        for j in range(ny, 0, -1):
-            seq.append(lid[0, j]); names.append("left")
-        ids = np.asarray(seq)
-        names = np.asarray(names)
+        ids = np.concatenate([lid[:-1, 0], lid[-1, :-1], lid[:0:-1, -1],
+                              lid[0, :0:-1]])
+        nx, ny = lid.shape[0] - 1, lid.shape[1] - 1
+        names = np.repeat(["bottom", "right", "top", "left"], [nx, ny, nx, ny])
     else:
         ids, names = _walk_boundary_cycle(grid)
 
@@ -688,13 +636,10 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
     if gamma == "full":
         mask = np.ones(ids.size, dtype=bool)
     elif isinstance(gamma, dict) and "edges" in gamma and names is not None:
-        wanted = set(gamma["edges"])
-        mask = np.isin(names, list(wanted))
-        # relatively open subset: drop nodes shared with an unselected edge
-        prev_name = np.roll(names, 1)
-        for t in range(ids.size):
-            if mask[t] and prev_name[t] not in wanted and names[t] in wanted:
-                mask[t] = False
+        mask = np.isin(names, list(gamma["edges"]))
+        # relatively open subset: drop the first node of a selected edge
+        # when the edge before it is unselected (the two share that corner)
+        mask &= np.roll(mask, 1)
     else:
         raise GeometryViolation(f"bad gamma descriptor for perimeter: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
@@ -744,40 +689,28 @@ def _surface_chart(grid: Grid, gamma) -> BoundaryChart:
     hi = grid.origin + grid.spacings * (np.asarray(grid.lattice_shape) - 1)
     sp = grid.spacings
 
-    # accumulate per-face area contributions (nodes on edges/corners get sums)
-    weights = np.zeros(ids.size)
-    for axis in range(3):
-        for side, bound in ((0, lo[axis]), (1, hi[axis])):
-            on_face = np.abs(pts[:, axis] - bound) < 1e-12
-            if not np.any(on_face):
-                continue
-            area = np.ones(int(on_face.sum()))
-            for t in range(3):
-                if t == axis:
-                    continue
-                e = np.full(int(on_face.sum()), sp[t])
-                at_lo = np.abs(pts[on_face, t] - lo[t]) < 1e-12
-                at_hi = np.abs(pts[on_face, t] - hi[t]) < 1e-12
-                e[at_lo | at_hi] = sp[t] / 2.0
-                area *= e
-            weights[on_face] += area
+    # per node and axis: on the lo face, on the hi face, on either
+    at_lo = np.abs(pts - lo) < 1e-12
+    at_hi = np.abs(pts - hi) < 1e-12
+    on_face = at_lo | at_hi
+    # a face cell is the product of its two tangential extents, halved on
+    # the face rim; nodes on edges and corners sum the areas of their faces
+    e = np.where(on_face, sp / 2.0, sp)
+    area = np.where(on_face, e[:, [1, 0, 0]] * e[:, [2, 2, 1]], 0.0)
+    weights = area[:, 0] + area[:, 1] + area[:, 2]
 
     if gamma == "full":
         mask = np.ones(ids.size, dtype=bool)
     elif isinstance(gamma, dict) and "face" in gamma:
         axis = {"x": 0, "y": 1, "z": 2}[gamma["face"][0]]
-        bound = lo[axis] if gamma["face"].endswith("-") else hi[axis]
-        mask = np.abs(pts[:, axis] - bound) < 1e-12
+        tang = [t for t in range(3) if t != axis]
         # relatively open: drop the face rim
-        for t in range(3):
-            if t == axis:
-                continue
-            mask &= (pts[:, t] > lo[t] + 1e-12) & (pts[:, t] < hi[t] - 1e-12)
+        mask = ((at_lo if gamma["face"].endswith("-") else at_hi)[:, axis]
+                & ~on_face[:, tang].any(axis=1))
         if "extent" in gamma:
             elo, ehi = (np.asarray(v, float) for v in gamma["extent"])
-            tang = [t for t in range(3) if t != axis]
-            for d, t in enumerate(tang):
-                mask &= (pts[:, t] > elo[d] - 1e-12) & (pts[:, t] < ehi[d] + 1e-12)
+            mask &= np.all((pts[:, tang] > elo - 1e-12)
+                           & (pts[:, tang] < ehi + 1e-12), axis=1)
     else:
         raise GeometryViolation(f"bad gamma descriptor for box surface: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights, gamma_mask=mask)

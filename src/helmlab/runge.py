@@ -452,8 +452,7 @@ def sweep_params(scenario: str, **overrides) -> dict:
     if scenario not in _SCENARIO_DEFAULTS:
         raise ValueError(f"unknown scenario {scenario!r}")
     params = dict(_SCENARIO_DEFAULTS[scenario])
-    params.update(scenario=scenario, seeds=tuple(range(8)),
-                  c_admissibility=0.01)
+    params.update(scenario=scenario, seeds=tuple(range(8)))
     params.update(overrides)
     return params
 
@@ -473,7 +472,6 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     k_targets = [float(k) for k in p["k_list"]]
     eps_list = [float(e) for e in p["epsilon_list"]]
     seeds = list(p["seeds"])
-    c = p.get("c_admissibility", 0.01)
 
     if scenario == "convex":
         spec = DomainSpec.annulus(0.5, 2.0)
@@ -501,16 +499,15 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
         family = omega1
 
     report = compute_sigma(grid, medium, 60,
-                           shifts=tuple(kt * kt for kt in k_targets),
-                           c_admissibility=c)
+                           shifts=tuple(kt * kt for kt in k_targets))
 
     ks = []
     for kt in k_targets:
-        rec = check_admissibility(kt, report, c=c)
+        rec = check_admissibility(kt, report)
         if rec["admissible"] and rec["dist"] > 3.0 * rec["threshold"]:
             ks.append(kt)
         else:
-            ks.append(find_admissible_k(report, kt, c=c))
+            ks.append(find_admissible_k(report, kt))
     ks = sorted(set(ks))
     if len(ks) < (2 if len(k_targets) > 1 else 1):
         raise InsufficientAdmissibleK(f"only {len(ks)} admissible frequencies")
@@ -524,7 +521,7 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
         fmap = build_forward_map(op, omega1, chart, spectrum=report)
         system = svd(fmap)
         basis = MaskSolutionBasis(op, family)
-        rec_k = check_admissibility(k, report, c=c)
+        rec_k = check_admissibility(k, report)
         out = []
         for seed in seeds:
             rng = np.random.default_rng(

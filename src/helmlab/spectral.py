@@ -38,6 +38,7 @@ from .geometry import Grid
 
 _TWO_PI = 2.0 * np.pi
 _CLUSTER_TOL = 1e-6        # relative gap below which eigenvalues are one cluster
+C_ADMISSIBILITY = 0.01     # the c of dist(k^2, Sigma) > c k^(2-n)
 
 
 @dataclass
@@ -55,7 +56,6 @@ class SpectrumReport:
     residuals: np.ndarray
     count: int
     grid_h: float
-    c_admissibility: float
     dim: int = 2
     coverage: list = field(default_factory=list)
 
@@ -77,25 +77,24 @@ class SpectrumReport:
             "residuals": [float(v) for v in self.residuals],
             "count": self.count,
             "grid_h": self.grid_h,
-            "c_admissibility": self.c_admissibility,
+            "c_admissibility": C_ADMISSIBILITY,
             "coverage": [[float(a), float(b)] for a, b in self.coverage],
         }
 
 
-def check_admissibility(k: float, report: SpectrumReport, c: float = None,
+def check_admissibility(k: float, report: SpectrumReport,
                         guard: bool = False) -> dict:
     """Margin record {admissible, dist, threshold, continuum_guard} for
-    dist(k^2, Sigma) > c k^(2-dim), with ``c`` defaulting to the report's
-    constant.  ``guard=True`` widens the threshold to cover the numerical
+    dist(k^2, Sigma) > c k^(2-dim), c = :data:`C_ADMISSIBILITY`.
+    ``guard=True`` widens the threshold to cover the numerical
     uncertainty of the nearest computed eigenvalue (the solver guard band).
     Raises :class:`SpectrumTooShort` when the certified window cannot rule
     out a closer uncomputed eigenvalue."""
-    c = report.c_admissibility if c is None else c
     ksq = k * k
     dist = report.dist(ksq)
     near = int(np.argmin(np.abs(report.eigenvalues - ksq)))
     lam_near = report.eigenvalues[near]
-    threshold = c * k ** (2 - report.dim)
+    threshold = C_ADMISSIBILITY * k ** (2 - report.dim)
     if guard:
         # distance is measured against the computed discrete spectrum, so the
         # enforced guard only needs to cover the numerical uncertainty of the
@@ -125,8 +124,7 @@ def _pencil(grid: Grid, medium: Medium):
 
 
 def compute_sigma(grid: Grid, medium: Medium, count: int,
-                  shifts: Sequence[float] = (0.0,),
-                  c_admissibility: float = 0.01) -> SpectrumReport:
+                  shifts: Sequence[float] = (0.0,)) -> SpectrumReport:
     """Eigenvalues of (-Delta - V) u = lambda q u nearest each shift point.
 
     The default shift 0 returns the ``count`` smallest eigenvalues of a
@@ -147,8 +145,7 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
                                        shifts)
     return SpectrumReport(eigenvalues=lam,
                           residuals=_residuals(A, M, lam, vecs),
-                          count=count, grid_h=grid.max_spacing(),
-                          c_admissibility=c_admissibility, dim=grid.dim,
+                          count=count, grid_h=grid.max_spacing(), dim=grid.dim,
                           coverage=_merge_windows(windows))
 
 
@@ -326,8 +323,7 @@ def _merge_windows(windows):
     return out
 
 
-def find_admissible_k(report: SpectrumReport, k_target: float,
-                      c: float = None) -> float:
+def find_admissible_k(report: SpectrumReport, k_target: float) -> float:
     """Nearest admissible frequency to ``k_target``: the square root of the
     midpoint of the spectral gap containing (or nearest to) k_target^2, which
     locally maximizes dist(k^2, Sigma).  Clamped to k >= 1."""
@@ -350,7 +346,7 @@ def find_admissible_k(report: SpectrumReport, k_target: float,
         if m <= 0:
             continue
         kc = max(np.sqrt(m), 1.0)
-        rec = check_admissibility(kc, report, c)
+        rec = check_admissibility(kc, report)
         score = (rec["admissible"], -abs(kc - k_target), rec["dist"])
         if best is None or score > best[0]:
             best = (score, kc)

@@ -46,7 +46,7 @@ def test_criterion_01_adjoint_exactness():
     rng = np.random.default_rng(1)
     worst = 0.0
     for k in (2.0, 5.0, 9.0):
-        assert check_admissibility(k, rep, c=0.01)["admissible"]
+        assert check_admissibility(k, rep)["admissible"]
         fmap, _ = disk_pair_svd(k)
         for _ in range(17):
             gv = rng.standard_normal(fmap.gamma_ids.size)

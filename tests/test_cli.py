@@ -59,6 +59,47 @@ def test_unknown_keys_rejected():
     assert any("unknown config keys" in p for p in validate_config(cfg))
 
 
+def test_unknown_params_key_exits_2(tmp_path, capsys):
+    # a misspelt key must not silently run the default (16 samples here)
+    cfg = {"experiment": "carleman", "domain": _ANNULUS, "medium": _MONOTONE,
+           "h": 0.05, "k_list": [1.0],
+           "params": {"tau_list": [10], "samples_per_cel": 2}}
+    assert any("unknown params keys ['samples_per_cel']" in p
+               for p in validate_config(cfg))
+    path = _write(tmp_path, "typo.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "samples_per_cel" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the admissibility constant is fixed, no longer a config key
+    cfg = _spectrum_cfg()
+    cfg["admissibility_c"] = 0.02
+    assert any("unknown config keys" in p for p in validate_config(cfg))
+
+
+def test_runge_sweep_accepts_the_sweep_params_keys():
+    cfg = {"experiment": "runge_sweep",
+           "domain": {"kind": "disk", "radius": 1.0},
+           "medium": {"q": {"profile": "constant", "value": 1.0}},
+           "params": {"scenario": "interior", "k_list": [3.2],
+                      "epsilon_list": [0.25], "seeds": [0], "decay": 1.5}}
+    assert validate_config(cfg) == []
+    cfg["params"]["h"] = 0.05            # a top-level key, not a sweep param
+    assert any("unknown params keys ['h']" in p for p in validate_config(cfg))
+
+
+def test_sigma_on_a_runge_sweep_config(tmp_path):
+    cfg = {"experiment": "runge_sweep",
+           "domain": {"kind": "disk", "radius": 1.0},
+           "medium": {"q": {"profile": "constant", "value": 1.0}},
+           "h": 0.1, "params": {"scenario": "interior", "decay": 1.5}}
+    path = _write(tmp_path, "sweep.json", cfg)
+    assert main(["sigma", str(path), "--out", str(tmp_path / "s")]) == 0
+    doc = json.loads((tmp_path / "s" / "spectrum.json").read_text())
+    assert doc["count"] == 24 and doc["c_admissibility"] == 0.01
+    assert doc["manifest"]["admissibility_c"] == 0.01
+    assert abs(doc["eigenvalues"][0] - 2.405 ** 2) < 0.1
+
+
 def test_pinch_violation_flagged():
     cfg = _spectrum_cfg()
     cfg["medium"] = {"q": {"profile": "constant", "value": 5.0}, "kappa": 2.0}

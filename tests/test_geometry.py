@@ -152,3 +152,270 @@ def test_domain_spec_invariants():
         DomainSpec.disk(-1.0)
     with pytest.raises(GeometryViolation):
         DomainSpec.annulus(2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Array construction against the per-element loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_polar(grid):
+    """Boundary rings, cell weights and flux edges, one ring at a time."""
+    radii, dr, dtheta = grid.radii, grid.dr, grid.dtheta
+    lattice_id = grid.lattice_id
+    n_rings, n_theta = grid.lattice_shape
+    inner_is_boundary = grid.spec.kind == "annulus"
+    boundary_rings = [n_rings - 1] + ([0] if inner_is_boundary else [])
+    boundary = np.concatenate([lattice_id[i] for i in boundary_rings])
+    interior = np.setdiff1d(np.arange(n_rings * n_theta), boundary)
+    ext = np.full(n_rings, dr)
+    ext[n_rings - 1] = dr / 2.0
+    if inner_is_boundary:
+        ext[0] = dr / 2.0
+    weights = (radii * ext)[:, None] * dtheta * np.ones((1, n_theta))
+    ei, ej, ec = [], [], []
+    for i in range(n_rings - 1):
+        rf = 0.5 * (radii[i] + radii[i + 1])
+        c = rf * dtheta / dr
+        ei.append(lattice_id[i])
+        ej.append(lattice_id[i + 1])
+        ec.append(np.full(n_theta, c))
+    for i in range(n_rings):
+        c = ext[i] / (radii[i] * dtheta)
+        ei.append(lattice_id[i])
+        ej.append(np.roll(lattice_id[i], -1))
+        ec.append(np.full(n_theta, c))
+    return (interior, np.sort(boundary), weights.ravel(),
+            (np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)))
+
+
+def _reference_block(grid):
+    """Boundary mask, cell weights and flux edges of a box or rectangle,
+    built axis by axis with per-axis extent and face loops."""
+    shape, spacings = grid.lattice_shape, grid.spacings
+    lattice_id = grid.lattice_id
+    dim = len(shape)
+    idx = np.indices(shape)
+    on_edge = np.zeros(shape, dtype=bool)
+    for d in range(dim):
+        on_edge |= (idx[d] == 0) | (idx[d] == shape[d] - 1)
+    exts = []
+    for d in range(dim):
+        e = np.full(shape[d], spacings[d])
+        e[0] = e[-1] = spacings[d] / 2.0
+        exts.append(e)
+    wgrid = exts[0].copy()
+    for d in range(1, dim):
+        wgrid = np.multiply.outer(wgrid, exts[d])
+    ei, ej, ec = [], [], []
+    for d in range(dim):
+        sl_a = [slice(None)] * dim
+        sl_b = [slice(None)] * dim
+        sl_a[d] = slice(0, shape[d] - 1)
+        sl_b[d] = slice(1, shape[d])
+        face = np.ones(shape)
+        for t in range(dim):
+            if t == d:
+                continue
+            sh = [1] * dim
+            sh[t] = shape[t]
+            face = face * exts[t].reshape(sh)
+        ei.append(lattice_id[tuple(sl_a)].ravel())
+        ej.append(lattice_id[tuple(sl_b)].ravel())
+        ec.append(face[tuple(sl_a)].ravel() / spacings[d])
+    return (np.sort(lattice_id[~on_edge]), np.sort(lattice_id[on_edge]),
+            wgrid.ravel(),
+            (np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)))
+
+
+def _reference_arcs(grid, angles):
+    """Circle gamma mask, one arc at a time."""
+    mask = np.zeros(grid.lattice_shape[1], dtype=bool)
+    for a, b in angles:
+        a, b = float(a), float(b)
+        th = np.mod(grid.thetas - a, 2 * np.pi)
+        mask |= (th > 1e-12) & (th < np.mod(b - a, 2 * np.pi) - 1e-12)
+    return mask
+
+
+def _reference_perimeter(grid, gamma):
+    """Rectangle perimeter walked node by node, and its ``edges`` mask."""
+    nx, ny = grid.lattice_shape[0] - 1, grid.lattice_shape[1] - 1
+    lid = grid.lattice_id
+    seq, names = [], []
+    for i in range(0, nx):
+        seq.append(lid[i, 0]); names.append("bottom")
+    for j in range(0, ny):
+        seq.append(lid[nx, j]); names.append("right")
+    for i in range(nx, 0, -1):
+        seq.append(lid[i, ny]); names.append("top")
+    for j in range(ny, 0, -1):
+        seq.append(lid[0, j]); names.append("left")
+    ids, names = np.asarray(seq), np.asarray(names)
+    if gamma == "full":
+        return ids, np.ones(ids.size, dtype=bool)
+    wanted = set(gamma["edges"])
+    mask = np.isin(names, list(wanted))
+    prev_name = np.roll(names, 1)
+    for t in range(ids.size):
+        if mask[t] and prev_name[t] not in wanted and names[t] in wanted:
+            mask[t] = False
+    return ids, mask
+
+
+def _reference_surface(grid, gamma):
+    """Box surface weights face by face, and the face mask axis by axis."""
+    pts = grid.nodes[grid.boundary_index]
+    lo = grid.origin
+    hi = grid.origin + grid.spacings * (np.asarray(grid.lattice_shape) - 1)
+    sp = grid.spacings
+    weights = np.zeros(pts.shape[0])
+    for axis in range(3):
+        for bound in (lo[axis], hi[axis]):
+            on_face = np.abs(pts[:, axis] - bound) < 1e-12
+            area = np.ones(int(on_face.sum()))
+            for t in range(3):
+                if t == axis:
+                    continue
+                e = np.full(int(on_face.sum()), sp[t])
+                at_lo = np.abs(pts[on_face, t] - lo[t]) < 1e-12
+                at_hi = np.abs(pts[on_face, t] - hi[t]) < 1e-12
+                e[at_lo | at_hi] = sp[t] / 2.0
+                area *= e
+            weights[on_face] += area
+    if gamma == "full":
+        return weights, np.ones(pts.shape[0], dtype=bool)
+    axis = {"x": 0, "y": 1, "z": 2}[gamma["face"][0]]
+    bound = lo[axis] if gamma["face"].endswith("-") else hi[axis]
+    mask = np.abs(pts[:, axis] - bound) < 1e-12
+    for t in range(3):
+        if t == axis:
+            continue
+        mask &= (pts[:, t] > lo[t] + 1e-12) & (pts[:, t] < hi[t] - 1e-12)
+    if "extent" in gamma:
+        elo, ehi = (np.asarray(v, float) for v in gamma["extent"])
+        tang = [t for t in range(3) if t != axis]
+        for d, t in enumerate(tang):
+            mask &= (pts[:, t] > elo[d] - 1e-12) & (pts[:, t] < ehi[d] + 1e-12)
+    return weights, mask
+
+
+def _reference_surface_stiffness(chart):
+    """Boundary graph Laplacian, one edge at a time through a position dict."""
+    n = chart.n
+    pos = {int(g): i for i, g in enumerate(chart.node_ids)}
+    L = np.zeros((n, n))
+    ei, ej, _ = chart.grid.edges
+    gi = np.asarray([pos.get(int(a), -1) for a in ei])
+    gj = np.asarray([pos.get(int(b), -1) for b in ej])
+    keep = (gi >= 0) & (gj >= 0)
+    for a, b in zip(gi[keep], gj[keep]):
+        p = chart.grid.nodes[chart.node_ids[a]]
+        q = chart.grid.nodes[chart.node_ids[b]]
+        dist = float(np.linalg.norm(p - q))
+        if chart.grid.dim == 2:
+            c = 1.0 / dist
+        else:
+            c = min(chart.weights[a], chart.weights[b]) / dist ** 2
+        L[a, a] += c
+        L[b, b] += c
+        L[a, b] -= c
+        L[b, a] -= c
+    return L
+
+
+def _reference_area(spec):
+    if spec.kind == "masked_union":
+        total = 0.0
+        for a, b in spec.rectangles:
+            total += float(np.prod(np.abs(np.asarray(b, float)
+                                          - np.asarray(a, float))))
+        return total
+    return float(np.prod(np.abs(np.asarray(spec.corners[1], float)
+                                - np.asarray(spec.corners[0], float))))
+
+
+def _assert_grid_equal(grid, want):
+    interior, boundary, weights, edges = want
+    assert np.array_equal(grid.interior_index, interior)
+    assert np.array_equal(grid.boundary_index, boundary)
+    assert np.array_equal(grid.quad_weights, weights)
+    for got, ref in zip(grid.edges, edges):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.disk(1.0), 0.1),
+    (DomainSpec.disk(0.7, center=(0.3, -0.2)), 0.05),
+    (DomainSpec.annulus(0.5, 2.0), 0.1),
+    (DomainSpec.annulus(1.0, 2.0, center=(-0.4, 0.25)), 0.07)])
+def test_polar_grid_matches_ring_loops(spec, h):
+    g = build_grid(spec, h)
+    _assert_grid_equal(g, _reference_polar(g))
+    chart = boundary_chart(g)
+    assert np.array_equal(chart.node_ids, g.lattice_id[-1])
+    for angles in ([(0.0, np.pi)], [(5.5, 0.5), (2.0, 3.0)],
+                   [(1.0, 2.0), (1.5, 4.0), (-1.0, 0.25)]):
+        chart = boundary_chart(g, {"angles": angles})
+        assert np.array_equal(chart.gamma_mask, _reference_arcs(g, angles))
+
+
+_EDGE_GAMMAS = ["full", {"edges": ["bottom"]}, {"edges": ["right"]},
+                {"edges": ["top"]}, {"edges": ["left"]},
+                {"edges": ["bottom", "right"]}, {"edges": ["left", "top"]},
+                {"edges": ["bottom", "top"]},
+                {"edges": ["bottom", "right", "top", "left"]}]
+
+
+@pytest.mark.parametrize("corners, h", [
+    (((0.0, 0.0), (1.3, 0.85)), 0.1),
+    (((-0.5, 0.2), (0.4, 1.9)), 0.07)])
+def test_rectangle_grid_and_charts_match_loops(corners, h):
+    spec = DomainSpec.rectangle(*corners)
+    g = build_grid(spec, h)
+    assert g.spacings[0] != g.spacings[1]
+    _assert_grid_equal(g, _reference_block(g))
+    assert spec.area() == _reference_area(spec)
+    for gamma in _EDGE_GAMMAS:
+        chart = boundary_chart(g, gamma)
+        ids, mask = _reference_perimeter(g, gamma)
+        assert np.array_equal(chart.node_ids, ids)
+        assert np.array_equal(chart.gamma_mask, mask)
+    # hx != hy makes the corner weights differ, so the chart takes the
+    # generic Laplace--Beltrami path
+    assert not np.allclose(chart.weights, chart.weights[0])
+    assert np.array_equal(chart._surface_stiffness(),
+                          _reference_surface_stiffness(chart))
+
+
+def test_masked_union_chart_and_area_match_loops():
+    spec = DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
+                                    ((1, 1.5), (1.8, 2.5))])
+    g = build_grid(spec, 0.1)
+    chart = boundary_chart(g)
+    assert np.array_equal(chart._surface_stiffness(),
+                          _reference_surface_stiffness(chart))
+    assert spec.area() == _reference_area(spec)
+
+
+@pytest.mark.parametrize("corners, h", [
+    (((0, 0, 0), (1.0, 0.85, 1.23)), 0.1),
+    (((-0.3, 0.1, 0.0), (0.6, 0.9, 0.85)), 1.0 / 12)])
+def test_box_grid_and_surface_chart_match_loops(corners, h):
+    spec = DomainSpec.box(*corners)
+    g = build_grid(spec, h)
+    assert len(set(g.spacings)) == 3
+    _assert_grid_equal(g, _reference_block(g))
+    assert spec.area() == _reference_area(spec)
+    lo, hi = g.nodes.min(axis=0), g.nodes.max(axis=0)
+    mid = 0.5 * (lo + hi)
+    for gamma in ["full", {"face": "z-"}, {"face": "x+"}, {"face": "y-"},
+                  {"face": "z+", "extent": [lo[:2], mid[:2]]},
+                  {"face": "x-", "extent": [mid[1:], hi[1:]]}]:
+        chart = boundary_chart(g, gamma)
+        weights, mask = _reference_surface(g, gamma)
+        assert np.array_equal(chart.node_ids, g.boundary_index)
+        assert np.array_equal(chart.weights, weights)
+        assert np.array_equal(chart.gamma_mask, mask)
+        assert 0 < mask.sum() < mask.size or gamma == "full"
+    assert np.array_equal(chart._surface_stiffness(),
+                          _reference_surface_stiffness(chart))

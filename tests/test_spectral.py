@@ -70,7 +70,7 @@ def test_admissible_fraction_of_sweep():
     ok = 0
     for k in ks:
         try:
-            if check_admissibility(float(k), rep, c=0.01)["admissible"]:
+            if check_admissibility(float(k), rep)["admissible"]:
                 ok += 1
         except SpectrumTooShort:
             pass
