@@ -128,13 +128,22 @@ class DiscreteOperator:
 
 
 def stiffness(grid: Grid) -> sp.csr_matrix:
-    """Flux stiffness K >= 0 with w * (Laplacian u) = -K u on interior rows."""
-    ei, ej, ec = grid.edges
-    n = grid.n_nodes
-    rows = np.concatenate([ei, ej, ei, ej])
-    cols = np.concatenate([ej, ei, ei, ej])
-    vals = np.concatenate([-ec, -ec, ec, ec])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    """Flux stiffness K >= 0 with w * (Laplacian u) = -K u on interior rows.
+
+    K is built once per grid and held on it; every later call returns that
+    same matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.
+    """
+    if grid._stiffness is None:
+        ei, ej, ec = grid.edges
+        n = grid.n_nodes
+        rows = np.concatenate([ei, ej, ei, ej])
+        cols = np.concatenate([ej, ei, ei, ej])
+        vals = np.concatenate([-ec, -ec, ec, ec])
+        K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        for a in (K.data, K.indices, K.indptr):
+            a.flags.writeable = False
+        grid._stiffness = K
+    return grid._stiffness
 
 
 def default_spacing(k_max: float, kappa: float) -> float:

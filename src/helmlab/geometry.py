@@ -19,6 +19,7 @@ a field to an inner region is an index selection with no interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -104,10 +105,18 @@ class DomainSpec:
             return np.pi * self.radius ** 2
         if self.kind == "annulus":
             return np.pi * (self.r_outer ** 2 - self.r_inner ** 2)
-        # a block is a union of one rectangle; the sum over union
-        # rectangles is exact only when they do not overlap
-        rects = np.asarray(self.rectangles or (self.corners,), dtype=float)
-        return float(np.prod(np.abs(rects[:, 1] - rects[:, 0]), axis=1).sum())
+        if self.kind == "masked_union":
+            # rectangles may overlap: cut the plane at every rectangle edge
+            # and sum, exactly rounded, the cells some rectangle covers
+            rects = np.sort(np.asarray(self.rectangles, dtype=float), axis=1)
+            xs, ys = np.unique(rects[..., 0]), np.unique(rects[..., 1])
+            covered = np.zeros((xs.size - 1, ys.size - 1), dtype=bool)
+            for (x0, y0), (x1, y1) in rects:
+                covered[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
+                        np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = True
+            return math.fsum((np.diff(xs)[:, None] * np.diff(ys))[covered])
+        a, b = np.asarray(self.corners, dtype=float)
+        return float(np.prod(np.abs(b - a)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +130,9 @@ class Grid:
     ``edges`` is a triple of arrays ``(i, j, c)``: node pairs of the flux
     stencil with geometric coupling ``c`` (face measure / node distance).
     ``quad_weights`` are midpoint-cell measures, halved at boundary nodes.
+    A grid holds what is built from it once: its boundary charts, one per
+    gamma descriptor, and its read-only flux stiffness
+    (:func:`helmlab.assembly.stiffness`).
     """
 
     spec: DomainSpec
@@ -142,6 +154,7 @@ class Grid:
     origin: Optional[np.ndarray] = None
     spacings: Optional[np.ndarray] = None
     _chart_cache: dict = field(default_factory=dict, repr=False)
+    _stiffness: object = field(default=None, repr=False)   # CSR K, built once
 
     @property
     def n_nodes(self) -> int:
@@ -466,7 +479,8 @@ class BoundaryChart:
     surface in 3D).  ``weights`` are arclength (2D) or surface-area (3D)
     measures.  ``gamma_mask`` marks the nodes of the relatively open subset
     used for supported traces.  The spectral decomposition of the discrete
-    boundary Laplace--Beltrami operator is built lazily and cached.
+    boundary Laplace--Beltrami operator and the full H^(1/2) Gram are each
+    built once per chart, on first use; the cached Gram is read-only.
     """
 
     grid: Grid
@@ -475,6 +489,7 @@ class BoundaryChart:
     gamma_mask: np.ndarray
     arclength: Optional[np.ndarray] = None       # 2D only
     _modal: Optional[tuple] = None               # (lambdas, E) cached
+    _gram: Optional[np.ndarray] = None           # full H^(1/2) Gram cached
 
     @property
     def n(self) -> int:
@@ -559,16 +574,17 @@ class BoundaryChart:
         _, E = self.modal()
         return E @ coeffs
 
-    def h_half_gram(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gram matrix of nodal values in the (1+lambda)^(1/2) trace norm,
-        optionally restricted to a subset of chart positions."""
-        lam, E = self.modal()
-        WE = self.weights[:, None] * E
-        G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
-        G = 0.5 * (G + G.T)
-        if ids is not None:
-            G = G[np.ix_(ids, ids)]
-        return G
+    def h_half_gram(self, ids: np.ndarray) -> np.ndarray:
+        """Gram matrix of nodal values in the (1+lambda)^(1/2) trace norm on
+        the chart positions ``ids``, as a fresh writable array."""
+        if self._gram is None:
+            lam, E = self.modal()
+            WE = self.weights[:, None] * E
+            G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
+            G = 0.5 * (G + G.T)
+            G.flags.writeable = False
+            self._gram = G
+        return self._gram[np.ix_(ids, ids)]
 
 
 def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:

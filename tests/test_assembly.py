@@ -5,8 +5,8 @@ import scipy.sparse.linalg as spla
 
 from helmlab.assembly import (Medium, assemble, mask_dirichlet_ring,
                               mask_flux_pairing, radial_derivative,
-                              solve_dirichlet, solve_on_mask, verified_solve,
-                              weak_neumann_trace)
+                              solve_dirichlet, solve_on_mask, stiffness,
+                              verified_solve, weak_neumann_trace)
 from helmlab.bessel import bessel_j, bessel_j0_root, bessel_j_prime
 from helmlab.calderon import dtn_map
 from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
@@ -222,3 +222,31 @@ def test_apriori_bound_blows_up_near_resonance():
         ratios.append(norm(u, "H1") / norm(f, "L2"))
     slope = np.polyfit(np.log(dists), np.log(ratios), 1)[0]
     assert -1.15 <= slope <= -0.85
+
+
+def _reference_stiffness(grid):
+    """COO assembly of the edge couplings, converted to CSR on every call."""
+    ei, ej, ec = grid.edges
+    n = grid.n_nodes
+    rows = np.concatenate([ei, ej, ei, ej])
+    cols = np.concatenate([ej, ei, ei, ej])
+    vals = np.concatenate([-ec, -ec, ec, ec])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.disk(1.0), 0.1),
+    (DomainSpec.annulus(1.0, 2.0), 0.1),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
+    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)])
+def test_stiffness_built_once_per_grid(spec, h):
+    g = build_grid(spec, h)
+    K, want = stiffness(g), _reference_stiffness(g)
+    assert K.shape == want.shape
+    for a in ("data", "indices", "indptr"):
+        got, ref = getattr(K, a), getattr(want, a)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert stiffness(g) is K
+    for arr in (K.data, K.indices, K.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,7 @@ def test_masked_union_l_shape():
     spec = DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2))])
     g = build_grid(spec, 0.1)
     assert abs(np.sum(g.quad_weights) - 3.0) < 1e-10
+    assert spec.area() == 3.0         # the overlap square counts once
     chart = boundary_chart(g)
     assert abs(chart.total_measure() - 8.0) < 1e-10
     g.validate()
@@ -325,11 +328,20 @@ def _reference_surface_stiffness(chart):
 
 def _reference_area(spec):
     if spec.kind == "masked_union":
-        total = 0.0
-        for a, b in spec.rectangles:
-            total += float(np.prod(np.abs(np.asarray(b, float)
-                                          - np.asarray(a, float))))
-        return total
+        # exact union: cut the plane at every rectangle edge and keep the
+        # cells whose centre lies inside some rectangle
+        rects = [[sorted((float(a[d]), float(b[d]))) for d in (0, 1)]
+                 for a, b in spec.rectangles]
+        xs = sorted({v for r in rects for v in r[0]})
+        ys = sorted({v for r in rects for v in r[1]})
+        cells = []
+        for x0, x1 in zip(xs, xs[1:]):
+            for y0, y1 in zip(ys, ys[1:]):
+                cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+                if any(rx[0] < cx < rx[1] and ry[0] < cy < ry[1]
+                       for rx, ry in rects):
+                    cells.append((x1 - x0) * (y1 - y0))
+        return math.fsum(cells)
     return float(np.prod(np.abs(np.asarray(spec.corners[1], float)
                                 - np.asarray(spec.corners[0], float))))
 
@@ -419,3 +431,35 @@ def test_box_grid_and_surface_chart_match_loops(corners, h):
         assert 0 < mask.sum() < mask.size or gamma == "full"
     assert np.array_equal(chart._surface_stiffness(),
                           _reference_surface_stiffness(chart))
+
+
+def _reference_h_half_gram(chart, ids):
+    """Full Gram product on every call, then the ``ids`` block."""
+    lam, E = chart.modal()
+    WE = chart.weights[:, None] * E
+    G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
+    G = 0.5 * (G + G.T)
+    return G[np.ix_(ids, ids)]
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 8),
+    (DomainSpec.disk(1.0, gamma={"angles": [(0.3, 2.1)]}), 0.1),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85),
+                          gamma={"edges": ["bottom", "right"]}), 0.1)])
+def test_h_half_gram_cached_per_chart(spec, h):
+    chart = boundary_chart(build_grid(spec, h))
+    ids = chart.positions(chart.gamma_ids())
+    assert 0 < ids.size < chart.n
+    want = _reference_h_half_gram(chart, ids)
+    got = chart.h_half_gram(ids)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    cached = chart._gram
+    again = chart.h_half_gram(ids)
+    assert chart._gram is cached and np.array_equal(again, want)
+    # blocks are fresh and writable; the cached Gram is read-only
+    assert not np.shares_memory(got, cached) and got.flags.writeable
+    got[0, 0] = -1.0
+    assert np.array_equal(chart.h_half_gram(ids), want)
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
