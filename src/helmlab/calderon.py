@@ -69,13 +69,26 @@ def dtn_apply(dtn: DtnMatrix, gvals: np.ndarray) -> np.ndarray:
     return dtn.matrix @ gvals
 
 
+def _gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
+    taken once per chart and block and held read-only on the chart.  The
+    block itself is read on every call, so that a traced run still counts
+    one Gram read per distance."""
+    G = chart.h_half_gram(ids)
+    key = ids.tobytes()
+    if key not in chart._gram_inv_sqrt:
+        G_half_inv = spd_inverse_sqrt(G)
+        G_half_inv.flags.writeable = False
+        chart._gram_inv_sqrt[key] = G_half_inv
+    return chart._gram_inv_sqrt[key]
+
+
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
     """Operator norm of the difference, supported trace norm -> its dual."""
     if a.op.grid is not b.op.grid or a.k != b.k \
             or not np.array_equal(a.gamma_ids, b.gamma_ids):
         raise ContextMismatch("maps built on different grids, k, or gamma")
-    G = a.chart.h_half_gram(a.chart.positions(a.gamma_ids))
-    G_half_inv = spd_inverse_sqrt(G)
+    G_half_inv = _gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv
     return float(np.linalg.norm(0.5 * (M + M.T), 2))

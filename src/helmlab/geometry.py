@@ -131,8 +131,9 @@ class Grid:
     stencil with geometric coupling ``c`` (face measure / node distance).
     ``quad_weights`` are midpoint-cell measures, halved at boundary nodes.
     A grid holds what is built from it once: its boundary charts, one per
-    gamma descriptor, and its read-only flux stiffness
-    (:func:`helmlab.assembly.stiffness`).
+    gamma descriptor, its read-only flux stiffness
+    (:func:`helmlab.assembly.stiffness`) and the read-only three-ball masks
+    of each centre and radius (:func:`helmlab.ucp.three_ball_ratio`).
     """
 
     spec: DomainSpec
@@ -155,6 +156,7 @@ class Grid:
     spacings: Optional[np.ndarray] = None
     _chart_cache: dict = field(default_factory=dict, repr=False)
     _stiffness: object = field(default=None, repr=False)   # CSR K, built once
+    _ball_masks: dict = field(default_factory=dict, repr=False)  # by (x0, r)
 
     @property
     def n_nodes(self) -> int:
@@ -480,7 +482,9 @@ class BoundaryChart:
     measures.  ``gamma_mask`` marks the nodes of the relatively open subset
     used for supported traces.  The spectral decomposition of the discrete
     boundary Laplace--Beltrami operator and the full H^(1/2) Gram are each
-    built once per chart, on first use; the cached Gram is read-only.
+    built once per chart, on first use; the cached Gram is read-only, and so
+    is the inverse square root of each Gram block held for
+    :func:`helmlab.calderon.dtn_distance`.
     """
 
     grid: Grid
@@ -490,6 +494,7 @@ class BoundaryChart:
     arclength: Optional[np.ndarray] = None       # 2D only
     _modal: Optional[tuple] = None               # (lambdas, E) cached
     _gram: Optional[np.ndarray] = None           # full H^(1/2) Gram cached
+    _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
 
     @property
     def n(self) -> int:

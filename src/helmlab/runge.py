@@ -32,10 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, assemble, default_spacing,
-                       mask_dirichlet_ring, mask_flux_pairing, resonance_guard,
-                       ring_factor, solve_dirichlet, solve_on_mask_multi,
-                       verified_solve, weak_neumann_trace, whole_rings)
+from .assembly import (DiscreteOperator, RingFactor, assemble,
+                       default_spacing, mask_dirichlet_ring, mask_flux_pairing,
+                       resonance_guard, ring_factor, solve_dirichlet,
+                       solve_on_mask_multi, verified_solve, weak_neumann_trace,
+                       whole_rings)
 from .errors import (GeometryViolation, GramNotSPD, InsufficientAdmissibleK,
                      TargetUnreachable)
 from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
@@ -57,20 +58,54 @@ _FORWARD_BLOCK = 64
 
 @dataclass
 class ForwardMap:
-    """Dense matrix of the data-to-restriction map with its two Grams."""
+    """Data-to-restriction map with its two Grams and the factor of the
+    interior block.
+
+    Columns of the dense matrix ``A`` (n_omega1, n_gamma) are solved on
+    first read: :meth:`columns` solves the gamma columns asked for, and
+    ``A`` solves every column once, :data:`_FORWARD_BLOCK` at a time, and
+    keeps them.  Either way each solve passes ``verified_solve``'s residual
+    check, and a column has the same bits however it was solved.
+    """
 
     op: DiscreteOperator
     chart: BoundaryChart
     omega1_ids: np.ndarray          # interior node ids of the target region
     gamma_ids: np.ndarray           # node ids of the supported sub-boundary
-    A: np.ndarray                   # (n_omega1, n_gamma)
     gram_gamma: np.ndarray          # trace Gram on gamma nodal values
     wx: np.ndarray                  # quadrature weights on omega1 nodes
-    per_mode: bool = False          # invariant under rotation, see svd
+    factor: object                  # RingFactor or SuperLU of op.L_II
+    _A: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> float:
         return self.op.k
+
+    @property
+    def per_mode(self) -> bool:
+        """Invariant under rotation and solved per angular mode, see svd."""
+        return isinstance(self.factor, RingFactor)
+
+    @property
+    def A(self) -> np.ndarray:
+        if self._A is None:
+            n = self.gamma_ids.size
+            # a block of columns at a time: the dense right-hand sides and
+            # interior solutions never exist for all of gamma at once
+            A = np.empty((self.omega1_ids.size, n))
+            for start in range(0, n, _FORWARD_BLOCK):
+                cols = slice(start, start + _FORWARD_BLOCK)
+                A[:, cols] = self.columns(cols)
+            self._A = A
+        return self._A
+
+    def columns(self, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of A, solved now with the held factor."""
+        grid = self.op.grid
+        bpos = np.searchsorted(grid.boundary_index, self.gamma_ids[cols])
+        ipos = np.searchsorted(grid.interior_index, self.omega1_ids)
+        rhs = -self.op.L_IB[:, bpos].toarray()
+        return verified_solve(self.op.L_II, self.factor, rhs)[ipos]
 
     def gamma_positions(self) -> np.ndarray:
         return self.chart.positions(self.gamma_ids)
@@ -83,7 +118,9 @@ class ForwardMap:
 
 def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
                       chart: BoundaryChart, spectrum=None) -> ForwardMap:
-    """One Dirichlet solve per supported-boundary basis function.
+    """Data-to-restriction map, one Dirichlet solve per supported-boundary
+    basis function: factored here, its columns solved when first read
+    (:class:`ForwardMap`).
 
     Verifies that the complement of the target region is connected and that
     the target stays at least four grid layers from the charted boundary.  When a
@@ -101,27 +138,14 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
 
     omega1_ids = np.intersect1d(np.flatnonzero(omega1_mask), grid.interior_index)
     gamma_ids = np.sort(chart.gamma_ids())
-
-    bpos = np.searchsorted(grid.boundary_index, gamma_ids)
-    ipos = np.searchsorted(grid.interior_index, omega1_ids)
     factor = None
     if chart.gamma_mask.all() and whole_rings(grid, omega1_ids):
         factor = ring_factor(grid, grid.interior_index, op.L_II)
-    per_mode = factor is not None
-    factor = factor or op.lu()
-    # a block of columns at a time: the dense right-hand sides and interior
-    # solutions never exist for all of gamma at once, only A does
-    A = np.empty((ipos.size, bpos.size))
-    for start in range(0, bpos.size, _FORWARD_BLOCK):
-        cols = slice(start, start + _FORWARD_BLOCK)
-        rhs = -op.L_IB[:, bpos[cols]].toarray()
-        A[:, cols] = verified_solve(op.L_II, factor, rhs)[ipos]
-
-    gram_gamma = chart.h_half_gram(chart.positions(gamma_ids))
-    wx = grid.quad_weights[omega1_ids]
     return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
-                      gamma_ids=gamma_ids, A=A, gram_gamma=gram_gamma, wx=wx,
-                      per_mode=per_mode)
+                      gamma_ids=gamma_ids,
+                      gram_gamma=chart.h_half_gram(chart.positions(gamma_ids)),
+                      wx=grid.quad_weights[omega1_ids],
+                      factor=factor or op.lu())
 
 
 def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
@@ -191,14 +215,14 @@ def _mode_svd(fmap: ForwardMap, g: np.ndarray) -> SvdSystem:
 
     The cos or sin wave of order m on gamma is sent to Y_m(r) times the same
     wave on the region, Y_m the real rfft coefficient of column 0 of A along
-    each ring.  With g_m the eigenvalues of the circulant trace Gram,
-    mu_m = sum_r w_r Y_m(r)^2 / g_m; phi is the Gram-normalised wave and psi
-    the wx-normalised profile times the wave.  Modes 0 < m < n/2 give a cos
-    and a sin column of equal mu."""
+    each ring; that column is the only one solved.  With g_m the eigenvalues
+    of the circulant trace Gram, mu_m = sum_r w_r Y_m(r)^2 / g_m; phi is the
+    Gram-normalised wave and psi the wx-normalised profile times the wave.
+    Modes 0 < m < n/2 give a cos and a sin column of equal mu."""
     if g.min() <= 0:
         raise GramNotSPD(f"trace Gram has min eigenvalue {g.min():.3e}")
     n = fmap.gamma_ids.size
-    Y = np.fft.rfft(fmap.A[:, 0].reshape(-1, n), axis=1).real
+    Y = np.fft.rfft(fmap.columns(slice(0, 1)).reshape(-1, n), axis=1).real
     energy = fmap.wx.reshape(Y.shape[0], n)[:, 0] @ Y ** 2
     m = np.arange(g.size)
     pair = (m > 0) & (2 * m < n)            # a cos and a sin column

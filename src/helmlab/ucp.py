@@ -72,10 +72,20 @@ class BallTriple:
         return min(self.norm_half, self.norm_mid, self.norm_big) <= 0.0
 
 
+def _triple_masks(grid: Grid, x0: np.ndarray, r: float) -> np.ndarray:
+    """Masks of B_{r/2}, B_r and B_{2r} centered at x0, one row each; built
+    once per grid, centre and radius and held read-only on the grid."""
+    key = (*x0.tolist(), r)
+    if key not in grid._ball_masks:
+        masks = ball_mask(grid, x0, (r / 2.0, r, 2.0 * r))
+        masks.flags.writeable = False
+        grid._ball_masks[key] = masks
+    return grid._ball_masks[key]
+
+
 def _triple_norms(u: GridField, x0: np.ndarray, r: float) -> list:
     """L2 norms of u over B_{r/2}, B_r and B_{2r} centered at x0."""
-    return [norm(u, "L2", m)
-            for m in ball_mask(u.grid, x0, (r / 2.0, r, 2.0 * r))]
+    return [norm(u, "L2", m) for m in _triple_masks(u.grid, x0, r)]
 
 
 def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from helmlab import calderon
 from helmlab.assembly import assemble
 from helmlab.calderon import (StabilityRecord, alessandrini_gap,
                               difference_field, dtn_apply, dtn_distance,
                               dtn_map, perturbation_record, stability_check,
                               stability_rhs)
 from helmlab.errors import AgreementViolation, ContextMismatch
-from helmlab.fields import hminus1_norm_fourier
+from helmlab.fields import hminus1_norm_fourier, spd_inverse_sqrt
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.profiles import make_medium
 
@@ -144,3 +145,22 @@ def test_stability_check_identical_media():
     rec = StabilityRecord(k=1.0, amplitude=0.0, delta=0.0, lhs=0.0)
     out = stability_check([rec])
     assert out["validated"]
+
+
+def test_gram_inverse_sqrt_cached_per_chart_block():
+    grid, med, op, chart = cube_setup()
+    d1 = dtn_map(op, chart)
+    ids = chart.positions(d1.gamma_ids)
+    X = calderon._gram_inverse_sqrt(chart, ids)
+    ref = spd_inverse_sqrt(chart.h_half_gram(ids))
+    assert np.array_equal(X, ref)
+    assert calderon._gram_inverse_sqrt(chart, ids) is X
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+    # the distance reads the cached block and keeps the bits of a fresh one
+    for amp in (0.5, 2.0):
+        d2 = dtn_map(assemble(grid, _perturbed(grid, amp), 1.0), chart)
+        M = ref @ (d1.matrix - d2.matrix) @ ref
+        want = float(np.linalg.norm(0.5 * (M + M.T), 2))
+        assert dtn_distance(d1, d2) == want
+    assert calderon._gram_inverse_sqrt(chart, ids) is X

@@ -379,3 +379,50 @@ def test_sweep_records_and_fits():
     assert slope > 0
     curv = curvature_statistic(fit.records)
     assert set(curv) <= {0, 1, 2}
+
+
+def _column_solves(monkeypatch):
+    """List that grows by the column count of every ForwardMap.columns
+    call; reading ForwardMap.A raises."""
+    solved, columns = [], runge.ForwardMap.columns
+
+    def spy(fmap, cols):
+        out = columns(fmap, cols)
+        solved.append(out.shape[1])
+        return out
+
+    def refuse(fmap):
+        raise AssertionError("dense forward map formed")
+
+    monkeypatch.setattr(runge.ForwardMap, "columns", spy)
+    monkeypatch.setattr(runge.ForwardMap, "A", property(refuse))
+    return solved
+
+
+def test_convex_sweep_solves_one_forward_column_per_frequency(monkeypatch):
+    solved = _column_solves(monkeypatch)
+    fit = sweep_and_fit("convex", sweep_params(
+        "convex", k_list=(2.0, 4.0, 8.0), seeds=(0, 1)))
+    n_k = len({r["k"] for r in fit.records} | {d["k"] for d in fit.dropped})
+    assert n_k == 3
+    assert solved == [1] * n_k
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["disk_pair", "convex_annulus"])
+def test_column_zero_alone_matches_A(case):
+    fmap = _rotation_invariant_maps()[case]
+    col = fmap.columns(slice(0, 1))
+    assert col.shape == (fmap.omega1_ids.size, 1)
+    assert np.array_equal(col[:, 0], fmap.A[:, 0])
+
+
+def test_superlu_map_solves_A_on_first_read(monkeypatch):
+    grid, _, op, _ = disk_setup(5.0)
+    chart = boundary_chart(grid, {"angles": [(0.0, 1.5 * np.pi)]})
+    with monkeypatch.context() as mp:
+        solved = _column_solves(mp)
+        fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart)
+    assert solved == [] and not fmap.per_mode
+    A = fmap.A
+    assert np.array_equal(A, _one_solve(fmap, fmap.op.lu()))
+    assert fmap.A is A

@@ -8,7 +8,7 @@ from helmlab import ucp
 from helmlab.bessel import bessel_j, gauss_legendre, radial_profile
 from helmlab.errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from helmlab.fields import BoundaryTrace, GridField, lp_norm, norm, trace_norm
-from helmlab.geometry import DomainSpec, boundary_chart, build_grid
+from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.modes import mode_field, random_mode_superposition
 from helmlab.ucp import (boundary_distance, boundary_three_ball,
                          caccioppoli_ratio, chain_propagate, estimate_exponent,
@@ -301,3 +301,22 @@ def test_source_neumann_ratio_uniform():
     ratios = np.array(ratios)
     # a single constant bounds eta / (k^(n+2) ||v||) across the family
     assert ratios.max() < 1.0
+
+
+def test_triple_masks_cached_per_grid_centre_and_radius():
+    grid = disk_grid(0.01)
+    r = 0.16
+    for c in [(0.0, 0.0), (0.15, 0.05), (-0.2, 0.22)]:
+        x0 = np.asarray(c, float)
+        fresh = ball_mask(grid, x0, (r / 2.0, r, 2.0 * r))
+        for ell in (0, 5):
+            u = mode_field(grid, ell, 4.0)
+            t = three_ball_ratio(u, c, r, 4.0)
+            want = [norm(u, "L2", m) for m in fresh]
+            assert [t.norm_half, t.norm_mid, t.norm_big] == want
+            assert ucp._triple_norms(u, x0, r) == want
+        masks = ucp._triple_masks(grid, x0, r)
+        assert np.array_equal(masks, fresh)
+        assert ucp._triple_masks(grid, x0, r) is masks
+        with pytest.raises(ValueError):
+            masks[0, 0] = not masks[0, 0]
