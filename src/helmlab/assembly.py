@@ -412,22 +412,6 @@ def mask_dirichlet_ring(op: DiscreteOperator, mask: np.ndarray) -> np.ndarray:
     return ring & mask
 
 
-def solve_on_mask(op: DiscreteOperator, mask: np.ndarray,
-                  ring_values: dict) -> GridField:
-    """Dirichlet solve on the submesh induced by a node mask.
-
-    ``ring_values`` maps ring node ids to data (missing ids default to 0).
-    Returns a field supported on the mask; nodes outside carry 0.
-    """
-    ring = mask_dirichlet_ring(op, mask)
-    idx_ring = np.flatnonzero(ring)
-    gvals = np.zeros(op.grid.n_nodes)
-    for node, val in ring_values.items():
-        gvals[int(node)] = val
-    sols = solve_on_mask_multi(op, mask, gvals[idx_ring][:, None])
-    return GridField(op.grid, sols[:, 0], mask.copy())
-
-
 def solve_on_mask_multi(op: DiscreteOperator, mask: np.ndarray,
                         ring_data: np.ndarray) -> np.ndarray:
     """Masked solves for many ring-data columns with one factorization.

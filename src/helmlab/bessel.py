@@ -166,23 +166,6 @@ def bessel_j_prime(order: float, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_j0_root() -> float:
-    """First positive zero of J_0 by bisection on [2, 3] to 1e-13
-    (reference value for tests and resonance probes)."""
-    a, b = 2.0, 3.0
-    fa = bessel_j(0.0, a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = bessel_j(0.0, m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < 1e-13:
-            break
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # Radial modes
 # ---------------------------------------------------------------------------
@@ -241,22 +224,6 @@ def mode_h1_semi_sq(ell: int, k: float, n: int) -> float:
     lam = ell * (ell + n - 2)
     integ = dvals ** 2 * r ** (n - 1) + lam * vals ** 2 * r ** (n - 3)
     return float(np.sum(w * integ))
-
-
-def mode_l2_sq_series(ell: int, k: float, n: int) -> float:
-    """Same quantity as :func:`mode_l2_sq` via the partial-turning sum
-    2 k^{-n} sum_m (ell + n/2 + 2m) J_{ell+n/2+2m}(k/2)^2  (10.22.27),
-    summed until a term falls below 1e-16 of the total."""
-    total = 0.0
-    m = 0
-    while m < 400:
-        order = ell + n / 2.0 + 2 * m
-        term = order * float(bessel_j(order, k / 2.0)) ** 2
-        total += term
-        if m > 2 and term < 1e-16 * max(total, 1e-300):
-            break
-        m += 1
-    return 2.0 * k ** (-n) * total
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ def dtn_map(op: DiscreteOperator, chart: BoundaryChart = None,
     return DtnMatrix(op=op, chart=chart, gamma_ids=gamma_ids, matrix=T)
 
 
-def dtn_apply(dtn: DtnMatrix, gvals: np.ndarray) -> np.ndarray:
-    return dtn.matrix @ gvals
-
-
 def _gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
     """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
     taken once per chart and block and held read-only on the chart.  The

@@ -9,7 +9,8 @@ by the weighted data norms ||e^phi |x|^2 f|| + max(tau, k) sum_j ||e^phi |x| F^j
 with phi = tau log|x|, i.e. weight |x|^tau, and a constant depending only on
 the dimension and the pinch kappa.  The module evaluates both sides with
 quadrature; f defaults to the full discrete residual (Delta + k^2 q) u, and a
-divergence-mode splitting routes part of the data through the F^j weights.
+caller's divergence-mode splitting routes part of the data through the F^j
+weights (``divergence_splitting`` in ``tests/helpers.py`` builds one).
 
 The improved-continuation probe manufactures high-degree solutions on the
 annulus with small outer Cauchy data and records the quantities entering the
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteOperator, Medium, radial_derivative, solve_dirichlet,
-                       stiffness, verified_solve, weak_neumann_trace)
+from .assembly import (DiscreteOperator, Medium, solve_dirichlet, stiffness,
+                       weak_neumann_trace)
 from .errors import HypothesisViolated, SupportViolation
 from .fields import GridField, functional_norm, masked_gradient, norm
 from .geometry import Grid, annulus_mask
@@ -82,19 +82,6 @@ def apply_principal(grid: Grid, medium: Medium, k: float,
     return (-(K @ values) + w * (k * k * medium.q.values) * values) / w
 
 
-def _polar_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """div F for cartesian components sampled on the polar lattice."""
-    n_r, n_t = grid.lattice_shape
-    th = np.tile(grid.thetas, n_r)
-    fr = fx * np.cos(th) + fy * np.sin(th)
-    ft = -fx * np.sin(th) + fy * np.cos(th)
-    r = np.repeat(grid.radii, n_t)
-    full = np.ones(grid.n_nodes, dtype=bool)
-    d_r = masked_gradient(grid, r * fr, full)[0]       # d/dr (r F_r)
-    d_t = masked_gradient(grid, ft, full)[1]           # (1/r) dF_theta/dtheta
-    return d_r / r + d_t
-
-
 def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
                    f: Optional[GridField] = None,
                    F: Optional[tuple] = None) -> CarlemanSample:
@@ -102,9 +89,8 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
 
     Default mode computes f = (Delta + k^2 q) u by direct differencing with
     F = 0; passing (f, F) uses the caller's splitting (the identity
-    f + div F = (Delta + k^2 q) u is the caller's responsibility, see
-    :func:`divergence_splitting`).  Requires the monotone flag and
-    tau >= ``TAU0``.
+    f + div F = (Delta + k^2 q) u is the caller's responsibility).  Requires
+    the monotone flag and tau >= ``TAU0``.
     """
     if not medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
@@ -141,33 +127,6 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     return CarlemanSample(tau=tau, k=k, lhs_terms=(lhs1, lhs2, lhs3),
                           rhs_terms=(rhs1, rhs2), ratio=ratio,
                           divergence_mode=div_mode)
-
-
-def divergence_splitting(grid: Grid, medium: Medium, k: float,
-                         u: GridField) -> tuple:
-    """Split (Delta + k^2 q) u = f + div F with a gradient-potential F.
-
-    Solves a Poisson problem for a potential p (residual checked by
-    :func:`verified_solve`), takes F = chi grad p with a collar cutoff chi
-    (keeps supp F inside the annulus), and folds the exact discrete
-    remainder into f, so f + div_h F matches the residual by construction.
-    """
-    rho = apply_principal(grid, medium, k, u.values)
-    K = stiffness(grid)
-    I = grid.interior_index
-    rhs = (grid.quad_weights * rho)[I]
-    p = np.zeros(grid.n_nodes)
-    K_II = K[I][:, I].tocsc()
-    p[I] = verified_solve(K_II, spla.splu(K_II), rhs)
-    grads = masked_gradient(grid, p, np.ones(grid.n_nodes, bool))
-    n_r, n_t = grid.lattice_shape
-    th = np.tile(grid.thetas, n_r)
-    chi = _collar_mask(grid).astype(float)
-    fx = chi * (grads[0] * np.cos(th) - grads[1] * np.sin(th))
-    fy = chi * (grads[0] * np.sin(th) + grads[1] * np.cos(th))
-    fv = rho - _polar_divergence(grid, fx, fy)
-    return (GridField(grid, fv),
-            (GridField(grid, fx), GridField(grid, fy)))
 
 
 def _radial_bump(grid: Grid, mid: float, halfwidth: float) -> np.ndarray:
@@ -231,18 +190,6 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
     vals = amp * s * np.cos(omega * np.log(r) + rng.uniform(0, 2 * np.pi)) \
         * np.cos(m * th + rng.uniform(0, 2 * np.pi))
     return GridField(grid, vals)
-
-
-def commutator_min(medium: Medium, tau: float, k: float) -> float:
-    """Minimum over nodes of 2 (1+tau) k^2 r^2 (2 q + r dq/dr), the
-    conjugated-operator commutator density; nonnegative for monotone q."""
-    grid = medium.grid
-    n_r, n_t = grid.lattice_shape
-    q = medium.q.values.reshape(n_r, n_t)
-    rd = radial_derivative(medium.q).reshape(n_r - 1, n_t)
-    r = grid.radii[:-1][:, None]
-    quantity = 2.0 * (1.0 + tau) * k * k * r ** 2 * (2.0 * q[:-1] + r * rd)
-    return float(quantity.min())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -41,7 +42,7 @@ from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
 from .geometry import DomainSpec, boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
 from .profiles import make_medium
-from .runge import aggregate_median, sweep_and_fit, sweep_params
+from .runge import SCENARIO_SETUP, aggregate_median, sweep_and_fit, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
     find_admissible_k, weyl_exponent
 from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
@@ -162,10 +163,41 @@ def validate_config(cfg: dict) -> list:
                                  or set(prof) - _PROFILE_KEYS):
             problems.append(f"medium.{side} profile malformed")
 
-    needs_monotone = exp in ("carleman", "improved_ucp") or \
-        (exp == "runge_sweep" and params.get("scenario") == "convex")
+    needs_monotone = exp in ("carleman", "improved_ucp")
+    if exp == "runge_sweep":
+        scenario = {**_PARAMS[exp], **params}["scenario"]
+        # a tuple, since the config may give any JSON value, lists too
+        if scenario not in tuple(SCENARIO_SETUP):
+            problems.append(f"unknown scenario {scenario!r}; valid: "
+                            f"{tuple(SCENARIO_SETUP)}")
+            return problems
+        problems.extend(_scenario_report(scenario, spec, med))
+        needs_monotone = SCENARIO_SETUP[scenario][3]
     if spec is not None and not problems:
         problems.extend(_assumption_report(cfg, spec, med, needs_monotone))
+    return problems
+
+
+def _scenario_report(scenario, spec, med) -> list:
+    """A runge_sweep runs on the domain and medium of its scenario
+    (:data:`helmlab.runge.SCENARIO_SETUP`): the config may restate them but
+    not change them, and it sets no potential."""
+    want_spec, q, kappa, monotone = SCENARIO_SETUP[scenario]
+    problems = []
+    if spec is not None and spec != want_spec:
+        names = [f.name for f in dataclasses.fields(spec)
+                 if getattr(spec, f.name) != getattr(want_spec, f.name)]
+        shown = [", ".join(f"{n}={getattr(d, n)!r}" for n in names)
+                 for d in (spec, want_spec)]
+        problems.append(f"domain {shown[0]} is not the {scenario} scenario's "
+                        f"{shown[1]}")
+    want = {"q": q, "kappa": kappa, "monotone": monotone}
+    for key in want:
+        if key in med and med[key] != want[key]:
+            problems.append(f"medium.{key} {med[key]!r} is not the {scenario} "
+                            f"scenario's; it runs on medium {want}")
+    if "V" in med:
+        problems.append(f"the {scenario} scenario sets no medium.V")
     return problems
 
 

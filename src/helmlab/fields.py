@@ -69,19 +69,6 @@ class GridField:
     __rmul__ = __mul__
 
 
-def field_from_radial(grid: Grid, radial_fn) -> GridField:
-    """Sample a radial profile about the domain centre of a polar grid, or
-    about the origin of a cartesian one; on polar grids only the distinct
-    radii are evaluated, which keeps expensive special-function profiles
-    cheap."""
-    if grid.topology == "polar":
-        prof = np.asarray(radial_fn(grid.radii))
-        vals = np.repeat(prof, grid.lattice_shape[1])
-    else:
-        vals = np.asarray(radial_fn(np.linalg.norm(grid.nodes, axis=1)))
-    return GridField(grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------

@@ -491,7 +491,6 @@ class BoundaryChart:
     node_ids: np.ndarray
     weights: np.ndarray
     gamma_mask: np.ndarray
-    arclength: Optional[np.ndarray] = None       # 2D only
     _modal: Optional[tuple] = None               # (lambdas, E) cached
     _gram: Optional[np.ndarray] = None           # full H^(1/2) Gram cached
     _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
@@ -499,9 +498,6 @@ class BoundaryChart:
     @property
     def n(self) -> int:
         return self.node_ids.size
-
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
 
     def gamma_ids(self) -> np.ndarray:
         return self.node_ids[self.gamma_mask]
@@ -620,7 +616,6 @@ def _polar_chart(grid: Grid, gamma) -> BoundaryChart:
     ids = grid.lattice_id[n_rings - 1].copy()
     r_out = float(grid.radii[-1])
     weights = np.full(n_theta, r_out * grid.dtheta)
-    arclength = grid.thetas * r_out
     if gamma == "full":
         mask = np.ones(n_theta, dtype=bool)
     elif isinstance(gamma, dict) and "angles" in gamma:
@@ -632,7 +627,7 @@ def _polar_chart(grid: Grid, gamma) -> BoundaryChart:
     else:
         raise GeometryViolation(f"bad gamma descriptor for circle: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
-                         gamma_mask=mask, arclength=arclength)
+                         gamma_mask=mask)
 
 
 def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
@@ -652,7 +647,6 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
     seg_next = np.linalg.norm(nxt - pts, axis=1)
     seg_prev = np.linalg.norm(pts - prv, axis=1)
     weights = 0.5 * (seg_next + seg_prev)
-    arclength = np.concatenate([[0.0], np.cumsum(seg_next)[:-1]])
 
     if gamma == "full":
         mask = np.ones(ids.size, dtype=bool)
@@ -664,7 +658,7 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
     else:
         raise GeometryViolation(f"bad gamma descriptor for perimeter: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
-                         gamma_mask=mask, arclength=arclength)
+                         gamma_mask=mask)
 
 
 def _walk_boundary_cycle(grid: Grid):

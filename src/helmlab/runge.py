@@ -459,6 +459,16 @@ _SCENARIO_DEFAULTS = {
                    epsilon_list=(0.05,), h_cap=0.06),
 }
 
+# the domain, q profile, pinch kappa and monotone flag each scenario runs on
+SCENARIO_SETUP = {
+    "boundary": (DomainSpec.disk(1.0), {"profile": "constant", "value": 1.0},
+                 1.001, False),
+    "interior": (DomainSpec.disk(1.0), {"profile": "constant", "value": 1.0},
+                 1.001, False),
+    "convex": (DomainSpec.annulus(0.5, 2.0),
+               {"profile": "radial_quadratic", "amplitude": 0.25}, 2.02, True),
+}
+
 
 def sweep_params(scenario: str, **overrides) -> dict:
     """Sweep configuration with tuned per-scenario defaults.
@@ -484,7 +494,8 @@ def sweep_params(scenario: str, **overrides) -> dict:
 def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     """Run the (epsilon, k) sweep for one scenario and fit its exponents.
 
-    One shared grid (resolved for the largest frequency) carries all cells;
+    The scenario's domain and medium are those of ``SCENARIO_SETUP``.  One
+    shared grid (resolved for the largest frequency) carries all cells;
     frequencies are snapped to admissible values near the requested targets
     (kept when the margin is already 3x the threshold, moved to the gap
     midpoint otherwise).  Cells are seeded deterministically and merged in
@@ -492,19 +503,14 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     Cells whose budget no cutoff meets are counted per (k, epsilon, reason)
     in ``FitReport.dropped``.
     """
+    if scenario not in SCENARIO_SETUP:
+        raise ValueError(f"unknown scenario {scenario!r}")
     p = sweep_params(scenario) if params is None else dict(params)
     k_targets = [float(k) for k in p["k_list"]]
     eps_list = [float(e) for e in p["epsilon_list"]]
     seeds = list(p["seeds"])
 
-    if scenario == "convex":
-        spec = DomainSpec.annulus(0.5, 2.0)
-        q_spec = {"profile": "radial_quadratic", "amplitude": 0.25}
-        kappa, monotone = 2.02, True
-    else:
-        spec = DomainSpec.disk(1.0)
-        q_spec = {"profile": "constant", "value": 1.0}
-        kappa, monotone = 1.001, False
+    spec, q_spec, kappa, monotone = SCENARIO_SETUP[scenario]
     h = min(default_spacing(max(k_targets), kappa), p["h_cap"])
     if "h" in p and p["h"]:
         h = p["h"]
@@ -665,18 +671,3 @@ def fit_records(scenario: str, records: list, key: str = "cost") -> FitReport:
         return FitReport(scenario, expo, r2, len(recs), records)
     raise ValueError(f"unknown scenario {scenario!r}")
 
-
-def curvature_statistic(records: list) -> dict:
-    """Quadratic coefficient of log cost in log(1/eps) per seed; positive
-    curvature separates the exponential-cost regime from the polynomial one."""
-    out = {}
-    seeds = sorted({r["seed"] for r in records})
-    for sd in seeds:
-        sub = [r for r in records if r["seed"] == sd and r["cost"] > 0]
-        if len(sub) < 4:
-            continue
-        L = np.log(1.0 / np.array([r["epsilon"] for r in sub]))
-        y = np.log([r["cost"] for r in sub])
-        coef = np.polyfit(L, y, 2)
-        out[sd] = float(coef[0])
-    return out

@@ -65,8 +65,6 @@ class BallTriple:
     norm_half: float
     norm_mid: float
     norm_big: float
-    eta: float = 0.0
-    boundary: bool = False
 
     def degenerate(self) -> bool:
         return min(self.norm_half, self.norm_mid, self.norm_big) <= 0.0
@@ -107,16 +105,6 @@ def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:
                       norm_big=nb)
 
 
-def boundary_three_ball(u: GridField, x0, r: float, k: float,
-                        eta: float) -> BallTriple:
-    """Boundary-bulk variant: norms over B+ = B cap Omega for x0 on the data
-    sub-boundary, with the Cauchy-data size eta attached."""
-    x0 = np.asarray(x0, float)
-    nh, nm, nb = _triple_norms(u, x0, r)
-    return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
-                      norm_big=nb, eta=eta, boundary=True)
-
-
 # ---------------------------------------------------------------------------
 # Exponent fits
 # ---------------------------------------------------------------------------
@@ -125,7 +113,6 @@ def boundary_three_ball(u: GridField, x0, r: float, k: float,
 class ExponentFit:
     alpha_hat: float
     intercepts: dict                  # k -> log C(k), one-sided envelope
-    boundary: bool
     n_samples: int
 
     def log_c(self, k: float) -> float:
@@ -133,33 +120,21 @@ class ExponentFit:
         near = ks[np.argmin(np.abs(ks - k))]
         return self.intercepts[float(near)]
 
-    def margin(self, t: BallTriple) -> float:
-        """Envelope slack of the fitted inequality on one triple (>= 0 on the
-        calibration family by construction)."""
-        x, y = _triple_xy(t, self.boundary)
-        return self.log_c(t.k) + self.alpha_hat * x - y
 
-
-def _triple_xy(t: BallTriple, boundary: bool):
-    if boundary:
-        base = math.log(t.norm_big + t.eta)
-        x = math.log(t.eta) - base
-        y = math.log(t.norm_mid) - base
-    else:
-        x = math.log(t.norm_half) - math.log(t.norm_big)
-        y = math.log(t.norm_mid) - math.log(t.norm_big)
+def _triple_xy(t: BallTriple):
+    x = math.log(t.norm_half) - math.log(t.norm_big)
+    y = math.log(t.norm_mid) - math.log(t.norm_big)
     return x, y
 
 
-def estimate_exponent(samples: list, boundary: bool = False) -> ExponentFit:
+def estimate_exponent(samples: list) -> ExponentFit:
     """Least-squares interpolation exponent, clamped to (0,1), with one-sided
     per-frequency intercepts chosen so every calibration sample has
     nonnegative margin."""
-    good = [t for t in samples if not t.degenerate()
-            and (not boundary or t.eta > 0)]
+    good = [t for t in samples if not t.degenerate()]
     if len(good) < 10:
         raise DegenerateSamples(f"{len(good)} usable samples; need >= 10")
-    xy = np.array([_triple_xy(t, boundary) for t in good])
+    xy = np.array([_triple_xy(t) for t in good])
     x, y = xy[:, 0], xy[:, 1]
     if float(np.var(x)) < 1e-12:
         raise DegenerateSamples("interpolation abscissa has no spread")
@@ -171,7 +146,7 @@ def estimate_exponent(samples: list, boundary: bool = False) -> ExponentFit:
         kk = float(t.k)
         intercepts[kk] = max(intercepts.get(kk, -np.inf), need)
     return ExponentFit(alpha_hat=alpha, intercepts=intercepts,
-                       boundary=boundary, n_samples=len(good))
+                       n_samples=len(good))
 
 
 # ---------------------------------------------------------------------------
@@ -408,37 +383,3 @@ def _greedy_cover(nodes: np.ndarray, deep: np.ndarray, centers: np.ndarray,
             uncovered[ids] = False
             left -= ids.size
     return cover_sq, n_cover, left
-
-
-# ---------------------------------------------------------------------------
-# Companion sanity probes
-# ---------------------------------------------------------------------------
-
-def caccioppoli_ratio(u: GridField, epsilon: float, k: float) -> float:
-    """||grad u||_{L2(Omega_eps)} / (k eps^-1 ||u||_{L2(Omega_eps/2)});
-    bounded by one constant across a solution family."""
-    grid = u.grid
-    depth = boundary_distance(grid, grid.nodes)
-    num = norm(u, "H1_semi", u.region & (depth >= epsilon))
-    den = k / epsilon * norm(u, "L2", u.region & (depth >= epsilon / 2.0))
-    if den == 0:
-        return 0.0
-    return num / den
-
-
-def source_neumann_ratio(op: DiscreteOperator, chart: BoundaryChart,
-                         v: GridField, omega1_mask: np.ndarray) -> float:
-    """eta / (k^(n+2) ||v||) for the source problem driven by a region-
-    supported v: solve with source v 1_Omega1, measure the sub-boundary
-    Neumann norm."""
-    from .assembly import solve_dirichlet, weak_neumann_trace
-    from .fields import functional_norm
-    grid = op.grid
-    src = np.where(omega1_mask, v.values, 0.0)
-    f = GridField(grid, src)
-    wsol = solve_dirichlet(op, f=f)
-    ell = weak_neumann_trace(op, wsol, f=f)
-    eta = functional_norm(ell, gamma=chart.gamma_mask)
-    v_l2 = norm(GridField(grid, src), "L2", omega1_mask)
-    n = grid.dim
-    return eta / (op.k ** (n + 2) * v_l2)

@@ -1,16 +1,24 @@
 """Cached builders shared across test modules (grids and factorizations are
-expensive; acceptance and unit tests reuse the same objects)."""
+expensive; acceptance and unit tests reuse the same objects), and the
+reference quantities and probes that tests compare the package against."""
 
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from helmlab.assembly import assemble
-from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask, boundary_chart,
-                              build_grid)
+from helmlab.assembly import (DiscreteOperator, Medium, assemble,
+                              radial_derivative, solve_dirichlet, stiffness,
+                              verified_solve, weak_neumann_trace)
+from helmlab.bessel import bessel_j
+from helmlab.carleman import _collar_mask, apply_principal
+from helmlab.fields import GridField, functional_norm, masked_gradient, norm
+from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, annulus_mask,
+                              ball_mask, boundary_chart, build_grid)
 from helmlab.profiles import make_medium
 from helmlab.runge import MaskSolutionBasis, build_forward_map, svd
 from helmlab.spectral import compute_sigma
+from helmlab.ucp import BallTriple, ExponentFit, _triple_xy, boundary_distance
 
 
 @lru_cache(maxsize=None)
@@ -98,3 +106,134 @@ def fit_line(x, y):
     ss_tot = float(np.sum((np.asarray(y) - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return coef[0], coef[1], r2
+
+
+# ---------------------------------------------------------------------------
+# Reference quantities
+# ---------------------------------------------------------------------------
+
+def mode_l2_sq_series(ell: int, k: float, n: int) -> float:
+    """Same quantity as :func:`helmlab.bessel.mode_l2_sq` via the partial-turning sum
+    2 k^{-n} sum_m (ell + n/2 + 2m) J_{ell+n/2+2m}(k/2)^2  (10.22.27),
+    summed until a term falls below 1e-16 of the total."""
+    total = 0.0
+    m = 0
+    while m < 400:
+        order = ell + n / 2.0 + 2 * m
+        term = order * float(bessel_j(order, k / 2.0)) ** 2
+        total += term
+        if m > 2 and term < 1e-16 * max(total, 1e-300):
+            break
+        m += 1
+    return 2.0 * k ** (-n) * total
+
+
+def curvature_statistic(records: list) -> dict:
+    """Quadratic coefficient of log cost in log(1/eps) per seed; positive
+    curvature separates the exponential-cost regime from the polynomial one."""
+    out = {}
+    seeds = sorted({r["seed"] for r in records})
+    for sd in seeds:
+        sub = [r for r in records if r["seed"] == sd and r["cost"] > 0]
+        if len(sub) < 4:
+            continue
+        L = np.log(1.0 / np.array([r["epsilon"] for r in sub]))
+        y = np.log([r["cost"] for r in sub])
+        coef = np.polyfit(L, y, 2)
+        out[sd] = float(coef[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Three-balls and companion sanity probes
+# ---------------------------------------------------------------------------
+
+def margin(fit: ExponentFit, t: BallTriple) -> float:
+    """Envelope slack of the fitted inequality on one triple (>= 0 on the
+    calibration family by construction)."""
+    x, y = _triple_xy(t)
+    return fit.log_c(t.k) + fit.alpha_hat * x - y
+
+
+def caccioppoli_ratio(u: GridField, epsilon: float, k: float) -> float:
+    """||grad u||_{L2(Omega_eps)} / (k eps^-1 ||u||_{L2(Omega_eps/2)});
+    bounded by one constant across a solution family."""
+    grid = u.grid
+    depth = boundary_distance(grid, grid.nodes)
+    num = norm(u, "H1_semi", u.region & (depth >= epsilon))
+    den = k / epsilon * norm(u, "L2", u.region & (depth >= epsilon / 2.0))
+    if den == 0:
+        return 0.0
+    return num / den
+
+
+def source_neumann_ratio(op: DiscreteOperator, chart: BoundaryChart,
+                         v: GridField, omega1_mask: np.ndarray) -> float:
+    """eta / (k^(n+2) ||v||) for the source problem driven by a region-
+    supported v: solve with source v 1_Omega1, measure the sub-boundary
+    Neumann norm."""
+    grid = op.grid
+    src = np.where(omega1_mask, v.values, 0.0)
+    f = GridField(grid, src)
+    wsol = solve_dirichlet(op, f=f)
+    ell = weak_neumann_trace(op, wsol, f=f)
+    eta = functional_norm(ell, gamma=chart.gamma_mask)
+    v_l2 = norm(GridField(grid, src), "L2", omega1_mask)
+    n = grid.dim
+    return eta / (op.k ** (n + 2) * v_l2)
+
+
+# ---------------------------------------------------------------------------
+# Weighted-inequality probes on the annulus
+# ---------------------------------------------------------------------------
+
+def _polar_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """div F for cartesian components sampled on the polar lattice."""
+    n_r, n_t = grid.lattice_shape
+    th = np.tile(grid.thetas, n_r)
+    fr = fx * np.cos(th) + fy * np.sin(th)
+    ft = -fx * np.sin(th) + fy * np.cos(th)
+    r = np.repeat(grid.radii, n_t)
+    full = np.ones(grid.n_nodes, dtype=bool)
+    d_r = masked_gradient(grid, r * fr, full)[0]       # d/dr (r F_r)
+    d_t = masked_gradient(grid, ft, full)[1]           # (1/r) dF_theta/dtheta
+    return d_r / r + d_t
+
+
+def divergence_splitting(grid: Grid, medium: Medium, k: float,
+                         u: GridField) -> tuple:
+    """Split (Delta + k^2 q) u = f + div F with a gradient-potential F.
+
+    Solves a Poisson problem for a potential p (residual checked by
+    :func:`verified_solve`), takes F = chi grad p with a collar cutoff chi
+    (keeps supp F inside the annulus), and folds the exact discrete
+    remainder into f, so f + div_h F matches the residual by construction.
+    """
+    rho = apply_principal(grid, medium, k, u.values)
+    K = stiffness(grid)
+    I = grid.interior_index
+    rhs = (grid.quad_weights * rho)[I]
+    p = np.zeros(grid.n_nodes)
+    K_II = K[I][:, I].tocsc()
+    p[I] = verified_solve(K_II, spla.splu(K_II), rhs)
+    grads = masked_gradient(grid, p, np.ones(grid.n_nodes, bool))
+    n_r, n_t = grid.lattice_shape
+    th = np.tile(grid.thetas, n_r)
+    chi = _collar_mask(grid).astype(float)
+    fx = chi * (grads[0] * np.cos(th) - grads[1] * np.sin(th))
+    fy = chi * (grads[0] * np.sin(th) + grads[1] * np.cos(th))
+    fv = rho - _polar_divergence(grid, fx, fy)
+    return (GridField(grid, fv),
+            (GridField(grid, fx), GridField(grid, fy)))
+
+
+def commutator_min(medium: Medium, tau: float, k: float) -> float:
+    """Minimum over nodes of 2 (1+tau) k^2 r^2 (2 q + r dq/dr), the
+    conjugated-operator commutator density; nonnegative for monotone q."""
+    grid = medium.grid
+    n_r, n_t = grid.lattice_shape
+    q = medium.q.values.reshape(n_r, n_t)
+    rd = radial_derivative(medium.q).reshape(n_r - 1, n_t)
+    r = grid.radii[:-1][:, None]
+    quantity = 2.0 * (1.0 + tau) * k * k * r ** 2 * (2.0 * q[:-1] + r * rd)
+    return float(quantity.min())

@@ -13,8 +13,7 @@ from scipy import stats
 
 from helmlab.assembly import assemble, solve_dirichlet
 from helmlab.bessel import (bessel_j, check_bessel_inequalities, mode_l2_sq,
-                            mode_l2_sq_series, optimality_lower_bound,
-                            radial_profile)
+                            optimality_lower_bound, radial_profile)
 from helmlab.calderon import (alessandrini_gap, dtn_distance, dtn_map,
                               perturbation_record, stability_check)
 from helmlab.carleman import adapted_compact_sample, carleman_check, \
@@ -24,14 +23,15 @@ from helmlab.geometry import ball_mask, boundary_chart
 from helmlab.modes import mode_field, random_mode_superposition
 from helmlab.profiles import make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply, aggregate_median,
-                           build_forward_map, curvature_statistic,
-                           runge_approximate, svd, sweep_and_fit, sweep_params,
-                           trace_inner, truncation_energy_identity)
+                           build_forward_map, runge_approximate, svd,
+                           sweep_and_fit, sweep_params, trace_inner,
+                           truncation_energy_identity)
 from helmlab.spectral import check_admissibility
 from helmlab.ucp import estimate_exponent, three_ball_ratio
 
-from helpers import (annulus_setup, cube_setup, disk_grid, disk_pair_svd,
-                     disk_setup, disk_spectrum, fit_line)
+from helpers import (annulus_setup, cube_setup, curvature_statistic, disk_grid,
+                     disk_pair_svd, disk_setup, disk_spectrum, fit_line, margin,
+                     mode_l2_sq_series)
 
 
 def _ok(num, name):
@@ -196,13 +196,13 @@ def test_criterion_07_three_balls_envelope():
             for c in centers[:3]:
                 t = three_ball_ratio(u, c, 0.16, k)
                 if not t.degenerate():
-                    worst_margin = min(worst_margin, fit.margin(t))
+                    worst_margin = min(worst_margin, margin(fit, t))
         for ell in range(1, int(2 * k) + 8, 2):
             u = mode_field(g, ell, k, parity="sin")
             for c in centers[3:]:
                 t = three_ball_ratio(u, c, 0.16, k)
                 if not t.degenerate():
-                    worst_margin = min(worst_margin, fit.margin(t))
+                    worst_margin = min(worst_margin, margin(fit, t))
     assert worst_margin >= 0.0
 
     logc = [fit.log_c(k) for k in (2.0, 4.0, 8.0, 16.0)]

@@ -1,12 +1,19 @@
-"""Every defaulted parameter of the package is set by at least one caller.
+"""The package holds only what runs.
 
-A default that no call in ``src``, ``tests`` or ``perfbench`` overrides is a
+Every defaulted parameter of the package is set by at least one caller.  A
+default that no call in ``src``, ``tests`` or ``perfbench`` overrides is a
 configuration that nothing runs; it belongs inside its function as a
 constant.  The audit parses the sources with ``ast`` and matches calls to
 definitions by name: ``f(...)`` and ``obj.f(...)`` reach every definition
 named ``f``, and ``Cls(...)`` reaches ``Cls.__init__``.  A parameter counts
 as passed when a call names it as a keyword, fills its position, or spreads
 ``*args`` over it or ``**kwargs`` into the call.
+
+Every top-level function and class of the package, and every public method
+of its classes, is reached from a run: ``src/helmlab`` names it outside its
+own definition, as a name, an attribute or a ``from ... import`` (the
+exports of ``helmlab/__init__.py`` are such imports).  What only tests use
+belongs in ``tests/helpers.py``.
 """
 
 import ast
@@ -112,7 +119,66 @@ def test_every_default_is_overridden_by_some_caller():
         "passed:\n" + "\n".join(unpassed))
 
 
+# Reached only from tests until the stage trace evaluates them on a run.
+REACH_ALLOWED = dict.fromkeys(
+    ("runge.truncation_energy_identity", "runge.adjoint_apply_matrix",
+     "runge.trace_inner", "calderon.check_agreement"),
+    "ROADMAP item 2 runs these identity probes under the trace")
+
+
+def _references(tree) -> list:
+    """(name, line) of every name, attribute and ``from ... import`` in a
+    module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(a.name, node.lineno) for a in node.names]
+    return out
+
+
+def unreached():
+    """Qualified names (``module.name`` or ``module.Class.method``) that no
+    line of ``src/helmlab`` outside their own definition names."""
+    defs, refs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += [(path.stem, name, line) for name, line in _references(tree)]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs.append((path.stem, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(path.stem, f"{node.name}.{m.name}", m)
+                         for m in node.body if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+    out = []
+    for module, qual, node in defs:
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(name == node.name and (mod != module or line not in own)
+                   for mod, name, line in refs):
+            out.append(f"{module}.{qual}")
+    return sorted(out)
+
+
+def test_every_name_is_reached_from_a_run():
+    flagged = unreached()
+    left = [q for q in flagged if q not in REACH_ALLOWED]
+    assert not left, (f"{len(left)} names are reached only from tests; move "
+                      "them to tests/helpers.py or delete them:\n"
+                      + "\n".join(left))
+    stale = sorted(set(REACH_ALLOWED) - set(flagged))
+    assert not stale, f"allowlisted names now reached from src: {stale}"
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
     print("\n".join(unpassed))
+    flagged = unreached()
+    print(len(flagged), "reached only from tests;", len(REACH_ALLOWED),
+          "allowlisted")
+    print("\n".join(flagged))

@@ -4,11 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helmlab.bessel import (bessel_j, bessel_j0_root, bessel_j_prime,
+from helmlab.bessel import (bessel_j, bessel_j_prime,
                             check_bessel_inequalities, gauss_legendre,
-                            mode_h1_semi_sq, mode_l2_sq, mode_l2_sq_series,
+                            mode_h1_semi_sq, mode_l2_sq,
                             optimality_lower_bound, radial_profile)
 from helmlab.errors import HypothesisViolated, RangeGuard
+
+from helpers import mode_l2_sq_series
 
 mp.mp.dps = 60
 
@@ -41,7 +43,7 @@ def test_half_order_closed_form():
 
 
 def test_first_root_of_j0():
-    root = bessel_j0_root()
+    root = float(mp.besseljzero(0, 1))
     assert abs(root - 2.404825557695773) < 1e-9
     assert abs(bessel_j(0.0, root)) <= 1e-6
 

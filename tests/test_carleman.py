@@ -7,7 +7,6 @@ import pytest
 from helmlab import assembly
 from helmlab.assembly import assemble
 from helmlab.carleman import (adapted_compact_sample, carleman_check,
-                              commutator_min, divergence_splitting,
                               improved_ucp_probe, random_compact_sample)
 from helmlab.errors import HypothesisViolated, SolverBreakdown, SupportViolation
 from helmlab.fields import GridField
@@ -15,7 +14,8 @@ from helmlab.geometry import DomainSpec, build_grid
 from helmlab.profiles import make_medium
 from helmlab.spectral import compute_sigma, find_admissible_k
 
-from helpers import annulus_setup, fit_line
+from helpers import (annulus_setup, commutator_min, divergence_splitting,
+                     fit_line)
 
 
 def _grid_medium(h=0.02):

@@ -360,3 +360,53 @@ def test_cli_import_loads_no_new_scipy_module():
     assert not [m for m in added if m.split(".")[0] == "scipy"]
     assert {m for m in added if m.split(".")[0] == "helmlab"} <= \
         {"helmlab.cli", "helmlab.modes", "helmlab.profiles"}
+
+
+_DISK = {"kind": "disk", "radius": 1.0}
+
+
+def test_runge_sweep_unknown_scenario_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "runge_sweep", "domain": _DISK,
+           "medium": {"q": {"profile": "constant", "value": 1.0}},
+           "params": {"scenario": "concave"}}
+    assert any("unknown scenario 'concave'" in p for p in validate_config(cfg))
+    path = _write(tmp_path, "concave.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    assert "valid" not in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown scenario 'concave'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario,domain,medium,flag", [
+    ("interior", _ANNULUS, {}, "domain kind='annulus'"),
+    ("interior", {"kind": "disk", "radius": 2.0}, {}, "domain radius=2.0"),
+    ("boundary", {**_DISK, "gamma": [[0.0, PI]]}, {}, "domain gamma="),
+    ("convex", _ANNULUS, _MONOTONE, "domain r_inner=1.0"),
+    ("interior", _DISK, {"q": _MONOTONE["q"]}, "medium.q"),
+    ("interior", _DISK, {"kappa": 2.0}, "medium.kappa"),
+    ("interior", _DISK, {"monotone": True}, "medium.monotone"),
+    ("convex", {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0},
+     {**_MONOTONE, "kappa": 3.0}, "medium.kappa"),
+    ("interior", _DISK, {"V": {"profile": "constant", "value": 0.0}},
+     "medium.V"),
+])
+def test_runge_sweep_runs_on_its_scenarios_domain_and_medium(
+        tmp_path, scenario, domain, medium, flag):
+    # the sweep builds the scenario's own domain and medium, so a config that
+    # names another one would be validated, hashed and then ignored
+    cfg = {"experiment": "runge_sweep", "domain": domain, "medium": medium,
+           "params": {"scenario": scenario}}
+    assert any(flag in p for p in validate_config(cfg))
+    path = _write(tmp_path, "other.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_minimal_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    cfg = json.loads(block)
+    assert cfg["experiment"] == "runge_sweep"
+    assert validate_config(cfg) == []

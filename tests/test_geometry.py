@@ -74,7 +74,7 @@ def test_node_count_scale():
 def test_chart_weights_and_gamma_arc():
     g = build_grid(DomainSpec.disk(1.0), 0.1)
     chart = boundary_chart(g)
-    assert abs(chart.total_measure() - 2 * np.pi) < 1e-12
+    assert abs(chart.weights.sum() - 2 * np.pi) < 1e-12
     half = boundary_chart(g, {"angles": [(0.0, np.pi)]})
     frac = half.gamma_mask.mean()
     assert 0.4 < frac < 0.6
@@ -85,7 +85,7 @@ def test_chart_rectangle_edges():
     chart = boundary_chart(g, {"edges": ["bottom"]})
     pts = g.nodes[chart.gamma_ids()]
     assert np.allclose(pts[:, 1], 0.0)
-    assert abs(chart.total_measure() - 4.0) < 1e-12
+    assert abs(chart.weights.sum() - 4.0) < 1e-12
 
 
 def test_empty_gamma_raises():
@@ -130,7 +130,7 @@ def test_masked_union_l_shape():
     assert abs(np.sum(g.quad_weights) - 3.0) < 1e-10
     assert spec.area() == 3.0         # the overlap square counts once
     chart = boundary_chart(g)
-    assert abs(chart.total_measure() - 8.0) < 1e-10
+    assert abs(chart.weights.sum() - 8.0) < 1e-10
     g.validate()
 
 
@@ -144,7 +144,7 @@ def test_box_surface_chart():
     g = build_grid(DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}),
                    1 / 8)
     chart = boundary_chart(g)
-    assert abs(chart.total_measure() - 6.0) < 1e-12
+    assert abs(chart.weights.sum() - 6.0) < 1e-12
     pts = g.nodes[chart.gamma_ids()]
     assert np.allclose(pts[:, 2], 0.0)
     assert np.all(pts[:, 0] > 0) and np.all(pts[:, 0] < 1)

@@ -4,7 +4,10 @@ Each draw builds a disk, annulus, rectangle or masked union of under 2,000
 nodes with a random gamma descriptor (angle intervals on circles, edge
 subsets on rectangles, the whole boundary on unions), a random medium and
 frequency, and checks that the assembled operator is exactly symmetric and
-that the Riesz map reproduces the dual norm.
+that the Riesz map reproduces the dual norm.  Forward maps from gamma to a
+region at least four layers inside disks, annuli and rectangles check the
+adjoint identity (A g, u)_w = <g, A* u> and the cost identity
+cost^2 = sum beta_j^2 / mu_j.
 """
 
 import numpy as np
@@ -12,9 +15,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helmlab.assembly import assemble
-from helmlab.fields import BoundaryFunctional, functional_norm, riesz_map
-from helmlab.geometry import DomainSpec, boundary_chart, build_grid
+from helmlab.fields import (BoundaryFunctional, GridField, functional_norm,
+                            riesz_map)
+from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask,
+                              boundary_chart, build_grid)
 from helmlab.profiles import make_medium
+from helmlab.runge import (adjoint_apply, adjoint_apply_matrix,
+                           build_forward_map, runge_approximate, svd,
+                           trace_inner)
 
 _EIGHTH = 1 / 8
 # an L and a T, each bar 8 layers thick at h = 1/8
@@ -74,3 +82,84 @@ def test_symmetric_operator_and_riesz_identity(kind, data, amplitude, v,
     for gamma in (None, chart.gamma_mask):
         pair = ell.pair(riesz_map(ell, gamma))
         assert abs(pair - functional_norm(ell, gamma) ** 2) <= 1e-10 * pair
+
+
+# disks <= 1,552 nodes, annuli <= 1,785, rectangles <= 1,089; the region is
+# a centred ball (an inner annulus on annuli) 4.5 layers inside the chart
+_MAP_DOMAINS = {
+    "disk": st.builds(lambda r, f, g: (DomainSpec.disk(r, gamma=g), f * r),
+                      st.floats(0.8, 1.4), st.floats(0.065, 0.1), _ANGLES),
+    "annulus": st.builds(lambda r0, w, h, g: (
+        DomainSpec.annulus(r0, r0 + w, gamma=g), h),
+        st.floats(0.1, 0.5), st.floats(1.0, 1.2), st.floats(0.09, 0.12),
+        _ANGLES),
+    "rectangle": st.builds(lambda nx, ny, g: (DomainSpec.rectangle(
+        (0, 0), (nx / 16, ny / 16), gamma=g), 1 / 16),
+        st.integers(16, 32), st.integers(16, 32),
+        st.one_of(st.just("full"), st.builds(
+            lambda e: {"edges": e},
+            st.lists(st.sampled_from(_EDGES), min_size=1, max_size=4,
+                     unique=True)))),
+}
+
+
+def _draw_map(kind, data, amplitude, k_frac):
+    """Forward map of a drawn domain at a frequency the wavelength rule
+    admits."""
+    spec, h = data.draw(_MAP_DOMAINS[kind])
+    g = build_grid(spec, h)
+    assert g.n_nodes < 2000
+    gap = 4.5 * g.max_spacing()
+    if kind == "annulus":
+        region = annulus_mask(g, spec.r_inner, spec.r_outer - gap)
+    elif kind == "disk":
+        region = ball_mask(g, spec.center, spec.radius - gap)
+    else:
+        lo, hi = np.asarray(spec.corners, float)
+        region = ball_mask(g, (lo + hi) / 2, np.min(hi - lo) / 2 - gap)
+    med = make_medium(g, q_spec={"profile": "radial_quadratic",
+                                 "amplitude": amplitude})
+    k_max = 2 * np.pi / (10 * g.max_spacing() * np.sqrt(med.kappa))
+    op = assemble(g, med, 1 + k_frac * (k_max - 1) * (1 - 1e-9))
+    return build_forward_map(op, region, boundary_chart(g))
+
+
+@pytest.mark.parametrize("kind", sorted(_MAP_DOMAINS))
+@given(data=st.data(), amplitude=st.floats(0.0, 0.25),
+       k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_adjoint_identity(kind, data, amplitude, k_frac, seed):
+    fmap = _draw_map(kind, data, amplitude, k_frac)
+    rng = np.random.default_rng(seed)
+    gv = rng.standard_normal(fmap.gamma_ids.size)
+    uv = rng.standard_normal(fmap.omega1_ids.size)
+    star = adjoint_apply(fmap, uv)
+    lhs = float((fmap.A @ gv) @ (fmap.wx * uv))
+    rhs = trace_inner(fmap, fmap.trace_from_gamma(gv), star)
+    assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+    # the PDE route agrees with the Gram-weighted transpose of A
+    pos = fmap.gamma_positions()
+    oracle = adjoint_apply_matrix(fmap, uv).values[pos]
+    assert np.max(np.abs(star.values[pos] - oracle)) <= \
+        1e-8 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("kind", sorted(_MAP_DOMAINS))
+@given(data=st.data(), amplitude=st.floats(0.0, 0.25),
+       k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       keep=st.floats(0.0, 0.5))
+def test_cost_identity_at_a_forced_alpha(kind, data, amplitude, k_frac, seed,
+                                         keep):
+    fmap = _draw_map(kind, data, amplitude, k_frac)
+    system = svd(fmap)
+    sv = system.singular_values
+    alpha = sv[int(keep * (sv.size - 1))]
+    rng = np.random.default_rng(seed)
+    v = GridField(fmap.op.grid, rng.standard_normal(fmap.op.grid.n_nodes))
+    ap = runge_approximate(system, v, 1.0, 1.0, alpha=alpha)
+    assert ap.n_retained == np.count_nonzero(sv >= alpha)
+    kept = slice(0, ap.n_retained)
+    cost_sq = float(np.sum(ap.beta[kept] ** 2 / system.mu[kept]))
+    # the boundary trace norm of g_alpha, taken from its nodal values
+    norm_sq = trace_inner(fmap, ap.g_alpha, ap.g_alpha)
+    assert abs(ap.cost ** 2 - cost_sq) <= 1e-8 * cost_sq
+    assert abs(norm_sq - cost_sq) <= 1e-8 * cost_sq

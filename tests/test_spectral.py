@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,7 +7,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 from helmlab.assembly import ring_coefficients, stiffness
-from helmlab.bessel import bessel_j0_root
 from helmlab.errors import AssumptionIViolated, SpectrumTooShort
 from helmlab.fields import GridField
 from helmlab.assembly import Medium
@@ -28,7 +28,7 @@ def test_rectangle_eigenvalues_with_multiplicity():
 
 
 def test_disk_ground_state_and_refinement():
-    j01_sq = bessel_j0_root() ** 2
+    j01_sq = float(mp.besseljzero(0, 1)) ** 2
     errs = []
     for h in (0.06, 0.03):
         g = build_grid(DomainSpec.disk(1.0), h)
