@@ -12,6 +12,7 @@ Every experiment runs serially; ``--workers`` is accepted and ignored.
 Commands:
     lab run <config>        run the experiment (exit 0 ok, 1 compute, 2 config)
     lab validate <config>   schema and assumption report, no computation
+                            (exit 2 when it finds a problem)
     lab sigma <config>      spectrum shortcut for the configured domain/medium
 """
 
@@ -643,6 +644,25 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> list:
     return _RUNNERS[cfg["experiment"]](cfg, out)
 
 
+def _sigma_config(cfg: dict) -> dict:
+    """The spectrum config of ``lab sigma``: the domain and medium the config
+    runs on, without the params of its own experiment.  A runge_sweep runs on
+    the domain and medium of its scenario (:data:`helmlab.runge.SCENARIO_SETUP`),
+    so it is validated, which pins its domain to the scenario's, and its
+    medium is the scenario's."""
+    out = dict(cfg, experiment="spectrum")
+    if isinstance(cfg.get("params"), dict):
+        out["params"] = {key: v for key, v in cfg["params"].items()
+                         if key in _PARAMS["spectrum"]}
+    if cfg.get("experiment") == "runge_sweep":
+        problems = validate_config(cfg)
+        if problems:
+            raise ConfigInvalid("; ".join(problems))
+        _, q, kappa, monotone = SCENARIO_SETUP[_params(cfg)["scenario"]]
+        out["medium"] = {"q": q, "kappa": kappa, "monotone": monotone}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -669,14 +689,9 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"problem: {p}")
             print("valid" if not problems else f"{len(problems)} problem(s)")
-            return 0
+            return 2 if problems else 0
         if args.command == "sigma":
-            # the spectrum of the configured domain and medium: the params
-            # of the config's own experiment do not apply to it
-            cfg = dict(cfg, experiment="spectrum")
-            if isinstance(cfg.get("params"), dict):
-                cfg["params"] = {key: v for key, v in cfg["params"].items()
-                                 if key in _PARAMS["spectrum"]}
+            cfg = _sigma_config(cfg)
         paths = run_experiment(cfg, out_dir=args.out)
         for p in paths:
             print(p)

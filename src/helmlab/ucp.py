@@ -231,12 +231,13 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         m_next = C(k) M^(1-alpha) m^alpha
 
     starting from the envelope C(k) (M+eta)^(1-alpha) eta^alpha of ``fit``
-    at a start ball on the data sub-boundary; a KD-tree over the centers yields each ball's edges.  The
-    deep nodes are then covered greedily by certified balls in order of
-    value.  A KD-tree over the grid nodes proposes each ball's candidate
-    nodes and the exact distance test |x - c| <= r decides membership, so
-    the cover is the one a scan of every node gives.  The boundary layer
-    W_eps is bounded by the exact Hoelder step
+    at a start ball on the data sub-boundary, over a ball graph built once
+    from one batched KD-tree query over the centers.  The deep nodes are
+    then covered greedily by certified balls in order of value.  The
+    uncovered nodes are kept sorted by x; each ball proposes the live nodes
+    of its x-strip and the exact distance test |x - c| <= r decides
+    membership, so the cover is the one a scan of every node gives.  The
+    boundary layer W_eps is bounded by the exact Hoelder step
     ||u||_{L2(W)} <= |W|^(1/4) ||u||_{L4} <= |W|^(1/4) C_S M (plane
     exponents).  Also evaluates the closed-form logarithmic bound
     k |log(eta/(M+eta))|^(-1/2) (M+eta) with unit constant.
@@ -323,15 +324,26 @@ def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,
 
     An edge x -> y exists when the half-ball of y sits inside the ball of x
     and carries the value ``step(m)``; values only degrade along edges, so
-    processing by increasing value is optimal.  Returns each ball's value
-    (inf where unreachable) and hop count.
+    processing by increasing value is optimal.  The graph is built once: one
+    batched KD-tree query proposes every ball's neighbours, one array test
+    keeps the edges, and each ball's out-edges are a slice of the CSR arrays
+    ``indptr`` and ``dst``.  The heap keys (value, index) fix the pop order
+    whatever the order of the edges.  Returns each ball's value (inf where
+    unreachable) and hop count.
     """
     from scipy.spatial import cKDTree
-    tree = cKDTree(centers)
-    value = np.full(centers.shape[0], np.inf)
+    n = centers.shape[0]
+    near = cKDTree(centers).query_ball_point(centers, radii)
+    src = np.repeat(np.arange(n), [len(a) for a in near])
+    dst = np.concatenate(near).astype(np.intp)
+    dist = np.linalg.norm(centers[dst] - centers[src], axis=1)
+    edge = dist + radii[dst] / 2.0 <= radii[src] + 1e-12
+    dst = dst[edge]
+    indptr = np.searchsorted(src[edge], np.arange(n + 1))
+    value = np.full(n, np.inf)
     value[seed] = m0
-    hops = np.zeros(centers.shape[0], dtype=int)
-    done = np.zeros(centers.shape[0], dtype=bool)
+    hops = np.zeros(n, dtype=int)
+    done = np.zeros(n, dtype=bool)
     heap = [(m0, int(i)) for i in np.flatnonzero(seed)]
     heapq.heapify(heap)
     while heap:
@@ -339,13 +351,9 @@ def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,
         if done[i]:
             continue
         done[i] = True
-        nbrs = np.asarray(tree.query_ball_point(centers[i], r=radii[i]),
-                          dtype=np.intp)
-        nbrs = nbrs[~done[nbrs]]
-        dist = np.linalg.norm(centers[nbrs] - centers[i], axis=1)
+        nbrs = dst[indptr[i]:indptr[i + 1]]
         cand = step(val)
-        nbrs = nbrs[(dist + radii[nbrs] / 2.0 <= radii[i] + 1e-12)
-                    & (cand < value[nbrs])]
+        nbrs = nbrs[~done[nbrs] & (cand < value[nbrs])]
         value[nbrs] = cand
         hops[nbrs] = hops[i] + 1
         for j in nbrs:
@@ -353,33 +361,39 @@ def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,
     return value, hops
 
 
-def _ball_nodes(tree, nodes: np.ndarray, c: np.ndarray,
-                r: float) -> np.ndarray:
-    """Indices of the nodes x with ``np.linalg.norm(x - c) <= r``, the same
-    set a full scan finds: a slightly enlarged tree query proposes the
-    candidates and the exact norm decides."""
-    cand = np.asarray(tree.query_ball_point(c, r * (1 + 1e-9)), dtype=np.intp)
-    return cand[np.linalg.norm(nodes[cand] - c, axis=1) <= r]
-
-
 def _greedy_cover(nodes: np.ndarray, deep: np.ndarray, centers: np.ndarray,
                   radii: np.ndarray, value: np.ndarray) -> tuple:
     """Cover the ``deep`` nodes with balls taken by increasing value, using a
     ball only when it adds a node.  Returns the sum of squared values of the
-    balls used, their number and the count of nodes left uncovered."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(nodes)
-    uncovered = deep.copy()
-    left = int(np.count_nonzero(uncovered))
+    balls used, their number and the count of nodes left uncovered.
+
+    The uncovered nodes are kept sorted by x, one array per coordinate.  A
+    ball's candidates are the live nodes of the x-strip c_x -+ r (1 + 1e-9),
+    found by bisection, and the exact test |x - c| <= r decides membership,
+    with |x - c| = sqrt(dx^2 + dy^2), the arithmetic of ``np.linalg.norm``
+    over a row; so the cover is the one a scan of every node gives.  The
+    live set is compacted whenever the uncovered count halves.
+    """
+    pts = nodes[deep]
+    xs, ys = pts[np.argsort(pts[:, 0])].T.copy()
+    alive = np.ones(xs.size, dtype=bool)
+    left = xs.size
     cover_sq, n_cover = 0.0, 0
     for ci in np.argsort(value):
         if not left:
             break
-        ids = _ball_nodes(tree, nodes, centers[ci], radii[ci])
-        ids = ids[uncovered[ids]]
-        if ids.size:
+        c, r = centers[ci], radii[ci]
+        pad = r * (1 + 1e-9)
+        lo, hi = np.searchsorted(xs, (c[0] - pad, c[0] + pad))
+        pos = lo + np.flatnonzero(alive[lo:hi])
+        dx, dy = xs[pos] - c[0], ys[pos] - c[1]
+        pos = pos[np.sqrt(dx * dx + dy * dy) <= r]
+        if pos.size:
             cover_sq += value[ci] ** 2
             n_cover += 1
-            uncovered[ids] = False
-            left -= ids.size
+            alive[pos] = False
+            left -= pos.size
+            if 2 * left <= xs.size:
+                xs, ys = xs[alive], ys[alive]
+                alive = np.ones(xs.size, dtype=bool)
     return cover_sq, n_cover, left

@@ -16,7 +16,7 @@ from helmlab.fields import GridField, functional_norm, masked_gradient, norm
 from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, annulus_mask,
                               ball_mask, boundary_chart, build_grid)
 from helmlab.profiles import make_medium
-from helmlab.runge import MaskSolutionBasis, build_forward_map, svd
+from helmlab.runge import build_forward_map, svd
 from helmlab.spectral import compute_sigma
 from helmlab.ucp import BallTriple, ExponentFit, _triple_xy, boundary_distance
 

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from helmlab.assembly import assemble, solve_dirichlet
@@ -19,7 +18,7 @@ from helmlab.calderon import (alessandrini_gap, dtn_distance, dtn_map,
 from helmlab.carleman import adapted_compact_sample, carleman_check, \
     random_compact_sample
 from helmlab.fields import GridField, norm
-from helmlab.geometry import ball_mask, boundary_chart
+from helmlab.geometry import ball_mask
 from helmlab.modes import mode_field, random_mode_superposition
 from helmlab.profiles import make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply, aggregate_median,

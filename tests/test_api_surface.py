@@ -14,6 +14,8 @@ of its classes, is reached from a run: ``src/helmlab`` names it outside its
 own definition, as a name, an attribute or a ``from ... import`` (the
 exports of ``helmlab/__init__.py`` are such imports).  What only tests use
 belongs in ``tests/helpers.py``.
+
+Every name a module under ``tests/`` imports is used in that module.
 """
 
 import ast
@@ -174,6 +176,31 @@ def test_every_name_is_reached_from_a_run():
     assert not stale, f"allowlisted names now reached from src: {stale}"
 
 
+def unused_test_imports() -> list:
+    """``file: name`` of each name that a module under ``tests/`` imports
+    and never names again."""
+    out = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        out += [f"{path.relative_to(ROOT)}: {name}"
+                for name in sorted(imported - used)]
+    return out
+
+
+def test_tests_import_only_what_they_use():
+    unused = unused_test_imports()
+    assert not unused, (f"{len(unused)} imported names are never used:\n"
+                        + "\n".join(unused))
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -182,3 +209,4 @@ if __name__ == "__main__":
     print(len(flagged), "reached only from tests;", len(REACH_ALLOWED),
           "allowlisted")
     print("\n".join(flagged))
+    print("\n".join(unused_test_imports()))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from helmlab.bessel import (bessel_j, bessel_j_prime,
-                            check_bessel_inequalities, gauss_legendre,
-                            mode_h1_semi_sq, mode_l2_sq,
-                            optimality_lower_bound, radial_profile)
+                            check_bessel_inequalities, mode_h1_semi_sq,
+                            mode_l2_sq, optimality_lower_bound,
+                            radial_profile)
 from helmlab.errors import HypothesisViolated, RangeGuard
 
 from helpers import mode_l2_sq_series

@@ -4,12 +4,11 @@ import pytest
 from helmlab import calderon
 from helmlab.assembly import assemble
 from helmlab.calderon import (StabilityRecord, alessandrini_gap,
-                              difference_field, dtn_distance,
-                              dtn_map, perturbation_record, stability_check,
-                              stability_rhs)
+                              dtn_distance, dtn_map, perturbation_record,
+                              stability_check, stability_rhs)
 from helmlab.errors import AgreementViolation, ContextMismatch
-from helmlab.fields import hminus1_norm_fourier, spd_inverse_sqrt
-from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
+from helmlab.fields import spd_inverse_sqrt
+from helmlab.geometry import ball_mask
 from helmlab.profiles import make_medium
 
 from helpers import cube_setup

@@ -100,6 +100,24 @@ def test_sigma_on_a_runge_sweep_config(tmp_path):
     assert abs(doc["eigenvalues"][0] - 2.405 ** 2) < 0.1
 
 
+def test_sigma_on_a_runge_sweep_config_uses_the_scenario_medium(tmp_path):
+    # the convex scenario runs on q = 1 + |x|^2 / 4, which a config may omit
+    cfg = {"experiment": "runge_sweep",
+           "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0},
+           "medium": {"kappa": 2.02, "monotone": True},
+           "params": {"scenario": "convex"}}
+    written = dict(cfg, medium={**cfg["medium"], "q": {
+        "profile": "radial_quadratic", "amplitude": 0.25}})
+    eig = []
+    for name, c in (("omitted", cfg), ("written", written)):
+        assert validate_config(c) == []
+        path = _write(tmp_path, f"{name}.json", c)
+        assert main(["sigma", str(path), "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / name / "spectrum.json").read_text())
+        eig.append(doc["eigenvalues"])
+    assert eig[0] == eig[1]
+
+
 def test_pinch_violation_flagged():
     cfg = _spectrum_cfg()
     cfg["medium"] = {"q": {"profile": "constant", "value": 5.0}, "kappa": 2.0}
@@ -179,7 +197,7 @@ def test_empty_k_list_rejected(tmp_path, capsys):
     cfg["k_list"] = []
     assert any("k_list" in p for p in validate_config(cfg))
     path = _write(tmp_path, "empty_k.json", cfg)
-    assert main(["validate", str(path)]) == 0
+    assert main(["validate", str(path)]) == 2
     assert "valid" not in capsys.readouterr().out.splitlines()
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
@@ -371,7 +389,7 @@ def test_runge_sweep_unknown_scenario_exits_2(tmp_path, capsys):
            "params": {"scenario": "concave"}}
     assert any("unknown scenario 'concave'" in p for p in validate_config(cfg))
     path = _write(tmp_path, "concave.json", cfg)
-    assert main(["validate", str(path)]) == 0
+    assert main(["validate", str(path)]) == 2
     assert "valid" not in capsys.readouterr().out.splitlines()
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "unknown scenario 'concave'" in capsys.readouterr().err

@@ -15,9 +15,9 @@ from helmlab.modes import mode_field
 from helmlab.profiles import bump_profile, make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply,
                            adjoint_apply_matrix, aggregate_median,
-                           build_forward_map, expand,
-                           fit_records, runge_approximate, svd, sweep_and_fit,
-                           sweep_params, trace_inner, truncation_energy_identity)
+                           build_forward_map, runge_approximate, svd,
+                           sweep_and_fit, sweep_params, trace_inner,
+                           truncation_energy_identity)
 
 from helpers import (convex_map, curvature_statistic, disk_arc_map,
                      disk_pair_svd, disk_setup, fit_line)

@@ -2,11 +2,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
-from helmlab.assembly import ring_coefficients, stiffness
+from helmlab.assembly import ring_coefficients
 from helmlab.errors import AssumptionIViolated, SpectrumTooShort
 from helmlab.fields import GridField
 from helmlab.assembly import Medium

@@ -1,20 +1,23 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from helmlab import ucp
+from helmlab.assembly import assemble
 from helmlab.bessel import bessel_j, gauss_legendre, radial_profile
 from helmlab.errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from helmlab.fields import BoundaryTrace, GridField, lp_norm, norm, trace_norm
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.modes import mode_field, random_mode_superposition
+from helmlab.profiles import make_medium
 from helmlab.ucp import (boundary_distance, chain_propagate, estimate_exponent,
                          three_ball_ratio)
 
-from helpers import (caccioppoli_ratio, disk_grid, disk_pair_svd, disk_setup,
-                     margin, source_neumann_ratio)
+from helpers import (caccioppoli_ratio, disk_grid, disk_setup, margin,
+                     source_neumann_ratio)
 
 
 def _mode_samples(grid, k, rs=(0.16,), centers=None, ell_step=1):
@@ -146,6 +149,7 @@ def test_chain_growth_and_validity():
 def _certify_reference(centers, radii, seed, m0, step):
     # one scalar distance and containment test per edge
     tree = cKDTree(centers)
+    pts, rad = centers.tolist(), radii.tolist()
     value = np.full(centers.shape[0], np.inf)
     value[seed] = m0
     hops = np.zeros(centers.shape[0], dtype=int)
@@ -160,8 +164,9 @@ def _certify_reference(centers, radii, seed, m0, step):
         for j in tree.query_ball_point(centers[i], r=radii[i]):
             if done[j]:
                 continue
-            dist = float(np.linalg.norm(centers[i] - centers[j]))
-            if dist + radii[j] / 2.0 <= radii[i] + 1e-12:
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            dist = math.sqrt(dx * dx + dy * dy)
+            if dist + rad[j] / 2.0 <= rad[i] + 1e-12:
                 cand = step(val)
                 if cand < value[j]:
                     value[j] = cand
@@ -171,13 +176,16 @@ def _certify_reference(centers, radii, seed, m0, step):
 
 
 def _greedy_cover_reference(nodes, deep, centers, radii, value):
-    # each ball tested against every grid node
+    # each ball tested against every grid node; sqrt(dx^2 + dy^2) has the
+    # bits of np.linalg.norm over the rows
     uncovered = deep.copy()
     cover_sq, n_cover = 0.0, 0
+    x, y = nodes.T.copy()
     for ci in np.argsort(value):
         if not np.any(uncovered):
             break
-        ball = np.linalg.norm(nodes - centers[ci], axis=1) <= radii[ci]
+        cx, cy = centers[ci]
+        ball = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) <= radii[ci]
         if np.any(uncovered & ball):
             cover_sq += value[ci] ** 2
             n_cover += 1
@@ -185,39 +193,65 @@ def _greedy_cover_reference(nodes, deep, centers, radii, value):
     return cover_sq, n_cover, int(uncovered.sum())
 
 
-def test_chain_matches_scalar_reference(monkeypatch):
-    grid, _, op, _ = disk_setup(4.0, h=0.02)
-    fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
+def _chain_runs(spec, gammas, eps_list, fit):
+    """(op, chart, u, eta, M, eps) on a grid of ``spec`` at h = 0.02 for each
+    gamma and epsilon."""
+    grid = build_grid(spec, 0.02)
+    op = assemble(grid, make_medium(grid), 4.0)
     u = random_mode_superposition(grid, 4.0, 10, np.random.default_rng(3))
     M = norm(u, "H1")
     runs = []
-    for gamma in ("full", {"angles": [[0.0, np.pi]]}):
+    for gamma in gammas:
         chart = boundary_chart(grid, gamma)
         eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
-        runs += [(chart, eta, eps) for eps in (0.2, 0.1)]
-    fast = [chain_propagate(op, chart, u, eta, M, eps, fit)
-            for chart, eta, eps in runs]
+        runs += [(op, chart, u, eta, M, eps) for eps in eps_list]
+    return runs
+
+
+def test_chain_matches_scalar_reference(monkeypatch):
+    fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
+    runs = (_chain_runs(DomainSpec.disk(1.0), ("full", {"angles": [[0.0, np.pi]]}),
+                        (0.2, 0.1), fit)
+            + _chain_runs(DomainSpec.annulus(0.5, 2.0), ("full",), (0.2, 0.1), fit)
+            + _chain_runs(DomainSpec.rectangle((0, 0), (2, 1)),
+                          ("full", {"edges": ["bottom"]}), (0.1,), fit))
+    fast = [chain_propagate(*run, fit) for run in runs]
     monkeypatch.setattr(ucp, "_certify", _certify_reference)
     monkeypatch.setattr(ucp, "_greedy_cover", _greedy_cover_reference)
-    slow = [chain_propagate(op, chart, u, eta, M, eps, fit)
-            for chart, eta, eps in runs]
+    slow = [chain_propagate(*run, fit) for run in runs]
     assert all(r.n_balls > 0 and r.n_cover > 0 for r in slow)
     assert fast == slow
 
 
-def test_ball_nodes_match_full_scan():
+def test_greedy_cover_matches_full_scan():
     g = disk_grid(0.02)
     nodes = g.nodes
-    tree = cKDTree(nodes)
     rng = np.random.default_rng(5)
     centers = np.vstack([[0.0, 0.0], nodes[rng.integers(g.n_nodes, size=20)],
                          rng.uniform(-1.0, 1.0, (40, 2))])
-    for c in centers:
-        d = np.linalg.norm(nodes - c, axis=1)
-        # radii equal to exact node distances put nodes on the sphere
-        for r in d[rng.integers(g.n_nodes, size=5)]:
-            got = np.sort(ucp._ball_nodes(tree, nodes, c, r))
-            assert np.array_equal(got, np.flatnonzero(d <= r))
+    # radii equal to exact node distances put nodes on the sphere
+    d = np.linalg.norm(nodes[:, None, :] - centers, axis=2)
+    radii = d[rng.integers(g.n_nodes, size=centers.shape[0]),
+              np.arange(centers.shape[0])]
+    value = rng.permutation(centers.shape[0]).astype(float)
+    every = np.ones(g.n_nodes, dtype=bool)
+    for deep in (every, rng.uniform(size=g.n_nodes) < 0.3):
+        for i in range(centers.shape[0]):
+            got = ucp._greedy_cover(nodes, deep, centers[i:i + 1],
+                                    radii[i:i + 1], value[i:i + 1])
+            left = int(np.count_nonzero(deep & (d[:, i] > radii[i])))
+            assert got[1:] == (int(left < deep.sum()), left)
+            assert got == _greedy_cover_reference(
+                nodes, deep, centers[i:i + 1], radii[i:i + 1], value[i:i + 1])
+        got = ucp._greedy_cover(nodes, deep, centers, radii, value)
+        assert got == _greedy_cover_reference(nodes, deep, centers, radii, value)
+    # a last ball through the farthest node covers what the others leave
+    far = np.vstack([centers, [[0.0, 0.0]]])
+    r_far = np.append(radii, np.max(np.linalg.norm(nodes, axis=1)))
+    v_far = np.append(value, value.max() + 1.0)
+    got = ucp._greedy_cover(nodes, every, far, r_far, v_far)
+    assert got[2] == 0
+    assert got == _greedy_cover_reference(nodes, every, far, r_far, v_far)
 
 
 def test_chain_zero_data():
