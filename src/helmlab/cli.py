@@ -646,18 +646,19 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> list:
 
 def _sigma_config(cfg: dict) -> dict:
     """The spectrum config of ``lab sigma``: the domain and medium the config
-    runs on, without the params of its own experiment.  A runge_sweep runs on
-    the domain and medium of its scenario (:data:`helmlab.runge.SCENARIO_SETUP`),
-    so it is validated, which pins its domain to the scenario's, and its
-    medium is the scenario's."""
+    runs on, without the params of its own experiment.  The config is first
+    validated against its own experiment, as ``lab run`` would.  A
+    runge_sweep runs on the domain and medium of its scenario
+    (:data:`helmlab.runge.SCENARIO_SETUP`): validation pins its domain to the
+    scenario's, and its medium is the scenario's."""
+    problems = validate_config(cfg)
+    if problems:
+        raise ConfigInvalid("; ".join(problems))
     out = dict(cfg, experiment="spectrum")
     if isinstance(cfg.get("params"), dict):
         out["params"] = {key: v for key, v in cfg["params"].items()
                          if key in _PARAMS["spectrum"]}
-    if cfg.get("experiment") == "runge_sweep":
-        problems = validate_config(cfg)
-        if problems:
-            raise ConfigInvalid("; ".join(problems))
+    if cfg["experiment"] == "runge_sweep":
         _, q, kappa, monotone = SCENARIO_SETUP[_params(cfg)["scenario"]]
         out["medium"] = {"q": q, "kappa": kappa, "monotone": monotone}
     return out

@@ -16,6 +16,11 @@ exports of ``helmlab/__init__.py`` are such imports).  What only tests use
 belongs in ``tests/helpers.py``.
 
 Every name a module under ``tests/`` imports is used in that module.
+
+The package takes every SuperLU factor in one place: ``src/helmlab`` names
+``splu`` only inside ``assembly.sparse_lu``, and every ``eigsh`` call that
+passes ``sigma=`` also passes ``OPinv=``, so that ARPACK never factors the
+shifted pencil itself.  Tests may call ``splu`` as an oracle.
 """
 
 import ast
@@ -201,6 +206,37 @@ def test_tests_import_only_what_they_use():
                         + "\n".join(unused))
 
 
+def stray_factors() -> list:
+    """``module:line`` of each SuperLU factor ``src/helmlab`` takes outside
+    ``assembly.sparse_lu``: a reference to ``splu``, or an ``eigsh`` call
+    with ``sigma=`` and without ``OPinv=``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = range(0)
+        for node in tree.body:
+            if (path.stem == "assembly" and isinstance(node, ast.FunctionDef)
+                    and node.name == "sparse_lu"):
+                own = range(node.lineno, node.end_lineno + 1)
+        out += [f"{path.stem}:{line}: splu" for name, line in _references(tree)
+                if name == "splu" and line not in own]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            kws = {k.arg for k in node.keywords}
+            if (getattr(f, "id", getattr(f, "attr", None)) == "eigsh"
+                    and "sigma" in kws and "OPinv" not in kws):
+                out.append(f"{path.stem}:{node.lineno}: eigsh without OPinv")
+    return out
+
+
+def test_every_superlu_factor_goes_through_sparse_lu():
+    stray = stray_factors()
+    assert not stray, (f"{len(stray)} SuperLU factors bypass "
+                       "assembly.sparse_lu:\n" + "\n".join(stray))
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -210,3 +246,4 @@ if __name__ == "__main__":
           "allowlisted")
     print("\n".join(flagged))
     print("\n".join(unused_test_imports()))
+    print("\n".join(stray_factors()))

@@ -4,10 +4,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helmlab.assembly import (Medium, assemble, mask_dirichlet_ring,
-                              mask_flux_pairing, radial_derivative,
-                              solve_dirichlet, solve_on_mask_multi, stiffness,
-                              verified_solve, weak_neumann_trace)
+from helmlab.assembly import (Medium, assemble, default_spacing,
+                              mask_dirichlet_ring, mask_flux_pairing,
+                              radial_derivative, solve_dirichlet,
+                              solve_on_mask_multi, stiffness, verified_solve,
+                              weak_neumann_trace)
 from helmlab.bessel import bessel_j, bessel_j_prime
 from helmlab.calderon import dtn_map
 from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
@@ -15,9 +16,9 @@ from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
 from helmlab.fields import BoundaryTrace, GridField, norm
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.profiles import make_medium
-from helmlab.runge import build_forward_map
+from helmlab.runge import SCENARIO_SETUP, build_forward_map, sweep_params
 
-from helpers import disk_setup, disk_spectrum
+from helpers import cube_setup, disk_setup, disk_spectrum
 
 
 def test_matrix_symmetry_and_stencil():
@@ -252,3 +253,37 @@ def test_stiffness_built_once_per_grid(spec, h):
     for arr in (K.data, K.indices, K.indptr):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+def _convex_sweep_op(k):
+    """Operator at k on the grid of the default convex sweep."""
+    spec, q_spec, kappa, monotone = SCENARIO_SETUP["convex"]
+    p = sweep_params("convex")
+    grid = build_grid(spec, min(default_spacing(max(p["k_list"]), kappa),
+                                p["h_cap"]))
+    return assemble(grid, make_medium(grid, q_spec=q_spec, kappa=kappa,
+                                      monotone=monotone), k)
+
+
+def _rectangle_op():
+    grid = build_grid(DomainSpec.rectangle((0, 0), (2, 1)), 0.03)
+    return assemble(grid, make_medium(grid, kappa=1.01), 10.0)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: cube_setup(14, 3.0)[2],
+    lambda: _convex_sweep_op(8.0),
+    lambda: _convex_sweep_op(16.0),
+    lambda: disk_setup(5.0)[2],
+    _rectangle_op,
+], ids=["calderon_cube", "convex_k8", "convex_k16", "disk", "rectangle"])
+def test_lu_fill_below_colamd(make_op):
+    # COLAMD, SuperLU's default ordering, is the independent oracle
+    op = make_op()
+    colamd = spla.splu(op.L_II)
+    lu = op.lu()
+    assert lu.L.nnz + lu.U.nnz < 0.75 * (colamd.L.nnz + colamd.U.nnz)
+    g = np.cos(3.0 * op.grid.nodes[op.boundary, 0] + 1.0)
+    u = solve_dirichlet(op, g=g).values[op.interior]
+    ref = colamd.solve(-op.L_IB @ g)
+    assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)

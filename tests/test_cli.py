@@ -118,6 +118,20 @@ def test_sigma_on_a_runge_sweep_config_uses_the_scenario_medium(tmp_path):
     assert eig[0] == eig[1]
 
 
+def test_sigma_validates_the_config_of_any_experiment(tmp_path, capsys):
+    cfg = {"experiment": "carleman",
+           "domain": {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0},
+           "medium": {"q": {"profile": "radial_quadratic", "amplitude": 0.25},
+                      "kappa": 2.02, "monotone": True},
+           "h": 0.1, "params": {"samples_per_cel": 4}}
+    path = _write(tmp_path, "carleman.json", cfg)
+    for command in ("run", "sigma"):
+        out = tmp_path / command
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert "unknown params keys ['samples_per_cel']" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_pinch_violation_flagged():
     cfg = _spectrum_cfg()
     cfg["medium"] = {"q": {"profile": "constant", "value": 5.0}, "kappa": 2.0}

@@ -223,6 +223,19 @@ def test_chain_matches_scalar_reference(monkeypatch):
     assert fast == slow
 
 
+def test_certify_keeps_a_half_ball_touching_the_sphere():
+    # ball 1's half-ball touches ball 0's sphere in exact arithmetic, but
+    # 0.2 + 0.1 > 0.3 in floating point: only the slack keeps edge 0 -> 1.
+    # Ball 2 lies 1e-9 further out and gets no edge.
+    assert 0.2 + 0.2 / 2.0 > 0.3
+    centers = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, -0.2 - 1e-9]])
+    radii = np.array([0.3, 0.2, 0.2])
+    seed = np.array([True, False, False])
+    value, hops = ucp._certify(centers, radii, seed, 1.0, lambda m: 2.0 * m)
+    assert value.tolist() == [1.0, 2.0, np.inf]
+    assert hops.tolist() == [0, 1, 0]
+
+
 def test_greedy_cover_matches_full_scan():
     g = disk_grid(0.02)
     nodes = g.nodes
