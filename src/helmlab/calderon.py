@@ -58,10 +58,8 @@ def dtn_map(op: DiscreteOperator, chart: BoundaryChart = None,
     u_int = verified_solve(op.L_II, op.lu(), rhs)
 
     # dual values = residual of the full operator rows at gamma nodes
-    L_BI = op.L[grid.boundary_index][:, grid.interior_index].tocsr()
-    L_BB = op.L[grid.boundary_index][:, grid.boundary_index].tocsr()
-    resid = -(L_BI @ u_int + L_BB[:, bpos].toarray())
-    T = resid[bpos, :]
+    L_G = op.L[gamma_ids]
+    T = -(L_G[:, grid.interior_index] @ u_int + L_G[:, gamma_ids].toarray())
     return DtnMatrix(op=op, chart=chart, gamma_ids=gamma_ids, matrix=T)
 
 
@@ -69,7 +67,9 @@ def _gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
     """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
     taken once per chart and block and held read-only on the chart.  The
     block itself is read on every call, so that a traced run still counts
-    one Gram read per distance."""
+    one Gram read per distance; the chart caches the block, so a read after
+    the first is a copy.  On a box surface the block comes from the chart's
+    sparse rational quadrature, not from a surface eigensolve."""
     G = chart.h_half_gram(ids)
     key = ids.tobytes()
     if key not in chart._gram_inv_sqrt:

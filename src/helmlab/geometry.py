@@ -480,11 +480,12 @@ class BoundaryChart:
     ``node_ids`` walk the outer boundary (closed curve in 2D; the whole box
     surface in 3D).  ``weights`` are arclength (2D) or surface-area (3D)
     measures.  ``gamma_mask`` marks the nodes of the relatively open subset
-    used for supported traces.  The spectral decomposition of the discrete
-    boundary Laplace--Beltrami operator and the full H^(1/2) Gram are each
-    built once per chart, on first use; the cached Gram is read-only, and so
-    is the inverse square root of each Gram block held for
-    :func:`helmlab.calderon.dtn_distance`.
+    used for supported traces.  The H^(1/2) Gram of :meth:`h_half_gram` is
+    built once per chart on a uniform closed curve and once per block on
+    every other chart; either cache is read-only, and so is the inverse
+    square root of each Gram block held for
+    :func:`helmlab.calderon.dtn_distance`.  The eigenpairs of :meth:`modal`
+    are built on first use.
     """
 
     grid: Grid
@@ -492,7 +493,8 @@ class BoundaryChart:
     weights: np.ndarray
     gamma_mask: np.ndarray
     _modal: Optional[tuple] = None               # (lambdas, E) cached
-    _gram: Optional[np.ndarray] = None           # full H^(1/2) Gram cached
+    _gram: Optional[np.ndarray] = None           # full analytic Gram cached
+    _gram_blocks: dict = field(default_factory=dict, repr=False)  # by block
     _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
 
     @property
@@ -507,6 +509,11 @@ class BoundaryChart:
         order = np.argsort(self.node_ids)
         return order[np.searchsorted(self.node_ids, ids, sorter=order)]
 
+    def _circulant(self) -> bool:
+        """Whether the chart is a uniform closed curve."""
+        w = self.weights
+        return self.grid.dim == 2 and np.allclose(w, w[0], rtol=1e-12, atol=0)
+
     # -- modal decomposition -------------------------------------------------
 
     def modal(self) -> tuple:
@@ -519,7 +526,7 @@ class BoundaryChart:
     def _build_modal(self):
         w = self.weights
         n = self.n
-        if self.grid.dim == 2 and np.allclose(w, w[0], rtol=1e-12, atol=0):
+        if self._circulant():
             # uniform closed curve: analytic circulant eigenbasis
             s = w[0]
             total = s * n
@@ -539,12 +546,14 @@ class BoundaryChart:
             return np.asarray(lam), np.column_stack(cols)
         # generic graph Laplace--Beltrami via a dense generalized eigensolve
         import scipy.linalg as la
-        L = self._surface_stiffness()
-        lam, E = la.eigh(L, np.diag(w))
+        lam, E = la.eigh(self._surface_stiffness().toarray(), np.diag(w))
         lam = np.clip(lam, 0.0, None)
         return lam, E
 
-    def _surface_stiffness(self) -> np.ndarray:
+    def _surface_stiffness(self):
+        """Boundary graph Laplacian L as a CSR matrix: zero row sums and one
+        negative coupling per boundary edge of the grid."""
+        import scipy.sparse as sp
         pos = np.full(self.grid.n_nodes, -1)
         pos[self.node_ids] = np.arange(self.n)
         ei, ej, _ = self.grid.edges
@@ -557,13 +566,16 @@ class BoundaryChart:
         else:
             # tangential face measure: smaller of the two node areas / dist
             c = np.minimum(self.weights[a], self.weights[b]) / dist ** 2
-        # one unbuffered add of (a,a), (b,b), (a,b), (b,a) edge by edge, so
-        # each diagonal sums its couplings in edge-list order
-        L = np.zeros((self.n, self.n))
-        np.add.at(L, (np.column_stack([a, b, a, b]).ravel(),
-                      np.column_stack([a, b, b, a]).ravel()),
-                  np.column_stack([c, c, -c, -c]).ravel())
-        return L
+        # one unbuffered add at a, then at b, edge by edge, so each diagonal
+        # sums its couplings in edge-list order
+        diag = np.zeros(self.n)
+        np.add.at(diag, np.column_stack([a, b]).ravel(),
+                  np.column_stack([c, c]).ravel())
+        at = np.arange(self.n)
+        return sp.csr_matrix((np.concatenate([diag, -c, -c]),
+                              (np.concatenate([at, a, b]),
+                               np.concatenate([at, b, a]))),
+                             shape=(self.n, self.n))
 
     # -- norms in the (1 + lambda)^s scale ------------------------------------
 
@@ -577,15 +589,93 @@ class BoundaryChart:
 
     def h_half_gram(self, ids: np.ndarray) -> np.ndarray:
         """Gram matrix of nodal values in the (1+lambda)^(1/2) trace norm on
-        the chart positions ``ids``, as a fresh writable array."""
-        if self._gram is None:
-            lam, E = self.modal()
-            WE = self.weights[:, None] * E
-            G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
-            G = 0.5 * (G + G.T)
+        the chart positions ``ids``, as a fresh writable array.
+
+        The Gram is W (W^-1 (W + L))^(1/2), W the diagonal of weights and L
+        the boundary stiffness.  A uniform closed curve (every polar chart,
+        masked-union walks, perimeters of equal spacings) builds it whole
+        from the analytic circulant eigenbasis.  Every other chart (box
+        surfaces, perimeters with hx != hy) computes only the ``ids`` block,
+        by sparse rational quadrature to 1e-15 relative error
+        (:func:`_sqrt_pencil_block`), with no dense surface matrix."""
+        if self._circulant():
+            if self._gram is None:
+                lam, E = self.modal()
+                WE = self.weights[:, None] * E
+                G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
+                G = 0.5 * (G + G.T)
+                G.flags.writeable = False
+                self._gram = G
+            return self._gram[np.ix_(ids, ids)]
+        key = ids.tobytes()
+        if key not in self._gram_blocks:
+            G = _sqrt_pencil_block(self._surface_stiffness(), self.weights,
+                                   ids)
             G.flags.writeable = False
-            self._gram = G
-        return self._gram[np.ix_(ids, ids)]
+            self._gram_blocks[key] = G
+        return self._gram_blocks[key].copy()
+
+
+def _pencil_bound(L, w: np.ndarray) -> float:
+    """Gershgorin bound M on the spectrum of W^-1 (W + L) for a graph
+    Laplacian L: row i of W^-1 L has centre L_ii / w_i and radius
+    L_ii / w_i."""
+    return 1.0 + float(np.max(2.0 * L.diagonal() / w))
+
+
+def _sqrt_pencil_block(L, w: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Block ``ids`` of W (W^-1 B)^(1/2), B = W + L, for a sparse graph
+    Laplacian L and W = diag(w), by the real-shift rational quadrature of
+    Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008, method 3).
+
+    The spectrum of W^-1 B lies in [1, M] (L is positive semidefinite; M
+    from :func:`_pencil_bound`).  With sc, dn, cn the Jacobi functions of
+    parameter 1 - 1/M and K' its quarter period,
+
+        (W^-1 B)^(-1/2) = (2/pi) int_0^K' (sc(v)^2 + W^-1 B)^-1 dn/cn^2 dv,
+
+    and the midpoint rule at v_j = (j - 1/2) K'/N converges like
+    exp(-2 pi^2 N / (ln M + 3)); N is chosen for 1e-15.  So
+
+        G = (2 K'/(pi N)) sum_j a_j B (B + sigma_j W)^-1 W,
+
+    sigma_j = sc(v_j)^2 and a_j = dn(v_j)/cn(v_j)^2, real and positive: one
+    sparse SPD factor and one solve of the ``ids`` columns of W per shift,
+    each checked by :func:`helmlab.assembly.verified_solve`.
+    """
+    import scipy.sparse as sp
+    from .assembly import sparse_lu, verified_solve
+    M = _pencil_bound(L, w)
+    N = math.ceil((math.log(M) + 3.0) * math.log(1e15) / (2.0 * math.pi ** 2))
+    sn, cn, dn, Kp = _ellipj((np.arange(N) + 0.5) / N, 1.0 - 1.0 / M)
+    W = sp.diags(w, format="csr")
+    B = W + L
+    rhs = np.zeros((w.size, ids.size))
+    rhs[ids, np.arange(ids.size)] = w[ids]
+    S = np.zeros_like(rhs)
+    for sigma, a in zip((sn / cn) ** 2, dn / cn ** 2):
+        A = (B + sigma * W).tocsc()
+        S += a * verified_solve(A, sparse_lu(A), rhs)
+    G = (2.0 * Kp / (math.pi * N)) * (B[ids] @ S)
+    return 0.5 * (G + G.T)
+
+
+def _ellipj(t: np.ndarray, m: float) -> tuple:
+    """Jacobi ``(sn, cn, dn)`` of parameter 0 < m < 1 at u = t K(m), and
+    K(m), by the arithmetic-geometric mean and the descending Landen
+    recurrence (Abramowitz & Stegun 16.4, 17.6)."""
+    a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+    while abs(c[-1] / a[-1]) > 2.0 ** -53:
+        a.append((a[-1] + b) / 2.0)
+        c.append((a[-2] - b) / 2.0)
+        b = math.sqrt(a[-2] * b)
+    K = math.pi / (2.0 * a[-1])
+    phi = 2.0 ** (len(a) - 1) * a[-1] * (t * K)
+    prev = phi
+    for ai, ci in zip(a[:0:-1], c[:0:-1]):
+        prev, phi = phi, (np.arcsin(ci * np.sin(phi) / ai) + phi) / 2.0
+    cn = np.cos(phi)
+    return np.sin(phi), cn, cn / np.cos(prev - phi), K
 
 
 def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:

@@ -99,6 +99,31 @@ def cube_setup(n: int = 16, k: float = 1.0):
     return grid, medium, op, chart
 
 
+def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
+    """Oracle H^(1/2) Gram: the dense modal product W E (1 + lambda)^(1/2)
+    E^T W on the whole chart, symmetrized, then the ``ids`` block (the path
+    ``h_half_gram`` took on every chart before the quadrature)."""
+    lam, E = chart.modal()
+    WE = chart.weights[:, None] * E
+    G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
+    G = 0.5 * (G + G.T)
+    return G[np.ix_(ids, ids)]
+
+
+def dtn_matrix_reference(op: DiscreteOperator, chart: BoundaryChart):
+    """DtN matrix from the residual of every boundary row (boundary x
+    interior and boundary x boundary slices), taken at the gamma rows
+    afterwards."""
+    grid = op.grid
+    gamma_ids = np.sort(chart.gamma_ids())
+    bpos = np.searchsorted(grid.boundary_index, gamma_ids)
+    u_int = verified_solve(op.L_II, op.lu(), -op.L_IB[:, bpos].toarray())
+    L_BI = op.L[grid.boundary_index][:, grid.interior_index].tocsr()
+    L_BB = op.L[grid.boundary_index][:, grid.boundary_index].tocsr()
+    resid = -(L_BI @ u_int + L_BB[:, bpos].toarray())
+    return resid[bpos, :]
+
+
 def fit_line(x, y):
     coef = np.polyfit(x, y, 1)
     pred = np.polyval(coef, x)

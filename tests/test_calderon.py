@@ -11,7 +11,7 @@ from helmlab.fields import spd_inverse_sqrt
 from helmlab.geometry import ball_mask
 from helmlab.profiles import make_medium
 
-from helpers import cube_setup
+from helpers import cube_setup, dtn_matrix_reference
 
 
 def _perturbed(grid, amp, kappa=1.01, center=(0.5, 0.5, 0.5), radius=0.25):
@@ -20,6 +20,15 @@ def _perturbed(grid, amp, kappa=1.01, center=(0.5, 0.5, 0.5), radius=0.25):
                        v_spec={"profile": "bump", "amplitude": amp,
                                "center": list(center), "radius": radius},
                        kappa=kappa)
+
+
+@pytest.mark.parametrize("n, k", [(16, 1.0), (14, 3.0)])
+def test_dtn_map_reads_only_the_gamma_rows(n, k):
+    # the residual of the gamma rows alone keeps the bits of the residual of
+    # every boundary row taken at gamma afterwards
+    grid, med, op, chart = cube_setup(n, k)
+    assert np.array_equal(dtn_map(op, chart).matrix,
+                          dtn_matrix_reference(op, chart))
 
 
 def test_dtn_linearity_and_symmetry():

@@ -378,20 +378,46 @@ def test_carleman_default_grid_resolves_every_checked_k(tmp_path,
     assert spacings[0] <= default_spacing(32.0, 2.02)
 
 
+def _modules_added(code: str, *args: str) -> list:
+    """Modules a fresh interpreter has loaded at the end of ``code`` that it
+    had not when ``code`` set ``base``; ``code`` prints them."""
+    src = str(Path(helmlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
 def test_cli_import_loads_no_new_scipy_module():
     # a module-level import in cli must not load scipy submodules (or
     # helmlab modules) that ``import helmlab`` leaves out: every lab run and
     # benchmark pass pays them in start-up time and resident memory
-    code = ("import sys, helmlab; base = set(sys.modules); "
-            "import helmlab.cli; print(*sorted(set(sys.modules) - base))")
-    src = str(Path(helmlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
+    added = _modules_added(
+        "import sys, helmlab; base = set(sys.modules); "
+        "import helmlab.cli; print(*sorted(set(sys.modules) - base))")
     assert not [m for m in added if m.split(".")[0] == "scipy"]
     assert {m for m in added if m.split(".")[0] == "helmlab"} <= \
         {"helmlab.cli", "helmlab.modes", "helmlab.profiles"}
+
+
+def test_calderon_run_loads_no_new_scipy_module(tmp_path):
+    # the surface Gram quadrature computes its elliptic functions in numpy:
+    # a calderon run loads no scipy module that ``import helmlab.cli`` did
+    # not (``scipy.special`` alone costs about 0.07 s)
+    cfg = {"experiment": "calderon",
+           "domain": {"kind": "box", "corners": [[0, 0, 0], [1, 1, 1]],
+                      "gamma": {"face": "z-"}},
+           "medium": {"q": {"profile": "constant", "value": 1.0},
+                      "kappa": 1.01},
+           "h": 1 / 8, "k_list": [1.0], "params": {"amplitudes": [0.5]}}
+    added = _modules_added(
+        "import json, sys, helmlab.cli; base = set(sys.modules); "
+        "helmlab.cli.run_experiment(json.loads(sys.argv[1]), sys.argv[2]); "
+        "print(*sorted(set(sys.modules) - base))",
+        json.dumps(cfg), str(tmp_path))
+    assert (tmp_path / "calderon.csv").exists()
+    assert not [m for m in added if m.split(".")[0] == "scipy"]
 
 
 _DISK = {"kind": "disk", "radius": 1.0}

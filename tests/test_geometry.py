@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.special import ellipj, ellipk
 
 from helmlab.errors import EmptyGamma, FeatureUnresolved, GeometryViolation
-from helmlab.geometry import (DomainSpec, ball_mask, boundary_chart, build_grid,
-                              check_nested_separation, mask_connected)
+from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
+                              _sqrt_pencil_block, ball_mask, boundary_chart,
+                              build_grid, check_nested_separation,
+                              mask_connected)
+
+from helpers import modal_h_half_gram
 
 
 def test_disk_lattice_matches_spacing_rule():
@@ -395,7 +401,7 @@ def test_rectangle_grid_and_charts_match_loops(corners, h):
     # hx != hy makes the corner weights differ, so the chart takes the
     # generic Laplace--Beltrami path
     assert not np.allclose(chart.weights, chart.weights[0])
-    assert np.array_equal(chart._surface_stiffness(),
+    assert np.array_equal(chart._surface_stiffness().toarray(),
                           _reference_surface_stiffness(chart))
 
 
@@ -404,7 +410,7 @@ def test_masked_union_chart_and_area_match_loops():
                                     ((1, 1.5), (1.8, 2.5))])
     g = build_grid(spec, 0.1)
     chart = boundary_chart(g)
-    assert np.array_equal(chart._surface_stiffness(),
+    assert np.array_equal(chart._surface_stiffness().toarray(),
                           _reference_surface_stiffness(chart))
     assert spec.area() == _reference_area(spec)
 
@@ -429,17 +435,8 @@ def test_box_grid_and_surface_chart_match_loops(corners, h):
         assert np.array_equal(chart.weights, weights)
         assert np.array_equal(chart.gamma_mask, mask)
         assert 0 < mask.sum() < mask.size or gamma == "full"
-    assert np.array_equal(chart._surface_stiffness(),
+    assert np.array_equal(chart._surface_stiffness().toarray(),
                           _reference_surface_stiffness(chart))
-
-
-def _reference_h_half_gram(chart, ids):
-    """Full Gram product on every call, then the ``ids`` block."""
-    lam, E = chart.modal()
-    WE = chart.weights[:, None] * E
-    G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
-    G = 0.5 * (G + G.T)
-    return G[np.ix_(ids, ids)]
 
 
 @pytest.mark.parametrize("spec, h", [
@@ -451,15 +448,80 @@ def test_h_half_gram_cached_per_chart(spec, h):
     chart = boundary_chart(build_grid(spec, h))
     ids = chart.positions(chart.gamma_ids())
     assert 0 < ids.size < chart.n
-    want = _reference_h_half_gram(chart, ids)
+    want = modal_h_half_gram(chart, ids)
     got = chart.h_half_gram(ids)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    cached = chart._gram
+    assert got.dtype == want.dtype
+    if spec.kind == "disk":
+        # a uniform closed curve keeps the bits of its analytic Gram
+        assert np.array_equal(got, want)
+        cache = lambda: chart._gram
+    else:
+        # every other chart takes the quadrature block, cached per block
+        assert _rel_err(got, want) <= 1e-12
+        cache = lambda: chart._gram_blocks[ids.tobytes()]
+    cached = cache()
     again = chart.h_half_gram(ids)
-    assert chart._gram is cached and np.array_equal(again, want)
-    # blocks are fresh and writable; the cached Gram is read-only
+    assert cache() is cached and np.array_equal(again, got)
+    # blocks are fresh and writable; the cache is read-only
     assert not np.shares_memory(got, cached) and got.flags.writeable
+    assert not np.shares_memory(again, cached)
     got[0, 0] = -1.0
-    assert np.array_equal(chart.h_half_gram(ids), want)
+    assert np.array_equal(chart.h_half_gram(ids), again)
     with pytest.raises(ValueError):
         cached[0, 0] = 0.0
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 14),
+    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 21),
+    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85),
+                          gamma={"edges": ["bottom", "right"]}), 0.1),
+    (DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
+                              ((1, 1.5), (1.8, 2.5))]), 0.1)],
+    ids=["cube14", "cube21", "cube8_full", "rectangle", "masked_union"])
+def test_quadrature_gram_matches_dense_modal_gram(spec, h):
+    chart = boundary_chart(build_grid(spec, h))
+    ids = chart.positions(chart.gamma_ids())
+    L = chart._surface_stiffness()
+    got = _sqrt_pencil_block(L, chart.weights, ids)
+    assert _rel_err(got, modal_h_half_gram(chart, ids)) <= 1e-12
+    # the Gershgorin bound holds the spectrum of W^-1 (W + L)
+    lam, _ = chart.modal()
+    assert _pencil_bound(L, chart.weights) >= 1.0 + lam.max()
+
+
+def test_quadrature_gram_matches_analytic_gram_on_a_circle():
+    chart = boundary_chart(build_grid(
+        DomainSpec.disk(1.0, gamma={"angles": [(0.3, 2.1)]}), 0.05))
+    ids = chart.positions(chart.gamma_ids())
+    # the circulant Laplacian whose eigenbasis the analytic Gram uses
+    n, s = chart.n, chart.weights[0]
+    i = np.arange(n)
+    j = np.roll(i, -1)
+    L = sp.csr_matrix((np.r_[np.full(n, 2.0 / s), np.full(2 * n, -1.0 / s)],
+                       (np.r_[i, i, j], np.r_[i, j, i])), shape=(n, n))
+    got = _sqrt_pencil_block(L, chart.weights, ids)
+    assert _rel_err(got, chart.h_half_gram(ids)) <= 1e-12
+    # on an even cycle the alternating mode attains the Gershgorin bound, so
+    # the two agree to rounding
+    lam, _ = chart.modal()
+    assert n % 2 == 0
+    assert _pencil_bound(L, chart.weights) >= (1.0 + lam.max()) * (1 - 1e-15)
+
+
+# midpoint counts and parameters 1 - 1/M of the quadrature on cube surfaces
+# from h = 1/8 (M = 513, N = 17) to h = 1/28 (M = 6,273, N = 21)
+@pytest.mark.parametrize("n", [8, 17, 19, 20, 21])
+def test_elliptic_functions_match_scipy(n):
+    t = (np.arange(n) + 0.5) / n
+    for m in (0.01, 0.5, 0.9, 1 - 1 / 513, 1 - 1 / 1569, 1 - 1 / 3529,
+              1 - 1 / 6273):
+        sn, cn, dn, K = _ellipj(t, m)
+        assert abs(K - ellipk(m)) <= 1e-13 * ellipk(m)
+        for got, want in zip((sn, cn, dn), ellipj(t * K, m)[:3]):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
