@@ -25,7 +25,7 @@ import numpy as np
 from .assembly import (DiscreteOperator, resonance_guard, solve_dirichlet,
                        verified_solve)
 from .errors import AgreementViolation, ContextMismatch
-from .fields import GridField, hminus1_norm_fourier, spd_inverse_sqrt
+from .fields import GridField, gram_inverse_sqrt, hminus1_norm_fourier
 from .geometry import BoundaryChart, boundary_chart
 
 
@@ -63,28 +63,12 @@ def dtn_map(op: DiscreteOperator, chart: BoundaryChart = None,
     return DtnMatrix(op=op, chart=chart, gamma_ids=gamma_ids, matrix=T)
 
 
-def _gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
-    """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
-    taken once per chart and block and held read-only on the chart.  The
-    block itself is read on every call, so that a traced run still counts
-    one Gram read per distance; the chart caches the block, so a read after
-    the first is a copy.  On a box surface the block comes from the chart's
-    sparse rational quadrature, not from a surface eigensolve."""
-    G = chart.h_half_gram(ids)
-    key = ids.tobytes()
-    if key not in chart._gram_inv_sqrt:
-        G_half_inv = spd_inverse_sqrt(G)
-        G_half_inv.flags.writeable = False
-        chart._gram_inv_sqrt[key] = G_half_inv
-    return chart._gram_inv_sqrt[key]
-
-
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
     """Operator norm of the difference, supported trace norm -> its dual."""
     if a.op.grid is not b.op.grid or a.k != b.k \
             or not np.array_equal(a.gamma_ids, b.gamma_ids):
         raise ContextMismatch("maps built on different grids, k, or gamma")
-    G_half_inv = _gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
+    G_half_inv = gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv
     return float(np.linalg.norm(0.5 * (M + M.T), 2))

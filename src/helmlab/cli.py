@@ -376,7 +376,7 @@ def run_solve(cfg, out: Path) -> list:
     lam, E = chart.modal()
     coeff = rng.standard_normal(lam.size) * (1.0 + lam) ** (-float(
         _params(cfg)["data_decay"]))
-    gvals = chart.synthesize(coeff)
+    gvals = E @ coeff
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = assembly.solve_dirichlet(assemble(grid, medium, k), g=trace,
                                  spectrum=rep)

@@ -4,21 +4,26 @@ L2/H1 norms are quadrature sums over node masks; H1 seminorms difference the
 lattice inside a region with the stencils that :func:`masked_gradient`
 states, so no ghost values are needed.
 
-Trace spaces on the outer boundary are realized spectrally: with ``lambda_m``
-and ``c_m`` the eigenvalues/coefficients of the discrete boundary
-Laplace--Beltrami operator,
+Trace norms on the outer boundary are quadratic forms in one Gram block
+per set of chart positions, G = ``chart.h_half_gram(ids)`` (circulant on a
+uniform closed curve, see :meth:`BoundaryChart.symbol`), with the whole
+chart ``ids = arange(n)``.  With X = G^(-1/2), cached on the chart
+(:func:`gram_inverse_sqrt`), w the boundary weights and v nodal values,
 
-    ||t||_s^2 = sum_m (1 + lambda_m)^s |c_m|^2,       s = +-1/2,
+    ||t||_(1/2) = sqrt(v^T G v),      ||t||_(-1/2) = ||X (w v)||,
+    ||ell||_* = ||X f||,              riesz_map(ell) = X (X f),
 
-which makes the Riesz map between the dual pair diagonal.  Traces supported
-on a sub-boundary are enforced by hard masking before norm evaluation.  The
-H^-1 norm of compactly supported volume fields is evaluated on the Fourier
-side, weighting |F(b)|^2 by (1+|zeta|^2)^-1 on a padded box.
+f the dual values of a functional on ``ids``; this is the modal sum
+sum_m (1 + lambda_m)^(+-1/2) |c_m|^2 over the boundary Laplace--Beltrami
+eigenbasis without forming the basis.  Traces supported on a sub-boundary
+are enforced by hard masking before norm evaluation.  The H^-1 norm of
+compactly supported volume fields is evaluated on the Fourier side,
+weighting |F(b)|^2 by (1+|zeta|^2)^-1 on a padded box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -179,17 +184,11 @@ class BoundaryTrace:
 
     chart: BoundaryChart
     values: np.ndarray
-    _coeffs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.chart.n,):
             raise RegionMismatch("trace length does not match chart")
-
-    def coefficients(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = self.chart.coefficients(self.values)
-        return self._coeffs
 
 
 @dataclass
@@ -205,10 +204,6 @@ class BoundaryFunctional:
         if self.dual_values.shape != (self.chart.n,):
             raise RegionMismatch("functional length does not match chart")
 
-    def coefficients(self) -> np.ndarray:
-        _, E = self.chart.modal()
-        return E.T @ self.dual_values
-
     def pair(self, t: BoundaryTrace) -> float:
         return float(self.dual_values @ t.values)
 
@@ -222,58 +217,63 @@ def spd_inverse_sqrt(G: np.ndarray) -> np.ndarray:
     return Q @ ((evals ** -0.5)[:, None] * Q.T)
 
 
+def gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
+    taken once per chart and block and held read-only on the chart.  The
+    block itself is read on every call, so that a traced run counts one
+    Gram read per dual quantity; a circulant block is a gather and every
+    other block is cached on the chart, so a read after the first is
+    cheap."""
+    G = chart.h_half_gram(ids)
+    key = ids.tobytes()
+    if key not in chart._gram_inv_sqrt:
+        X = spd_inverse_sqrt(G)
+        X.flags.writeable = False
+        chart._gram_inv_sqrt[key] = X
+    return chart._gram_inv_sqrt[key]
+
+
 def mask_to_gamma(t: BoundaryTrace) -> BoundaryTrace:
     vals = np.where(t.chart.gamma_mask, t.values, 0.0)
     return BoundaryTrace(t.chart, vals)
 
 
 def trace_norm(t: BoundaryTrace, order: float) -> float:
-    """Spectral trace norm of order +1/2 or -1/2 on the full outer boundary."""
+    """Trace norm of order +1/2 or -1/2 on the full outer boundary."""
     if order not in (0.5, -0.5):
         raise ValueError("trace_norm supports orders +-1/2")
-    lam, _ = t.chart.modal()
-    c = t.coefficients()
-    return float(np.sqrt(np.sum((1.0 + lam) ** order * c ** 2)))
+    ids = np.arange(t.chart.n)
+    if order > 0:
+        G = t.chart.h_half_gram(ids)
+        return float(np.sqrt(t.values @ G @ t.values))
+    X = gram_inverse_sqrt(t.chart, ids)
+    return float(np.linalg.norm(X @ (t.chart.weights * t.values)))
+
+
+def _positions(chart: BoundaryChart,
+               gamma: Optional[np.ndarray]) -> np.ndarray:
+    """Chart positions of the mask ``gamma``; all of them for None."""
+    return np.arange(chart.n) if gamma is None else np.flatnonzero(gamma)
 
 
 def functional_norm(ell: BoundaryFunctional,
                     gamma: Optional[np.ndarray] = None) -> float:
-    """Dual norm of order -1/2.
-
-    With ``gamma`` a chart mask, the norm is taken over gamma-supported unit
-    traces (the dual of the supported trace space); otherwise over the whole
-    boundary, where it reduces to the diagonal modal sum.
-    """
-    if gamma is None:
-        lam, _ = ell.chart.modal()
-        d = ell.coefficients()
-        return float(np.sqrt(np.sum((1.0 + lam) ** -0.5 * d ** 2)))
-    ids = np.flatnonzero(gamma)
-    G = ell.chart.h_half_gram(ids)
-    f = ell.dual_values[ids]
-    z = np.linalg.solve(G, f)
-    return float(np.sqrt(max(f @ z, 0.0)))
+    """Dual norm of order -1/2 over the traces supported on the chart mask
+    ``gamma``, or on the whole boundary."""
+    ids = _positions(ell.chart, gamma)
+    X = gram_inverse_sqrt(ell.chart, ids)
+    return float(np.linalg.norm(X @ ell.dual_values[ids]))
 
 
 def riesz_map(ell: BoundaryFunctional,
               gamma: Optional[np.ndarray] = None) -> BoundaryTrace:
-    """Trace representing ``ell`` in the order-1/2 inner product.
-
-    Full-boundary version scales modal coefficients by (1+lambda)^(-1/2);
-    the gamma-restricted version inverts the gamma block of the Gram matrix,
-    producing a gamma-supported trace.  Both satisfy
-    ``<ell, riesz_map(ell)> = functional_norm(ell)^2``.
-    """
-    if gamma is None:
-        lam, _ = ell.chart.modal()
-        d = ell.coefficients()
-        vals = ell.chart.synthesize((1.0 + lam) ** -0.5 * d)
-        return BoundaryTrace(ell.chart, vals)
-    ids = np.flatnonzero(gamma)
-    G = ell.chart.h_half_gram(ids)
-    z = np.linalg.solve(G, ell.dual_values[ids])
+    """Trace supported on the chart mask ``gamma`` (or the whole boundary)
+    that represents ``ell`` in the order-1/2 inner product there, so that
+    ``<ell, riesz_map(ell, gamma)> = functional_norm(ell, gamma)^2``."""
+    ids = _positions(ell.chart, gamma)
+    X = gram_inverse_sqrt(ell.chart, ids)
     vals = np.zeros(ell.chart.n)
-    vals[ids] = z
+    vals[ids] = X @ (X @ ell.dual_values[ids])
     return BoundaryTrace(ell.chart, vals)
 
 

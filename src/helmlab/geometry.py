@@ -25,6 +25,7 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyGamma, FeatureUnresolved, GeometryViolation
 
@@ -480,12 +481,13 @@ class BoundaryChart:
     ``node_ids`` walk the outer boundary (closed curve in 2D; the whole box
     surface in 3D).  ``weights`` are arclength (2D) or surface-area (3D)
     measures.  ``gamma_mask`` marks the nodes of the relatively open subset
-    used for supported traces.  The H^(1/2) Gram of :meth:`h_half_gram` is
-    built once per chart on a uniform closed curve and once per block on
-    every other chart; either cache is read-only, and so is the inverse
-    square root of each Gram block held for
-    :func:`helmlab.calderon.dtn_distance`.  The eigenpairs of :meth:`modal`
-    are built on first use.
+    used for supported traces.  Every H^(+-1/2) trace quantity reads the
+    Gram blocks of :meth:`h_half_gram`: on a uniform closed curve from the
+    circulant :meth:`symbol`, on every other chart by sparse quadrature,
+    each block cached read-only.  The inverse square root of each block,
+    shared by every dual norm (:func:`helmlab.fields.gram_inverse_sqrt`),
+    is cached read-only on the chart too.  The eigenpairs of :meth:`modal`
+    are built on first use, only as the data basis of ``lab solve``.
     """
 
     grid: Grid
@@ -493,7 +495,6 @@ class BoundaryChart:
     weights: np.ndarray
     gamma_mask: np.ndarray
     _modal: Optional[tuple] = None               # (lambdas, E) cached
-    _gram: Optional[np.ndarray] = None           # full analytic Gram cached
     _gram_blocks: dict = field(default_factory=dict, repr=False)  # by block
     _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
 
@@ -528,19 +529,18 @@ class BoundaryChart:
         n = self.n
         if self._circulant():
             # uniform closed curve: analytic circulant eigenbasis
-            s = w[0]
-            total = s * n
+            lam_m = self._circulant_lambdas()
+            total = w[0] * n
             lam, cols = [0.0], [np.full(n, 1.0 / np.sqrt(total))]
             t = np.arange(n)
             for m in range(1, n // 2 + 1):
-                lam_m = (2.0 - 2.0 * np.cos(_TWO_PI * m / n)) / s ** 2
                 cm = np.cos(_TWO_PI * m * t / n)
                 if 2 * m == n:
-                    lam.append(lam_m)
+                    lam.append(lam_m[m])
                     cols.append(cm / np.sqrt(np.sum(w * cm ** 2)))
                     break
                 sm = np.sin(_TWO_PI * m * t / n)
-                lam.extend([lam_m, lam_m])
+                lam.extend([lam_m[m], lam_m[m]])
                 cols.append(cm / np.sqrt(np.sum(w * cm ** 2)))
                 cols.append(sm / np.sqrt(np.sum(w * sm ** 2)))
             return np.asarray(lam), np.column_stack(cols)
@@ -550,9 +550,18 @@ class BoundaryChart:
         lam = np.clip(lam, 0.0, None)
         return lam, E
 
+    def _circulant_lambdas(self) -> np.ndarray:
+        """Eigenvalues (2 - 2 cos(2 pi m / n)) / s^2, m = 0 .. n/2, of W^-1 L
+        on a uniform closed curve of spacing s: the cos and sin waves of
+        order m."""
+        m = np.arange(self.n // 2 + 1)
+        return (2.0 - 2.0 * np.cos(_TWO_PI * m / self.n)) / self.weights[0] ** 2
+
     def _surface_stiffness(self):
         """Boundary graph Laplacian L as a CSR matrix: zero row sums and one
-        negative coupling per boundary edge of the grid."""
+        negative coupling per boundary edge of the grid, 1 / (edge length)
+        on a curve (the arc length on a circle) and the tangential face
+        measure over the squared length on a box surface."""
         import scipy.sparse as sp
         pos = np.full(self.grid.n_nodes, -1)
         pos[self.node_ids] = np.arange(self.n)
@@ -561,6 +570,8 @@ class BoundaryChart:
         ei, ej = ei[keep], ej[keep]
         a, b = pos[ei], pos[ej]
         dist = np.linalg.norm(self.grid.nodes[ei] - self.grid.nodes[ej], axis=1)
+        if self.grid.topology == "polar":
+            dist = self.weights[a]      # the arc r dtheta, not the chord
         if self.grid.dim == 2:
             c = 1.0 / dist
         else:
@@ -577,36 +588,36 @@ class BoundaryChart:
                                np.concatenate([at, b, a]))),
                              shape=(self.n, self.n))
 
-    # -- norms in the (1 + lambda)^s scale ------------------------------------
+    # -- the H^(1/2) Gram ------------------------------------------------------
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        lam, E = self.modal()
-        return E.T @ (self.weights * values)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        _, E = self.modal()
-        return E @ coeffs
+    def symbol(self) -> Optional[np.ndarray]:
+        """Eigenvalues g_m = s (1 + lambda_m)^(1/2), m = 0 .. n/2, of the
+        circulant H^(1/2) Gram of a uniform closed curve of spacing s, or
+        None on every other chart."""
+        if not self._circulant():
+            return None
+        return self.weights[0] * np.sqrt(1.0 + self._circulant_lambdas())
 
     def h_half_gram(self, ids: np.ndarray) -> np.ndarray:
         """Gram matrix of nodal values in the (1+lambda)^(1/2) trace norm on
         the chart positions ``ids``, as a fresh writable array.
 
         The Gram is W (W^-1 (W + L))^(1/2), W the diagonal of weights and L
-        the boundary stiffness.  A uniform closed curve (every polar chart,
-        masked-union walks, perimeters of equal spacings) builds it whole
-        from the analytic circulant eigenbasis.  Every other chart (box
-        surfaces, perimeters with hx != hy) computes only the ``ids`` block,
-        by sparse rational quadrature to 1e-15 relative error
-        (:func:`_sqrt_pencil_block`), with no dense surface matrix."""
-        if self._circulant():
-            if self._gram is None:
-                lam, E = self.modal()
-                WE = self.weights[:, None] * E
-                G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
-                G = 0.5 * (G + G.T)
-                G.flags.writeable = False
-                self._gram = G
-            return self._gram[np.ix_(ids, ids)]
+        the boundary stiffness.  On a uniform closed curve (every polar
+        chart, masked-union walks, perimeters of equal spacings) it is
+        circulant: the block gathers the inverse DFT of :meth:`symbol` at
+        the lags of ``ids``, each taken the shorter way round so that it is
+        exactly symmetric.  Every other chart (box surfaces, perimeters with
+        hx != hy) computes only the ``ids`` block, by sparse rational
+        quadrature to 1e-15 relative error (:func:`_sqrt_pencil_block`),
+        with no dense surface matrix, and caches it read-only."""
+        g = self.symbol()
+        if g is not None:
+            n = self.n
+            lag = np.abs(np.arange(1 - n, n))
+            c = np.fft.irfft(g, n)[np.minimum(lag, n - lag)]  # lags 1-n .. n-1
+            # row i of the circulant is the window of c at the lags j - i
+            return sliding_window_view(c, n)[::-1][np.ix_(ids, ids)]
         key = ids.tobytes()
         if key not in self._gram_blocks:
             G = _sqrt_pencil_block(self._surface_stiffness(), self.weights,

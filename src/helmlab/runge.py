@@ -37,7 +37,7 @@ from .assembly import (DiscreteOperator, RingFactor, assemble,
                        resonance_guard, ring_factor, solve_dirichlet,
                        solve_on_mask_multi, verified_solve, weak_neumann_trace,
                        whole_rings)
-from .errors import (GeometryViolation, GramNotSPD, InsufficientAdmissibleK,
+from .errors import (GeometryViolation, InsufficientAdmissibleK,
                      TargetUnreachable)
 from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
 from .geometry import (BoundaryChart, DomainSpec, annulus_mask, ball_mask,
@@ -193,21 +193,13 @@ class SvdSystem:
 
 def svd(fmap: ForwardMap) -> SvdSystem:
     """Singular system of a forward map: exact per angular mode when the map
-    is invariant under rotation and its trace Gram is circulant, by the
-    dense SVD otherwise.  Raises :class:`GramNotSPD` unless the Gram is
-    positive definite."""
-    symbol = _circulant_symbol(fmap.gram_gamma) if fmap.per_mode else None
-    return _dense_svd(fmap) if symbol is None else _mode_svd(fmap, symbol)
-
-
-def _circulant_symbol(G: np.ndarray) -> Optional[np.ndarray]:
-    """Eigenvalues g_m, m = 0 .. n/2, of the symmetric part of a circulant
-    G, or None unless G is circulant to a relative 1e-12."""
-    n = G.shape[0]
-    lag = (np.arange(n)[:, None] - np.arange(n)) % n
-    if np.max(np.abs(G - G[lag, 0])) > 1e-12 * np.max(np.abs(G)):
-        return None
-    return np.fft.rfft(G[:, 0]).real
+    is invariant under rotation, with the chart's circulant Gram symbol
+    (:meth:`BoundaryChart.symbol`), by the dense SVD otherwise.  Raises
+    :class:`GramNotSPD` unless the dense path's Gram is positive
+    definite."""
+    if fmap.per_mode:
+        return _mode_svd(fmap, fmap.chart.symbol())
+    return _dense_svd(fmap)
 
 
 def _mode_svd(fmap: ForwardMap, g: np.ndarray) -> SvdSystem:
@@ -218,9 +210,8 @@ def _mode_svd(fmap: ForwardMap, g: np.ndarray) -> SvdSystem:
     each ring; that column is the only one solved.  With g_m the eigenvalues
     of the circulant trace Gram, mu_m = sum_r w_r Y_m(r)^2 / g_m; phi is the
     Gram-normalised wave and psi the wx-normalised profile times the wave.
-    Modes 0 < m < n/2 give a cos and a sin column of equal mu."""
-    if g.min() <= 0:
-        raise GramNotSPD(f"trace Gram has min eigenvalue {g.min():.3e}")
+    Modes 0 < m < n/2 give a cos and a sin column of equal mu; g_m >= s > 0
+    by construction."""
     n = fmap.gamma_ids.size
     Y = np.fft.rfft(fmap.columns(slice(0, 1)).reshape(-1, n), axis=1).real
     energy = fmap.wx.reshape(Y.shape[0], n)[:, 0] @ Y ** 2

@@ -135,11 +135,11 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
     Lanczos.
     """
     A, M = _pencil(grid, medium)
-    _check_invertible(A)
+    lu = _check_invertible(A)
     k_req = min(count, A.shape[0] - 2)
     rings = ring_coefficients(grid, grid.interior_index, A, M)
     if rings is None:
-        lam, vecs, windows = _shift_invert(A, M, k_req, shifts)
+        lam, vecs, windows = _shift_invert(A, M, lu, k_req, shifts)
     else:
         lam, vecs, windows = _per_mode(rings, grid.lattice_shape[1], k_req,
                                        shifts)
@@ -149,10 +149,11 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
                           coverage=_merge_windows(windows))
 
 
-def _check_invertible(A) -> None:
-    """Raise :class:`AssumptionIViolated` unless -Delta - V is invertible;
-    a numerically singular factor shows up as an enormous amplification of
-    a generic probe."""
+def _check_invertible(A):
+    """The :func:`sparse_lu` factor of -Delta - V; raises
+    :class:`AssumptionIViolated` unless it is invertible.  A numerically
+    singular factor shows up as an enormous amplification of a generic
+    probe."""
     n = A.shape[0]
     try:
         lu = sparse_lu(A)
@@ -168,16 +169,18 @@ def _check_invertible(A) -> None:
             raise AssumptionIViolated("-Delta - V numerically singular")
     except RuntimeError as exc:
         raise AssumptionIViolated(f"factorization failed: {exc}") from exc
+    return lu
 
 
-def _shift_invert(A, M, k_req: int, shifts):
+def _shift_invert(A, M, lu, k_req: int, shifts):
     """The ``k_req`` eigenpairs nearest each shift by shift-invert Lanczos
     (dense below 200 unknowns), merged over shifts, with one complete
     window per shift (:func:`_complete_window`).
 
     ARPACK's inverse (A - shift M)^-1 is one :func:`sparse_lu` factor per
     shift: minimum-degree ordering of A^T + A, diagonal pivots kept down to
-    0.01 of their column's largest entry."""
+    0.01 of their column's largest entry.  At shift 0 it is ``lu``, the
+    factor of A already taken by :func:`_check_invertible`."""
     n = A.shape[0]
     vals_all, vecs_all, windows = [], [], []
     v0 = np.ones(n)
@@ -187,7 +190,7 @@ def _shift_invert(A, M, k_req: int, shifts):
             order = np.argsort(np.abs(lam - shift))[:k_req]
             lam, vecs = lam[order], vecs[:, order]
         else:
-            inv = sparse_lu(A - shift * M)
+            inv = lu if shift == 0 else sparse_lu(A - shift * M)
             lam, vecs = spla.eigsh(A, k=k_req, M=M, sigma=shift, which="LM",
                                    v0=v0, tol=0, OPinv=spla.LinearOperator(
                                        A.shape, matvec=inv.solve,

@@ -12,7 +12,8 @@ from helmlab.assembly import (DiscreteOperator, Medium, assemble,
                               verified_solve, weak_neumann_trace)
 from helmlab.bessel import bessel_j
 from helmlab.carleman import _collar_mask, apply_principal
-from helmlab.fields import GridField, functional_norm, masked_gradient, norm
+from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
+                            functional_norm, masked_gradient, norm)
 from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, annulus_mask,
                               ball_mask, boundary_chart, build_grid)
 from helmlab.profiles import make_medium
@@ -108,6 +109,32 @@ def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
     G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
     G = 0.5 * (G + G.T)
     return G[np.ix_(ids, ids)]
+
+
+# Modal references for the trace norms of ``helmlab.fields``: sums over the
+# weight-orthonormal eigenbasis E of the boundary Laplace--Beltrami operator,
+# with trace coefficients c = E^T W v and functional coefficients d = E^T f.
+
+def modal_trace_norm(t: BoundaryTrace, order: float) -> float:
+    """sqrt(sum (1 + lambda_m)^order c_m^2)."""
+    lam, E = t.chart.modal()
+    c = E.T @ (t.chart.weights * t.values)
+    return float(np.sqrt(np.sum((1.0 + lam) ** order * c ** 2)))
+
+
+def modal_functional_norm(ell: BoundaryFunctional) -> float:
+    """sqrt(sum (1 + lambda_m)^(-1/2) d_m^2), the dual norm on the whole
+    boundary."""
+    lam, E = ell.chart.modal()
+    d = E.T @ ell.dual_values
+    return float(np.sqrt(np.sum((1.0 + lam) ** -0.5 * d ** 2)))
+
+
+def modal_riesz_map(ell: BoundaryFunctional) -> np.ndarray:
+    """Nodal values E (1 + lambda)^(-1/2) d of the whole-boundary Riesz
+    representative."""
+    lam, E = ell.chart.modal()
+    return E @ ((1.0 + lam) ** -0.5 * (E.T @ ell.dual_values))
 
 
 def dtn_matrix_reference(op: DiscreteOperator, chart: BoundaryChart):

@@ -21,6 +21,10 @@ The package takes every SuperLU factor in one place: ``src/helmlab`` names
 ``splu`` only inside ``assembly.sparse_lu``, and every ``eigsh`` call that
 passes ``sigma=`` also passes ``OPinv=``, so that ARPACK never factors the
 shifted pencil itself.  Tests may call ``splu`` as an oracle.
+
+Every trace norm reads the Gram: ``src/helmlab`` names the boundary
+eigenbasis ``modal`` only in ``geometry`` and in ``cli.run_solve``, where it
+is the data basis of ``lab solve``.  Tests use it as the oracle.
 """
 
 import ast
@@ -206,21 +210,33 @@ def test_tests_import_only_what_they_use():
                         + "\n".join(unused))
 
 
+def stray_names(target: str, allowed: dict) -> list:
+    """``module:line`` of each reference to ``target`` in ``src/helmlab``
+    outside the places ``allowed`` maps each module to: the top-level
+    function of that name, or the whole module for None."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in allowed and allowed[path.stem] is None:
+            continue
+        tree = ast.parse(path.read_text())
+        own = range(0)
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == allowed.get(path.stem)):
+                own = range(node.lineno, node.end_lineno + 1)
+        out += [f"{path.stem}:{line}: {name}"
+                for name, line in _references(tree)
+                if name == target and line not in own]
+    return out
+
+
 def stray_factors() -> list:
     """``module:line`` of each SuperLU factor ``src/helmlab`` takes outside
     ``assembly.sparse_lu``: a reference to ``splu``, or an ``eigsh`` call
     with ``sigma=`` and without ``OPinv=``."""
-    out = []
+    out = stray_names("splu", {"assembly": "sparse_lu"})
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        own = range(0)
-        for node in tree.body:
-            if (path.stem == "assembly" and isinstance(node, ast.FunctionDef)
-                    and node.name == "sparse_lu"):
-                own = range(node.lineno, node.end_lineno + 1)
-        out += [f"{path.stem}:{line}: splu" for name, line in _references(tree)
-                if name == "splu" and line not in own]
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
@@ -237,6 +253,13 @@ def test_every_superlu_factor_goes_through_sparse_lu():
                        "assembly.sparse_lu:\n" + "\n".join(stray))
 
 
+def test_trace_norms_never_read_the_modal_basis():
+    stray = stray_names("modal", {"geometry": None, "cli": "run_solve"})
+    assert not stray, (f"{len(stray)} references to BoundaryChart.modal "
+                       "outside geometry and the solve data basis:\n"
+                       + "\n".join(stray))
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -247,3 +270,5 @@ if __name__ == "__main__":
     print("\n".join(flagged))
     print("\n".join(unused_test_imports()))
     print("\n".join(stray_factors()))
+    print("\n".join(stray_names("modal", {"geometry": None,
+                                           "cli": "run_solve"})))

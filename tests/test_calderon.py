@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helmlab import calderon
 from helmlab.assembly import assemble
 from helmlab.calderon import (StabilityRecord, alessandrini_gap,
                               dtn_distance, dtn_map, perturbation_record,
                               stability_check, stability_rhs)
 from helmlab.errors import AgreementViolation, ContextMismatch
-from helmlab.fields import spd_inverse_sqrt
+from helmlab.fields import gram_inverse_sqrt, spd_inverse_sqrt
 from helmlab.geometry import ball_mask
 from helmlab.profiles import make_medium
 
@@ -159,10 +158,10 @@ def test_gram_inverse_sqrt_cached_per_chart_block():
     grid, med, op, chart = cube_setup()
     d1 = dtn_map(op, chart)
     ids = chart.positions(d1.gamma_ids)
-    X = calderon._gram_inverse_sqrt(chart, ids)
+    X = gram_inverse_sqrt(chart, ids)
     ref = spd_inverse_sqrt(chart.h_half_gram(ids))
     assert np.array_equal(X, ref)
-    assert calderon._gram_inverse_sqrt(chart, ids) is X
+    assert gram_inverse_sqrt(chart, ids) is X
     with pytest.raises(ValueError):
         X[0, 0] = 1.0
     # the distance reads the cached block and keeps the bits of a fresh one
@@ -171,4 +170,4 @@ def test_gram_inverse_sqrt_cached_per_chart_block():
         M = ref @ (d1.matrix - d2.matrix) @ ref
         want = float(np.linalg.norm(0.5 * (M + M.T), 2))
         assert dtn_distance(d1, d2) == want
-    assert calderon._gram_inverse_sqrt(chart, ids) is X
+    assert gram_inverse_sqrt(chart, ids) is X

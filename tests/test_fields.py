@@ -12,7 +12,8 @@ from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.profiles import bump_profile
 
-from helpers import disk_grid
+from helpers import (disk_grid, modal_functional_norm, modal_riesz_map,
+                     modal_trace_norm)
 
 
 def test_l2_constant_disk():
@@ -118,6 +119,39 @@ def test_trace_interlacing():
         l2 = np.sqrt(np.sum(chart.weights * t.values ** 2))
         assert trace_norm(t, -0.5) <= l2 * (1 + 1e-12)
         assert l2 <= trace_norm(t, 0.5) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.disk(1.0), 0.05),
+    (DomainSpec.annulus(0.5, 2.0), 0.1),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
+    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)],
+    ids=["disk", "annulus", "rectangle", "cube"])
+def test_trace_norms_match_modal_sums(spec, h):
+    """Gram quadratic forms against the modal sums they replace, on charts
+    with (disk, annulus) and without (rectangle hx != hy, cube) a symbol."""
+    chart = boundary_chart(build_grid(spec, h))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        t = BoundaryTrace(chart, rng.standard_normal(chart.n))
+        for order in (0.5, -0.5):
+            want = modal_trace_norm(t, order)
+            assert abs(trace_norm(t, order) - want) <= 1e-12 * want
+        ell = BoundaryFunctional(chart, rng.standard_normal(chart.n))
+        want = modal_functional_norm(ell)
+        assert abs(functional_norm(ell) - want) <= 1e-12 * want
+        want = modal_riesz_map(ell)
+        got = riesz_map(ell).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_whole_boundary_is_the_all_true_gamma():
+    chart = boundary_chart(disk_grid(0.05))
+    ell = BoundaryFunctional(chart, np.random.default_rng(6)
+                             .standard_normal(chart.n))
+    full = np.ones(chart.n, dtype=bool)
+    assert functional_norm(ell) == functional_norm(ell, full)
+    assert np.array_equal(riesz_map(ell).values, riesz_map(ell, full).values)
 
 
 def test_gamma_masking():

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.special import ellipj, ellipk
 
 from helmlab.errors import EmptyGamma, FeatureUnresolved, GeometryViolation
@@ -451,22 +450,21 @@ def test_h_half_gram_cached_per_chart(spec, h):
     want = modal_h_half_gram(chart, ids)
     got = chart.h_half_gram(ids)
     assert got.dtype == want.dtype
-    if spec.kind == "disk":
-        # a uniform closed curve keeps the bits of its analytic Gram
-        assert np.array_equal(got, want)
-        cache = lambda: chart._gram
-    else:
-        # every other chart takes the quadrature block, cached per block
-        assert _rel_err(got, want) <= 1e-12
-        cache = lambda: chart._gram_blocks[ids.tobytes()]
-    cached = cache()
     again = chart.h_half_gram(ids)
-    assert cache() is cached and np.array_equal(again, got)
-    # blocks are fresh and writable; the cache is read-only
-    assert not np.shares_memory(got, cached) and got.flags.writeable
-    assert not np.shares_memory(again, cached)
+    assert np.array_equal(again, got)
+    # blocks are fresh and writable
+    assert not np.shares_memory(got, again) and got.flags.writeable
     got[0, 0] = -1.0
     assert np.array_equal(chart.h_half_gram(ids), again)
+    if spec.kind == "disk":
+        # a uniform closed curve gathers its block from the symbol; no cache
+        assert _rel_err(again, want) <= 1e-13
+        assert not chart._gram_blocks
+        return
+    # every other chart takes the quadrature block, cached read-only
+    assert _rel_err(again, want) <= 1e-12
+    cached = chart._gram_blocks[ids.tobytes()]
+    assert not np.shares_memory(again, cached)
     with pytest.raises(ValueError):
         cached[0, 0] = 0.0
 
@@ -499,18 +497,13 @@ def test_quadrature_gram_matches_analytic_gram_on_a_circle():
     chart = boundary_chart(build_grid(
         DomainSpec.disk(1.0, gamma={"angles": [(0.3, 2.1)]}), 0.05))
     ids = chart.positions(chart.gamma_ids())
-    # the circulant Laplacian whose eigenbasis the analytic Gram uses
-    n, s = chart.n, chart.weights[0]
-    i = np.arange(n)
-    j = np.roll(i, -1)
-    L = sp.csr_matrix((np.r_[np.full(n, 2.0 / s), np.full(2 * n, -1.0 / s)],
-                       (np.r_[i, i, j], np.r_[i, j, i])), shape=(n, n))
+    L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
     assert _rel_err(got, chart.h_half_gram(ids)) <= 1e-12
     # on an even cycle the alternating mode attains the Gershgorin bound, so
     # the two agree to rounding
     lam, _ = chart.modal()
-    assert n % 2 == 0
+    assert chart.n % 2 == 0
     assert _pencil_bound(L, chart.weights) >= (1.0 + lam.max()) * (1 - 1e-15)
 
 
@@ -525,3 +518,48 @@ def test_elliptic_functions_match_scipy(n):
         assert abs(K - ellipk(m)) <= 1e-13 * ellipk(m)
         for got, want in zip((sn, cn, dn), ellipj(t * K, m)[:3]):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec, h", [(DomainSpec.disk(1.0), 0.05),
+                                     (DomainSpec.annulus(0.5, 2.0), 0.1)])
+def test_polar_stiffness_couples_by_arc_length(spec, h):
+    chart = boundary_chart(build_grid(spec, h))
+    s = chart.weights[0]
+    L = chart._surface_stiffness().toarray()
+    # the circulant Laplacian of the closed curve at arc spacing s
+    eye = np.eye(chart.n)
+    circ = (2.0 * eye - np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)) / s
+    assert np.array_equal(L, circ)
+    # so the symbol holds the eigenvalues of the chart's own W^-1 L
+    lam = np.linalg.eigvalsh(L / s)
+    m = np.arange(chart.n // 2 + 1)
+    want = np.sort(np.r_[m, m[(m > 0) & (2 * m < chart.n)]])
+    assert np.allclose(np.sort(s * np.sqrt(1.0 + lam)),
+                       np.sort(chart.symbol()[want]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.disk(1.0), 0.01),
+    (DomainSpec.annulus(0.5, 2.0), 0.0477),
+    (DomainSpec.rectangle((0, 0), (1, 1), gamma={"edges": ["bottom"]}), 0.1),
+    (DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
+                              ((1, 1.5), (1.8, 2.5))]), 0.1)],
+    ids=["disk_odd", "convex_annulus_even", "square", "masked_union"])
+def test_symbol_gram_matches_modal_gram(spec, h):
+    chart = boundary_chart(build_grid(spec, h))
+    assert chart.symbol() is not None
+    if spec.kind == "disk":
+        assert chart.n % 2 == 1
+    if spec.kind == "annulus":
+        assert chart.n % 2 == 0
+    for ids in (np.arange(chart.n), chart.positions(chart.gamma_ids())):
+        got = chart.h_half_gram(ids)
+        assert np.array_equal(got, got.T)
+        assert _rel_err(got, modal_h_half_gram(chart, ids)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1)])
+def test_symbol_only_on_uniform_closed_curves(spec, h):
+    assert boundary_chart(build_grid(spec, h)).symbol() is None

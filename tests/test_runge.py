@@ -233,17 +233,6 @@ def test_other_maps_keep_superlu_and_dense_svd(monkeypatch, build):
     assert calls == [1]
 
 
-def test_non_circulant_gram_takes_dense_svd(monkeypatch):
-    import dataclasses
-    fmap, _ = disk_pair_svd(2.0)
-    G = fmap.gram_gamma.copy()
-    G[0, 0] *= 1.5                      # still SPD, no longer circulant
-    calls = _dense_svd_calls(monkeypatch)
-    system = svd(dataclasses.replace(fmap, gram_gamma=G))
-    assert calls == [1]
-    _assert_svd_identities(system.fmap, system)
-
-
 @pytest.mark.parametrize("case", ["disk", "convex_annulus"])
 def test_mask_solutions_per_mode_match_splu(case):
     if case == "disk":
@@ -286,7 +275,7 @@ def test_injectivity_at_discrete_level():
 
 
 def test_gram_not_spd_guard():
-    fmap, _ = disk_pair_svd(2.0)
+    fmap = disk_arc_map(2.0)
     import dataclasses
     bad = dataclasses.replace(fmap, gram_gamma=-np.eye(fmap.gamma_ids.size))
     with pytest.raises(GramNotSPD):

@@ -15,7 +15,7 @@ from helmlab import spectral
 from helmlab.spectral import (check_admissibility, compute_sigma,
                               find_admissible_k, weyl_exponent)
 
-from helpers import disk_spectrum
+from helpers import cube_setup, disk_spectrum
 
 
 def test_rectangle_eigenvalues_with_multiplicity():
@@ -142,8 +142,8 @@ def _assert_windows_complete(rep, A, M, rtol=1e-9):
 def _assert_matches_general(rep, A, M, count, shifts, rtol=1e-10):
     """Each eigenvalue of the shift-invert path has its own per-mode match;
     per-mode extras are further copies at a window edge."""
-    lam, _, _ = spectral._shift_invert(A, M, min(count, A.shape[0] - 2),
-                                       shifts)
+    lam, _, _ = spectral._shift_invert(A, M, spectral._check_invertible(A),
+                                       min(count, A.shape[0] - 2), shifts)
     free = list(rep.eigenvalues)
     for v in lam:
         j = int(np.argmin(np.abs(np.array(free) - v)))
@@ -266,3 +266,15 @@ def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
     assert rep.residuals.max() <= 1e-10
     _assert_matches_general(rep, A, M, count, (shift,))
     _assert_windows_complete(rep, A, M)
+
+
+def test_shift_zero_reuses_the_invertibility_factor(monkeypatch):
+    # A - 0 M is A: the factor of the invertibility check serves ARPACK
+    grid, medium, _, _ = cube_setup(8)
+    calls = []
+    real = spectral.sparse_lu
+    monkeypatch.setattr(spectral, "sparse_lu",
+                        lambda A: calls.append(A.shape) or real(A))
+    rep = compute_sigma(grid, medium, 10, shifts=(0.0,))
+    assert len(calls) == 1
+    assert rep.eigenvalues.size == 10
