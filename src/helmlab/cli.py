@@ -7,7 +7,6 @@ the one writer: it builds the run's manifest (config hash, code version,
 grid spacing, admissibility constant) and writes every file under it.  Rows
 are emitted in deterministic order, and all randomness is derived from the
 config seed, so a rerun with the same config produces byte-identical files.
-Every experiment runs serially; ``--workers`` is accepted and ignored.
 
 Commands:
     lab run <config>        run the experiment (exit 0 ok, 1 compute, 2 config)
@@ -19,6 +18,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -43,7 +43,7 @@ from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
 from .geometry import DomainSpec, boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
 from .profiles import make_medium
-from .runge import SCENARIO_SETUP, aggregate_median, sweep_and_fit, sweep_params
+from .runge import SCENARIOS, aggregate_median, sweep_and_fit, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
     find_admissible_k, weyl_exponent
 from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
@@ -56,8 +56,8 @@ _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
 
 # each experiment's accepted ``params`` keys and their defaults; runge_sweep
-# also accepts the keys of :func:`sweep_params`, whose defaults depend on the
-# scenario
+# also accepts the sweep axes of :func:`sweep_params`, whose defaults depend
+# on the scenario
 _PARAMS = {
     "spectrum": {"count": 24},
     "solve": {"data_decay": 1.0},
@@ -168,22 +168,23 @@ def validate_config(cfg: dict) -> list:
     if exp == "runge_sweep":
         scenario = {**_PARAMS[exp], **params}["scenario"]
         # a tuple, since the config may give any JSON value, lists too
-        if scenario not in tuple(SCENARIO_SETUP):
+        if scenario not in tuple(SCENARIOS):
             problems.append(f"unknown scenario {scenario!r}; valid: "
-                            f"{tuple(SCENARIO_SETUP)}")
+                            f"{tuple(SCENARIOS)}")
             return problems
         problems.extend(_scenario_report(scenario, spec, med))
-        needs_monotone = SCENARIO_SETUP[scenario][3]
+        med = SCENARIOS[scenario].medium     # whatever the config omits
+        needs_monotone = med["monotone"]
     if spec is not None and not problems:
         problems.extend(_assumption_report(cfg, spec, med, needs_monotone))
     return problems
 
 
 def _scenario_report(scenario, spec, med) -> list:
-    """A runge_sweep runs on the domain and medium of its scenario
-    (:data:`helmlab.runge.SCENARIO_SETUP`): the config may restate them but
-    not change them, and it sets no potential."""
-    want_spec, q, kappa, monotone = SCENARIO_SETUP[scenario]
+    """A runge_sweep runs on the domain and medium of its scenario record
+    (:data:`helmlab.runge.SCENARIOS`): the config may restate them or omit
+    its medium, but not change them, and it sets no potential."""
+    want_spec, want = SCENARIOS[scenario].domain, SCENARIOS[scenario].medium
     problems = []
     if spec is not None and spec != want_spec:
         names = [f.name for f in dataclasses.fields(spec)
@@ -192,7 +193,6 @@ def _scenario_report(scenario, spec, med) -> list:
                  for d in (spec, want_spec)]
         problems.append(f"domain {shown[0]} is not the {scenario} scenario's "
                         f"{shown[1]}")
-    want = {"q": q, "kappa": kappa, "monotone": monotone}
     for key in want:
         if key in med and med[key] != want[key]:
             problems.append(f"medium.{key} {med[key]!r} is not the {scenario} "
@@ -407,7 +407,7 @@ def run_runge_sweep(cfg, out: Path) -> list:
     cols = ["scenario", "k", "epsilon", "seed", "alpha", "err", "cost",
             "cost_rel", "v_norm_h1", "v_l2", "admissible_margin", "h",
             "n_retained", "residue"]
-    key = "cost_rel" if scenario == "convex" else "cost"
+    key = SCENARIOS[scenario].fit_key
     n_seeds = len({r["seed"] for r in fit.records}) if fit.records else 0
     med = aggregate_median(fit.records, by=("k", "epsilon"), key=key,
                            min_count=max(2, n_seeds // 2))
@@ -648,9 +648,10 @@ def _sigma_config(cfg: dict) -> dict:
     """The spectrum config of ``lab sigma``: the domain and medium the config
     runs on, without the params of its own experiment.  The config is first
     validated against its own experiment, as ``lab run`` would.  A
-    runge_sweep runs on the domain and medium of its scenario
-    (:data:`helmlab.runge.SCENARIO_SETUP`): validation pins its domain to the
-    scenario's, and its medium is the scenario's."""
+    runge_sweep runs on the domain and medium of its scenario record
+    (:data:`helmlab.runge.SCENARIOS`): validation pins its domain to the
+    scenario's, and its medium is a copy of the record's, so that nothing
+    downstream can change the shared one."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigInvalid("; ".join(problems))
@@ -659,8 +660,8 @@ def _sigma_config(cfg: dict) -> dict:
         out["params"] = {key: v for key, v in cfg["params"].items()
                          if key in _PARAMS["spectrum"]}
     if cfg["experiment"] == "runge_sweep":
-        _, q, kappa, monotone = SCENARIO_SETUP[_params(cfg)["scenario"]]
-        out["medium"] = {"q": q, "kappa": kappa, "monotone": monotone}
+        out["medium"] = copy.deepcopy(
+            SCENARIOS[_params(cfg)["scenario"]].medium)
     return out
 
 
@@ -675,8 +676,6 @@ def main(argv=None) -> int:
     for name in ("run", "validate", "sigma"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; experiments run serially")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)

@@ -485,9 +485,10 @@ class BoundaryChart:
     Gram blocks of :meth:`h_half_gram`: on a uniform closed curve from the
     circulant :meth:`symbol`, on every other chart by sparse quadrature,
     each block cached read-only.  The inverse square root of each block,
-    shared by every dual norm (:func:`helmlab.fields.gram_inverse_sqrt`),
-    is cached read-only on the chart too.  The eigenpairs of :meth:`modal`
-    are built on first use, only as the data basis of ``lab solve``.
+    shared by the dual norms and the dense Runge SVD
+    (:func:`helmlab.fields.gram_inverse_sqrt`), is cached read-only on the
+    chart too.  The eigenpairs of :meth:`modal` are built on first use, only
+    as the data basis of ``lab solve``.
     """
 
     grid: Grid

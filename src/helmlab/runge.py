@@ -21,6 +21,9 @@ solved one angular mode at a time (:class:`assembly.RingFactor`) and the
 singular system is exact per mode: a cos or sin wave of order m is sent to
 one radial profile times the same wave.  Every other map uses SuperLU and
 the dense SVD, which remain the oracle for the per-mode path.
+
+Each Runge sweep regime is one :class:`Scenario` record of
+:data:`SCENARIOS`; :func:`sweep_and_fit` runs one and fits its exponents.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from .assembly import (DiscreteOperator, RingFactor, assemble,
                        whole_rings)
 from .errors import (GeometryViolation, InsufficientAdmissibleK,
                      TargetUnreachable)
-from .fields import BoundaryTrace, GridField, norm, riesz_map, spd_inverse_sqrt
-from .geometry import (BoundaryChart, DomainSpec, annulus_mask, ball_mask,
+from .fields import (BoundaryTrace, GridField, gram_inverse_sqrt, norm,
+                     riesz_map)
+from .geometry import (BoundaryChart, DomainSpec, annulus_mask,
                        boundary_chart, build_grid, check_nested_separation,
                        mask_connected)
 from .profiles import make_medium
@@ -58,8 +62,8 @@ _FORWARD_BLOCK = 64
 
 @dataclass
 class ForwardMap:
-    """Data-to-restriction map with its two Grams and the factor of the
-    interior block.
+    """Data-to-restriction map with its quadrature weights and the factor
+    of the interior block; the trace Gram on gamma is read from the chart.
 
     Columns of the dense matrix ``A`` (n_omega1, n_gamma) are solved on
     first read: :meth:`columns` solves the gamma columns asked for, and
@@ -72,7 +76,6 @@ class ForwardMap:
     chart: BoundaryChart
     omega1_ids: np.ndarray          # interior node ids of the target region
     gamma_ids: np.ndarray           # node ids of the supported sub-boundary
-    gram_gamma: np.ndarray          # trace Gram on gamma nodal values
     wx: np.ndarray                  # quadrature weights on omega1 nodes
     factor: object                  # RingFactor or SuperLU of op.L_II
     _A: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -142,9 +145,7 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     if chart.gamma_mask.all() and whole_rings(grid, omega1_ids):
         factor = ring_factor(grid, grid.interior_index, op.L_II)
     return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
-                      gamma_ids=gamma_ids,
-                      gram_gamma=chart.h_half_gram(chart.positions(gamma_ids)),
-                      wx=grid.quad_weights[omega1_ids],
+                      gamma_ids=gamma_ids, wx=grid.quad_weights[omega1_ids],
                       factor=factor or op.lu())
 
 
@@ -162,14 +163,14 @@ def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
 def adjoint_apply_matrix(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
     """Gram-weighted transpose oracle for the adjoint cross-check."""
     rhs = fmap.A.T @ (fmap.wx * u_vals)
-    z = np.linalg.solve(fmap.gram_gamma, rhs)
+    z = np.linalg.solve(fmap.chart.h_half_gram(fmap.gamma_positions()), rhs)
     return fmap.trace_from_gamma(z)
 
 
 def trace_inner(fmap: ForwardMap, s: BoundaryTrace, t: BoundaryTrace) -> float:
     """Order-1/2 inner product of two gamma-supported traces."""
     pos = fmap.gamma_positions()
-    return float(s.values[pos] @ fmap.gram_gamma @ t.values[pos])
+    return float(s.values[pos] @ fmap.chart.h_half_gram(pos) @ t.values[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def _mode_svd(fmap: ForwardMap, g: np.ndarray) -> SvdSystem:
 
 
 def _dense_svd(fmap: ForwardMap) -> SvdSystem:
-    G_half_inv = spd_inverse_sqrt(fmap.gram_gamma)
+    G_half_inv = gram_inverse_sqrt(fmap.chart, fmap.gamma_positions())
     sqw = np.sqrt(fmap.wx)
     At = sqw[:, None] * fmap.A @ G_half_inv
     U, s, Vt = np.linalg.svd(At, full_matrices=False)
@@ -437,56 +438,68 @@ class FitReport:
                 "dropped": self.dropped}
 
 
-_SCENARIO_DEFAULTS = {
-    # family smoothness, amplitude mode, budget reference, geometry
-    "boundary": dict(decay=1.5, amplitude="normal", budget="h1",
-                     k_list=(3.2,), epsilon_list=tuple(2.0 ** -i for i in range(1, 9)),
-                     h_cap=0.025),
-    "interior": dict(decay=1.25, amplitude="normal", budget="h1",
-                     k_list=(3.2,), epsilon_list=tuple(2.0 ** -i for i in range(1, 9)),
-                     h_cap=0.025),
-    "convex": dict(decay=2.0, amplitude="signs", budget="l2",
-                   k_list=tuple(float(k) for k in np.geomspace(2.0, 16.0, 8)),
-                   epsilon_list=(0.05,), h_cap=0.06),
-}
+@dataclass(frozen=True)
+class Scenario:
+    """One Runge sweep regime.  ``medium`` is a config medium section,
+    shared: copy it before handing it out.  The regions are annuli
+    r_lo <= |x - c| <= r_hi about the domain centre c.  The budget of fit
+    key ``cost_rel`` is relative to the target's region L2 norm, that of
+    ``cost`` to its unit H1 norm."""
 
-# the domain, q profile, pinch kappa and monotone flag each scenario runs on
-SCENARIO_SETUP = {
-    "boundary": (DomainSpec.disk(1.0), {"profile": "constant", "value": 1.0},
-                 1.001, False),
-    "interior": (DomainSpec.disk(1.0), {"profile": "constant", "value": 1.0},
-                 1.001, False),
-    "convex": (DomainSpec.annulus(0.5, 2.0),
-               {"profile": "radial_quadratic", "amplitude": 0.25}, 2.02, True),
+    domain: DomainSpec
+    medium: dict                    # q, kappa and monotone
+    target: tuple                   # (r_lo, r_hi) of the approximation region
+    family: tuple                   # (r_lo, r_hi) of the random family's mesh
+    decay: float                    # family coefficients (1 + m)^(-decay)
+    amplitude: str                  # MaskSolutionBasis.sample amplitude mode
+    fit_key: str                    # "cost" or "cost_rel"
+    h_cap: float                    # largest grid spacing
+    k_list: tuple                   # default frequency targets
+    epsilon_list: tuple             # default error levels
+
+
+_UNIT_DISK = dict(
+    domain=DomainSpec.disk(1.0),
+    medium={"q": {"profile": "constant", "value": 1.0}, "kappa": 1.001,
+            "monotone": False},
+    target=(0.0, 0.5), amplitude="normal", fit_key="cost", h_cap=0.025,
+    k_list=(3.2,), epsilon_list=tuple(2.0 ** -i for i in range(1, 9)))
+
+SCENARIOS = {
+    # target prescribed on the region itself: cost superpolynomial in 1/eps
+    "boundary": Scenario(**_UNIT_DISK, family=(0.0, 0.5), decay=1.5),
+    # target solves on a strictly larger submesh: cost polynomial in 1/eps
+    "interior": Scenario(**_UNIT_DISK, family=(0.0, 0.6), decay=1.25),
+    # radially monotone q, pinned inner circle: cost polynomial in k.  The
+    # budget is L2-relative: with the H1 one every family trivializes (cost
+    # 0) once k >~ 1/eps, since ||v||_L2(region) <= C ||v||_H1 / k
+    "convex": Scenario(
+        domain=DomainSpec.annulus(0.5, 2.0),
+        medium={"q": {"profile": "radial_quadratic", "amplitude": 0.25},
+                "kappa": 2.02, "monotone": True},
+        target=(0.5, 1.0), family=(0.5, 1.25), decay=2.0, amplitude="signs",
+        fit_key="cost_rel", h_cap=0.06,
+        k_list=tuple(float(k) for k in np.geomspace(2.0, 16.0, 8)),
+        epsilon_list=(0.05,)),
 }
 
 
 def sweep_params(scenario: str, **overrides) -> dict:
-    """Sweep configuration with tuned per-scenario defaults.
-
-    * ``boundary``: target prescribed on the approximation region itself
-      (disk pair); cost grows faster than any power of 1/eps.
-    * ``interior``: target solves on a strictly larger submesh; polynomial
-      cost in 1/eps.
-    * ``convex``: annulus with a radially monotone profile, data on the
-      outer circle, pinned inner circle; polynomial cost in k.  The error
-      budget is referenced to the region L2 norm: with the H1 reference and
-      a fixed epsilon every solution family trivializes (cost 0) once
-      k >~ 1/eps, since ||v||_L2(region) <= C ||v||_H1 / k.
-    """
-    if scenario not in _SCENARIO_DEFAULTS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    params = dict(_SCENARIO_DEFAULTS[scenario])
-    params.update(scenario=scenario, seeds=tuple(range(8)))
-    params.update(overrides)
-    return params
+    """The sweep axes of a scenario, ``overrides`` over its record's
+    ``k_list`` and ``epsilon_list`` and the ``seeds`` 0 to 7; the rest of
+    the regime is fixed by its :data:`SCENARIOS` record."""
+    sc = SCENARIOS[scenario]
+    return {"scenario": scenario, "k_list": sc.k_list,
+            "epsilon_list": sc.epsilon_list, "seeds": tuple(range(8)),
+            **overrides}
 
 
 def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     """Run the (epsilon, k) sweep for one scenario and fit its exponents.
 
-    The scenario's domain and medium are those of ``SCENARIO_SETUP``.  One
-    shared grid (resolved for the largest frequency) carries all cells;
+    The scenario's :data:`SCENARIOS` record fixes all but the sweep axes
+    and the optional spacing ``h`` of ``params`` (:func:`sweep_params`).
+    One shared grid (resolved for the largest frequency) carries all cells;
     frequencies are snapped to admissible values near the requested targets
     (kept when the margin is already 3x the threshold, moved to the gap
     midpoint otherwise).  Cells are seeded deterministically and merged in
@@ -494,30 +507,20 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     Cells whose budget no cutoff meets are counted per (k, epsilon, reason)
     in ``FitReport.dropped``.
     """
-    if scenario not in SCENARIO_SETUP:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    p = sweep_params(scenario) if params is None else dict(params)
+    sc = SCENARIOS[scenario]
+    p = sweep_params(scenario) if params is None else params
     k_targets = [float(k) for k in p["k_list"]]
     eps_list = [float(e) for e in p["epsilon_list"]]
     seeds = list(p["seeds"])
 
-    spec, q_spec, kappa, monotone = SCENARIO_SETUP[scenario]
-    h = min(default_spacing(max(k_targets), kappa), p["h_cap"])
-    if "h" in p and p["h"]:
-        h = p["h"]
-    grid = build_grid(spec, h)
-    medium = make_medium(grid, q_spec=q_spec, kappa=kappa, monotone=monotone)
+    kappa = sc.medium["kappa"]
+    h = p.get("h") or min(default_spacing(max(k_targets), kappa), sc.h_cap)
+    grid = build_grid(sc.domain, h)
+    medium = make_medium(grid, q_spec=sc.medium["q"], kappa=kappa,
+                         monotone=sc.medium["monotone"])
     chart = boundary_chart(grid)
-
-    if scenario == "convex":
-        omega1 = annulus_mask(grid, 0.5, 1.0)
-        family = annulus_mask(grid, 0.5, 1.25)
-    elif scenario == "interior":
-        omega1 = ball_mask(grid, (0, 0), 0.5)
-        family = ball_mask(grid, (0, 0), 0.6)
-    else:
-        omega1 = ball_mask(grid, (0, 0), 0.5)
-        family = omega1
+    omega1 = annulus_mask(grid, *sc.target)
+    family = annulus_mask(grid, *sc.family)
 
     report = compute_sigma(grid, medium, 60,
                            shifts=tuple(kt * kt for kt in k_targets))
@@ -547,10 +550,10 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
         for seed in seeds:
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), int(round(1000 * k))]))
-            v = basis.sample(rng, decay=p["decay"], amplitude=p["amplitude"])
+            v = basis.sample(rng, decay=sc.decay, amplitude=sc.amplitude)
             v_l2 = math.sqrt(float(np.sum(
                 fmap.wx * v.values[fmap.omega1_ids] ** 2)))
-            ref = v_l2 if p["budget"] == "l2" else 1.0
+            ref = v_l2 if sc.fit_key == "cost_rel" else 1.0
             for eps in eps_list:
                 try:
                     ap = runge_approximate(system, v, eps, ref)
@@ -572,8 +575,7 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     records = [r for k in ks for r in run_one_k(k)]
     records.sort(key=lambda r: (r["k"], -r["epsilon"], r["seed"]))
 
-    fit = fit_records(scenario, records,
-                      key="cost_rel" if scenario == "convex" else "cost")
+    fit = fit_records(scenario, records)
     fit.records = records
     fit.dropped = [{"k": k, "epsilon": eps, "reason": reason,
                     "count": dropped[k, eps, reason]}
@@ -612,8 +614,9 @@ def _ols(X: np.ndarray, y: np.ndarray):
     return coef, r2
 
 
-def fit_records(scenario: str, records: list, key: str = "cost") -> FitReport:
-    """Per-scenario exponent fits on log-transformed sweep records.
+def fit_records(scenario: str, records: list) -> FitReport:
+    """Per-scenario exponent fits on the log of each record's fit key
+    (:attr:`Scenario.fit_key`).
 
     * ``interior``: log cost ~ b0 - nu log eps + b k       (poly in 1/eps)
     * ``convex``:   log cost ~ b0 - nu log eps + s log k   (poly in both)
@@ -621,6 +624,7 @@ def fit_records(scenario: str, records: list, key: str = "cost") -> FitReport:
       on coarse grids choosing max R^2 (only existence of exponents is
       claimed, not values).
     """
+    key = SCENARIOS[scenario].fit_key
     recs = [r for r in records if r[key] > 0]
     if len(recs) < 3:
         raise InsufficientAdmissibleK("too few sweep cells with positive cost")
@@ -629,20 +633,6 @@ def fit_records(scenario: str, records: list, key: str = "cost") -> FitReport:
     ks = np.array([r["k"] for r in recs])
     multi_k = np.unique(ks).size > 1
 
-    if scenario == "interior":
-        cols = [np.ones_like(logc), -np.log(eps)] + ([ks] if multi_k else [])
-        coef, r2 = _ols(np.column_stack(cols), logc)
-        expo = {"nu": float(coef[1])}
-        if multi_k:
-            expo["k_coefficient"] = float(coef[2])
-        return FitReport(scenario, expo, r2, len(recs), records)
-    if scenario == "convex":
-        cols = [np.ones_like(logc), -np.log(eps)] + ([np.log(ks)] if multi_k else [])
-        coef, r2 = _ols(np.column_stack(cols), logc)
-        expo = {"nu": float(coef[1])}
-        if multi_k:
-            expo["s"] = float(coef[2])
-        return FitReport(scenario, expo, r2, len(recs), records)
     if scenario == "boundary":
         best = None
         mu_grid = [0.25 * i for i in range(1, 13)]
@@ -659,6 +649,13 @@ def fit_records(scenario: str, records: list, key: str = "cost") -> FitReport:
         expo = {"mu": mu, "a": float(coef[1])}
         if s is not None:
             expo["s"] = s
-        return FitReport(scenario, expo, r2, len(recs), records)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
+    else:
+        # interior and convex differ only in the k regressor
+        kx, name = ((np.log(ks), "s") if scenario == "convex"
+                    else (ks, "k_coefficient"))
+        cols = [np.ones_like(logc), -np.log(eps)] + ([kx] if multi_k else [])
+        coef, r2 = _ols(np.column_stack(cols), logc)
+        expo = {"nu": float(coef[1])}
+        if multi_k:
+            expo[name] = float(coef[2])
+    return FitReport(scenario, expo, r2, len(recs), records)

@@ -185,7 +185,7 @@ def _shift_invert(A, M, lu, k_req: int, shifts):
     vals_all, vecs_all, windows = [], [], []
     v0 = np.ones(n)
     for shift in shifts:
-        if k_req >= n - 1 or n < 200:
+        if n < 200:
             lam, vecs = _dense_fallback(A, M)
             order = np.argsort(np.abs(lam - shift))[:k_req]
             lam, vecs = lam[order], vecs[:, order]

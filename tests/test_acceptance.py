@@ -73,7 +73,8 @@ def test_criterion_02_svd_identities():
         rhs = sv[j] * system.psi[:, j]
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-300)
     PtWP = system.psi[:, :m].T @ (fmap.wx[:, None] * system.psi[:, :m])
-    PhiG = system.phi[:, :m].T @ fmap.gram_gamma @ system.phi[:, :m]
+    G = fmap.chart.h_half_gram(fmap.gamma_positions())
+    PhiG = system.phi[:, :m].T @ G @ system.phi[:, :m]
     assert np.max(np.abs(PtWP - np.eye(m))) <= 1e-8
     assert np.max(np.abs(PhiG - np.eye(m))) <= 1e-8
     slope, _, _ = fit_line(np.arange(m), np.log(sv[:m]))

@@ -16,7 +16,7 @@ from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
 from helmlab.fields import BoundaryTrace, GridField, norm
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.profiles import make_medium
-from helmlab.runge import SCENARIO_SETUP, build_forward_map, sweep_params
+from helmlab.runge import SCENARIOS, build_forward_map
 
 from helpers import cube_setup, disk_setup, disk_spectrum
 
@@ -257,12 +257,12 @@ def test_stiffness_built_once_per_grid(spec, h):
 
 def _convex_sweep_op(k):
     """Operator at k on the grid of the default convex sweep."""
-    spec, q_spec, kappa, monotone = SCENARIO_SETUP["convex"]
-    p = sweep_params("convex")
-    grid = build_grid(spec, min(default_spacing(max(p["k_list"]), kappa),
-                                p["h_cap"]))
-    return assemble(grid, make_medium(grid, q_spec=q_spec, kappa=kappa,
-                                      monotone=monotone), k)
+    sc = SCENARIOS["convex"]
+    kappa = sc.medium["kappa"]
+    grid = build_grid(sc.domain, min(default_spacing(max(sc.k_list), kappa),
+                                     sc.h_cap))
+    return assemble(grid, make_medium(grid, q_spec=sc.medium["q"], kappa=kappa,
+                                      monotone=sc.medium["monotone"]), k)
 
 
 def _rectangle_op():

@@ -12,6 +12,7 @@ from helmlab import cli
 from helmlab.assembly import default_spacing
 from helmlab.cli import (load_config, main, run_experiment, validate_config)
 from helmlab.errors import ConfigInvalid
+from helmlab.runge import SCENARIOS
 
 PI = float(np.pi)
 
@@ -53,7 +54,7 @@ def test_unknown_keys_rejected():
     cfg = _spectrum_cfg()
     cfg["surprise"] = 1
     assert any("unknown config keys" in p for p in validate_config(cfg))
-    # the worker count is a command-line flag, not a config key
+    # a worker count is no config key
     cfg = _spectrum_cfg()
     cfg["workers"] = 4
     assert any("unknown config keys" in p for p in validate_config(cfg))
@@ -81,17 +82,34 @@ def test_runge_sweep_accepts_the_sweep_params_keys():
            "domain": {"kind": "disk", "radius": 1.0},
            "medium": {"q": {"profile": "constant", "value": 1.0}},
            "params": {"scenario": "interior", "k_list": [3.2],
-                      "epsilon_list": [0.25], "seeds": [0], "decay": 1.5}}
+                      "epsilon_list": [0.25], "seeds": [0]}}
     assert validate_config(cfg) == []
     cfg["params"]["h"] = 0.05            # a top-level key, not a sweep param
     assert any("unknown params keys ['h']" in p for p in validate_config(cfg))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("decay", 1.5), ("amplitude", "signs"), ("budget", "l2"),
+    ("h_cap", 0.05)])
+def test_runge_sweep_family_and_budget_are_scenario_constants(
+        tmp_path, capsys, key, value):
+    # the family, budget and spacing cap are fixed by the scenario record;
+    # only the sweep axes are params
+    cfg = {"experiment": "runge_sweep", "domain": _DISK,
+           "params": {"scenario": "interior", key: value}}
+    assert any(f"unknown params keys ['{key}']" in p
+               for p in validate_config(cfg))
+    path = _write(tmp_path, "knob.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown params keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sigma_on_a_runge_sweep_config(tmp_path):
     cfg = {"experiment": "runge_sweep",
            "domain": {"kind": "disk", "radius": 1.0},
            "medium": {"q": {"profile": "constant", "value": 1.0}},
-           "h": 0.1, "params": {"scenario": "interior", "decay": 1.5}}
+           "h": 0.1, "params": {"scenario": "interior"}}
     path = _write(tmp_path, "sweep.json", cfg)
     assert main(["sigma", str(path), "--out", str(tmp_path / "s")]) == 0
     doc = json.loads((tmp_path / "s" / "spectrum.json").read_text())
@@ -116,6 +134,9 @@ def test_sigma_on_a_runge_sweep_config_uses_the_scenario_medium(tmp_path):
         doc = json.loads((tmp_path / name / "spectrum.json").read_text())
         eig.append(doc["eigenvalues"])
     assert eig[0] == eig[1]
+    # the sigma config holds a copy of the scenario's medium, not the record's
+    cli._sigma_config(cfg)["medium"]["q"]["amplitude"] = 1.0
+    assert SCENARIOS["convex"].medium["q"]["amplitude"] == 0.25
 
 
 def test_sigma_validates_the_config_of_any_experiment(tmp_path, capsys):
@@ -171,6 +192,25 @@ def test_admissibility_precheck_flags_resonance(tmp_path):
     cfg["k_list"] = [np.sqrt(2.0)]      # ground state of the square
     msgs = validate_config(cfg)
     assert any("admissibility" in m for m in msgs)
+
+
+@pytest.mark.parametrize("medium", [
+    {"kappa": 2.02, "monotone": True}, None], ids=["without_q", "omitted"])
+def test_runge_sweep_validates_on_its_scenarios_medium(tmp_path, capsys,
+                                                       medium):
+    # the convex sweep runs on q = 1 + |x|^2 / 4 whatever the config leaves
+    # out, so the probe spectrum and the monotone check are of that medium,
+    # not of q = 1 and the monotone flag unset
+    cfg = {"experiment": "runge_sweep",
+           "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0},
+           "medium": medium, "k_list": [2.0, 4.0, 8.0],
+           "params": {"scenario": "convex"}}
+    if medium is None:
+        del cfg["medium"]
+    assert validate_config(cfg) == []
+    path = _write(tmp_path, "convex.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
 
 
 def test_admissibility_precheck_skips_unresolved_frequencies():
@@ -347,11 +387,9 @@ def test_runner_artifacts(tmp_path, experiment):
             assert second == header
             manifest = json.loads(first[len("# manifest: "):])
         assert set(manifest) == _MANIFEST | extra
-    # the rerun goes through the command line with --workers, which is
-    # accepted and ignored
+    # the rerun goes through the command line
     path = _write(tmp_path, "cfg.json", cfg)
-    assert main(["run", str(path), "--workers", "2",
-                 "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
     for name in artifacts:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()

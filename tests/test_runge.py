@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helmlab import runge
-from helmlab.assembly import (Medium, assemble, mask_dirichlet_ring,
-                              ring_factor, solve_dirichlet, solve_on_mask_multi,
+from helmlab import assembly, runge
+from helmlab.assembly import (Medium, RingFactor, assemble,
+                              mask_dirichlet_ring, ring_factor,
+                              solve_dirichlet, solve_on_mask_multi,
                               verified_solve)
 from helmlab.errors import GeometryViolation, GramNotSPD, TargetUnreachable
 from helmlab.fields import GridField, norm
@@ -112,11 +115,11 @@ def _assert_svd_identities(fmap, system):
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
     PtWP = system.psi[:, :m].T @ (fmap.wx[:, None] * system.psi[:, :m])
     assert np.max(np.abs(PtWP - np.eye(m))) < 1e-10
-    PhiG = system.phi[:, :m].T @ fmap.gram_gamma @ system.phi[:, :m]
+    G = fmap.chart.h_half_gram(fmap.gamma_positions())
+    PhiG = system.phi[:, :m].T @ G @ system.phi[:, :m]
     assert np.max(np.abs(PhiG - np.eye(m))) < 1e-10
     # reconstruction
-    recon = (np.sqrt(fmap.wx)[:, None] * system.psi) * sv @ \
-        (system.phi.T @ fmap.gram_gamma)
+    recon = (np.sqrt(fmap.wx)[:, None] * system.psi) * sv @ (system.phi.T @ G)
     target = np.sqrt(fmap.wx)[:, None] * fmap.A
     assert np.linalg.norm(recon - target) <= 1e-8 * np.linalg.norm(target)
 
@@ -187,7 +190,7 @@ def test_per_mode_svd_identities_without_dense_svd(monkeypatch, case):
 
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "svd", refuse)
-        mp.setattr(runge, "spd_inverse_sqrt", refuse)
+        mp.setattr(runge, "gram_inverse_sqrt", refuse)
         system = svd(fmap)
     _assert_svd_identities(fmap, system)
     # cos/sin pairs are exactly degenerate: every mu but the m = 0 and
@@ -274,12 +277,14 @@ def test_injectivity_at_discrete_level():
     assert system.singular_values.min() > 0.0
 
 
-def test_gram_not_spd_guard():
+def test_gram_not_spd_guard(monkeypatch):
     fmap = disk_arc_map(2.0)
-    import dataclasses
-    bad = dataclasses.replace(fmap, gram_gamma=-np.eye(fmap.gamma_ids.size))
+    # a copy of the chart with no inverse square root cached, whose Gram
+    # blocks are negative definite
+    chart = dataclasses.replace(fmap.chart, _gram_inv_sqrt={})
+    monkeypatch.setattr(chart, "h_half_gram", lambda ids: -np.eye(ids.size))
     with pytest.raises(GramNotSPD):
-        svd(bad)
+        svd(dataclasses.replace(fmap, chart=chart))
 
 
 def test_single_mode_approximant():
@@ -386,6 +391,38 @@ def _column_solves(monkeypatch):
     monkeypatch.setattr(runge.ForwardMap, "columns", spy)
     monkeypatch.setattr(runge.ForwardMap, "A", property(refuse))
     return solved
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("scenario", sorted(runge.SCENARIOS))
+def test_every_scenario_sweeps_per_mode(monkeypatch, scenario):
+    # on its default grid each scenario's forward map is invariant under
+    # rotation and its family submesh takes a per-mode factor; the first
+    # frequency is checked, and the sweep stops at its first sample
+    per_mode, factors = [], []
+    real_svd, real_factor = runge.svd, assembly.ring_factor
+
+    def svd_spy(fmap):
+        per_mode.append(fmap.per_mode)
+        return real_svd(fmap)
+
+    def factor_spy(*args):
+        factors.append(real_factor(*args))
+        return factors[-1]
+
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    monkeypatch.setattr(runge, "svd", svd_spy)
+    monkeypatch.setattr(assembly, "ring_factor", factor_spy)
+    monkeypatch.setattr(runge.MaskSolutionBasis, "sample", stop)
+    with pytest.raises(_Stop):
+        sweep_and_fit(scenario, sweep_params(scenario))
+    assert per_mode == [True]
+    assert len(factors) == 1 and isinstance(factors[0], RingFactor)
 
 
 def test_convex_sweep_solves_one_forward_column_per_frequency(monkeypatch):
