@@ -60,7 +60,7 @@ _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
 # on the scenario
 _PARAMS = {
     "spectrum": {"count": 24},
-    "solve": {"data_decay": 1.0},
+    "solve": {},
     "runge_sweep": {"scenario": "interior"},
     "three_balls": {"r": 0.16, "ell_margin": 8,
                     "centers": [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22],
@@ -74,6 +74,9 @@ _PARAMS = {
                  "perturbation": {"profile": "bump", "center": [0.5, 0.5, 0.5],
                                   "radius": 0.25}},
 }
+
+# experiments that run the first frequency of ``k_list`` alone
+_ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +128,18 @@ def validate_config(cfg: dict) -> list:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown config keys {sorted(unknown)}")
-    if "k_list" in cfg and (not isinstance(cfg["k_list"], (list, tuple))
-                            or not cfg["k_list"]):
+    k_list = cfg.get("k_list", [])
+    if "k_list" in cfg and (not isinstance(k_list, (list, tuple))
+                            or not k_list):
         problems.append("k_list must be a non-empty list of frequencies")
     exp = cfg.get("experiment")
     if exp not in _RUNNERS:
         problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")
         return problems
+    if exp in _ONE_FREQUENCY and isinstance(k_list, (list, tuple)) \
+            and len(k_list) > 1:
+        problems.append(f"{exp} runs one frequency; k_list has "
+                        f"{len(k_list)}")
     params = cfg.get("params", {})
     accepted = set(_PARAMS[exp])
     if exp == "runge_sweep":
@@ -367,16 +375,32 @@ def run_spectrum(cfg, out: Path) -> list:
     return write_artifacts(cfg, out, [("spectrum.json", payload)], h=h)
 
 
+def _random_data(chart, xi: np.ndarray) -> np.ndarray:
+    """Boundary data g = (W + L)^-1 W^(1/2) xi, one column for each
+    standard normal column of ``xi``, W the diagonal of chart weights and L
+    the boundary stiffness: one sparse factor and one verified solve.
+
+    With E the weight-orthonormal Laplace--Beltrami eigenbasis (E E^T =
+    W^-1) and W + L = W E (1 + Lambda) E^T W, the covariance of g is
+    E (1 + Lambda)^-2 E^T: the law of sum_m c_m e_m with independent
+    c_m ~ N(0, (1 + lambda_m)^-2), drawn without the eigenbasis."""
+    import scipy.sparse as sp
+    w = chart.weights
+    B = (sp.diags(w) + chart._surface_stiffness()).tocsc()
+    rhs = np.sqrt(w)[:, None] * xi
+    return assembly.verified_solve(B, assembly.sparse_lu(B), rhs)
+
+
 def run_solve(cfg, out: Path) -> list:
+    """Dirichlet solve at the one frequency of ``k_list`` with random data on
+    gamma (:func:`_random_data` of the seed's standard normal stream);
+    writes the nodal field and its L2 and H1 norms."""
     grid, medium, k_list, h = _setup(cfg)
     k = k_list[0]
     rep = compute_sigma(grid, medium, 24, shifts=(k * k,))
     chart = boundary_chart(grid)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    lam, E = chart.modal()
-    coeff = rng.standard_normal(lam.size) * (1.0 + lam) ** (-float(
-        _params(cfg)["data_decay"]))
-    gvals = E @ coeff
+    gvals = _random_data(chart, rng.standard_normal((chart.n, 1)))[:, 0]
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = assembly.solve_dirichlet(assemble(grid, medium, k), g=trace,
                                  spectrum=rep)

@@ -487,15 +487,15 @@ class BoundaryChart:
     each block cached read-only.  The inverse square root of each block,
     shared by the dual norms and the dense Runge SVD
     (:func:`helmlab.fields.gram_inverse_sqrt`), is cached read-only on the
-    chart too.  The eigenpairs of :meth:`modal` are built on first use, only
-    as the data basis of ``lab solve``.
+    chart too.  The random data of ``lab solve`` take one sparse solve with
+    W + L (:meth:`_surface_stiffness`); no chart builds its Laplace--Beltrami
+    eigenbasis.
     """
 
     grid: Grid
     node_ids: np.ndarray
     weights: np.ndarray
     gamma_mask: np.ndarray
-    _modal: Optional[tuple] = None               # (lambdas, E) cached
     _gram_blocks: dict = field(default_factory=dict, repr=False)  # by block
     _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
 
@@ -515,48 +515,6 @@ class BoundaryChart:
         """Whether the chart is a uniform closed curve."""
         w = self.weights
         return self.grid.dim == 2 and np.allclose(w, w[0], rtol=1e-12, atol=0)
-
-    # -- modal decomposition -------------------------------------------------
-
-    def modal(self) -> tuple:
-        """Eigenpairs ``(lambdas, E)`` of the boundary Laplace--Beltrami
-        operator; columns of ``E`` are weight-orthonormal."""
-        if self._modal is None:
-            self._modal = self._build_modal()
-        return self._modal
-
-    def _build_modal(self):
-        w = self.weights
-        n = self.n
-        if self._circulant():
-            # uniform closed curve: analytic circulant eigenbasis
-            lam_m = self._circulant_lambdas()
-            total = w[0] * n
-            lam, cols = [0.0], [np.full(n, 1.0 / np.sqrt(total))]
-            t = np.arange(n)
-            for m in range(1, n // 2 + 1):
-                cm = np.cos(_TWO_PI * m * t / n)
-                if 2 * m == n:
-                    lam.append(lam_m[m])
-                    cols.append(cm / np.sqrt(np.sum(w * cm ** 2)))
-                    break
-                sm = np.sin(_TWO_PI * m * t / n)
-                lam.extend([lam_m[m], lam_m[m]])
-                cols.append(cm / np.sqrt(np.sum(w * cm ** 2)))
-                cols.append(sm / np.sqrt(np.sum(w * sm ** 2)))
-            return np.asarray(lam), np.column_stack(cols)
-        # generic graph Laplace--Beltrami via a dense generalized eigensolve
-        import scipy.linalg as la
-        lam, E = la.eigh(self._surface_stiffness().toarray(), np.diag(w))
-        lam = np.clip(lam, 0.0, None)
-        return lam, E
-
-    def _circulant_lambdas(self) -> np.ndarray:
-        """Eigenvalues (2 - 2 cos(2 pi m / n)) / s^2, m = 0 .. n/2, of W^-1 L
-        on a uniform closed curve of spacing s: the cos and sin waves of
-        order m."""
-        m = np.arange(self.n // 2 + 1)
-        return (2.0 - 2.0 * np.cos(_TWO_PI * m / self.n)) / self.weights[0] ** 2
 
     def _surface_stiffness(self):
         """Boundary graph Laplacian L as a CSR matrix: zero row sums and one
@@ -594,10 +552,13 @@ class BoundaryChart:
     def symbol(self) -> Optional[np.ndarray]:
         """Eigenvalues g_m = s (1 + lambda_m)^(1/2), m = 0 .. n/2, of the
         circulant H^(1/2) Gram of a uniform closed curve of spacing s, or
-        None on every other chart."""
+        None on every other chart.  lambda_m = (2 - 2 cos(2 pi m / n)) / s^2
+        are the eigenvalues of W^-1 L: the cos and sin waves of order m."""
         if not self._circulant():
             return None
-        return self.weights[0] * np.sqrt(1.0 + self._circulant_lambdas())
+        m, s = np.arange(self.n // 2 + 1), self.weights[0]
+        lam = (2.0 - 2.0 * np.cos(_TWO_PI * m / self.n)) / s ** 2
+        return s * np.sqrt(1.0 + lam)
 
     def h_half_gram(self, ids: np.ndarray) -> np.ndarray:
         """Gram matrix of nodal values in the (1+lambda)^(1/2) trace norm on

@@ -5,6 +5,7 @@ reference quantities and probes that tests compare the package against."""
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from helmlab.assembly import (DiscreteOperator, Medium, assemble,
@@ -100,11 +101,39 @@ def cube_setup(n: int = 16, k: float = 1.0):
     return grid, medium, op, chart
 
 
-def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
+def modal(chart: BoundaryChart) -> tuple:
+    """Oracle eigenpairs ``(lambdas, E)`` of the boundary Laplace--Beltrami
+    operator W^-1 L; the columns of ``E`` are weight-orthonormal.  A uniform
+    closed curve takes the cos and sin waves with their eigenvalues
+    (2 - 2 cos(2 pi m / n)) / s^2, computed here and not read from
+    ``chart.symbol()``; every other chart a dense generalized ``eigh``.
+    Each call builds the basis anew: build it once per chart and pass it
+    to the ``modal_*`` references."""
+    w, n = chart.weights, chart.n
+    if chart._circulant():
+        t = np.arange(n)
+        lam, cols = [0.0], [np.full(n, 1.0 / np.sqrt(w[0] * n))]
+        for m in range(1, n // 2 + 1):
+            lam_m = (2.0 - 2.0 * np.cos(2.0 * np.pi * m / n)) / w[0] ** 2
+            waves = [np.cos(2.0 * np.pi * m * t / n)]
+            if 2 * m < n:
+                waves.append(np.sin(2.0 * np.pi * m * t / n))
+            for v in waves:
+                lam.append(lam_m)
+                cols.append(v / np.sqrt(np.sum(w * v ** 2)))
+        return np.asarray(lam), np.column_stack(cols)
+    lam, E = scipy.linalg.eigh(chart._surface_stiffness().toarray(),
+                               np.diag(w))
+    return np.clip(lam, 0.0, None), E
+
+
+def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray,
+                      basis: tuple) -> np.ndarray:
     """Oracle H^(1/2) Gram: the dense modal product W E (1 + lambda)^(1/2)
     E^T W on the whole chart, symmetrized, then the ``ids`` block (the path
-    ``h_half_gram`` took on every chart before the quadrature)."""
-    lam, E = chart.modal()
+    ``h_half_gram`` took on every chart before the quadrature).  ``basis``
+    is ``modal(chart)``."""
+    lam, E = basis
     WE = chart.weights[:, None] * E
     G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
     G = 0.5 * (G + G.T)
@@ -112,28 +141,28 @@ def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
 
 
 # Modal references for the trace norms of ``helmlab.fields``: sums over the
-# weight-orthonormal eigenbasis E of the boundary Laplace--Beltrami operator,
-# with trace coefficients c = E^T W v and functional coefficients d = E^T f.
+# weight-orthonormal eigenbasis ``basis = modal(chart)`` = (lambda, E), with
+# trace coefficients c = E^T W v and functional coefficients d = E^T f.
 
-def modal_trace_norm(t: BoundaryTrace, order: float) -> float:
+def modal_trace_norm(t: BoundaryTrace, order: float, basis: tuple) -> float:
     """sqrt(sum (1 + lambda_m)^order c_m^2)."""
-    lam, E = t.chart.modal()
+    lam, E = basis
     c = E.T @ (t.chart.weights * t.values)
     return float(np.sqrt(np.sum((1.0 + lam) ** order * c ** 2)))
 
 
-def modal_functional_norm(ell: BoundaryFunctional) -> float:
+def modal_functional_norm(ell: BoundaryFunctional, basis: tuple) -> float:
     """sqrt(sum (1 + lambda_m)^(-1/2) d_m^2), the dual norm on the whole
     boundary."""
-    lam, E = ell.chart.modal()
+    lam, E = basis
     d = E.T @ ell.dual_values
     return float(np.sqrt(np.sum((1.0 + lam) ** -0.5 * d ** 2)))
 
 
-def modal_riesz_map(ell: BoundaryFunctional) -> np.ndarray:
+def modal_riesz_map(ell: BoundaryFunctional, basis: tuple) -> np.ndarray:
     """Nodal values E (1 + lambda)^(-1/2) d of the whole-boundary Riesz
     representative."""
-    lam, E = ell.chart.modal()
+    lam, E = basis
     return E @ ((1.0 + lam) ** -0.5 * (E.T @ ell.dual_values))
 
 

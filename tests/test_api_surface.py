@@ -22,9 +22,10 @@ The package takes every SuperLU factor in one place: ``src/helmlab`` names
 passes ``sigma=`` also passes ``OPinv=``, so that ARPACK never factors the
 shifted pencil itself.  Tests may call ``splu`` as an oracle.
 
-Every trace norm reads the Gram: ``src/helmlab`` names the boundary
-eigenbasis ``modal`` only in ``geometry`` and in ``cli.run_solve``, where it
-is the data basis of ``lab solve``.  Tests use it as the oracle.
+No run builds the boundary eigenbasis: every trace norm reads the Gram,
+and ``lab solve`` draws its data with one sparse surface solve, so
+``src/helmlab`` names no ``modal`` anywhere.  The eigenbasis is the test
+oracle ``modal`` of ``tests/helpers.py``.
 """
 
 import ast
@@ -254,10 +255,9 @@ def test_every_superlu_factor_goes_through_sparse_lu():
 
 
 def test_trace_norms_never_read_the_modal_basis():
-    stray = stray_names("modal", {"geometry": None, "cli": "run_solve"})
-    assert not stray, (f"{len(stray)} references to BoundaryChart.modal "
-                       "outside geometry and the solve data basis:\n"
-                       + "\n".join(stray))
+    stray = stray_names("modal", {})
+    assert not stray, (f"{len(stray)} references to a boundary eigenbasis "
+                       "in src:\n" + "\n".join(stray))
 
 
 if __name__ == "__main__":
@@ -270,5 +270,4 @@ if __name__ == "__main__":
     print("\n".join(flagged))
     print("\n".join(unused_test_imports()))
     print("\n".join(stray_factors()))
-    print("\n".join(stray_names("modal", {"geometry": None,
-                                           "cli": "run_solve"})))
+    print("\n".join(stray_names("modal", {})))

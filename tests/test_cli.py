@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helmlab
 from helmlab import cli
 from helmlab.assembly import default_spacing
 from helmlab.cli import (load_config, main, run_experiment, validate_config)
 from helmlab.errors import ConfigInvalid
+from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.runge import SCENARIOS
+
+from helpers import modal
 
 PI = float(np.pi)
 
@@ -310,6 +314,82 @@ def test_solve_experiment_artifacts(tmp_path):
     assert field[1] == "x0,x1,value"
     doc = json.loads((tmp_path / "out" / "solve.json").read_text())
     assert doc["l2"] > 0
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.disk(1.0), 0.05),
+    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
+    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)],
+    ids=["disk", "rectangle", "cube"])
+def test_solve_data_have_the_modal_law(spec, h):
+    # the draw is linear in xi, so its map D is the draw of the identity, and
+    # D D^T is the covariance of the data: E (1 + Lambda)^-2 E^T, the law of
+    # sum_m c_m e_m with c_m ~ N(0, 1) (1 + lambda_m)^-1
+    chart = boundary_chart(build_grid(spec, h))
+    if spec.kind == "rectangle":
+        assert chart.symbol() is None          # hx != hy
+    D = cli._random_data(chart, np.eye(chart.n))
+    lam, E = modal(chart)
+    want = (E * (1.0 + lam) ** -2) @ E.T
+    got = D @ D.T
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("scipy.linalg.eigh called")
+
+
+@pytest.mark.parametrize("domain, h", [
+    ({"kind": "box", "corners": [[0, 0, 0], [1, 1, 1]],
+      "gamma": {"face": "z-"}}, 1 / 8),
+    ({"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]}, 0.05)],
+    ids=["cube", "disk"])
+def test_solve_run_takes_no_dense_eigensolve(tmp_path, monkeypatch, domain,
+                                            h):
+    monkeypatch.setattr(scipy.linalg, "eigh", _no_eigh)
+    cfg = {"experiment": "solve", "domain": domain,
+           "medium": {"q": {"profile": "constant", "value": 1.0},
+                      "kappa": 1.01},
+           "k_list": [1.0], "h": h, "seed": 4}
+    path = _write(tmp_path, "solve.json", cfg)
+    for run in ("a", "b"):
+        assert main(["run", str(path), "--out", str(tmp_path / run)]) == 0
+    assert len((tmp_path / "a" / "field.csv").read_text().splitlines()) > 2
+    for name in ("field.csv", "solve.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_solve_takes_no_params(tmp_path, capsys):
+    cfg = {"experiment": "solve",
+           "domain": {"kind": "disk", "radius": 1.0},
+           "medium": {"q": {"profile": "constant", "value": 1.0}},
+           "k_list": [2.0], "h": 0.1, "params": {"data_decay": 1.0}}
+    assert any("unknown params keys ['data_decay']" in p
+               for p in validate_config(cfg))
+    path = _write(tmp_path, "decay.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_one_frequency_runners_reject_a_k_list(tmp_path, capsys):
+    # solve, chain and bessel_optimality read k_list[0] alone; a second
+    # frequency would be dropped without a word
+    cfg = {"experiment": "solve",
+           "domain": {"kind": "disk", "radius": 1.0,
+                      "gamma": [[0.0, 3.141592653589793]]},
+           "medium": {"q": {"profile": "constant", "value": 1.0}},
+           "k_list": [2.0, 6.0], "seed": 1}
+    assert "solve runs one frequency; k_list has 2" in validate_config(cfg)
+    path = _write(tmp_path, "two_k.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    for experiment in ("chain", "bessel_optimality"):
+        cfg = dict(_RUNNER_CASES[experiment][0], k_list=[2.0, 4.0])
+        assert f"{experiment} runs one frequency; k_list has 2" in \
+            validate_config(cfg)
 
 
 def test_load_config_errors(tmp_path):

@@ -12,8 +12,8 @@ from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.profiles import bump_profile
 
-from helpers import (disk_grid, modal_functional_norm, modal_riesz_map,
-                     modal_trace_norm)
+from helpers import (disk_grid, modal, modal_functional_norm,
+                     modal_riesz_map, modal_trace_norm)
 
 
 def test_l2_constant_disk():
@@ -131,16 +131,17 @@ def test_trace_norms_match_modal_sums(spec, h):
     """Gram quadratic forms against the modal sums they replace, on charts
     with (disk, annulus) and without (rectangle hx != hy, cube) a symbol."""
     chart = boundary_chart(build_grid(spec, h))
+    basis = modal(chart)
     rng = np.random.default_rng(5)
     for _ in range(3):
         t = BoundaryTrace(chart, rng.standard_normal(chart.n))
         for order in (0.5, -0.5):
-            want = modal_trace_norm(t, order)
+            want = modal_trace_norm(t, order, basis)
             assert abs(trace_norm(t, order) - want) <= 1e-12 * want
         ell = BoundaryFunctional(chart, rng.standard_normal(chart.n))
-        want = modal_functional_norm(ell)
+        want = modal_functional_norm(ell, basis)
         assert abs(functional_norm(ell) - want) <= 1e-12 * want
-        want = modal_riesz_map(ell)
+        want = modal_riesz_map(ell, basis)
         got = riesz_map(ell).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

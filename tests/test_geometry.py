@@ -10,7 +10,7 @@ from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
                               build_grid, check_nested_separation,
                               mask_connected)
 
-from helpers import modal_h_half_gram
+from helpers import modal, modal_h_half_gram
 
 
 def test_disk_lattice_matches_spacing_rule():
@@ -447,7 +447,7 @@ def test_h_half_gram_cached_per_chart(spec, h):
     chart = boundary_chart(build_grid(spec, h))
     ids = chart.positions(chart.gamma_ids())
     assert 0 < ids.size < chart.n
-    want = modal_h_half_gram(chart, ids)
+    want = modal_h_half_gram(chart, ids, modal(chart))
     got = chart.h_half_gram(ids)
     assert got.dtype == want.dtype
     again = chart.h_half_gram(ids)
@@ -487,9 +487,10 @@ def test_quadrature_gram_matches_dense_modal_gram(spec, h):
     ids = chart.positions(chart.gamma_ids())
     L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
-    assert _rel_err(got, modal_h_half_gram(chart, ids)) <= 1e-12
+    basis = modal(chart)
+    assert _rel_err(got, modal_h_half_gram(chart, ids, basis)) <= 1e-12
     # the Gershgorin bound holds the spectrum of W^-1 (W + L)
-    lam, _ = chart.modal()
+    lam, _ = basis
     assert _pencil_bound(L, chart.weights) >= 1.0 + lam.max()
 
 
@@ -502,7 +503,7 @@ def test_quadrature_gram_matches_analytic_gram_on_a_circle():
     assert _rel_err(got, chart.h_half_gram(ids)) <= 1e-12
     # on an even cycle the alternating mode attains the Gershgorin bound, so
     # the two agree to rounding
-    lam, _ = chart.modal()
+    lam, _ = modal(chart)
     assert chart.n % 2 == 0
     assert _pencil_bound(L, chart.weights) >= (1.0 + lam.max()) * (1 - 1e-15)
 
@@ -552,10 +553,11 @@ def test_symbol_gram_matches_modal_gram(spec, h):
         assert chart.n % 2 == 1
     if spec.kind == "annulus":
         assert chart.n % 2 == 0
+    basis = modal(chart)
     for ids in (np.arange(chart.n), chart.positions(chart.gamma_ids())):
         got = chart.h_half_gram(ids)
         assert np.array_equal(got, got.T)
-        assert _rel_err(got, modal_h_half_gram(chart, ids)) <= 1e-13
+        assert _rel_err(got, modal_h_half_gram(chart, ids, basis)) <= 1e-13
 
 
 @pytest.mark.parametrize("spec, h", [
