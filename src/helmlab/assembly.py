@@ -176,11 +176,14 @@ def default_spacing(k_max: float, kappa: float) -> float:
     return 2 * np.pi / (10.0 * 1.1 * k_max * math.sqrt(kappa)) * 0.95
 
 
-def assemble(grid: Grid, medium: Medium, k: float) -> DiscreteOperator:
+def assemble(grid: Grid, medium: Medium, k: float,
+             spectrum=None) -> DiscreteOperator:
     """Assemble the weighted operator at frequency k >= 1.
 
     Raises :class:`UnderResolved` unless the spacing satisfies the
-    ten-points-per-wavelength rule h <= 2 pi / (10 k sqrt(kappa)).
+    ten-points-per-wavelength rule h <= 2 pi / (10 k sqrt(kappa)), and, the
+    one resonance guard, :class:`NearResonance` when k^2 is inside the guard
+    band of the ``spectrum`` report (``check_admissibility(guard=True)``).
     """
     if k < 1.0:
         raise HypothesisViolated("frequency must satisfy k >= 1")
@@ -191,6 +194,13 @@ def assemble(grid: Grid, medium: Medium, k: float) -> DiscreteOperator:
     if h_max > h_allowed * (1 + 1e-9):
         raise UnderResolved(
             f"spacing {h_max:.4g} exceeds wavelength rule {h_allowed:.4g} at k={k:g}")
+    if spectrum is not None:
+        from .spectral import check_admissibility
+        rec = check_admissibility(k, spectrum, guard=True)
+        if not rec["admissible"]:
+            raise NearResonance(
+                f"k^2={k ** 2:.6g} within guard band {rec['threshold']:.3g} "
+                f"of eigenvalue (dist {rec['dist']:.3g})")
 
     K = stiffness(grid)
     coeff = grid.quad_weights * (k * k * medium.q.values + medium.V.values)
@@ -222,19 +232,6 @@ def _boundary_values(op: DiscreteOperator, g) -> np.ndarray:
     if g.shape != (n_b,):
         raise RegionMismatch("boundary data length mismatch")
     return g
-
-
-def resonance_guard(op: DiscreteOperator, spectrum) -> None:
-    """Raise :class:`NearResonance` when k^2 sits inside the guard band
-    max(c k^(2-n), 10 * eigenvalue discretization error)."""
-    if spectrum is None:
-        return
-    from .spectral import check_admissibility
-    rec = check_admissibility(op.k, spectrum, guard=True)
-    if not rec["admissible"]:
-        raise NearResonance(
-            f"k^2={op.k ** 2:.6g} within guard band {rec['threshold']:.3g} "
-            f"of eigenvalue (dist {rec['dist']:.3g})")
 
 
 _RESIDUAL_TOL = 1e-10
@@ -378,15 +375,14 @@ def _col_norms(M: np.ndarray) -> np.ndarray:
 
 
 def solve_dirichlet(op: DiscreteOperator, f: Optional[GridField] = None,
-                    g=None, spectrum=None) -> GridField:
+                    g=None) -> GridField:
     """Solve (Delta + k^2 q + V) u = f with Dirichlet data g.
 
     ``g`` may be a BoundaryTrace on the outer chart (zero on any uncharted
-    boundary component) or an array over all boundary nodes.  When a spectrum
-    report is supplied the guard band around computed eigenvalues is
-    enforced.  The interior residual is verified by :func:`verified_solve`.
+    boundary component) or an array over all boundary nodes.  The frequency
+    is guarded by :func:`assemble`; the interior residual is verified by
+    :func:`verified_solve`.
     """
-    resonance_guard(op, spectrum)
     gb = _boundary_values(op, g)
     w = op.grid.quad_weights
     rhs = -op.L_IB @ gb

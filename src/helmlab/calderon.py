@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, resonance_guard, solve_dirichlet,
-                       verified_solve)
+from .assembly import DiscreteOperator, solve_dirichlet, verified_solve
 from .errors import AgreementViolation, ContextMismatch
 from .fields import GridField, gram_inverse_sqrt, hminus1_norm_fourier
 from .geometry import BoundaryChart, boundary_chart
@@ -43,14 +42,12 @@ class DtnMatrix:
         return self.op.k
 
 
-def dtn_map(op: DiscreteOperator, chart: BoundaryChart = None,
-            spectrum=None) -> DtnMatrix:
+def dtn_map(op: DiscreteOperator) -> DtnMatrix:
     """One Dirichlet solve plus weak Neumann trace per supported basis
-    function; rows/columns live on the gamma nodes of the chart."""
+    function; rows/columns live on the gamma nodes of the grid's boundary
+    chart.  The frequency is guarded when ``op`` is assembled."""
     grid = op.grid
-    if chart is None:
-        chart = boundary_chart(grid)
-    resonance_guard(op, spectrum)
+    chart = boundary_chart(grid)
     gamma_ids = np.sort(chart.gamma_ids())
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
 
@@ -105,8 +102,7 @@ def alessandrini_gap(dtn1: DtnMatrix, dtn2: DtnMatrix, g1: np.ndarray,
         int (b2 - b1) u1 u2 = <(Lambda1 - Lambda2) g1, g2>
 
     for solutions u1 (medium 1, data g1) and u2 (medium 2, data g2), data
-    supported on gamma.  Exact discretely up to solver tolerance.  The
-    frequency was guarded when the maps were built (:func:`dtn_map`).
+    supported on gamma.  Exact discretely up to solver tolerance.
     """
     op1, op2 = dtn1.op, dtn2.op
     grid = op1.grid

@@ -209,31 +209,28 @@ class ImprovedProbe:
     rhs_poly: float
 
 
-def improved_ucp_probe(op: DiscreteOperator, k: float, delta: float,
-                       ell: Optional[int] = None,
-                       spectrum=None) -> ImprovedProbe:
+def improved_ucp_probe(op: DiscreteOperator, delta: float,
+                       ell: int) -> ImprovedProbe:
     """Manufacture a high-degree solution with small outer Cauchy data and
     record the envelope quantities |log x|^(-MU_HAT) M and
     (k^3 eta)^NU_HAT M^(1-NU_HAT), x = k^3 eta / M.
 
     The solve carries data cos(ell theta) on the inner circle and zero on the
     outer circle, so eta is the outer weak-Neumann norm alone; requires
-    0 < k^3 eta <= M.
+    0 < k^3 eta <= M, k = ``op.k``.  The frequency is guarded when ``op`` is
+    assembled (:func:`~helmlab.assembly.assemble`).
     """
-    grid = op.grid
+    grid, k = op.grid, op.k
     if grid.spec.kind != "annulus":
         raise HypothesisViolated("probe requires an annulus domain")
     if not op.medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
-    if ell is None:
-        ell = int(round(k)) + 4
 
-    n_r, n_t = grid.lattice_shape
     gb = np.zeros(grid.boundary_index.size)
     inner_ids = grid.lattice_id[0]
     pos = np.searchsorted(grid.boundary_index, inner_ids)
     gb[pos] = np.cos(ell * grid.thetas)
-    u = solve_dirichlet(op, g=gb, spectrum=spectrum)
+    u = solve_dirichlet(op, g=gb)
 
     ell_fun = weak_neumann_trace(op, u)
     eta = functional_norm(ell_fun)           # outer trace itself is zero

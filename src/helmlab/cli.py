@@ -49,7 +49,7 @@ from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
 from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
 
 _TOP_KEYS = {"experiment", "domain", "medium", "k_list", "epsilon_list",
-             "seeds", "seed", "output_dir", "h", "tolerances", "params"}
+             "seeds", "seed", "output_dir", "h", "params"}
 _DOMAIN_KEYS = {"kind", "radius", "center", "r_inner", "r_outer", "corners",
                 "rectangles", "gamma"}
 _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
@@ -128,14 +128,12 @@ def validate_config(cfg: dict) -> list:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown config keys {sorted(unknown)}")
-    k_list = cfg.get("k_list", [])
-    if "k_list" in cfg and (not isinstance(k_list, (list, tuple))
-                            or not k_list):
-        problems.append("k_list must be a non-empty list of frequencies")
+    problems.extend(_value_report(cfg))
     exp = cfg.get("experiment")
     if exp not in _RUNNERS:
         problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")
         return problems
+    k_list = cfg.get("k_list")
     if exp in _ONE_FREQUENCY and isinstance(k_list, (list, tuple)) \
             and len(k_list) > 1:
         problems.append(f"{exp} runs one frequency; k_list has "
@@ -150,6 +148,8 @@ def validate_config(cfg: dict) -> list:
     elif set(params) - accepted:
         problems.append(f"unknown params keys {sorted(set(params) - accepted)} "
                         f"for {exp}; valid: {sorted(accepted)}")
+    elif exp == "runge_sweep":
+        problems.extend(_value_report(params, "params."))
 
     dom = cfg.get("domain")
     spec = None
@@ -185,6 +185,28 @@ def validate_config(cfg: dict) -> list:
         needs_monotone = med["monotone"]
     if spec is not None and not problems:
         problems.extend(_assumption_report(cfg, spec, med, needs_monotone))
+    return problems
+
+
+def _value_report(section: dict, where: str = "") -> list:
+    """The values the runners convert: non-empty lists of numbers (integers
+    for ``seeds``), ``h`` null or positive, and an integer ``seed``."""
+    def typed(v, kind):
+        return isinstance(v, (int, float) if kind == "number" else int) \
+            and not isinstance(v, bool)
+
+    problems = [f"{where}{key} must be a non-empty list of {kind}s"
+                for key, kind in (("k_list", "number"),
+                                  ("epsilon_list", "number"),
+                                  ("seeds", "integer"))
+                if key in section and not (
+                    isinstance(section[key], (list, tuple)) and section[key]
+                    and all(typed(v, kind) for v in section[key]))]
+    if section.get("h") is not None and not (typed(section["h"], "number")
+                                             and section["h"] > 0):
+        problems.append(f"{where}h must be a positive number")
+    if not typed(section.get("seed", 0), "integer"):
+        problems.append(f"{where}seed must be an integer")
     return problems
 
 
@@ -321,12 +343,11 @@ def _json_default(v):
 
 def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
     """Write each artifact into ``out``, in order, under one manifest: the
-    config hash, code version, admissibility constant and tolerances plus
-    ``extra``.  ``(name, columns, rows)`` is a CSV file and ``(name,
-    payload)`` a JSON document.  Returns the written paths."""
+    config hash, code version and admissibility constant plus ``extra``.
+    ``(name, columns, rows)`` is a CSV file and ``(name, payload)`` a JSON
+    document.  Returns the written paths."""
     man = {"config_sha256": config_hash(cfg), "code_version": __version__,
-           "admissibility_c": C_ADMISSIBILITY,
-           "tolerances": cfg.get("tolerances", {}), **extra}
+           "admissibility_c": C_ADMISSIBILITY, **extra}
     return [write_csv(out / name, man, *body) if len(body) == 2
             else write_json(out / name, man, *body)
             for name, *body in artifacts]
@@ -402,8 +423,8 @@ def run_solve(cfg, out: Path) -> list:
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     gvals = _random_data(chart, rng.standard_normal((chart.n, 1)))[:, 0]
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
-    u = assembly.solve_dirichlet(assemble(grid, medium, k), g=trace,
-                                 spectrum=rep)
+    u = assembly.solve_dirichlet(assemble(grid, medium, k, spectrum=rep),
+                                 g=trace)
     cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     rows = [dict({f"x{d}": grid.nodes[i, d] for d in range(grid.dim)},
                  value=u.values[i]) for i in range(grid.n_nodes)]
@@ -416,15 +437,8 @@ def run_solve(cfg, out: Path) -> list:
 def run_runge_sweep(cfg, out: Path) -> list:
     params = _params(cfg)
     scenario = params.pop("scenario")
-    overrides = {}
-    if cfg.get("k_list"):
-        overrides["k_list"] = tuple(float(k) for k in cfg["k_list"])
-    if cfg.get("epsilon_list"):
-        overrides["epsilon_list"] = tuple(float(e) for e in cfg["epsilon_list"])
-    if cfg.get("seeds") is not None:
-        overrides["seeds"] = tuple(int(s) for s in cfg["seeds"])
-    if cfg.get("h"):
-        overrides["h"] = float(cfg["h"])
+    overrides = {key: cfg[key] for key in ("k_list", "epsilon_list",
+                                           "seeds", "h") if key in cfg}
     overrides.update(params)
     fit = sweep_and_fit(scenario, sweep_params(scenario, **overrides))
     h = fit.records[0]["h"] if fit.records else None
@@ -560,11 +574,11 @@ def run_improved_ucp(cfg, out: Path) -> list:
     rows = []
     for kt in k_list:
         k = find_admissible_k(rep, kt)
-        op = assemble(grid, medium, k)
+        op = assemble(grid, medium, k, spectrum=rep)
         for delta in deltas:
             for ell in range(int(k) + 2, int(k) + int(params["ell_span"])):
                 try:
-                    pr = improved_ucp_probe(op, k, delta, ell=ell, spectrum=rep)
+                    pr = improved_ucp_probe(op, delta, ell=ell)
                 except HypothesisViolated:
                     continue
                 rows.append({"k": k, "ell": ell, "delta": delta,
@@ -608,22 +622,21 @@ def run_calderon(cfg, out: Path) -> list:
     params = _params(cfg)
     amplitudes = [float(a) for a in params["amplitudes"]]
     pert = params["perturbation"]
-    chart = boundary_chart(grid)
     rep = compute_sigma(grid, medium, 20)
     rows, records = [], []
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     worst_identity = 0.0
     for k in k_list:
-        op1 = assemble(grid, medium, k)
-        d1 = dtn_map(op1, chart, spectrum=rep)
+        op1 = assemble(grid, medium, k, spectrum=rep)
+        d1 = dtn_map(op1)
         for amp in amplitudes:
             vspec = dict(pert)
             vspec["amplitude"] = amp
             vspec.setdefault("profile", "bump")
             med2 = make_medium(grid, cfg.get("medium", {}).get("q"),
                                vspec, medium.kappa)
-            op2 = assemble(grid, med2, k)
-            d2 = dtn_map(op2, chart, spectrum=rep)
+            op2 = assemble(grid, med2, k, spectrum=rep)
+            d2 = dtn_map(op2)
             rec = perturbation_record(op1, op2, d1, d2, amp)
             records.append(rec)
             g1 = rng.standard_normal(d1.gamma_ids.size)

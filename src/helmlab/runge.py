@@ -37,9 +37,8 @@ import numpy as np
 
 from .assembly import (DiscreteOperator, RingFactor, assemble,
                        default_spacing, mask_dirichlet_ring, mask_flux_pairing,
-                       resonance_guard, ring_factor, solve_dirichlet,
-                       solve_on_mask_multi, verified_solve, weak_neumann_trace,
-                       whole_rings)
+                       ring_factor, solve_dirichlet, solve_on_mask_multi,
+                       verified_solve, weak_neumann_trace, whole_rings)
 from .errors import (GeometryViolation, InsufficientAdmissibleK,
                      TargetUnreachable)
 from .fields import (BoundaryTrace, GridField, gram_inverse_sqrt, norm,
@@ -120,20 +119,19 @@ class ForwardMap:
 
 
 def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
-                      chart: BoundaryChart, spectrum=None) -> ForwardMap:
+                      chart: BoundaryChart) -> ForwardMap:
     """Data-to-restriction map, one Dirichlet solve per supported-boundary
     basis function: factored here, its columns solved when first read
     (:class:`ForwardMap`).
 
     Verifies that the complement of the target region is connected and that
-    the target stays at least four grid layers from the charted boundary.  When a
-    spectrum report is passed the frequency is required to be admissible.
+    the target stays at least four grid layers from the charted boundary.
+    The frequency is guarded when ``op`` is assembled (:func:`assemble`).
     A map invariant under rotation (gamma the whole outer circle of a polar
     grid, the region whole rings, the interior operator ring-invariant) is
     solved one angular mode at a time, every other one by SuperLU.
     """
     grid = op.grid
-    resonance_guard(op, spectrum)
     if not mask_connected(grid, ~omega1_mask):
         raise GeometryViolation("complement of the target region is disconnected")
     # an uncharted inner boundary may touch the region; its data is pinned
@@ -277,8 +275,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
     ``v`` must carry the target region in its mask; ``v_h1`` is the reference
     norm multiplying epsilon.  Passing ``alpha`` forces the cutoff instead.
     Raises :class:`TargetUnreachable` when full retention cannot meet the
-    budget.  The frequency was guarded when the forward map was built
-    (:func:`build_forward_map`).
+    budget.
     """
     if epsilon <= 0:
         raise TargetUnreachable("epsilon must be positive", "epsilon")
@@ -541,8 +538,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     # one call per frequency, so that its factor, forward map and SVD are
     # freed before the next frequency's are built
     def run_one_k(k):
-        op = assemble(grid, medium, k)
-        fmap = build_forward_map(op, omega1, chart, spectrum=report)
+        op = assemble(grid, medium, k, spectrum=report)
+        fmap = build_forward_map(op, omega1, chart)
         system = svd(fmap)
         basis = MaskSolutionBasis(op, family)
         rec_k = check_admissibility(k, report)

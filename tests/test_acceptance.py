@@ -293,7 +293,7 @@ def test_criterion_10_optimality_cross_check():
 
 def test_criterion_11_calderon_stability():
     grid, med, op1, chart = cube_setup(16, 1.0)
-    d_same = dtn_distance(dtn_map(op1, chart), dtn_map(op1, chart))
+    d_same = dtn_distance(dtn_map(op1), dtn_map(op1))
     assert d_same <= 1e-10
 
     rng = np.random.default_rng(7)
@@ -301,7 +301,7 @@ def test_criterion_11_calderon_stability():
     worst_identity = 0.0
     for k in (1.0, 2.0, 3.0):
         opa = assemble(grid, med, k)
-        da = dtn_map(opa, chart)
+        da = dtn_map(opa)
         for amp in (0.5, 1.0, 2.0):
             med2 = make_medium(grid,
                                q_spec={"profile": "constant", "value": 1.0},
@@ -310,7 +310,7 @@ def test_criterion_11_calderon_stability():
                                        "radius": 0.25},
                                kappa=1.01)
             opb = assemble(grid, med2, k)
-            db = dtn_map(opb, chart)
+            db = dtn_map(opb)
             records.append(perturbation_record(opa, opb, da, db, amp))
             g1 = rng.standard_normal(da.gamma_ids.size)
             g2 = rng.standard_normal(da.gamma_ids.size)

@@ -26,6 +26,11 @@ No run builds the boundary eigenbasis: every trace norm reads the Gram,
 and ``lab solve`` draws its data with one sparse surface solve, so
 ``src/helmlab`` names no ``modal`` anywhere.  The eigenbasis is the test
 oracle ``modal`` of ``tests/helpers.py``.
+
+The resonance guard has one place, :func:`helmlab.assembly.assemble`: it is
+the only function of ``src/helmlab`` with a ``spectrum`` parameter, and the
+only one that calls ``check_admissibility`` with ``guard=True``.  Solves,
+maps and probes take an assembled operator and trust its frequency.
 """
 
 import ast
@@ -260,6 +265,41 @@ def test_trace_norms_never_read_the_modal_basis():
                        "in src:\n" + "\n".join(stray))
 
 
+def guard_sites() -> tuple:
+    """(``module.function`` of each function of ``src/helmlab`` with a
+    ``spectrum`` parameter, ``module.function:line`` of each
+    ``check_admissibility`` call with ``guard=True``, by the top-level
+    function it sits in)."""
+    takers, guards = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef):
+                    a = node.args
+                    if any(x.arg == "spectrum" for x in
+                           a.posonlyargs + a.args + a.kwonlyargs):
+                        takers.append(f"{path.stem}.{node.name}")
+                elif isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) \
+                        == "check_admissibility":
+                    flags = [k.value for k in node.keywords
+                             if k.arg == "guard"] + node.args[2:3]
+                    if any(not (isinstance(f, ast.Constant) and not f.value)
+                           for f in flags):
+                        guards.append(f"{path.stem}.{getattr(top, 'name', '')}"
+                                      f":{node.lineno}")
+    return takers, guards
+
+
+def test_assemble_is_the_one_resonance_guard():
+    takers, guards = guard_sites()
+    assert takers == ["assembly.assemble"], (
+        f"functions taking a spectrum besides assemble: {takers}")
+    assert [g.split(":")[0] for g in guards] == ["assembly.assemble"], (
+        f"guard-band checks outside assemble: {guards}")
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -271,3 +311,4 @@ if __name__ == "__main__":
     print("\n".join(unused_test_imports()))
     print("\n".join(stray_factors()))
     print("\n".join(stray_names("modal", {})))
+    print(guard_sites())

@@ -26,13 +26,13 @@ def test_dtn_map_reads_only_the_gamma_rows(n, k):
     # the residual of the gamma rows alone keeps the bits of the residual of
     # every boundary row taken at gamma afterwards
     grid, med, op, chart = cube_setup(n, k)
-    assert np.array_equal(dtn_map(op, chart).matrix,
+    assert np.array_equal(dtn_map(op).matrix,
                           dtn_matrix_reference(op, chart))
 
 
 def test_dtn_linearity_and_symmetry():
     grid, med, op, chart = cube_setup()
-    d = dtn_map(op, chart)
+    d = dtn_map(op)
     rng = np.random.default_rng(0)
     g = rng.standard_normal(d.gamma_ids.size)
     assert np.allclose(d.matrix @ (3.0 * g), 3.0 * (d.matrix @ g))
@@ -46,7 +46,7 @@ def test_dtn_two_resolution_drift():
     # shared nodes converge too slowly for a cross-grid comparison)
     def basis_matrix(n):
         grid, _, op, chart = cube_setup(n)
-        d = dtn_map(op, chart)
+        d = dtn_map(op)
         pts = grid.nodes[d.gamma_ids]
         modes = []
         for (mx, my) in ((1, 1), (1, 2), (2, 2)):
@@ -66,25 +66,25 @@ def test_dtn_two_resolution_drift():
 def test_distance_axioms_and_invariance():
     grid, med, op, chart = cube_setup()
     k = 1.0
-    d0 = dtn_map(op, chart)
-    d0b = dtn_map(assemble(grid, med, k), chart)
+    d0 = dtn_map(op)
+    d0b = dtn_map(assemble(grid, med, k))
     assert dtn_distance(d0, d0b) <= 1e-10
 
     media = [_perturbed(grid, a) for a in (0.5, 1.0)]
-    d1, d2 = (dtn_map(assemble(grid, m, k), chart) for m in media)
+    d1, d2 = (dtn_map(assemble(grid, m, k)) for m in media)
     assert abs(dtn_distance(d1, d2) - dtn_distance(d2, d1)) < 1e-14
     assert dtn_distance(d0, d2) <= dtn_distance(d0, d1) + dtn_distance(d1, d2) + 1e-14
 
     with pytest.raises(ContextMismatch):
-        dtn_distance(d0, dtn_map(assemble(grid, med, 1.5), chart))
+        dtn_distance(d0, dtn_map(assemble(grid, med, 1.5)))
 
 
 def test_delta_linear_in_amplitude():
     grid, med, op, chart = cube_setup()
-    d0 = dtn_map(op, chart)
+    d0 = dtn_map(op)
     deltas = []
     for a in (0.25, 0.5):
-        d = dtn_map(assemble(grid, _perturbed(grid, a), 1.0), chart)
+        d = dtn_map(assemble(grid, _perturbed(grid, a), 1.0))
         deltas.append(dtn_distance(d0, d))
     ratio = deltas[1] / deltas[0]
     assert abs(ratio - 2.0) <= 0.4
@@ -96,8 +96,8 @@ def test_constant_shift_changes_lambda_weakly():
     # the difference density fixed while the solutions move by O(c))
     grid, med, op, chart = cube_setup()
     k = 1.0
-    base = dtn_distance(dtn_map(op, chart),
-                        dtn_map(assemble(grid, _perturbed(grid, 0.5), k), chart))
+    base = dtn_distance(dtn_map(op),
+                        dtn_map(assemble(grid, _perturbed(grid, 0.5), k)))
     changes = []
     for c in (0.25, 0.5):
         med_c = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
@@ -105,8 +105,8 @@ def test_constant_shift_changes_lambda_weakly():
                             kappa=1.01)
         m1_c = _perturbed(grid, 0.5)
         m1_c.V.values += c
-        shifted = dtn_distance(dtn_map(assemble(grid, med_c, k), chart),
-                               dtn_map(assemble(grid, m1_c, k), chart))
+        shifted = dtn_distance(dtn_map(assemble(grid, med_c, k)),
+                               dtn_map(assemble(grid, m1_c, k)))
         changes.append(abs(shifted - base) / base)
     assert changes[0] < 0.05
     assert changes[1] < 0.11
@@ -126,8 +126,8 @@ def test_agreement_guard():
 def test_alessandrini_identity():
     grid, med, op, chart = cube_setup()
     op2 = assemble(grid, _perturbed(grid, 2.0), 1.0)
-    d1 = dtn_map(op, chart)
-    d2 = dtn_map(op2, chart)
+    d1 = dtn_map(op)
+    d2 = dtn_map(op2)
     rng = np.random.default_rng(3)
     for _ in range(3):
         g1 = rng.standard_normal(d1.gamma_ids.size)
@@ -138,11 +138,11 @@ def test_alessandrini_identity():
 
 def test_stability_slack_grows_as_amplitude_shrinks():
     grid, med, op, chart = cube_setup()
-    d0 = dtn_map(op, chart)
+    d0 = dtn_map(op)
     slacks = []
     for a in (1.0, 0.25):
         op2 = assemble(grid, _perturbed(grid, a), 1.0)
-        rec = perturbation_record(op, op2, d0, dtn_map(op2, chart), a)
+        rec = perturbation_record(op, op2, d0, dtn_map(op2), a)
         slacks.append(stability_rhs(1.0, rec.k, rec.delta, 3) - rec.lhs)
         assert rec.lhs > 0 and rec.delta > 0
     assert slacks[1] > slacks[0]
@@ -156,7 +156,7 @@ def test_stability_check_identical_media():
 
 def test_gram_inverse_sqrt_cached_per_chart_block():
     grid, med, op, chart = cube_setup()
-    d1 = dtn_map(op, chart)
+    d1 = dtn_map(op)
     ids = chart.positions(d1.gamma_ids)
     X = gram_inverse_sqrt(chart, ids)
     ref = spd_inverse_sqrt(chart.h_half_gram(ids))
@@ -166,7 +166,7 @@ def test_gram_inverse_sqrt_cached_per_chart_block():
         X[0, 0] = 1.0
     # the distance reads the cached block and keeps the bits of a fresh one
     for amp in (0.5, 2.0):
-        d2 = dtn_map(assemble(grid, _perturbed(grid, amp), 1.0), chart)
+        d2 = dtn_map(assemble(grid, _perturbed(grid, amp), 1.0))
         M = ref @ (d1.matrix - d2.matrix) @ ref
         want = float(np.linalg.norm(0.5 * (M + M.T), 2))
         assert dtn_distance(d1, d2) == want

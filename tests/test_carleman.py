@@ -119,9 +119,9 @@ def test_improved_probe_gate_and_envelope():
     k = find_admissible_k(rep, 4.0)
     op = assemble(grid, med, k)
     with pytest.raises(HypothesisViolated):
-        improved_ucp_probe(op, k, 0.2, ell=int(k) + 2)   # eta too large
+        improved_ucp_probe(op, 0.2, ell=int(k) + 2)   # eta too large
     for ell in (12, 16, 20):
-        pr = improved_ucp_probe(op, k, 0.2, ell=ell)
+        pr = improved_ucp_probe(op, 0.2, ell=ell)
         assert 0.0 < k ** 3 * pr.eta <= pr.M
         assert pr.lhs <= pr.rhs_poly
         assert pr.lhs <= pr.lhs_full
@@ -144,7 +144,7 @@ def test_improved_constant_contrast_with_general_geometry():
         pts = []
         for ell in range(int(k) + 7, int(k) + 23):
             try:
-                pr = improved_ucp_probe(op, k, 0.2, ell=ell)
+                pr = improved_ucp_probe(op, 0.2, ell=ell)
             except HypothesisViolated:
                 continue
             pts.append((math.log(k ** 3 * pr.eta / pr.M),
@@ -186,7 +186,7 @@ def test_improved_probe_delta_monotone_exponent():
     for delta in (0.1, 0.2, 0.4):
         xs, ys = [], []
         for ell in range(11, 24):
-            pr = improved_ucp_probe(op, k, delta, ell=ell)
+            pr = improved_ucp_probe(op, delta, ell=ell)
             xs.append(math.log(k ** 3 * pr.eta / pr.M))
             ys.append(math.log(pr.lhs / pr.M))
         nus.append(fit_line(xs, ys)[0])

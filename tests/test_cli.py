@@ -15,6 +15,7 @@ from helmlab.cli import (load_config, main, run_experiment, validate_config)
 from helmlab.errors import ConfigInvalid
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.runge import SCENARIOS
+from helmlab.spectral import compute_sigma
 
 from helpers import modal
 
@@ -62,6 +63,10 @@ def test_unknown_keys_rejected():
     cfg = _spectrum_cfg()
     cfg["workers"] = 4
     assert any("unknown config keys" in p for p in validate_config(cfg))
+    # nor is a tolerances block: no runner reads one
+    cfg = _spectrum_cfg()
+    cfg["tolerances"] = {}
+    assert "unknown config keys ['tolerances']" in validate_config(cfg)
 
 
 def test_unknown_params_key_exits_2(tmp_path, capsys):
@@ -261,6 +266,37 @@ def test_empty_k_list_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_CHAIN_DISK = {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]}
+
+
+@pytest.mark.parametrize("cfg, problem", [
+    ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
+      "k_list": ["a"]}, "k_list must be a non-empty list of numbers"),
+    ({"experiment": "chain", "domain": _CHAIN_DISK, "h": 0.05,
+      "k_list": [2.0], "epsilon_list": ["x"]},
+     "epsilon_list must be a non-empty list of numbers"),
+    ({"experiment": "runge_sweep", "domain": {"kind": "disk", "radius": 1.0},
+      "seeds": ["a"]}, "seeds must be a non-empty list of integers"),
+    ({"experiment": "runge_sweep", "domain": {"kind": "disk", "radius": 1.0},
+      "params": {"seeds": [0, 1.5]}},
+     "params.seeds must be a non-empty list of integers"),
+    ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
+      "h": "x"}, "h must be a positive number"),
+    ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
+      "seed": "0"}, "seed must be an integer")],
+    ids=["k_list", "epsilon_list", "seeds", "params_seeds", "h", "seed"])
+def test_config_values_are_checked_before_a_run(tmp_path, capsys, cfg,
+                                                problem):
+    # each of these once passed validation (or died in it with a traceback)
+    # and then crashed the run converting the value
+    assert validate_config(cfg) == [problem]
+    path = _write(tmp_path, "bad.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert f"problem: {problem}" in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = {
         "experiment": "three_balls",
@@ -314,6 +350,26 @@ def test_solve_experiment_artifacts(tmp_path):
     assert field[1] == "x0,x1,value"
     doc = json.loads((tmp_path / "out" / "solve.json").read_text())
     assert doc["l2"] > 0
+
+
+def test_solve_near_resonance_fails_at_assembly(tmp_path, capsys):
+    # k is the square root of the first eigenvalue of the run's own grid:
+    # -Delta + 50 on the unit disk at h = 0.05.  That eigenvalue (55.8) is
+    # beyond what the probe grid of ``lab validate`` resolves, so the config
+    # validates, and the guard at assembly on the solve grid rejects k
+    cfg = {"experiment": "solve", "domain": _CHAIN_DISK,
+           "medium": {"q": {"profile": "constant", "value": 1.0},
+                      "V": {"profile": "constant", "value": -50.0}},
+           "h": 0.05, "k_list": [1.0], "seed": 0}
+    grid, medium, _, _ = cli._setup(cfg)
+    k = float(np.sqrt(compute_sigma(grid, medium, 24).eigenvalues[0]))
+    cfg["k_list"] = [k]
+    assert validate_config(cfg) == []
+    path = _write(tmp_path, "resonant.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "within guard band" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "field.csv").exists()
 
 
 @pytest.mark.parametrize("spec, h", [
@@ -402,7 +458,7 @@ def test_load_config_errors(tmp_path):
 _MONOTONE = {"q": {"profile": "radial_quadratic", "amplitude": 0.25},
              "kappa": 2.02, "monotone": True}
 _ANNULUS = {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0}
-_MANIFEST = {"config_sha256", "code_version", "admissibility_c", "tolerances"}
+_MANIFEST = {"config_sha256", "code_version", "admissibility_c"}
 
 # experiment config, artifacts in write order (CSV header or None for JSON),
 # manifest keys beyond the common ones
