@@ -37,8 +37,8 @@ from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
     stability_check
 from .carleman import adapted_compact_sample, carleman_check, \
     improved_ucp_probe, random_compact_sample
-from .errors import ConfigInvalid, GeometryViolation, HypothesisViolated, \
-    LabError, SpectrumTooShort
+from .errors import ConfigInvalid, HypothesisViolated, LabError, \
+    SpectrumTooShort
 from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
 from .geometry import DomainSpec, boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
@@ -46,37 +46,51 @@ from .profiles import make_medium
 from .runge import SCENARIOS, aggregate_median, sweep_and_fit, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
     find_admissible_k, weyl_exponent
-from .ucp import chain_propagate, estimate_exponent, three_ball_ratio
+from .ucp import boundary_distance, chain_propagate, estimate_exponent, \
+    three_ball_ratio
 
-_TOP_KEYS = {"experiment", "domain", "medium", "k_list", "epsilon_list",
-             "seeds", "seed", "output_dir", "h", "params"}
 _DOMAIN_KEYS = {"kind", "radius", "center", "r_inner", "r_outer", "corners",
                 "rectangles", "gamma"}
 _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
 
-# each experiment's accepted ``params`` keys and their defaults; runge_sweep
-# also accepts the sweep axes of :func:`sweep_params`, whose defaults depend
-# on the scenario
-_PARAMS = {
-    "spectrum": {"count": 24},
-    "solve": {},
-    "runge_sweep": {"scenario": "interior"},
-    "three_balls": {"r": 0.16, "ell_margin": 8,
-                    "centers": [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22],
-                                [0.3, 0.0], [0.0, -0.3]]},
-    "chain": {"r": 0.16},
-    "carleman": {"tau_list": [10, 20, 40, 80], "samples_per_cell": 16,
-                 "generic_per_cell": 3},
-    "improved_ucp": {"delta_list": [0.1, 0.2, 0.4], "ell_span": 24},
-    "bessel_optimality": {"n": 2, "ell_list": [12, 16, 20]},
-    "calderon": {"amplitudes": [0.5, 1.0, 2.0],
-                 "perturbation": {"profile": "bump", "center": [0.5, 0.5, 0.5],
-                                  "radius": 0.25}},
-}
+# Each experiment's config, stated once: the top-level keys its runner reads
+# and its "params", with their defaults (None: ``domain`` is required, ``h``
+# resolves ``k_list``, runge_sweep's sweep axes are its scenario's).  Any
+# other key is an error, and a params value has the type of its default
+# (:func:`_fits`); ``lab run --seed/--out`` set ``seed`` and ``output_dir``.
+_EVERYWHERE = {"experiment": None, "params": {}, "seed": 0,
+               "output_dir": "out"}
+_GRID = {"domain": None, "medium": {}, "h": None, "k_list": [1.0]}
+_SWEEP_AXES = {"k_list": None, "epsilon_list": None, "seeds": None}
+_EXPERIMENTS = {exp: {**_EVERYWHERE, **row} for exp, row in {
+    "spectrum": {**_GRID, "params": {"count": 24}},
+    "solve": _GRID,
+    "runge_sweep": {**_GRID, **_SWEEP_AXES,
+                    "params": {"scenario": "interior", **_SWEEP_AXES}},
+    "three_balls": {**_GRID, "params": {
+        "r": 0.16, "ell_margin": 8,
+        "centers": [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22], [0.3, 0.0],
+                    [0.0, -0.3]]}},
+    "chain": {**_GRID, "epsilon_list": [0.2, 0.1, 0.05, 0.025],
+              "params": {"r": 0.16}},
+    "carleman": {**_GRID, "k_list": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+                 "params": {"tau_list": [10.0, 20.0, 40.0, 80.0],
+                            "samples_per_cell": 16, "generic_per_cell": 3}},
+    "improved_ucp": {**_GRID, "params": {"delta_list": [0.1, 0.2, 0.4],
+                                         "ell_span": 24}},
+    "bessel_optimality": {"k_list": [2.0],
+                          "params": {"n": 2, "ell_list": [12, 16, 20]}},
+    "calderon": {**_GRID, "medium": {"kappa": 1.01}, "params": {
+        "amplitudes": [0.5, 1.0, 2.0],
+        "perturbation": {"profile": "bump", "center": [0.5, 0.5, 0.5],
+                         "radius": 0.25}}},
+}.items()}
 
 # experiments that run the first frequency of ``k_list`` alone
 _ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
+# experiments that assemble at each k of ``k_list``, so k >= 1
+_ASSEMBLED_AT_K = ("solve", "runge_sweep", "chain", "calderon")
 
 
 # ---------------------------------------------------------------------------
@@ -121,62 +135,96 @@ def domain_from_config(dom: dict) -> DomainSpec:
     raise ConfigInvalid(f"unknown domain kind {kind!r}")
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an integer for an int,
+    any number for a float (never a bool), a non-empty list of entries that
+    fit its first, an object of entries that fit its own."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(
+            _fits(v, default[key]) for key, v in value.items()
+            if key in default)
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and len(value) > 0 \
+            and all(_fits(v, default[0]) for v in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _over(default, value):
+    """``value`` over ``default``: objects merge key by key, and a whole
+    number where the default is a float becomes a float, in lists too."""
+    if isinstance(default, dict) and isinstance(value, dict):
+        return {**default, **{key: _over(default.get(key), v)
+                              for key, v in value.items()}}
+    if isinstance(default, list) and isinstance(value, (list, tuple)):
+        return [_over(default[0], v) for v in value]
+    return float(value) if isinstance(default, float) and _fits(value, 0) \
+        else value
+
+
+def _config(cfg: dict) -> dict:
+    """Every key the runner of a valid config reads: the config over its
+    experiment's row of :data:`_EXPERIMENTS`."""
+    return _over(copy.deepcopy(_EXPERIMENTS[cfg["experiment"]]), cfg)
+
+
 def validate_config(cfg: dict) -> list:
     """Schema plus assumption report; returns a list of problem strings
-    (empty for a valid config).  Unknown keys are rejected."""
+    (empty for a valid config).  Keys and values are checked against the
+    experiment's row of :data:`_EXPERIMENTS` before anything else."""
+    exp = cfg.get("experiment")
+    if not isinstance(exp, str) or exp not in _EXPERIMENTS:
+        return [f"unknown experiment {exp!r}; valid: {tuple(_EXPERIMENTS)}"]
+    row = _EXPERIMENTS[exp]
     problems = []
-    unknown = set(cfg) - _TOP_KEYS
+    unknown = set(cfg) - set(row)
     if unknown:
         problems.append(f"unknown config keys {sorted(unknown)}")
-    problems.extend(_value_report(cfg))
-    exp = cfg.get("experiment")
-    if exp not in _RUNNERS:
-        problems.append(f"unknown experiment {exp!r}; valid: {tuple(_RUNNERS)}")
-        return problems
-    k_list = cfg.get("k_list")
-    if exp in _ONE_FREQUENCY and isinstance(k_list, (list, tuple)) \
-            and len(k_list) > 1:
-        problems.append(f"{exp} runs one frequency; k_list has "
-                        f"{len(k_list)}")
+    problems.extend(_value_report(cfg, exp))
     params = cfg.get("params", {})
-    accepted = set(_PARAMS[exp])
-    if exp == "runge_sweep":
-        accepted |= set(sweep_params("interior"))
     if not isinstance(params, dict):
         problems.append("params must be an object")
-        params = {}
-    elif set(params) - accepted:
-        problems.append(f"unknown params keys {sorted(set(params) - accepted)} "
-                        f"for {exp}; valid: {sorted(accepted)}")
-    elif exp == "runge_sweep":
-        problems.extend(_value_report(params, "params."))
+    elif set(params) - set(row["params"]):
+        problems.append(f"unknown params keys "
+                        f"{sorted(set(params) - set(row['params']))} for "
+                        f"{exp}; valid: {sorted(row['params'])}")
+    else:
+        problems += [f"params.{key} must have the type of its default, "
+                     f"{json.dumps(d)}" for key, v in params.items()
+                     if (d := row["params"][key]) is not None
+                     and not _fits(v, d)]
+        problems += _value_report(params, exp, "params.")
+    if problems:
+        return problems
 
-    dom = cfg.get("domain")
+    c = _config(cfg)
     spec = None
-    if exp not in ("bessel_optimality",):
-        if not isinstance(dom, dict):
+    if "domain" in row:
+        if not isinstance(c["domain"], dict):
             problems.append("domain section required")
         else:
             try:
-                spec = domain_from_config(dom)
+                spec = domain_from_config(c["domain"])
             except (ConfigInvalid, KeyError, LabError) as exc:
                 problems.append(f"domain: {exc}")
 
-    med = cfg.get("medium", {})
+    med = c.get("medium", {})
     if not isinstance(med, dict) or set(med) - _MEDIUM_KEYS:
         problems.append("medium section malformed")
         med = {}
-    for side in ("q", "V"):
-        prof = med.get(side)
+    for where, prof in (("medium.q", med.get("q")), ("medium.V", med.get("V")),
+                        ("params.perturbation",
+                         c["params"].get("perturbation"))):
         if prof is not None and (not isinstance(prof, dict)
                                  or set(prof) - _PROFILE_KEYS):
-            problems.append(f"medium.{side} profile malformed")
+            problems.append(f"{where} profile malformed")
+    if "V" in med and exp in ("runge_sweep", "calderon"):
+        problems.append(f"{exp} sets no medium.V: it sets the potential")
 
     needs_monotone = exp in ("carleman", "improved_ucp")
     if exp == "runge_sweep":
-        scenario = {**_PARAMS[exp], **params}["scenario"]
-        # a tuple, since the config may give any JSON value, lists too
-        if scenario not in tuple(SCENARIOS):
+        scenario = c["params"]["scenario"]
+        if scenario not in SCENARIOS:
             problems.append(f"unknown scenario {scenario!r}; valid: "
                             f"{tuple(SCENARIOS)}")
             return problems
@@ -188,32 +236,44 @@ def validate_config(cfg: dict) -> list:
     return problems
 
 
-def _value_report(section: dict, where: str = "") -> list:
-    """The values the runners convert: non-empty lists of numbers (integers
-    for ``seeds``), ``h`` null or positive, and an integer ``seed``."""
-    def typed(v, kind):
-        return isinstance(v, (int, float) if kind == "number" else int) \
-            and not isinstance(v, bool)
-
-    problems = [f"{where}{key} must be a non-empty list of {kind}s"
-                for key, kind in (("k_list", "number"),
-                                  ("epsilon_list", "number"),
-                                  ("seeds", "integer"))
-                if key in section and not (
-                    isinstance(section[key], (list, tuple)) and section[key]
-                    and all(typed(v, kind) for v in section[key]))]
-    if section.get("h") is not None and not (typed(section["h"], "number")
+def _value_report(section: dict, exp: str, where: str = "") -> list:
+    """Non-empty lists of numbers (integers for ``seeds``), positive
+    epsilons, k >= 1 where it is assembled at and one k where one is run,
+    ``h`` null or positive, an integer ``seed`` and a string
+    ``output_dir``."""
+    problems = []
+    for key, noun, like in (("k_list", "number", [1.0]),
+                            ("epsilon_list", "number", [1.0]),
+                            ("seeds", "integer", [0])):
+        if key not in section:
+            continue
+        if not _fits(section[key], like):
+            problems.append(f"{where}{key} must be a non-empty list of "
+                            f"{noun}s")
+        elif key == "epsilon_list" and min(section[key]) <= 0:
+            problems.append(f"{where}epsilon_list entries must be positive")
+        elif key == "k_list" and exp in _ASSEMBLED_AT_K \
+                and min(section[key]) < 1:
+            problems.append(f"{where}k_list entries must be at least 1: "
+                            f"{exp} assembles the operator at each")
+        elif key == "k_list" and exp in _ONE_FREQUENCY \
+                and len(section[key]) > 1:
+            problems.append(f"{exp} runs one frequency; k_list has "
+                            f"{len(section[key])}")
+    if section.get("h") is not None and not (_fits(section["h"], 1.0)
                                              and section["h"] > 0):
         problems.append(f"{where}h must be a positive number")
-    if not typed(section.get("seed", 0), "integer"):
+    if "seed" in section and not _fits(section["seed"], 0):
         problems.append(f"{where}seed must be an integer")
+    if "output_dir" in section and not _fits(section["output_dir"], ""):
+        problems.append(f"{where}output_dir must be a string")
     return problems
 
 
 def _scenario_report(scenario, spec, med) -> list:
     """A runge_sweep runs on the domain and medium of its scenario record
     (:data:`helmlab.runge.SCENARIOS`): the config may restate them or omit
-    its medium, but not change them, and it sets no potential."""
+    its medium, but not change them."""
     want_spec, want = SCENARIOS[scenario].domain, SCENARIOS[scenario].medium
     problems = []
     if spec is not None and spec != want_spec:
@@ -227,22 +287,29 @@ def _scenario_report(scenario, spec, med) -> list:
         if key in med and med[key] != want[key]:
             problems.append(f"medium.{key} {med[key]!r} is not the {scenario} "
                             f"scenario's; it runs on medium {want}")
-    if "V" in med:
-        problems.append(f"the {scenario} scenario sets no medium.V")
     return problems
 
 
 def _assumption_report(cfg, spec, med, needs_monotone) -> list:
     """Sample the medium on a coarse probe grid and check the pinch bounds
     (:class:`Medium` rejects q outside [1/kappa, kappa]), monotonicity where
-    required, and a quick admissibility pre-check of the frequencies the
-    probe grid resolves."""
+    required, a quick admissibility pre-check of the frequencies the probe
+    grid resolves, and that B_4r of each three-balls calibration centre lies
+    in the domain."""
     problems = []
     h_probe = _probe_spacing(spec)
     try:
         grid = build_grid(spec, h_probe)
     except LabError as exc:
         return [f"probe grid: {exc}"]
+    if cfg["experiment"] in ("three_balls", "chain"):
+        r, centers, _ = _calibration(_config(cfg))
+        if any(len(x0) != grid.dim for x0 in centers):
+            return [f"calibration centres must be {grid.dim}D points"]
+        problems = [f"calibration centre {x0}: B_4r exits the domain (depth "
+                    f"{d:g}, needs > {4 * r:g})" for x0, d in zip(
+                        centers, boundary_distance(grid, np.array(centers)))
+                    if d <= 4 * r]
     try:
         medium = make_medium(grid, med.get("q"), med.get("V"),
                              med.get("kappa"), monotone=False)
@@ -357,37 +424,25 @@ def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
-# frequencies the Carleman uniformity scan checks when the config names none
-_CARLEMAN_KS = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-
-
-def _params(cfg) -> dict:
-    """The config's ``params`` over the defaults of its experiment."""
-    return {**_PARAMS[cfg["experiment"]], **cfg.get("params", {})}
-
-
-def _setup(cfg, k_default=(1.0,), kappa_default=None):
-    """Grid and medium of the config.  Without ``h`` the spacing resolves the
-    largest frequency of ``k_list``, or of ``k_default`` if it has none."""
-    spec = domain_from_config(cfg["domain"])
-    med = cfg.get("medium", {})
-    k_list = [float(k) for k in cfg.get("k_list", k_default)]
-    kappa = med.get("kappa", kappa_default)
-    h = cfg.get("h")
+def _setup(c):
+    """Grid and medium of a config with its defaults (:func:`_config`).
+    Without ``h`` the spacing resolves the largest frequency of ``k_list``."""
+    spec, med, h = domain_from_config(c["domain"]), c["medium"], c["h"]
     if h is None:
-        h = min(default_spacing(max(k_list), kappa if kappa else 2.0),
+        h = min(default_spacing(max(c["k_list"]), med.get("kappa") or 2.0),
                 _probe_spacing(spec) * 1.2)
     grid = build_grid(spec, float(h))
-    medium = make_medium(grid, med.get("q"), med.get("V"), kappa,
+    medium = make_medium(grid, med.get("q"), med.get("V"), med.get("kappa"),
                          monotone=med.get("monotone", False))
-    return grid, medium, k_list, float(h)
+    return grid, medium, c["k_list"], float(h)
 
 
 def run_spectrum(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg)
-    count = int(_params(cfg)["count"])
-    shifts = tuple(k * k for k in k_list) if cfg.get("k_list") else (0.0,)
-    rep = compute_sigma(grid, medium, count, shifts=shifts)
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
+    # without a k_list, the smallest eigenvalues
+    shifts = tuple(k * k for k in k_list) if "k_list" in cfg else (0.0,)
+    rep = compute_sigma(grid, medium, c["params"]["count"], shifts=shifts)
     payload = rep.to_dict()
     try:
         payload["weyl_exponent"] = weyl_exponent(rep)
@@ -416,11 +471,12 @@ def run_solve(cfg, out: Path) -> list:
     """Dirichlet solve at the one frequency of ``k_list`` with random data on
     gamma (:func:`_random_data` of the seed's standard normal stream);
     writes the nodal field and its L2 and H1 norms."""
-    grid, medium, k_list, h = _setup(cfg)
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
     k = k_list[0]
     rep = compute_sigma(grid, medium, 24, shifts=(k * k,))
     chart = boundary_chart(grid)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(c["seed"])
     gvals = _random_data(chart, rng.standard_normal((chart.n, 1)))[:, 0]
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = assembly.solve_dirichlet(assemble(grid, medium, k, spectrum=rep),
@@ -435,11 +491,12 @@ def run_solve(cfg, out: Path) -> list:
 
 
 def run_runge_sweep(cfg, out: Path) -> list:
-    params = _params(cfg)
+    c = _config(cfg)
+    params = dict(c["params"])
     scenario = params.pop("scenario")
-    overrides = {key: cfg[key] for key in ("k_list", "epsilon_list",
-                                           "seeds", "h") if key in cfg}
-    overrides.update(params)
+    overrides = {key: v for key, v in [*c.items(), *params.items()]
+                 if key in ("k_list", "epsilon_list", "seeds", "h")
+                 and v is not None}
     fit = sweep_and_fit(scenario, sweep_params(scenario, **overrides))
     h = fit.records[0]["h"] if fit.records else None
     cols = ["scenario", "k", "epsilon", "seed", "alpha", "err", "cost",
@@ -455,27 +512,38 @@ def run_runge_sweep(cfg, out: Path) -> list:
         h=h, scenario=scenario)
 
 
-def run_three_balls(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg)
-    params = _params(cfg)
-    r, centers = float(params["r"]), params["centers"]
-    rows, samples = [], []
+def _calibration(c) -> tuple:
+    """(r, centres, ell margin) of the three-balls calibration: chain's is
+    three_balls' default one at its first four centres, with chain's r."""
+    p = {**_EXPERIMENTS["three_balls"]["params"], **c["params"]}
+    return p["r"], p["centers"][:4 if c["experiment"] == "chain" else None], \
+        p["ell_margin"]
+
+
+def _calibration_triples(grid, c, k_list) -> list:
+    """(ell, centre, triple) of each non-degenerate triple of the modes
+    ell = 0 .. 2k + margin at each calibration centre, in (k, ell, centre)
+    order; validation has put B_4r of every centre in the domain."""
+    r, centers, margin = _calibration(c)
+    out = []
     for k in k_list:
-        ell_max = int(params["ell_margin"] + 2 * k)
-        for ell in range(0, ell_max + 1):
+        for ell in range(int(margin + 2 * k) + 1):
             u = mode_field(grid, ell, k)
-            for c in centers:
-                try:
-                    t = three_ball_ratio(u, c, r, k)
-                except GeometryViolation:
-                    continue
-                if t.degenerate():
-                    continue
-                samples.append(t)
-                rows.append({"k": k, "ell": ell, "x0": c[0], "x1": c[1],
-                             "r": r, "norm_half": t.norm_half,
-                             "norm_mid": t.norm_mid, "norm_big": t.norm_big})
-    fit = estimate_exponent(samples)
+            for x0 in centers:
+                t = three_ball_ratio(u, x0, r, k)
+                if not t.degenerate():
+                    out.append((ell, x0, t))
+    return out
+
+
+def run_three_balls(cfg, out: Path) -> list:
+    c = _config(cfg)
+    grid, _, k_list, h = _setup(c)
+    triples = _calibration_triples(grid, c, k_list)
+    rows = [{"k": t.k, "ell": ell, "x0": x0[0], "x1": x0[1], "r": t.r,
+             "norm_half": t.norm_half, "norm_mid": t.norm_mid,
+             "norm_big": t.norm_big} for ell, x0, t in triples]
+    fit = estimate_exponent([t for _, _, t in triples])
     return write_artifacts(cfg, out, [
         ("triples.csv", ["k", "ell", "x0", "x1", "r", "norm_half", "norm_mid",
                          "norm_big"], rows),
@@ -486,30 +554,22 @@ def run_three_balls(cfg, out: Path) -> list:
 
 
 def run_chain(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg)
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
     k = k_list[0]
-    r = float(_params(cfg)["r"])
-    eps_list = [float(e) for e in cfg.get("epsilon_list", [0.2, 0.1, 0.05, 0.025])]
-
-    samples = []
-    for ell in range(0, int(2 * k) + 9):
-        u = mode_field(grid, ell, k)
-        for c in [[0.0, 0.0], [0.15, 0.05], [-0.2, 0.22], [0.3, 0.0]]:
-            t = three_ball_ratio(u, c, r, k)
-            if not t.degenerate():
-                samples.append(t)
-    fit = estimate_exponent(samples)
+    fit = estimate_exponent(
+        [t for _, _, t in _calibration_triples(grid, c, k_list)])
 
     op = assemble(grid, medium, k)
     chart = boundary_chart(grid)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(c["seed"])
     u = random_mode_superposition(grid, k, int(2 * k) + 2, rng)
     eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
     M = norm(u, "H1")
     c_sob = 1.5 * lp_norm(u, 4) / M
     measured = norm(u, "L2")
     rows = []
-    for eps in eps_list:
+    for eps in c["epsilon_list"]:
         res = chain_propagate(op, chart, u, eta, M, eps, fit,
                               sobolev_constant=c_sob)
         rows.append({"epsilon": eps, "n_balls": res.n_balls,
@@ -526,12 +586,12 @@ def run_chain(cfg, out: Path) -> list:
 
 
 def run_carleman(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg, k_default=_CARLEMAN_KS)
-    params = _params(cfg)
-    taus = [float(t) for t in params["tau_list"]]
-    n_adapted = int(params["samples_per_cell"])
-    n_generic = int(params["generic_per_cell"])
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
+    taus = c["params"]["tau_list"]
+    n_adapted = c["params"]["samples_per_cell"]
+    n_generic = c["params"]["generic_per_cell"]
+    rng = np.random.default_rng(c["seed"])
     rows = []
     worst = {}
     for tau in taus:
@@ -567,16 +627,16 @@ def run_carleman(cfg, out: Path) -> list:
 
 
 def run_improved_ucp(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg)
-    params = _params(cfg)
-    deltas = [float(d) for d in params["delta_list"]]
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
+    deltas = c["params"]["delta_list"]
     rep = compute_sigma(grid, medium, 40, shifts=tuple(k * k for k in k_list))
     rows = []
     for kt in k_list:
         k = find_admissible_k(rep, kt)
         op = assemble(grid, medium, k, spectrum=rep)
         for delta in deltas:
-            for ell in range(int(k) + 2, int(k) + int(params["ell_span"])):
+            for ell in range(int(k) + 2, int(k) + c["params"]["ell_span"]):
                 try:
                     pr = improved_ucp_probe(op, delta, ell=ell)
                 except HypothesisViolated:
@@ -600,13 +660,11 @@ def run_improved_ucp(cfg, out: Path) -> list:
 
 
 def run_bessel_optimality(cfg, out: Path) -> list:
-    params = _params(cfg)
-    k = float(cfg.get("k_list", [2.0])[0])
-    n = int(params["n"])
-    ells = [int(e) for e in params["ell_list"]]
+    c = _config(cfg)
+    k = c["k_list"][0]
     rows = []
-    for ell in ells:
-        rec = optimality_lower_bound(k, ell, n=n)
+    for ell in c["params"]["ell_list"]:
+        rec = optimality_lower_bound(k, ell, n=c["params"]["n"])
         rows.append({"ell": ell, "k": k, "epsilon": rec.epsilon,
                      "min_boundary_norm": rec.min_boundary_norm,
                      "bound_2ell": rec.bound_2ell,
@@ -618,23 +676,19 @@ def run_bessel_optimality(cfg, out: Path) -> list:
 
 
 def run_calderon(cfg, out: Path) -> list:
-    grid, medium, k_list, h = _setup(cfg, kappa_default=1.01)
-    params = _params(cfg)
-    amplitudes = [float(a) for a in params["amplitudes"]]
-    pert = params["perturbation"]
+    c = _config(cfg)
+    grid, medium, k_list, h = _setup(c)
+    pert = c["params"]["perturbation"]
     rep = compute_sigma(grid, medium, 20)
     rows, records = [], []
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(c["seed"])
     worst_identity = 0.0
     for k in k_list:
         op1 = assemble(grid, medium, k, spectrum=rep)
         d1 = dtn_map(op1)
-        for amp in amplitudes:
-            vspec = dict(pert)
-            vspec["amplitude"] = amp
-            vspec.setdefault("profile", "bump")
-            med2 = make_medium(grid, cfg.get("medium", {}).get("q"),
-                               vspec, medium.kappa)
+        for amp in c["params"]["amplitudes"]:
+            med2 = make_medium(grid, c["medium"].get("q"),
+                               {**pert, "amplitude": amp}, medium.kappa)
             op2 = assemble(grid, med2, k, spectrum=rep)
             d2 = dtn_map(op2)
             rec = perturbation_record(op1, op2, d1, d2, amp)
@@ -676,29 +730,28 @@ def run_experiment(cfg: dict, out_dir=None, workers: int = 1) -> list:
     problems = validate_config(cfg)
     if problems:
         raise ConfigInvalid("; ".join(problems))
-    out = Path(out_dir or cfg.get("output_dir", "out"))
+    out = Path(out_dir or _config(cfg)["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg["experiment"]](cfg, out)
 
 
 def _sigma_config(cfg: dict) -> dict:
-    """The spectrum config of ``lab sigma``: the domain and medium the config
-    runs on, without the params of its own experiment.  The config is first
-    validated against its own experiment, as ``lab run`` would.  A
-    runge_sweep runs on the domain and medium of its scenario record
-    (:data:`helmlab.runge.SCENARIOS`): validation pins its domain to the
-    scenario's, and its medium is a copy of the record's, so that nothing
-    downstream can change the shared one."""
+    """The spectrum config of ``lab sigma``: the keys and params of a config,
+    validated against its own experiment, that ``spectrum`` reads.  A
+    runge_sweep runs on its scenario's medium, copied so that nothing
+    downstream can change the shared record."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigInvalid("; ".join(problems))
-    out = dict(cfg, experiment="spectrum")
-    if isinstance(cfg.get("params"), dict):
+    row = _EXPERIMENTS["spectrum"]
+    out = dict({key: v for key, v in cfg.items() if key in row},
+               experiment="spectrum")
+    if "params" in cfg:
         out["params"] = {key: v for key, v in cfg["params"].items()
-                         if key in _PARAMS["spectrum"]}
+                         if key in row["params"]}
     if cfg["experiment"] == "runge_sweep":
         out["medium"] = copy.deepcopy(
-            SCENARIOS[_params(cfg)["scenario"]].medium)
+            SCENARIOS[_config(cfg)["params"]["scenario"]].medium)
     return out
 
 

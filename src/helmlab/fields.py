@@ -204,9 +204,6 @@ class BoundaryFunctional:
         if self.dual_values.shape != (self.chart.n,):
             raise RegionMismatch("functional length does not match chart")
 
-    def pair(self, t: BoundaryTrace) -> float:
-        return float(self.dual_values @ t.values)
-
 
 def spd_inverse_sqrt(G: np.ndarray) -> np.ndarray:
     """G^(-1/2) of the symmetric part of a trace Gram matrix; raises

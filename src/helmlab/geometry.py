@@ -100,25 +100,6 @@ class DomainSpec:
         rects = tuple((tuple(a), tuple(b)) for a, b in rectangles)
         return DomainSpec(kind="masked_union", dim=2, rectangles=rects, gamma=gamma)
 
-    def area(self) -> float:
-        """Analytic measure of the domain (2D area or 3D volume)."""
-        if self.kind == "disk":
-            return np.pi * self.radius ** 2
-        if self.kind == "annulus":
-            return np.pi * (self.r_outer ** 2 - self.r_inner ** 2)
-        if self.kind == "masked_union":
-            # rectangles may overlap: cut the plane at every rectangle edge
-            # and sum, exactly rounded, the cells some rectangle covers
-            rects = np.sort(np.asarray(self.rectangles, dtype=float), axis=1)
-            xs, ys = np.unique(rects[..., 0]), np.unique(rects[..., 1])
-            covered = np.zeros((xs.size - 1, ys.size - 1), dtype=bool)
-            for (x0, y0), (x1, y1) in rects:
-                covered[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
-                        np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = True
-            return math.fsum((np.diff(xs)[:, None] * np.diff(ys))[covered])
-        a, b = np.asarray(self.corners, dtype=float)
-        return float(np.prod(np.abs(b - a)))
-
 
 # ---------------------------------------------------------------------------
 # Grid

@@ -2,6 +2,7 @@
 expensive; acceptance and unit tests reuse the same objects), and the
 reference quantities and probes that tests compare the package against."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +22,31 @@ from helmlab.profiles import make_medium
 from helmlab.runge import build_forward_map, svd
 from helmlab.spectral import compute_sigma
 from helmlab.ucp import BallTriple, ExponentFit, _triple_xy, boundary_distance
+
+
+def domain_area(spec: DomainSpec) -> float:
+    """Analytic measure of a domain (2D area or 3D volume)."""
+    if spec.kind == "disk":
+        return np.pi * spec.radius ** 2
+    if spec.kind == "annulus":
+        return np.pi * (spec.r_outer ** 2 - spec.r_inner ** 2)
+    if spec.kind == "masked_union":
+        # rectangles may overlap: cut the plane at every rectangle edge and
+        # sum, exactly rounded, the cells some rectangle covers
+        rects = np.sort(np.asarray(spec.rectangles, dtype=float), axis=1)
+        xs, ys = np.unique(rects[..., 0]), np.unique(rects[..., 1])
+        covered = np.zeros((xs.size - 1, ys.size - 1), dtype=bool)
+        for (x0, y0), (x1, y1) in rects:
+            covered[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
+                    np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = True
+        return math.fsum((np.diff(xs)[:, None] * np.diff(ys))[covered])
+    a, b = np.asarray(spec.corners, dtype=float)
+    return float(np.prod(np.abs(b - a)))
+
+
+def pairing(ell: BoundaryFunctional, t: BoundaryTrace) -> float:
+    """The pairing of a dual trace functional with a trace."""
+    return float(ell.dual_values @ t.values)
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,11 @@ as passed when a call names it as a keyword, fills its position, or spreads
 
 Every top-level function and class of the package, and every public method
 of its classes, is reached from a run: ``src/helmlab`` names it outside its
-own definition, as a name, an attribute or a ``from ... import`` (the
-exports of ``helmlab/__init__.py`` are such imports).  What only tests use
-belongs in ``tests/helpers.py``.
+own definition.  A top-level name counts only in a module that defines or
+imports it, as an attribute of its module, or as an export of
+``helmlab/__init__.py``; a method counts only as an attribute, never
+through a local variable of the same name.  What only tests use belongs in
+``tests/helpers.py``.
 
 Every name a module under ``tests/`` imports is used in that module.
 
@@ -159,24 +161,44 @@ def _references(tree) -> list:
 
 def unreached():
     """Qualified names (``module.name`` or ``module.Class.method``) that no
-    line of ``src/helmlab`` outside their own definition names."""
-    defs, refs = [], []
+    line of ``src/helmlab`` outside their own definition reaches.  A
+    top-level function or class is reached through its name in a module
+    that defines or imports it, as an attribute of its module, or as an
+    export of ``helmlab/__init__.py``; a method only through an attribute.
+    A local variable that shares a method's name, or a name in a module
+    that never imports it, reaches nothing."""
+    defs, names, attrs, imports = [], [], [], {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        refs += [(path.stem, name, line) for name, line in _references(tree)]
+        module, tree = path.stem, ast.parse(path.read_text())
+        imports[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attrs.append((module, node.attr, node.lineno,
+                              getattr(node.value, "id", None)))
+            elif isinstance(node, ast.ImportFrom):
+                imports[module] |= {a.name for a in node.names}
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs.append((path.stem, node.name, node))
+            defs.append((module, node.name, node, False))
             if isinstance(node, ast.ClassDef):
-                defs += [(path.stem, f"{node.name}.{m.name}", m)
+                defs += [(module, f"{node.name}.{m.name}", m, True)
                          for m in node.body if isinstance(m, ast.FunctionDef)
                          and not m.name.startswith("_")]
     out = []
-    for module, qual, node in defs:
+    for module, qual, node, method in defs:
         own = range(node.lineno, node.end_lineno + 1)
-        if not any(name == node.name and (mod != module or line not in own)
-                   for mod, name, line in refs):
+        refs = [(mod, line) for mod, attr, line, base in attrs
+                if attr == node.name and (method or base == module)]
+        if not method:
+            refs += [(mod, line) for mod, name, line in names
+                     if name == node.name
+                     and (mod == module or name in imports[mod])]
+        exported = not method and node.name in imports["__init__"]
+        if not exported and all(mod == module and line in own
+                                for mod, line in refs):
             out.append(f"{module}.{qual}")
     return sorted(out)
 

@@ -283,8 +283,11 @@ _CHAIN_DISK = {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]}
     ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
       "h": "x"}, "h must be a positive number"),
     ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
-      "seed": "0"}, "seed must be an integer")],
-    ids=["k_list", "epsilon_list", "seeds", "params_seeds", "h", "seed"])
+      "seed": "0"}, "seed must be an integer"),
+    ({"experiment": "spectrum", "domain": {"kind": "disk", "radius": 1.0},
+      "output_dir": 5}, "output_dir must be a string")],
+    ids=["k_list", "epsilon_list", "seeds", "params_seeds", "h", "seed",
+         "output_dir"])
 def test_config_values_are_checked_before_a_run(tmp_path, capsys, cfg,
                                                 problem):
     # each of these once passed validation (or died in it with a traceback)
@@ -305,7 +308,9 @@ def test_rerun_byte_identical(tmp_path):
         "h": 0.0125,
         "seed": 3,
         "k_list": [2.0],
-        "params": {"r": 0.2, "ell_margin": 4},
+        # at r = 0.2, B_4r of the other default centres exits the unit disk
+        "params": {"r": 0.2, "ell_margin": 4,
+                   "centers": [[0.0, 0.0], [0.15, 0.05]]},
     }
     run_experiment(cfg, out_dir=tmp_path / "a")
     run_experiment(cfg, out_dir=tmp_path / "b")
@@ -642,3 +647,181 @@ def test_readme_minimal_config_is_valid():
     cfg = json.loads(block)
     assert cfg["experiment"] == "runge_sweep"
     assert validate_config(cfg) == []
+
+
+# The top-level keys each runner reads besides experiment, params, seed and
+# output_dir, which every experiment accepts; the last two are set by
+# ``lab run --seed/--out``
+_READS = {
+    "spectrum": {"domain", "medium", "h", "k_list"},
+    "solve": {"domain", "medium", "h", "k_list"},
+    "runge_sweep": {"domain", "medium", "h", "k_list", "epsilon_list",
+                    "seeds"},
+    "three_balls": {"domain", "medium", "h", "k_list"},
+    "chain": {"domain", "medium", "h", "k_list", "epsilon_list"},
+    "carleman": {"domain", "medium", "h", "k_list"},
+    "improved_ucp": {"domain", "medium", "h", "k_list"},
+    "bessel_optimality": {"k_list"},
+    "calderon": {"domain", "medium", "h", "k_list"},
+}
+_TOP_VALUES = {"domain": _DISK, "medium": {}, "h": 0.1, "k_list": [2.0],
+               "epsilon_list": [0.1], "seeds": [0]}
+_UNREAD = [(exp, key) for exp in sorted(_READS)
+           for key in sorted(set(_TOP_VALUES) - _READS[exp])]
+
+# a valid config of each experiment that sets every top-level key its
+# runner reads
+_UNIT_Q = {"q": {"profile": "constant", "value": 1.0}}
+_VALID = {
+    **{exp: case[0] for exp, case in _RUNNER_CASES.items()},
+    "spectrum": {"experiment": "spectrum", "domain": _DISK, "medium": _UNIT_Q,
+                 "h": 0.1, "k_list": [2.0], "params": {"count": 6}},
+    "solve": {"experiment": "solve", "domain": _CHAIN_DISK,
+              "medium": _UNIT_Q, "h": 0.1, "k_list": [2.0]},
+    "runge_sweep": {"experiment": "runge_sweep", "domain": _DISK,
+                    "medium": _UNIT_Q, "h": 0.05, "k_list": [3.2],
+                    "epsilon_list": [0.25], "seeds": [0],
+                    "params": {"scenario": "interior"}},
+    "three_balls": {"experiment": "three_balls", "domain": _DISK,
+                    "medium": _UNIT_Q, "h": 0.01, "k_list": [2.0]},
+}
+
+
+def test_every_experiment_takes_the_keys_its_runner_reads():
+    assert set(_VALID) == set(_READS) == set(cli._RUNNERS)
+    for exp, cfg in _VALID.items():
+        assert _READS[exp] <= set(cfg)
+        # seed and output_dir are accepted everywhere
+        assert validate_config(dict(cfg, seed=3, output_dir="elsewhere")) \
+            == [], exp
+    assert len(_UNREAD) == 18     # 90 (experiment, key) pairs, 72 accepted
+
+
+@pytest.mark.parametrize("exp, key", _UNREAD,
+                         ids=[f"{e}-{k}" for e, k in _UNREAD])
+def test_a_key_the_runner_does_not_read_exits_2(tmp_path, capsys, exp, key):
+    # e.g. seeds on spectrum or h on bessel_optimality once printed "valid"
+    # and were then ignored
+    cfg = dict(_VALID[exp], **{key: _TOP_VALUES[key]})
+    assert validate_config(cfg) == [f"unknown config keys ['{key}']"]
+    path = _write(tmp_path, "unread.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert f"problem: unknown config keys ['{key}']" in \
+        capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exp, params, problem", [
+    ("spectrum", {"count": "x"}, "params.count must have the type of its "
+                                 "default, 24"),
+    ("spectrum", {"count": 6.0}, "params.count must have the type of its "
+                                 "default, 24"),
+    ("carleman", {"samples_per_cell": True},
+     "params.samples_per_cell must have the type of its default, 16"),
+    ("carleman", {"tau_list": []}, "params.tau_list must have the type of "
+                                   "its default, [10.0, 20.0, 40.0, 80.0]"),
+    ("bessel_optimality", {"ell_list": [12, 16.5]},
+     "params.ell_list must have the type of its default, [12, 16, 20]"),
+    ("three_balls", {"centers": [[0.0, "a"]]},
+     "params.centers must have the type of its default, [[0.0, 0.0], "
+     "[0.15, 0.05], [-0.2, 0.22], [0.3, 0.0], [0.0, -0.3]]"),
+    ("calderon", {"perturbation": {"radius": "x"}},
+     "params.perturbation must have the type of its default, "
+     '{"profile": "bump", "center": [0.5, 0.5, 0.5], "radius": 0.25}'),
+    ("runge_sweep", {"scenario": ["interior"]},
+     'params.scenario must have the type of its default, "interior"')],
+    ids=["string", "float_for_int", "bool", "empty_list", "list_entry",
+         "nested_list", "object_entry", "scenario"])
+def test_a_params_value_has_the_type_of_its_default(tmp_path, capsys, exp,
+                                                    params, problem):
+    # {"count": "x"} once validated, and lab run died converting it
+    cfg = dict(_VALID[exp], params={**_VALID[exp].get("params", {}),
+                                    **params})
+    assert validate_config(cfg) == [problem]
+    path = _write(tmp_path, "typed.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exp, change, problem", [
+    ("solve", {"k_list": [0.5]}, "k_list entries must be at least 1: solve "
+                                 "assembles the operator at each"),
+    ("chain", {"k_list": [0.5]}, "k_list entries must be at least 1: chain "
+                                 "assembles the operator at each"),
+    ("calderon", {"k_list": [0.5]}, "k_list entries must be at least 1: "
+                                    "calderon assembles the operator at each"),
+    ("runge_sweep", {"k_list": [0.5]}, "k_list entries must be at least 1: "
+                                       "runge_sweep assembles the operator "
+                                       "at each"),
+    ("runge_sweep", {"params": {"scenario": "interior", "k_list": [0.5]}},
+     "params.k_list entries must be at least 1: runge_sweep assembles the "
+     "operator at each"),
+    ("chain", {"epsilon_list": [-0.1]}, "epsilon_list entries must be "
+                                        "positive"),
+    ("runge_sweep", {"epsilon_list": [0.25, 0.0625, 0.015625, -0.1]},
+     "epsilon_list entries must be positive"),
+    ("runge_sweep", {"params": {"scenario": "interior",
+                                "epsilon_list": [0.0]}},
+     "params.epsilon_list entries must be positive"),
+    ("calderon", {"medium": {**_UNIT_Q, "kappa": 1.01,
+                             "V": {"profile": "constant", "value": 2.0}}},
+     "calderon sets no medium.V: it sets the potential")],
+    ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
+         "chain_eps", "runge_eps", "runge_params_eps", "calderon_V"])
+def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
+                                                   change, problem):
+    # each once validated, then failed the run with exit 1 (k < 1 at
+    # assembly, a negative epsilon as "smallest ball radius below 8
+    # layers", V as "support touches the grid hull"), or, on runge_sweep,
+    # filed the negative epsilon under dropped cells
+    cfg = dict(_VALID[exp], **change)
+    assert validate_config(cfg) == [problem]
+    path = _write(tmp_path, "bad.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert f"problem: {problem}" in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectrum_and_three_balls_take_a_frequency_below_1():
+    # neither assembles the operator at k
+    for exp in ("spectrum", "three_balls"):
+        assert validate_config(dict(_VALID[exp], k_list=[0.5])) == []
+
+
+@pytest.mark.parametrize("cfg, problem", [
+    (dict(_VALID["three_balls"], params={"centers": [[0.0, 0.0],
+                                                     [0.5, 0.0]]}),
+     "calibration centre [0.5, 0.0]: B_4r exits the domain (depth 0.5, "
+     "needs > 0.64)"),
+    (dict(_VALID["chain"], domain={"kind": "rectangle",
+                                   "corners": [[0, 0], [2, 1]]}),
+     "calibration centre [0.0, 0.0]: B_4r exits the domain (depth 0, "
+     "needs > 0.64)"),
+    (dict(_VALID["three_balls"], params={"centers": [[0.0, 0.0, 0.0]]}),
+     "calibration centres must be 2D points")],
+    ids=["three_balls_disk", "chain_rectangle", "dimension"])
+def test_calibration_centres_inside_the_domain(tmp_path, capsys, cfg,
+                                               problem):
+    # three_balls once dropped such a centre without a word, and chain
+    # failed its run with "B_4r at (0, 0) exits the domain"
+    assert problem in validate_config(cfg)
+    path = _write(tmp_path, "centres.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert f"problem: {problem}" in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_sigma_keeps_the_keys_spectrum_reads(tmp_path):
+    cfg = dict(_VALID["chain"], params={"r": 0.16})
+    sigma = cli._sigma_config(cfg)
+    assert sigma == {"experiment": "spectrum", "domain": cfg["domain"],
+                     "medium": cfg["medium"], "h": cfg["h"],
+                     "k_list": cfg["k_list"], "seed": 0, "params": {}}
+    path = _write(tmp_path, "chain.json", cfg)
+    assert main(["sigma", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "spectrum.json").exists()
