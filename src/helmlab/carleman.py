@@ -27,7 +27,7 @@ import numpy as np
 
 from .assembly import (DiscreteOperator, Medium, solve_dirichlet, stiffness,
                        weak_neumann_trace)
-from .errors import HypothesisViolated, SupportViolation
+from .errors import GeometryViolation, HypothesisViolated, SupportViolation
 from .fields import GridField, functional_norm, masked_gradient, norm
 from .geometry import Grid, annulus_mask
 
@@ -35,6 +35,8 @@ from .geometry import Grid, annulus_mask
 TAU0 = 10.0
 # exponents of the logarithmic and polynomial continuation envelopes
 MU_HAT = NU_HAT = 0.5
+# the domain kind of the samples and the probe, on its polar grid
+DOMAIN_KIND = "annulus"
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +218,14 @@ def improved_ucp_probe(op: DiscreteOperator, delta: float,
     (k^3 eta)^NU_HAT M^(1-NU_HAT), x = k^3 eta / M.
 
     The solve carries data cos(ell theta) on the inner circle and zero on the
-    outer circle, so eta is the outer weak-Neumann norm alone; requires
+    outer circle, so eta is the outer weak-Neumann norm alone.  Runs on an
+    annulus with the monotone flag; :class:`HypothesisViolated` unless
     0 < k^3 eta <= M, k = ``op.k``.  The frequency is guarded when ``op`` is
     assembled (:func:`~helmlab.assembly.assemble`).
     """
     grid, k = op.grid, op.k
-    if grid.spec.kind != "annulus":
-        raise HypothesisViolated("probe requires an annulus domain")
+    if grid.spec.kind != DOMAIN_KIND:
+        raise GeometryViolation(f"probe requires an {DOMAIN_KIND} domain")
     if not op.medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
 

@@ -35,12 +35,13 @@ from .assembly import assemble, default_spacing, radial_derivative
 from .bessel import check_bessel_inequalities, optimality_lower_bound
 from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
     stability_check
-from .carleman import adapted_compact_sample, carleman_check, \
+from .carleman import DOMAIN_KIND, adapted_compact_sample, carleman_check, \
     improved_ucp_probe, random_compact_sample
 from .errors import ConfigInvalid, HypothesisViolated, LabError, \
     SpectrumTooShort
 from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
-from .geometry import DomainSpec, boundary_chart, build_grid
+from .geometry import LEVEL_SET_KINDS, SHAPE_KEYS, DomainSpec, \
+    boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
 from .profiles import make_medium
 from .runge import SCENARIOS, aggregate_median, sweep_and_fit, sweep_params
@@ -49,8 +50,6 @@ from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
 from .ucp import boundary_distance, chain_propagate, estimate_exponent, \
     three_ball_ratio
 
-_DOMAIN_KEYS = {"kind", "radius", "center", "r_inner", "r_outer", "corners",
-                "rectangles", "gamma"}
 _MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
 
@@ -89,8 +88,21 @@ _EXPERIMENTS = {exp: {**_EVERYWHERE, **row} for exp, row in {
 
 # experiments that run the first frequency of ``k_list`` alone
 _ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
-# experiments that assemble at each k of ``k_list``, so k >= 1
-_ASSEMBLED_AT_K = ("solve", "runge_sweep", "chain", "calderon")
+# experiments that assemble at each k of ``k_list`` as given, so the probe
+# grid pre-checks k; runge_sweep assembles at k moved to an admissible value
+_AT_K = ("solve", "chain", "calderon")
+_ASSEMBLED_AT_K = _AT_K + ("runge_sweep",)
+# the domain kinds an experiment runs on, where it does not run on every kind
+_KINDS = {"chain": LEVEL_SET_KINDS, "carleman": (DOMAIN_KIND,),
+          "improved_ucp": (DOMAIN_KIND,)}
+# experiments that draw modes.mode_field waves, solutions of
+# Delta u + k^2 u = 0: their medium is q = 1 and V = 0 (kappa is free)
+_MODE_FIELDS = ("three_balls", "chain")
+_FREE_MEDIUM = {"q": {"profile": "constant", "value": 1.0},
+                "V": {"profile": "constant", "value": 0.0}}
+# layers of the coarse validation probe grid across a domain's width, 10
+# where the kind is not listed
+_PROBE_LAYERS = {"disk": 24.0, "annulus": 12.0}
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +126,18 @@ def config_hash(cfg: dict) -> str:
 
 
 def domain_from_config(dom: dict) -> DomainSpec:
-    unknown = set(dom) - _DOMAIN_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown domain keys {sorted(unknown)}")
+    """The spec of a domain section: ``kind``, ``gamma`` (a list is arcs)
+    and the keys of its kind (:data:`helmlab.geometry.SHAPE_KEYS`)."""
     kind = dom.get("kind")
-    gamma = dom.get("gamma", "full")
-    if isinstance(gamma, list):
-        gamma = {"angles": [tuple(p) for p in gamma]}
-    if kind == "disk":
-        return DomainSpec.disk(dom["radius"], dom.get("center", (0.0, 0.0)), gamma)
-    if kind == "annulus":
-        return DomainSpec.annulus(dom["r_inner"], dom["r_outer"],
-                                  dom.get("center", (0.0, 0.0)), gamma)
-    if kind == "rectangle":
-        return DomainSpec.rectangle(*dom["corners"], gamma=gamma)
-    if kind == "box":
-        return DomainSpec.box(*dom["corners"], gamma=gamma)
-    if kind == "masked_union":
-        return DomainSpec.masked_union(dom["rectangles"], gamma=gamma)
-    raise ConfigInvalid(f"unknown domain kind {kind!r}")
+    if not isinstance(kind, str) or kind not in SHAPE_KEYS:
+        raise ConfigInvalid(f"unknown domain kind {kind!r}")
+    unknown = set(dom) - {"kind", "gamma", *SHAPE_KEYS[kind]}
+    if unknown:
+        raise ConfigInvalid(f"unknown domain keys {sorted(unknown)} for a "
+                            f"{kind}; valid: {sorted(SHAPE_KEYS[kind])}")
+    if isinstance(dom.get("gamma"), list):
+        dom = dict(dom, gamma={"angles": [tuple(p) for p in dom["gamma"]]})
+    return DomainSpec(**dom)
 
 
 def _fits(value, default) -> bool:
@@ -205,8 +210,11 @@ def validate_config(cfg: dict) -> list:
         else:
             try:
                 spec = domain_from_config(c["domain"])
-            except (ConfigInvalid, KeyError, LabError) as exc:
+            except LabError as exc:
                 problems.append(f"domain: {exc}")
+    if spec is not None and exp in _KINDS and spec.kind not in _KINDS[exp]:
+        problems.append(f"{exp} runs on {', '.join(_KINDS[exp])} domains, "
+                        f"not on a {spec.kind}")
 
     med = c.get("medium", {})
     if not isinstance(med, dict) or set(med) - _MEDIUM_KEYS:
@@ -220,6 +228,10 @@ def validate_config(cfg: dict) -> list:
             problems.append(f"{where} profile malformed")
     if "V" in med and exp in ("runge_sweep", "calderon"):
         problems.append(f"{exp} sets no medium.V: it sets the potential")
+    if exp in _MODE_FIELDS and any(med.get(key, free) != free
+                                   for key, free in _FREE_MEDIUM.items()):
+        problems.append(f"{exp} draws solutions of Delta u + k^2 u = 0: "
+                        f"medium.q must be 1 and medium.V 0")
 
     needs_monotone = exp in ("carleman", "improved_ucp")
     if exp == "runge_sweep":
@@ -294,10 +306,10 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
     """Sample the medium on a coarse probe grid and check the pinch bounds
     (:class:`Medium` rejects q outside [1/kappa, kappa]), monotonicity where
     required, a quick admissibility pre-check of the frequencies the probe
-    grid resolves, and that B_4r of each three-balls calibration centre lies
-    in the domain."""
+    grid resolves where the run assembles at them (:data:`_AT_K`), and that
+    B_4r of each three-balls calibration centre lies in the domain."""
     problems = []
-    h_probe = _probe_spacing(spec)
+    h_probe = _probe_spacing(spec, cfg.get("h"))
     try:
         grid = build_grid(spec, h_probe)
     except LabError as exc:
@@ -321,8 +333,9 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
         elif np.any(radial_derivative(medium.q) < -1e-10):
             problems.append("q is not radially nondecreasing")
 
+    # plane domains only: a box is left to the guard at assembly
     k_list = cfg.get("k_list") or []
-    if k_list and spec.kind != "box":
+    if k_list and cfg["experiment"] in _AT_K and spec.dim == 2:
         try:
             rep = compute_sigma(grid, medium, 24,
                                 shifts=tuple(float(k) ** 2 for k in k_list))
@@ -351,16 +364,12 @@ def _assumption_report(cfg, spec, med, needs_monotone) -> list:
     return problems
 
 
-def _probe_spacing(spec: DomainSpec) -> float:
-    if spec.kind == "disk":
-        return spec.radius / 12.0
-    if spec.kind == "annulus":
-        return (spec.r_outer - spec.r_inner) / 12.0
-    lo = np.asarray(spec.corners[0] if spec.kind in ("rectangle", "box")
-                    else spec.rectangles[0][0], float)
-    hi = np.asarray(spec.corners[1] if spec.kind in ("rectangle", "box")
-                    else spec.rectangles[0][1], float)
-    return float(np.min(np.abs(hi - lo))) / 10.0
+def _probe_spacing(spec: DomainSpec, h) -> float:
+    """The domain's width over its kind's probe layers, or the ``h`` a
+    masked union sets: its corners must align with the spacing."""
+    if spec.rectangles and h is not None:
+        return h
+    return spec.width / _PROBE_LAYERS.get(spec.kind, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +439,7 @@ def _setup(c):
     spec, med, h = domain_from_config(c["domain"]), c["medium"], c["h"]
     if h is None:
         h = min(default_spacing(max(c["k_list"]), med.get("kappa") or 2.0),
-                _probe_spacing(spec) * 1.2)
+                _probe_spacing(spec, h) * 1.2)
     grid = build_grid(spec, float(h))
     medium = make_medium(grid, med.get("q"), med.get("V"), med.get("kappa"),
                          monotone=med.get("monotone", False))
@@ -639,7 +648,7 @@ def run_improved_ucp(cfg, out: Path) -> list:
             for ell in range(int(k) + 2, int(k) + c["params"]["ell_span"]):
                 try:
                     pr = improved_ucp_probe(op, delta, ell=ell)
-                except HypothesisViolated:
+                except HypothesisViolated:      # 0 < k^3 eta <= M fails
                     continue
                 rows.append({"k": k, "ell": ell, "delta": delta,
                              "eta": pr.eta, "M": pr.M, "lhs": pr.lhs,

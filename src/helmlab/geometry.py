@@ -36,19 +36,37 @@ _TWO_PI = 2.0 * np.pi
 # Domain specification
 # ---------------------------------------------------------------------------
 
+# The fields each kind of domain reads besides ``kind`` and ``gamma``
+SHAPE_KEYS = {"disk": ("radius", "center"),
+              "annulus": ("r_inner", "r_outer", "center"),
+              "rectangle": ("corners",), "box": ("corners",),
+              "masked_union": ("rectangles",)}
+# The kinds whose inward level sets :meth:`DomainSpec.level_set` states: the
+# domains a ball chain (:func:`helmlab.ucp.chain_propagate`) runs on
+LEVEL_SET_KINDS = ("disk", "annulus", "rectangle")
+
+
+def _ordered(pair) -> tuple:
+    """A corner pair as (lo, hi), tuples of floats with lo <= hi per axis."""
+    return tuple(tuple(map(float, map(f, *pair))) for f in (min, max))
+
+
 @dataclass(frozen=True)
 class DomainSpec:
-    """Declarative description of a computational domain.
+    """Declarative description of a computational domain, and the one
+    statement of its shape: :attr:`width`, :meth:`depth`, :meth:`level_set`.
 
     ``kind`` is one of ``disk``, ``annulus``, ``rectangle``, ``masked_union``,
-    ``box``.  ``gamma`` describes the sub-boundary used for data supports:
+    ``box``; it reads the fields of :data:`SHAPE_KEYS` and fixes ``dim``.
+    Sequences become tuples, each corner pair ordered lo <= hi.  ``gamma``
+    describes the sub-boundary used for data supports:
     ``"full"``, ``{"angles": [(a, b), ...]}`` on circles, ``{"edges": [...]}``
     on rectangle perimeters, or ``{"face": "z-"}`` (optionally with
     ``"extent"``) on box surfaces.
     """
 
     kind: str
-    dim: int
+    dim: int = field(init=False)
     radius: float = 0.0
     center: tuple = (0.0, 0.0)
     r_inner: float = 0.0
@@ -58,7 +76,7 @@ class DomainSpec:
     gamma: object = "full"
 
     def __post_init__(self):
-        if self.kind not in ("disk", "annulus", "rectangle", "masked_union", "box"):
+        if self.kind not in SHAPE_KEYS:
             raise GeometryViolation(f"unknown domain kind {self.kind!r}")
         if self.kind == "disk" and self.radius <= 0:
             raise GeometryViolation("disk radius must be positive")
@@ -71,34 +89,70 @@ class DomainSpec:
             raise GeometryViolation("rectangle/box needs two corner points")
         if self.kind == "masked_union" and not self.rectangles:
             raise GeometryViolation("masked_union needs at least one rectangle")
+        put = object.__setattr__
+        put(self, "dim", 3 if self.kind == "box" else 2)
+        put(self, "center", tuple(self.center))
+        put(self, "corners", _ordered(self.corners) if self.corners else ())
+        put(self, "rectangles", tuple(map(_ordered, self.rectangles)))
 
-    # -- convenience constructors --------------------------------------------
+    @property
+    def width(self) -> float:
+        """Smallest extent: 2R on a disk, r_outer - r_inner on an annulus,
+        the shortest side of a rectangle, a box or a union rectangle."""
+        if self.kind == "disk":
+            return 2 * self.radius
+        if self.kind == "annulus":
+            return self.r_outer - self.r_inner
+        return min(b - a for lo, hi in self.rectangles or (self.corners,)
+                   for a, b in zip(lo, hi))
 
-    @staticmethod
-    def disk(radius: float, center=(0.0, 0.0), gamma="full") -> "DomainSpec":
-        return DomainSpec(kind="disk", dim=2, radius=radius, center=tuple(center),
-                          gamma=gamma)
+    def depth(self, pts: np.ndarray) -> Optional[np.ndarray]:
+        """Analytic distance to the boundary of each row of ``pts``; None on
+        a masked union (:func:`helmlab.ucp.boundary_distance`)."""
+        if self.kind == "masked_union":
+            return None
+        if self.corners:
+            lo, hi = (np.asarray(c, float) for c in self.corners)
+            return np.min(np.minimum(pts - lo, hi - pts), axis=1)
+        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        if self.kind == "disk":
+            return self.radius - r
+        return np.minimum(self.r_outer - r, r - self.r_inner)
 
-    @staticmethod
-    def annulus(r_inner: float, r_outer: float, center=(0.0, 0.0),
-                gamma="full") -> "DomainSpec":
-        return DomainSpec(kind="annulus", dim=2, r_inner=r_inner, r_outer=r_outer,
-                          center=tuple(center), gamma=gamma)
-
-    @staticmethod
-    def rectangle(corner0, corner1, gamma="full") -> "DomainSpec":
-        return DomainSpec(kind="rectangle", dim=2,
-                          corners=(tuple(corner0), tuple(corner1)), gamma=gamma)
-
-    @staticmethod
-    def box(corner0, corner1, gamma="full") -> "DomainSpec":
-        return DomainSpec(kind="box", dim=3,
-                          corners=(tuple(corner0), tuple(corner1)), gamma=gamma)
-
-    @staticmethod
-    def masked_union(rectangles, gamma="full") -> "DomainSpec":
-        rects = tuple((tuple(a), tuple(b)) for a, b in rectangles)
-        return DomainSpec(kind="masked_union", dim=2, rectangles=rects, gamma=gamma)
+    def level_set(self, delta: float) -> np.ndarray:
+        """Points of the inward level set {depth = delta} spaced <= delta/9:
+        circles about the centre, or a rectangle's inset perimeter; a
+        disk's centre and a rectangle's midpoint where the set is empty."""
+        if self.kind not in LEVEL_SET_KINDS:
+            raise GeometryViolation(
+                f"chain supports {', '.join(LEVEL_SET_KINDS)} domains")
+        step = delta / 9.0
+        if self.kind == "rectangle":
+            lo = np.asarray(self.corners[0], float) + delta
+            hi = np.asarray(self.corners[1], float) - delta
+            if np.any(hi - lo <= 0):
+                return (0.5 * (lo + hi))[None, :]
+            xs = np.arange(lo[0], hi[0] + step / 2, step)
+            ys = np.arange(lo[1], hi[1] + step / 2, step)
+            return np.vstack([np.column_stack([xs, np.full(xs.size, lo[1])]),
+                              np.column_stack([np.full(ys.size, hi[0]), ys]),
+                              np.column_stack([xs, np.full(xs.size, hi[1])]),
+                              np.column_stack([np.full(ys.size, lo[0]), ys])])
+        c = np.asarray(self.center, float)
+        if self.kind == "disk":
+            if self.radius - delta <= 0:
+                return c[None, :]
+            rings = (self.radius - delta,)
+        else:
+            rings = [r for r in (self.r_inner + delta, self.r_outer - delta)
+                     if self.r_inner < r < self.r_outer]
+        pts = []
+        for r in rings:
+            n = max(int(np.ceil(2 * np.pi * r / step)), 6)
+            th = np.arange(n) * 2 * np.pi / n
+            pts.append(np.column_stack([c[0] + r * np.cos(th),
+                                        c[1] + r * np.sin(th)]))
+        return np.vstack(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +293,7 @@ def _axis_nodes(a: float, b: float, h: float):
 
 
 def _build_cartesian_block(spec: DomainSpec, h: float) -> Grid:
-    lo = np.asarray(spec.corners[0], dtype=float)
-    hi = np.asarray(spec.corners[1], dtype=float)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    lo, hi = (np.asarray(c, dtype=float) for c in spec.corners)
     dim = lo.size
 
     axes, spacings = zip(*(_axis_nodes(a, b, h) for a, b in zip(lo, hi)))
@@ -285,7 +337,6 @@ def _build_cartesian_block(spec: DomainSpec, h: float) -> Grid:
 
 def _build_masked_union(spec: DomainSpec, h: float) -> Grid:
     rects = [(np.asarray(a, float), np.asarray(b, float)) for a, b in spec.rectangles]
-    rects = [(np.minimum(a, b), np.maximum(a, b)) for a, b in rects]
     lo = np.min([a for a, _ in rects], axis=0)
     hi = np.max([b for _, b in rects], axis=0)
 
@@ -296,8 +347,6 @@ def _build_masked_union(spec: DomainSpec, h: float) -> Grid:
             if np.max(np.abs(frac - np.round(frac))) > 1e-9:
                 raise FeatureUnresolved(
                     "masked_union rectangle corners must align with the grid spacing")
-        if np.min((b - a) / h) < 8 - 1e-12:
-            raise FeatureUnresolved("rectangle thinner than 8 grid layers")
 
     nx = int(round((hi[0] - lo[0]) / h))
     ny = int(round((hi[1] - lo[1]) / h))
@@ -364,26 +413,19 @@ def build_grid(spec: DomainSpec, h_target: float) -> Grid:
     """Discretize ``spec`` with target spacing ``h_target``.
 
     Boundary nodes of polar grids sit exactly on the bounding circles.  Raises
-    :class:`FeatureUnresolved` when fewer than 8 nodes span the smallest
-    feature.
+    :class:`FeatureUnresolved` when fewer than 8 layers span the spec's
+    :attr:`~DomainSpec.width`.
     """
     if h_target <= 0:
         raise GeometryViolation("h_target must be positive")
+    if spec.width / h_target < 8 - 1e-12:
+        raise FeatureUnresolved(f"width {spec.width:g} spans fewer than 8 "
+                                f"layers at h={h_target:g}")
     if spec.kind in ("disk", "annulus"):
-        feature = 2 * spec.radius if spec.kind == "disk" else spec.r_outer - spec.r_inner
-        if feature / h_target < 8 - 1e-12:
-            raise FeatureUnresolved(
-                f"feature {feature:g} spans fewer than 8 layers at h={h_target:g}")
         return _build_polar(spec, h_target)
-    if spec.kind in ("rectangle", "box"):
-        lo = np.asarray(spec.corners[0], float)
-        hi = np.asarray(spec.corners[1], float)
-        if np.min(np.abs(hi - lo)) / h_target < 8 - 1e-12:
-            raise FeatureUnresolved("side spans fewer than 8 layers")
-        return _build_cartesian_block(spec, h_target)
     if spec.kind == "masked_union":
         return _build_masked_union(spec, h_target)
-    raise GeometryViolation(spec.kind)
+    return _build_cartesian_block(spec, h_target)
 
 
 # ---------------------------------------------------------------------------

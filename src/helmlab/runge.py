@@ -456,7 +456,7 @@ class Scenario:
 
 
 _UNIT_DISK = dict(
-    domain=DomainSpec.disk(1.0),
+    domain=DomainSpec("disk", radius=1.0),
     medium={"q": {"profile": "constant", "value": 1.0}, "kappa": 1.001,
             "monotone": False},
     target=(0.0, 0.5), amplitude="normal", fit_key="cost", h_cap=0.025,
@@ -471,7 +471,7 @@ SCENARIOS = {
     # budget is L2-relative: with the H1 one every family trivializes (cost
     # 0) once k >~ 1/eps, since ||v||_L2(region) <= C ||v||_H1 / k
     "convex": Scenario(
-        domain=DomainSpec.annulus(0.5, 2.0),
+        domain=DomainSpec("annulus", r_inner=0.5, r_outer=2.0),
         medium={"q": {"profile": "radial_quadratic", "amplitude": 0.25},
                 "kappa": 2.02, "monotone": True},
         target=(0.5, 1.0), family=(0.5, 1.25), decay=2.0, amplitude="signs",

@@ -32,22 +32,13 @@ from .geometry import BoundaryChart, Grid, ball_mask
 # ---------------------------------------------------------------------------
 
 def boundary_distance(grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Analytic distance to the domain boundary (catalog shapes only)."""
-    spec = grid.spec
+    """Distance to the domain boundary: the spec's analytic
+    :meth:`~helmlab.geometry.DomainSpec.depth`, and on a masked union the
+    distance to the nearest boundary node."""
     pts = np.atleast_2d(points)
-    if spec.kind == "disk":
-        r = np.linalg.norm(pts - np.asarray(spec.center), axis=1)
-        return spec.radius - r
-    if spec.kind == "annulus":
-        r = np.linalg.norm(pts - np.asarray(spec.center), axis=1)
-        return np.minimum(spec.r_outer - r, r - spec.r_inner)
-    if spec.kind in ("rectangle", "box"):
-        lo = np.asarray(spec.corners[0], float)
-        hi = np.asarray(spec.corners[1], float)
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        d = np.minimum(pts - lo, hi - pts)
-        return np.min(d, axis=1)
-    # masked union: distance to the discrete boundary node set
+    depth = grid.spec.depth(pts)
+    if depth is not None:
+        return depth
     from scipy.spatial import cKDTree
     dist, _ = cKDTree(grid.nodes[grid.boundary_index]).query(pts)
     return dist
@@ -164,58 +155,6 @@ class ChainResult:
     covered: bool
 
 
-def _inradius(grid: Grid) -> float:
-    spec = grid.spec
-    if spec.kind == "disk":
-        return spec.radius
-    if spec.kind == "annulus":
-        return 0.5 * (spec.r_outer - spec.r_inner)
-    if spec.kind == "rectangle":
-        lo = np.asarray(spec.corners[0], float)
-        hi = np.asarray(spec.corners[1], float)
-        return 0.5 * float(np.min(np.abs(hi - lo)))
-    raise GeometryViolation("chain supports disk, annulus, rectangle domains")
-
-
-def _level_curve(grid: Grid, delta: float) -> np.ndarray:
-    """Points of the inward level set {depth = delta} spaced <= delta/9."""
-    spec = grid.spec
-    step = delta / 9.0
-    if spec.kind == "disk":
-        r = spec.radius - delta
-        if r <= 0:
-            return np.asarray(spec.center, float)[None, :]
-        n = max(int(np.ceil(2 * np.pi * r / step)), 6)
-        th = np.arange(n) * 2 * np.pi / n
-        c = np.asarray(spec.center, float)
-        return np.column_stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)])
-    if spec.kind == "annulus":
-        pts = []
-        c = np.asarray(spec.center, float)
-        for r in (spec.r_inner + delta, spec.r_outer - delta):
-            if spec.r_inner < r < spec.r_outer:
-                n = max(int(np.ceil(2 * np.pi * r / step)), 6)
-                th = np.arange(n) * 2 * np.pi / n
-                pts.append(np.column_stack([c[0] + r * np.cos(th),
-                                            c[1] + r * np.sin(th)]))
-        return np.vstack(pts)
-    if spec.kind == "rectangle":
-        lo = np.asarray(spec.corners[0], float)
-        hi = np.asarray(spec.corners[1], float)
-        lo, hi = np.minimum(lo, hi) + delta, np.maximum(lo, hi) - delta
-        if np.any(hi - lo <= 0):
-            mid = 0.5 * (lo + hi)
-            return mid[None, :]
-        xs = np.arange(lo[0], hi[0] + step / 2, step)
-        ys = np.arange(lo[1], hi[1] + step / 2, step)
-        top = np.column_stack([xs, np.full(xs.size, hi[1])])
-        bot = np.column_stack([xs, np.full(xs.size, lo[1])])
-        lef = np.column_stack([np.full(ys.size, lo[0]), ys])
-        rig = np.column_stack([np.full(ys.size, hi[0]), ys])
-        return np.vstack([bot, rig, top, lef])
-    raise GeometryViolation("chain supports disk, annulus, rectangle domains")
-
-
 def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
                     eta: float, M: float, epsilon: float, fit: ExponentFit,
                     sobolev_constant: float = 1.0) -> ChainResult:
@@ -266,8 +205,8 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
                            bound_interior=0.0, bound_layer=bound_layer,
                            bound_log=bound_log, covered=True)
 
-    # synthetic ball centers on geometric depth levels
-    d_top = 0.95 * _inradius(grid)
+    # synthetic ball centers on geometric depth levels, from the inradius
+    d_top = 0.95 * (grid.spec.width / 2)
     if epsilon >= d_top:
         raise ChainBlocked(f"epsilon={epsilon:g} at or above the inradius scale")
     levels = [d_top]
@@ -275,7 +214,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
         levels.append(max(levels[-1] * 0.91, 0.999 * epsilon))
     centers, radii = [], []
     for dl in levels:
-        pts = _level_curve(grid, dl)
+        pts = grid.spec.level_set(dl)
         centers.append(pts)
         radii.append(np.full(pts.shape[0], dl / 4.0))
     centers = np.vstack(centers)

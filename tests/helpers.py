@@ -14,6 +14,7 @@ from helmlab.assembly import (DiscreteOperator, Medium, assemble,
                               verified_solve, weak_neumann_trace)
 from helmlab.bessel import bessel_j
 from helmlab.carleman import _collar_mask, apply_principal
+from helmlab.errors import GeometryViolation
 from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
                             functional_norm, masked_gradient, norm)
 from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, annulus_mask,
@@ -51,7 +52,7 @@ def pairing(ell: BoundaryFunctional, t: BoundaryTrace) -> float:
 
 @lru_cache(maxsize=None)
 def disk_grid(h: float):
-    return build_grid(DomainSpec.disk(1.0), h)
+    return build_grid(DomainSpec("disk", radius=1.0), h)
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +91,7 @@ def convex_map(k: float = 4.0, h: float = 0.1):
     """Forward map of the convex scenario: annulus 0.5 < |x| < 2 with the
     radially monotone q = 1 + r^2/4, data on the outer circle and the
     region 0.5 < |x| < 1."""
-    grid = build_grid(DomainSpec.annulus(0.5, 2.0), h)
+    grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=2.0), h)
     medium = make_medium(grid, q_spec={"profile": "radial_quadratic",
                                        "amplitude": 0.25},
                          kappa=2.02, monotone=True)
@@ -109,7 +110,7 @@ def disk_spectrum(h: float = 0.03, count: int = 40):
 @lru_cache(maxsize=None)
 def annulus_setup(h: float):
     """Unit-gap annulus with the radially monotone profile q = 1 + r^2/4."""
-    grid = build_grid(DomainSpec.annulus(1.0, 2.0), h)
+    grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), h)
     medium = make_medium(grid, q_spec={"profile": "radial_quadratic",
                                        "amplitude": 0.25},
                          kappa=2.02, monotone=True)
@@ -118,7 +119,7 @@ def annulus_setup(h: float):
 
 @lru_cache(maxsize=None)
 def cube_setup(n: int = 16, k: float = 1.0):
-    grid = build_grid(DomainSpec.box((0, 0, 0), (1, 1, 1),
+    grid = build_grid(DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)),
                                      gamma={"face": "z-"}), 1.0 / n)
     medium = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                          kappa=1.01)
@@ -272,6 +273,61 @@ def caccioppoli_ratio(u: GridField, epsilon: float, k: float) -> float:
     if den == 0:
         return 0.0
     return num / den
+
+
+def inradius_reference(grid: Grid) -> float:
+    """The inradius of a chain domain, shape by shape, as
+    ``helmlab.ucp.chain_propagate`` read it before ``DomainSpec.width``."""
+    spec = grid.spec
+    if spec.kind == "disk":
+        return spec.radius
+    if spec.kind == "annulus":
+        return 0.5 * (spec.r_outer - spec.r_inner)
+    if spec.kind == "rectangle":
+        lo = np.asarray(spec.corners[0], float)
+        hi = np.asarray(spec.corners[1], float)
+        return 0.5 * float(np.min(np.abs(hi - lo)))
+    raise GeometryViolation("chain supports disk, annulus, rectangle domains")
+
+
+def level_curve_reference(grid: Grid, delta: float) -> np.ndarray:
+    """Points of the inward level set {depth = delta} spaced <= delta/9, as
+    ``helmlab.ucp`` built them before ``DomainSpec.level_set``."""
+    spec = grid.spec
+    step = delta / 9.0
+    if spec.kind == "disk":
+        r = spec.radius - delta
+        if r <= 0:
+            return np.asarray(spec.center, float)[None, :]
+        n = max(int(np.ceil(2 * np.pi * r / step)), 6)
+        th = np.arange(n) * 2 * np.pi / n
+        c = np.asarray(spec.center, float)
+        return np.column_stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)])
+    if spec.kind == "annulus":
+        pts = []
+        c = np.asarray(spec.center, float)
+        for r in (spec.r_inner + delta, spec.r_outer - delta):
+            if spec.r_inner < r < spec.r_outer:
+                n = max(int(np.ceil(2 * np.pi * r / step)), 6)
+                th = np.arange(n) * 2 * np.pi / n
+                pts.append(np.column_stack([c[0] + r * np.cos(th),
+                                            c[1] + r * np.sin(th)]))
+        return np.vstack(pts)
+    if spec.kind == "rectangle":
+        lo = np.asarray(spec.corners[0], float)
+        hi = np.asarray(spec.corners[1], float)
+        lo, hi = np.minimum(lo, hi) + delta, np.maximum(lo, hi) - delta
+        if np.any(hi - lo <= 0):
+            mid = 0.5 * (lo + hi)
+            return mid[None, :]
+        xs = np.arange(lo[0], hi[0] + step / 2, step)
+        ys = np.arange(lo[1], hi[1] + step / 2, step)
+        top = np.column_stack([xs, np.full(xs.size, hi[1])])
+        bot = np.column_stack([xs, np.full(xs.size, lo[1])])
+        lef = np.column_stack([np.full(ys.size, lo[0]), ys])
+        rig = np.column_stack([np.full(ys.size, hi[0]), ys])
+        return np.vstack([bot, rig, top, lef])
+    raise GeometryViolation("chain supports disk, annulus, rectangle domains")
 
 
 def source_neumann_ratio(op: DiscreteOperator, chart: BoundaryChart,

@@ -33,6 +33,10 @@ The resonance guard has one place, :func:`helmlab.assembly.assemble`: it is
 the only function of ``src/helmlab`` with a ``spectrum`` parameter, and the
 only one that calls ``check_admissibility`` with ``guard=True``.  Solves,
 maps and probes take an assembled operator and trust its frequency.
+
+Each domain shape is stated once, on :class:`helmlab.geometry.DomainSpec`:
+``ucp.py`` and ``cli.py`` never compare a domain kind with a string literal,
+and read the shape's width, depth and level sets from the spec.
 """
 
 import ast
@@ -322,6 +326,37 @@ def test_assemble_is_the_one_resonance_guard():
         f"guard-band checks outside assemble: {guards}")
 
 
+def _names_kind(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "kind"
+            or isinstance(node, ast.Attribute) and node.attr == "kind")
+
+
+def _str_literal(node) -> bool:
+    """A string constant, or a tuple, list or set literal holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_str_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def kind_branches(modules=("ucp", "cli")) -> list:
+    """``module:line`` of each comparison of a domain kind (a name or an
+    attribute ``kind``) with a string literal in ``modules``."""
+    out = []
+    for module in modules:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        out += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(map(_names_kind, [node.left, *node.comparators]))
+                and any(map(_str_literal, [node.left, *node.comparators]))]
+    return out
+
+
+def test_ucp_and_cli_never_branch_on_the_domain_kind():
+    stray = kind_branches()
+    assert not stray, (f"{len(stray)} domain-kind comparisons outside "
+                       "DomainSpec:\n" + "\n".join(stray))
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -334,3 +369,4 @@ if __name__ == "__main__":
     print("\n".join(stray_factors()))
     print("\n".join(stray_names("modal", {})))
     print(guard_sites())
+    print("\n".join(kind_branches()))

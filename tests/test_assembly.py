@@ -21,7 +21,7 @@ from helpers import cube_setup, disk_setup, disk_spectrum, pairing
 
 
 def test_matrix_symmetry_and_stencil():
-    g = build_grid(DomainSpec.rectangle((0, 0), (1, 1)), 1 / 16)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 16)
     med = make_medium(g)
     op = assemble(g, med, 1.0)
     assert abs(op.L - op.L.T).max() == 0.0
@@ -35,7 +35,7 @@ def test_matrix_symmetry_and_stencil():
 
 
 def test_constant_q_is_diagonal_shift():
-    g = build_grid(DomainSpec.rectangle((0, 0), (1, 1)), 1 / 16)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 16)
     kappa = 3.0
     m1 = make_medium(g, q_spec={"profile": "constant", "value": 1.0}, kappa=kappa)
     m2 = make_medium(g, q_spec={"profile": "constant", "value": kappa}, kappa=kappa + 0.01)
@@ -53,7 +53,7 @@ def test_zero_data_zero_solution():
 
 
 def test_manufactured_bessel_convergence():
-    spec = DomainSpec.annulus(0.5, 2.0)
+    spec = DomainSpec("annulus", r_inner=0.5, r_outer=2.0)
     k = 3.0
     errs = []
     for h in (0.05, 0.025):
@@ -68,7 +68,7 @@ def test_manufactured_bessel_convergence():
 
 
 def test_wavelength_rule_guard():
-    g = build_grid(DomainSpec.disk(1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     med = make_medium(g)
     with pytest.raises(UnderResolved):
         assemble(g, med, 20.0)
@@ -138,7 +138,7 @@ def test_verified_solve_breakdown():
 
 
 def test_medium_invariants():
-    g = build_grid(DomainSpec.disk(1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     with pytest.raises(HypothesisViolated):
         Medium(q=GridField(g, np.full(g.n_nodes, 3.0)),
                V=GridField(g, np.zeros(g.n_nodes)), kappa=2.0)
@@ -150,7 +150,7 @@ def test_medium_invariants():
 
 
 def test_weak_neumann_trace_values():
-    spec = DomainSpec.annulus(0.5, 2.0)
+    spec = DomainSpec("annulus", r_inner=0.5, r_outer=2.0)
     k = 3.0
     g = build_grid(spec, 0.02)
     med = make_medium(g)
@@ -233,10 +233,10 @@ def _reference_stiffness(grid):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.disk(1.0), 0.1),
-    (DomainSpec.annulus(1.0, 2.0), 0.1),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
-    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)])
+    (DomainSpec("disk", radius=1.0), 0.1),
+    (DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.1),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85))), 0.1),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8)])
 def test_stiffness_built_once_per_grid(spec, h):
     g = build_grid(spec, h)
     K, want = stiffness(g), _reference_stiffness(g)
@@ -261,7 +261,7 @@ def _convex_sweep_op(k):
 
 
 def _rectangle_op():
-    grid = build_grid(DomainSpec.rectangle((0, 0), (2, 1)), 0.03)
+    grid = build_grid(DomainSpec("rectangle", corners=((0, 0), (2, 1))), 0.03)
     return assemble(grid, make_medium(grid, kappa=1.01), 10.0)
 
 

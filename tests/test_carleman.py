@@ -112,7 +112,7 @@ def test_uniformity_mini_scan():
 
 
 def test_improved_probe_gate_and_envelope():
-    grid = build_grid(DomainSpec.annulus(1.0, 2.0), 0.02)
+    grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
     rep = compute_sigma(grid, med, 40, shifts=(16.0,))
@@ -131,7 +131,7 @@ def test_improved_constant_contrast_with_general_geometry():
     # convex-geometry probe: the fitted envelope constant does not grow as k
     # doubles (measured it even decreases), while the general-geometry
     # three-balls constant from the continuation probes grows with k
-    grid = build_grid(DomainSpec.annulus(1.0, 2.0), 0.02)
+    grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
     rep = compute_sigma(grid, med, 60, shifts=(16.0, 64.0))
@@ -176,7 +176,7 @@ def test_improved_constant_contrast_with_general_geometry():
 
 
 def test_improved_probe_delta_monotone_exponent():
-    grid = build_grid(DomainSpec.annulus(1.0, 2.0), 0.02)
+    grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
     rep = compute_sigma(grid, med, 40, shifts=(16.0,))

@@ -12,7 +12,7 @@ import helmlab
 from helmlab import cli
 from helmlab.assembly import default_spacing
 from helmlab.cli import (load_config, main, run_experiment, validate_config)
-from helmlab.errors import ConfigInvalid
+from helmlab.errors import ConfigInvalid, GeometryViolation
 from helmlab.geometry import DomainSpec, boundary_chart, build_grid
 from helmlab.runge import SCENARIOS
 from helmlab.spectral import compute_sigma
@@ -197,8 +197,11 @@ def test_valid_config_empty_report():
 
 
 def test_admissibility_precheck_flags_resonance(tmp_path):
-    cfg = _spectrum_cfg()
-    cfg["k_list"] = [np.sqrt(2.0)]      # ground state of the square
+    # solve assembles at its k as given; k^2 = 2 is the ground state of the
+    # square
+    cfg = {"experiment": "solve", "domain": _spectrum_cfg()["domain"],
+           "medium": _spectrum_cfg()["medium"], "h": PI / 40,
+           "k_list": [np.sqrt(2.0)]}
     msgs = validate_config(cfg)
     assert any("admissibility" in m for m in msgs)
 
@@ -378,9 +381,9 @@ def test_solve_near_resonance_fails_at_assembly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.disk(1.0), 0.05),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
-    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)],
+    (DomainSpec("disk", radius=1.0), 0.05),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85))), 0.1),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8)],
     ids=["disk", "rectangle", "cube"])
 def test_solve_data_have_the_modal_law(spec, h):
     # the draw is linear in xi, so its map D is the draw of the identity, and
@@ -746,6 +749,11 @@ def test_a_params_value_has_the_type_of_its_default(tmp_path, capsys, exp,
     assert not (tmp_path / "o").exists()
 
 
+_FITTED_MONOTONE = {"q": _MONOTONE["q"], "monotone": True}
+_MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
+                "1 and medium.V 0")
+
+
 @pytest.mark.parametrize("exp, change, problem", [
     ("solve", {"k_list": [0.5]}, "k_list entries must be at least 1: solve "
                                  "assembles the operator at each"),
@@ -768,15 +776,44 @@ def test_a_params_value_has_the_type_of_its_default(tmp_path, capsys, exp,
      "params.epsilon_list entries must be positive"),
     ("calderon", {"medium": {**_UNIT_Q, "kappa": 1.01,
                              "V": {"profile": "constant", "value": 2.0}}},
-     "calderon sets no medium.V: it sets the potential")],
+     "calderon sets no medium.V: it sets the potential"),
+    ("carleman", {"domain": {"kind": "rectangle",
+                             "corners": [[-2, -2], [2, 2]]},
+                  "medium": _FITTED_MONOTONE, "h": 0.1, "k_list": [1.3]},
+     "carleman runs on annulus domains, not on a rectangle"),
+    ("improved_ucp", {"domain": {"kind": "disk", "radius": 2.0}},
+     "improved_ucp runs on annulus domains, not on a disk"),
+    ("chain", {"domain": {"kind": "masked_union", "rectangles": [
+        [[-1, -1], [1, 1]], [[1, -1], [3, 1]]]}},
+     "chain runs on disk, annulus, rectangle domains, not on a masked_union"),
+    ("three_balls", {"medium": {"q": {"profile": "constant", "value": 1.5}},
+                     "params": {"ell_margin": 2}},
+     _MODE_MEDIUM.format("three_balls")),
+    ("three_balls", {"medium": {**_UNIT_Q, "V": {"profile": "constant",
+                                                 "value": 1.0}}},
+     _MODE_MEDIUM.format("three_balls")),
+    ("chain", {"medium": {"q": _MONOTONE["q"]}}, _MODE_MEDIUM.format("chain")),
+    ("spectrum", {"domain": {**_DISK, "corners": [[0, 0], [1, 1]]}},
+     "domain: unknown domain keys ['corners'] for a disk; valid: ['center', "
+     "'radius']"),
+    ("spectrum", {"domain": {"kind": "rectangle", "corners": [[0, 0], [2, 1]],
+                             "center": [1.0, 0.5]}},
+     "domain: unknown domain keys ['center'] for a rectangle; valid: "
+     "['corners']")],
     ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
-         "chain_eps", "runge_eps", "runge_params_eps", "calderon_V"])
+         "chain_eps", "runge_eps", "runge_params_eps", "calderon_V",
+         "carleman_rectangle", "improved_ucp_disk", "chain_union",
+         "three_balls_q", "three_balls_V", "chain_q", "disk_corners",
+         "rectangle_center"])
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
                                                    change, problem):
     # each once validated, then failed the run with exit 1 (k < 1 at
     # assembly, a negative epsilon as "smallest ball radius below 8
-    # layers", V as "support touches the grid hull"), or, on runge_sweep,
-    # filed the negative epsilon under dropped cells
+    # layers", V as "support touches the grid hull", chain on a masked
+    # union), died with a traceback (carleman on a rectangle), or wrote
+    # what the config did not ask for: runge_sweep filed the negative
+    # epsilon under dropped cells, improved_ucp on a disk a header-only CSV,
+    # three_balls the triples of q = 1, and a disk ignored its corners
     cfg = dict(_VALID[exp], **change)
     assert validate_config(cfg) == [problem]
     path = _write(tmp_path, "bad.json", cfg)
@@ -825,3 +862,75 @@ def test_sigma_keeps_the_keys_spectrum_reads(tmp_path):
     path = _write(tmp_path, "chain.json", cfg)
     assert main(["sigma", str(path), "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "spectrum.json").exists()
+
+
+def test_improved_ucp_run_lets_a_shape_error_through(tmp_path):
+    # the runner skips the probes that fail 0 < k^3 eta <= M; the probe's
+    # shape error once counted as one, and the run wrote no rows
+    cfg = {"experiment": "improved_ucp", "domain": _DISK,
+           "medium": _FITTED_MONOTONE, "h": 0.1, "k_list": [2.0],
+           "params": {"delta_list": [0.2], "ell_span": 4}}
+    with pytest.raises(GeometryViolation):
+        cli.run_improved_ucp(cfg, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rectangles, h", [
+    ([[[-1, -1], [1, 0.5]], [[-1, -1], [0.5, 1]]], 0.025),
+    ([[[-1, -1], [1, 1]], [[1, -1], [2, 0]]], 0.05)], ids=["l_shape", "step"])
+def test_a_masked_union_is_probed_at_the_config_h(tmp_path, capsys,
+                                                  rectangles, h):
+    # the probe once took the first rectangle's shorter side / 10, where the
+    # corners of the L do not align and the step's second rectangle spans
+    # 5 layers
+    cfg = {"experiment": "spectrum",
+           "domain": {"kind": "masked_union", "rectangles": rectangles},
+           "h": h, "params": {"count": 6}}
+    assert validate_config(cfg) == []
+    spec = cli.domain_from_config(cfg["domain"])
+    assert build_grid(spec, h).n_nodes == {0.025: 6161, 0.05: 2101}[h]
+    path = _write(tmp_path, "union.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
+
+
+@pytest.mark.parametrize("domain, want", [
+    ({"kind": "disk", "radius": 1.3}, 1.3 / 12.0),
+    ({"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0}, (2.0 - 0.5) / 12.0),
+    ({"kind": "rectangle", "corners": [[PI, 1.1], [0, 0]]}, 1.1 / 10.0),
+    ({"kind": "box", "corners": [[0, 0, 0], [1.5, 1.5, 1.2]]}, 1.2 / 10.0),
+    ({"kind": "masked_union", "rectangles": [[[0, 0], [2, 1]],
+                                             [[0, 0], [0.5, 2]]]}, 0.5 / 10.0)],
+    ids=["disk", "annulus", "rectangle", "box", "masked_union"])
+def test_probe_spacing_reads_the_width(domain, want):
+    # bitwise the spacing each shape had before; only a masked union moves:
+    # to the config's h, and without one to its thinnest rectangle / 10
+    spec = cli.domain_from_config(domain)
+    assert cli._probe_spacing(spec, None) == want
+    assert cli._probe_spacing(spec, 0.01) == (0.01 if spec.rectangles
+                                              else want)
+
+
+def test_mode_field_runners_take_kappa_and_the_benchmark_config():
+    assert validate_config(dict(_VALID["three_balls"],
+                                medium={**_UNIT_Q, "kappa": 1.5})) == []
+    # the ucp_chain benchmark config
+    assert validate_config({
+        "experiment": "chain",
+        "domain": {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]},
+        "medium": _UNIT_Q, "h": 0.01, "k_list": [4.0],
+        "epsilon_list": [0.25, 0.2], "seed": 7}) == []
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "carleman", "domain": _ANNULUS, "medium": _MONOTONE,
+     "h": 0.02, "k_list": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+     "params": {"tau_list": [10.0, 20.0, 40.0, 80.0], "samples_per_cell": 3,
+                "generic_per_cell": 1}},
+    dict(_spectrum_cfg(), k_list=[np.sqrt(2.0)])],
+    ids=["carleman_default_k_list", "spectrum_square"])
+def test_precheck_only_where_the_run_assembles_at_k(cfg):
+    # carleman and spectrum never assemble at k, yet the probe grid once
+    # rejected k = 4 on the carleman benchmark's annulus and k^2 = 2 on the
+    # square
+    assert validate_config(cfg) == []

@@ -23,7 +23,7 @@ def test_l2_constant_disk():
 
 
 def test_h1_semi_linear_field():
-    g = build_grid(DomainSpec.rectangle((0, 0), (1, 1)), 1 / 32)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 32)
     f = GridField(g, g.nodes[:, 0])
     assert abs(norm(f, "H1_semi") - 1.0) < 1e-10
     assert abs(norm(f, "H1") - np.sqrt(1.0 + norm(f, "L2") ** 2)) < 1e-12
@@ -32,7 +32,7 @@ def test_h1_semi_linear_field():
 def test_radial_bessel_norm_against_quadrature():
     # midpoint quadrature is second order; Richardson across h, h/2 reaches
     # the 1e-6 agreement with the Gauss-Legendre reference
-    spec = DomainSpec.annulus(0.5, 2.0)
+    spec = DomainSpec("annulus", r_inner=0.5, r_outer=2.0)
     vals = []
     for h in (0.02, 0.01):
         g = build_grid(spec, h)
@@ -122,10 +122,10 @@ def test_trace_interlacing():
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.disk(1.0), 0.05),
-    (DomainSpec.annulus(0.5, 2.0), 0.1),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1),
-    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8)],
+    (DomainSpec("disk", radius=1.0), 0.05),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85))), 0.1),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8)],
     ids=["disk", "annulus", "rectangle", "cube"])
 def test_trace_norms_match_modal_sums(spec, h):
     """Gram quadratic forms against the modal sums they replace, on charts
@@ -164,7 +164,7 @@ def test_gamma_masking():
 
 
 def test_hminus1_fourier():
-    g = build_grid(DomainSpec.rectangle((0, 0), (2, 2)), 1 / 24)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (2, 2))), 1 / 24)
     assert hminus1_norm_fourier(GridField(g, np.zeros(g.n_nodes))) == 0.0
 
     bump = bump_profile(1.0, (1.0, 1.0), 0.35)
@@ -178,7 +178,7 @@ def test_hminus1_fourier():
     assert hminus1_norm_fourier(fo) < 0.5 * norm(fo, "L2")
 
     # self-convergence within 2%
-    g2 = build_grid(DomainSpec.rectangle((0, 0), (2, 2)), 1 / 48)
+    g2 = build_grid(DomainSpec("rectangle", corners=((0, 0), (2, 2))), 1 / 48)
     f2 = GridField(g2, bump(g2.nodes))
     a, b = hminus1_norm_fourier(f), hminus1_norm_fourier(f2)
     assert abs(a - b) / b < 0.02
@@ -287,19 +287,21 @@ _UNIONS = ((((0, 0), (2, 1)), ((0, 1), (1, 2))),
 # every lattice stays under ~2,000 nodes: disks <= 1,320, annuli <= 1,391,
 # rectangles <= 625, unions <= 576, boxes <= 1,728
 _LATTICES = {
-    "disk": st.builds(lambda r, h: (DomainSpec.disk(r), min(h, r / 4)),
+    "disk": st.builds(lambda r, h: (DomainSpec("disk", radius=r),
+                                    min(h, r / 4)),
                       st.floats(0.8, 1.4), st.floats(0.1, 0.2)),
-    "annulus": st.builds(lambda r0, w, h: (DomainSpec.annulus(r0, r0 + w), h),
+    "annulus": st.builds(lambda r0, w, h: (DomainSpec(
+        "annulus", r_inner=r0, r_outer=r0 + w), h),
                          st.floats(0.1, 0.5), st.floats(1.0, 1.2),
                          st.floats(0.1, 0.125)),
-    "rectangle": st.builds(lambda nx, ny: (DomainSpec.rectangle(
-        (0, 0), (nx * _EIGHTH, ny * _EIGHTH)), _EIGHTH),
+    "rectangle": st.builds(lambda nx, ny: (DomainSpec("rectangle",
+        corners=((0, 0), (nx * _EIGHTH, ny * _EIGHTH))), _EIGHTH),
         st.integers(8, 24), st.integers(8, 24)),
     "masked_union": st.builds(
-        lambda rects: (DomainSpec.masked_union(rects), _EIGHTH),
+        lambda rects: (DomainSpec("masked_union", rectangles=rects), _EIGHTH),
         st.sampled_from(_UNIONS)),
-    "box": st.builds(lambda nx, ny, nz: (DomainSpec.box(
-        (0, 0, 0), (nx * _EIGHTH, ny * _EIGHTH, nz * _EIGHTH)), _EIGHTH),
+    "box": st.builds(lambda nx, ny, nz: (DomainSpec("box", corners=(
+        (0, 0, 0), (nx * _EIGHTH, ny * _EIGHTH, nz * _EIGHTH))), _EIGHTH),
         st.integers(8, 11), st.integers(8, 11), st.integers(8, 11)),
 }
 
@@ -326,7 +328,7 @@ def test_masked_gradient_matches_line_loop(kind, data, density, seed):
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_box_gradient_of_each_coordinate(axis):
-    g = build_grid(DomainSpec.box((0, 0, 0), (1, 1, 1)), 0.1)
+    g = build_grid(DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 0.1)
     u = g.nodes[:, axis].copy()
     comps = masked_gradient(g, u, np.ones(g.n_nodes, bool))
     for d, c in enumerate(comps):
@@ -336,7 +338,7 @@ def test_box_gradient_of_each_coordinate(axis):
 
 def test_box_radial_derivative_of_r_squared():
     # the stencils are exact on quadratics, so x . grad |x|^2 / |x| = 2|x|
-    g = build_grid(DomainSpec.box((-1, -1, -1), (1, 1, 1)), 0.25)
+    g = build_grid(DomainSpec("box", corners=((-1, -1, -1), (1, 1, 1))), 0.25)
     r = np.linalg.norm(g.nodes, axis=1)
     rad = radial_derivative(GridField(g, r ** 2))
     assert np.max(np.abs(rad - 2 * r)) < 1e-12

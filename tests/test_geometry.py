@@ -14,7 +14,7 @@ from helpers import domain_area, modal, modal_h_half_gram
 
 
 def test_disk_lattice_matches_spacing_rule():
-    g = build_grid(DomainSpec.disk(1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     n_rings, n_theta = g.lattice_shape
     assert n_rings == 11            # 10 interior rings + boundary ring
     assert n_theta == 63            # ceil(2 pi / 0.1)
@@ -24,7 +24,7 @@ def test_disk_lattice_matches_spacing_rule():
 
 
 def test_annulus_gamma_full_outer_circle():
-    g = build_grid(DomainSpec.annulus(0.5, 2.0), 0.1)
+    g = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1)
     chart = boundary_chart(g)
     r = np.linalg.norm(g.nodes[chart.node_ids], axis=1)
     assert np.allclose(r, 2.0)
@@ -35,13 +35,15 @@ def test_annulus_gamma_full_outer_circle():
 
 
 def test_rectangle_interior_count():
-    g = build_grid(DomainSpec.rectangle((0, 0), (np.pi, np.pi)), np.pi / 64)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
+                   np.pi / 64)
     assert g.interior_index.size == 63 * 63
 
 
 def test_mask_partition_and_weights():
-    for spec in (DomainSpec.disk(1.0), DomainSpec.annulus(0.5, 2.0),
-                 DomainSpec.rectangle((0, 0), (2, 1))):
+    for spec in (DomainSpec("disk", radius=1.0),
+                 DomainSpec("annulus", r_inner=0.5, r_outer=2.0),
+                 DomainSpec("rectangle", corners=((0, 0), (2, 1)))):
         g = build_grid(spec, 0.08)
         assert g.interior_index.size + g.boundary_index.size == g.n_nodes
         assert np.all(g.quad_weights > 0)
@@ -49,18 +51,18 @@ def test_mask_partition_and_weights():
 
 def test_area_quadrature_refinement():
     # polar boundary half-cells leave an O(h^2) area defect; ratio ~ 4
-    spec = DomainSpec.disk(1.0)
+    spec = DomainSpec("disk", radius=1.0)
     errs = [abs(np.sum(build_grid(spec, h).quad_weights) - domain_area(spec))
             for h in (0.1, 0.05)]
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     # cartesian rectangles tile exactly
-    spec_r = DomainSpec.rectangle((0, 0), (1.5, 1.0))
+    spec_r = DomainSpec("rectangle", corners=((0, 0), (1.5, 1.0)))
     g = build_grid(spec_r, 0.05)
     assert abs(np.sum(g.quad_weights) - 1.5) < 1e-12
 
 
 def test_interior_weights_converge_to_area():
-    spec = DomainSpec.annulus(0.5, 2.0)
+    spec = DomainSpec("annulus", r_inner=0.5, r_outer=2.0)
     errs = [abs(np.sum(build_grid(spec, h).quad_weights[
         build_grid(spec, h).interior_index]) - domain_area(spec))
         for h in (0.1, 0.05)]
@@ -69,15 +71,15 @@ def test_interior_weights_converge_to_area():
 
 def test_node_count_scale():
     h = 0.1
-    g = build_grid(DomainSpec.rectangle((0, 0), (2, 2)), h)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (2, 2))), h)
     assert g.n_nodes <= 2.0 * (4.0 / h ** 2) * 1.15
     # polar grids run at about twice the cartesian density by construction
-    gd = build_grid(DomainSpec.disk(1.0), h)
+    gd = build_grid(DomainSpec("disk", radius=1.0), h)
     assert gd.n_nodes <= 2.5 * (np.pi / h ** 2)
 
 
 def test_chart_weights_and_gamma_arc():
-    g = build_grid(DomainSpec.disk(1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     chart = boundary_chart(g)
     assert abs(chart.weights.sum() - 2 * np.pi) < 1e-12
     half = boundary_chart(g, {"angles": [(0.0, np.pi)]})
@@ -86,7 +88,7 @@ def test_chart_weights_and_gamma_arc():
 
 
 def test_chart_rectangle_edges():
-    g = build_grid(DomainSpec.rectangle((0, 0), (1, 1)), 1 / 16)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 16)
     chart = boundary_chart(g, {"edges": ["bottom"]})
     pts = g.nodes[chart.gamma_ids()]
     assert np.allclose(pts[:, 1], 0.0)
@@ -94,18 +96,18 @@ def test_chart_rectangle_edges():
 
 
 def test_empty_gamma_raises():
-    g = build_grid(DomainSpec.disk(1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     with pytest.raises(EmptyGamma):
         boundary_chart(g, {"angles": [(1.0, 1.0 + 1e-9)]})
 
 
 def test_feature_unresolved():
     with pytest.raises(FeatureUnresolved):
-        build_grid(DomainSpec.annulus(1.0, 1.2), 0.1)
+        build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=1.2), 0.1)
 
 
 def test_nested_separation_guard():
-    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     with pytest.raises(GeometryViolation):
         check_nested_separation(g, ball_mask(g, (0, 0), 0.95))
     sep = check_nested_separation(g, ball_mask(g, (0, 0), 0.5))
@@ -113,7 +115,7 @@ def test_nested_separation_guard():
 
 
 def test_ball_mask_radii_rows():
-    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     d = np.linalg.norm(g.nodes - np.array([0.1, -0.2]), axis=1)
     rows = ball_mask(g, (0.1, -0.2), (0.2, 0.4, 0.8))
     assert rows.shape == (3, g.n_nodes)
@@ -123,14 +125,50 @@ def test_ball_mask_radii_rows():
 
 
 def test_mask_connectivity():
-    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     assert mask_connected(g, ball_mask(g, (0, 0), 0.4))
     two = ball_mask(g, (-0.5, 0), 0.2) | ball_mask(g, (0.5, 0), 0.2)
     assert not mask_connected(g, two)
 
 
+def test_domain_spec_states_its_shape_once():
+    # dim follows from the kind, sequences become tuples and each corner
+    # pair is ordered lo <= hi, so equal shapes are equal specs
+    rect = DomainSpec("rectangle", corners=[[2, 0], [0, 1]])
+    assert rect == DomainSpec("rectangle", corners=((0, 0), (2, 1)))
+    assert rect.corners == ((0.0, 0.0), (2.0, 1.0)) and rect.dim == 2
+    box = DomainSpec("box", corners=((1, 0, 3), (0, 2, 0)))
+    assert box.corners == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)) and box.dim == 3
+    union = DomainSpec("masked_union", rectangles=[[[1, 1], [0, 3]]])
+    assert union.rectangles == (((0.0, 1.0), (1.0, 3.0)),)
+    assert DomainSpec("disk", radius=1.0, center=[0.5, 0.0]).center \
+        == (0.5, 0.0)
+    assert [s.width for s in (DomainSpec("disk", radius=1.5), rect, box,
+                              union,
+                              DomainSpec("annulus", r_inner=0.5,
+                                         r_outer=2.0))] == [3.0, 1.0, 1.0,
+                                                            1.0, 1.5]
+    with pytest.raises(GeometryViolation):
+        DomainSpec("ellipse")
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec("disk", radius=1.0), 0.26),
+    (DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.13),
+    (DomainSpec("rectangle", corners=((0, 0), (2, 1))), 0.13),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 2))), 0.13),
+    (DomainSpec("masked_union",
+                rectangles=[((0, 0), (2, 1)), ((0, 0), (0.5, 2))]), 0.125)],
+    ids=["disk", "annulus", "rectangle", "box", "masked_union"])
+def test_eight_layers_span_the_width(spec, h):
+    build_grid(spec, spec.width / 8)
+    with pytest.raises(FeatureUnresolved, match="spans fewer than 8 layers"):
+        build_grid(spec, h)
+
+
 def test_masked_union_l_shape():
-    spec = DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2))])
+    spec = DomainSpec("masked_union",
+                      rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2))])
     g = build_grid(spec, 0.1)
     assert abs(np.sum(g.quad_weights) - 3.0) < 1e-10
     assert domain_area(spec) == 3.0         # the overlap square counts once
@@ -140,14 +178,15 @@ def test_masked_union_l_shape():
 
 
 def test_masked_union_alignment_guard():
-    spec = DomainSpec.masked_union([((0, 0), (2, 1)), ((0.05, 0), (1, 2))])
+    spec = DomainSpec("masked_union",
+                      rectangles=[((0, 0), (2, 1)), ((0.05, 0), (1, 2))])
     with pytest.raises(FeatureUnresolved):
         build_grid(spec, 0.1)
 
 
 def test_box_surface_chart():
-    g = build_grid(DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}),
-                   1 / 8)
+    g = build_grid(DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)),
+                              gamma={"face": "z-"}), 1 / 8)
     chart = boundary_chart(g)
     assert abs(chart.weights.sum() - 6.0) < 1e-12
     pts = g.nodes[chart.gamma_ids()]
@@ -157,9 +196,9 @@ def test_box_surface_chart():
 
 def test_domain_spec_invariants():
     with pytest.raises(GeometryViolation):
-        DomainSpec.disk(-1.0)
+        DomainSpec("disk", radius=-1.0)
     with pytest.raises(GeometryViolation):
-        DomainSpec.annulus(2.0, 1.0)
+        DomainSpec("annulus", r_inner=2.0, r_outer=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +400,11 @@ def _assert_grid_equal(grid, want):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.disk(1.0), 0.1),
-    (DomainSpec.disk(0.7, center=(0.3, -0.2)), 0.05),
-    (DomainSpec.annulus(0.5, 2.0), 0.1),
-    (DomainSpec.annulus(1.0, 2.0, center=(-0.4, 0.25)), 0.07)])
+    (DomainSpec("disk", radius=1.0), 0.1),
+    (DomainSpec("disk", radius=0.7, center=(0.3, -0.2)), 0.05),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1),
+    (DomainSpec("annulus", r_inner=1.0, r_outer=2.0, center=(-0.4, 0.25)),
+     0.07)])
 def test_polar_grid_matches_ring_loops(spec, h):
     g = build_grid(spec, h)
     _assert_grid_equal(g, _reference_polar(g))
@@ -387,7 +427,7 @@ _EDGE_GAMMAS = ["full", {"edges": ["bottom"]}, {"edges": ["right"]},
     (((0.0, 0.0), (1.3, 0.85)), 0.1),
     (((-0.5, 0.2), (0.4, 1.9)), 0.07)])
 def test_rectangle_grid_and_charts_match_loops(corners, h):
-    spec = DomainSpec.rectangle(*corners)
+    spec = DomainSpec("rectangle", corners=corners)
     g = build_grid(spec, h)
     assert g.spacings[0] != g.spacings[1]
     _assert_grid_equal(g, _reference_block(g))
@@ -405,8 +445,9 @@ def test_rectangle_grid_and_charts_match_loops(corners, h):
 
 
 def test_masked_union_chart_and_area_match_loops():
-    spec = DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
-                                    ((1, 1.5), (1.8, 2.5))])
+    spec = DomainSpec("masked_union",
+                      rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2)),
+                                  ((1, 1.5), (1.8, 2.5))])
     g = build_grid(spec, 0.1)
     chart = boundary_chart(g)
     assert np.array_equal(chart._surface_stiffness().toarray(),
@@ -418,7 +459,7 @@ def test_masked_union_chart_and_area_match_loops():
     (((0, 0, 0), (1.0, 0.85, 1.23)), 0.1),
     (((-0.3, 0.1, 0.0), (0.6, 0.9, 0.85)), 1.0 / 12)])
 def test_box_grid_and_surface_chart_match_loops(corners, h):
-    spec = DomainSpec.box(*corners)
+    spec = DomainSpec("box", corners=corners)
     g = build_grid(spec, h)
     assert len(set(g.spacings)) == 3
     _assert_grid_equal(g, _reference_block(g))
@@ -439,9 +480,10 @@ def test_box_grid_and_surface_chart_match_loops(corners, h):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 8),
-    (DomainSpec.disk(1.0, gamma={"angles": [(0.3, 2.1)]}), 0.1),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)), gamma={"face": "z-"}),
+     1 / 8),
+    (DomainSpec("disk", radius=1.0, gamma={"angles": [(0.3, 2.1)]}), 0.1),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85)),
                           gamma={"edges": ["bottom", "right"]}), 0.1)])
 def test_h_half_gram_cached_per_chart(spec, h):
     chart = boundary_chart(build_grid(spec, h))
@@ -474,12 +516,14 @@ def _rel_err(got, want) -> float:
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 14),
-    (DomainSpec.box((0, 0, 0), (1, 1, 1), gamma={"face": "z-"}), 1 / 21),
-    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)), gamma={"face": "z-"}),
+     1 / 14),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)), gamma={"face": "z-"}),
+     1 / 21),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85)),
                           gamma={"edges": ["bottom", "right"]}), 0.1),
-    (DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
+    (DomainSpec("masked_union", rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2)),
                               ((1, 1.5), (1.8, 2.5))]), 0.1)],
     ids=["cube14", "cube21", "cube8_full", "rectangle", "masked_union"])
 def test_quadrature_gram_matches_dense_modal_gram(spec, h):
@@ -496,7 +540,7 @@ def test_quadrature_gram_matches_dense_modal_gram(spec, h):
 
 def test_quadrature_gram_matches_analytic_gram_on_a_circle():
     chart = boundary_chart(build_grid(
-        DomainSpec.disk(1.0, gamma={"angles": [(0.3, 2.1)]}), 0.05))
+        DomainSpec("disk", radius=1.0, gamma={"angles": [(0.3, 2.1)]}), 0.05))
     ids = chart.positions(chart.gamma_ids())
     L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
@@ -521,8 +565,9 @@ def test_elliptic_functions_match_scipy(n):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
-@pytest.mark.parametrize("spec, h", [(DomainSpec.disk(1.0), 0.05),
-                                     (DomainSpec.annulus(0.5, 2.0), 0.1)])
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec("disk", radius=1.0), 0.05),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1)])
 def test_polar_stiffness_couples_by_arc_length(spec, h):
     chart = boundary_chart(build_grid(spec, h))
     s = chart.weights[0]
@@ -540,10 +585,11 @@ def test_polar_stiffness_couples_by_arc_length(spec, h):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.disk(1.0), 0.01),
-    (DomainSpec.annulus(0.5, 2.0), 0.0477),
-    (DomainSpec.rectangle((0, 0), (1, 1), gamma={"edges": ["bottom"]}), 0.1),
-    (DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2)),
+    (DomainSpec("disk", radius=1.0), 0.01),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.0477),
+    (DomainSpec("rectangle", corners=((0, 0), (1, 1)),
+                gamma={"edges": ["bottom"]}), 0.1),
+    (DomainSpec("masked_union", rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2)),
                               ((1, 1.5), (1.8, 2.5))]), 0.1)],
     ids=["disk_odd", "convex_annulus_even", "square", "masked_union"])
 def test_symbol_gram_matches_modal_gram(spec, h):
@@ -561,7 +607,7 @@ def test_symbol_gram_matches_modal_gram(spec, h):
 
 
 @pytest.mark.parametrize("spec, h", [
-    (DomainSpec.box((0, 0, 0), (1, 1, 1)), 1 / 8),
-    (DomainSpec.rectangle((0, 0), (1.3, 0.85)), 0.1)])
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8),
+    (DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85))), 0.1)])
 def test_symbol_only_on_uniform_closed_curves(spec, h):
     assert boundary_chart(build_grid(spec, h)).symbol() is None

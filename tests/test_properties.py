@@ -42,22 +42,22 @@ _ANGLES = st.one_of(st.just("full"), st.builds(
 
 # disks <= 1,320 nodes, annuli <= 1,391, rectangles <= 625, unions <= 400
 _DOMAINS = {
-    "disk": st.builds(lambda r, h, g: (DomainSpec.disk(r, gamma=g),
+    "disk": st.builds(lambda r, h, g: (DomainSpec("disk", radius=r, gamma=g),
                                        min(h, r / 4)),
                       st.floats(0.8, 1.4), st.floats(0.1, 0.2), _ANGLES),
     "annulus": st.builds(lambda r0, w, h, g: (
-        DomainSpec.annulus(r0, r0 + w, gamma=g), h),
+        DomainSpec("annulus", r_inner=r0, r_outer=r0 + w, gamma=g), h),
         st.floats(0.1, 0.5), st.floats(1.0, 1.2), st.floats(0.1, 0.125),
         _ANGLES),
-    "rectangle": st.builds(lambda nx, ny, g: (DomainSpec.rectangle(
-        (0, 0), (nx * _EIGHTH, ny * _EIGHTH), gamma=g), _EIGHTH),
+    "rectangle": st.builds(lambda nx, ny, g: (DomainSpec("rectangle",
+        corners=((0, 0), (nx * _EIGHTH, ny * _EIGHTH)), gamma=g), _EIGHTH),
         st.integers(8, 24), st.integers(8, 24),
         st.one_of(st.just("full"), st.builds(
             lambda e: {"edges": e},
             st.lists(st.sampled_from(_EDGES), min_size=1, max_size=4,
                      unique=True)))),
     "masked_union": st.builds(
-        lambda rects: (DomainSpec.masked_union(rects), _EIGHTH),
+        lambda rects: (DomainSpec("masked_union", rectangles=rects), _EIGHTH),
         st.sampled_from(_UNIONS)),
 }
 
@@ -91,14 +91,15 @@ def test_symmetric_operator_and_riesz_identity(kind, data, amplitude, v,
 # disks <= 1,552 nodes, annuli <= 1,785, rectangles <= 1,089; the region is
 # a centred ball (an inner annulus on annuli) 4.5 layers inside the chart
 _MAP_DOMAINS = {
-    "disk": st.builds(lambda r, f, g: (DomainSpec.disk(r, gamma=g), f * r),
+    "disk": st.builds(lambda r, f, g: (DomainSpec("disk", radius=r, gamma=g),
+                                       f * r),
                       st.floats(0.8, 1.4), st.floats(0.065, 0.1), _ANGLES),
     "annulus": st.builds(lambda r0, w, h, g: (
-        DomainSpec.annulus(r0, r0 + w, gamma=g), h),
+        DomainSpec("annulus", r_inner=r0, r_outer=r0 + w, gamma=g), h),
         st.floats(0.1, 0.5), st.floats(1.0, 1.2), st.floats(0.09, 0.12),
         _ANGLES),
-    "rectangle": st.builds(lambda nx, ny, g: (DomainSpec.rectangle(
-        (0, 0), (nx / 16, ny / 16), gamma=g), 1 / 16),
+    "rectangle": st.builds(lambda nx, ny, g: (DomainSpec("rectangle",
+        corners=((0, 0), (nx / 16, ny / 16)), gamma=g), 1 / 16),
         st.integers(16, 32), st.integers(16, 32),
         st.one_of(st.just("full"), st.builds(
             lambda e: {"edges": e},
@@ -174,20 +175,21 @@ def test_cost_identity_at_a_forced_alpha(kind, data, amplitude, k_frac, seed,
 # their bar; boxes <= 24^3 nodes
 _CARTESIAN = {
     "rectangle": st.builds(
-        lambda lo, ext, f: (DomainSpec.rectangle(lo, np.add(lo, ext)),
+        lambda lo, ext, f: (DomainSpec("rectangle",
+                                       corners=(lo, np.add(lo, ext))),
                             min(ext) / f),
         st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
         st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
         st.floats(8, 20)),
     "box": st.builds(
-        lambda lo, ext, f: (DomainSpec.box(lo, np.add(lo, ext)),
+        lambda lo, ext, f: (DomainSpec("box", corners=(lo, np.add(lo, ext))),
                             min(ext) / f),
         st.tuples(*[st.floats(-1, 1)] * 3),
         st.tuples(*[st.floats(0.5, 1.0)] * 3), st.floats(8, 11.5)),
     "masked_union": st.builds(
-        lambda rects, o, s, n: (DomainSpec.masked_union(
-            [(np.add(o, np.multiply(s, a)), np.add(o, np.multiply(s, b)))
-             for a, b in rects]), s / n),
+        lambda rects, o, s, n: (DomainSpec("masked_union", rectangles=[
+            (np.add(o, np.multiply(s, a)), np.add(o, np.multiply(s, b)))
+            for a, b in rects]), s / n),
         st.sampled_from(_UNIONS), st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
         st.floats(0.5, 1.0), st.integers(8, 16)),
 }

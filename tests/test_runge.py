@@ -78,7 +78,7 @@ def test_forward_map_rejects_target_near_charted_boundary():
 
 
 def test_forward_map_accepts_target_on_uncharted_boundary():
-    grid = build_grid(DomainSpec.annulus(0.5, 2.0), 0.1)
+    grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1)
     op = assemble(grid, make_medium(grid), 2.0)
     chart = boundary_chart(grid)
     omega1 = annulus_mask(grid, 0.5, 1.0)          # touches the inner circle
@@ -89,7 +89,7 @@ def test_forward_map_accepts_target_on_uncharted_boundary():
 
 
 def test_separation_matches_brute_force():
-    grid = build_grid(DomainSpec.annulus(0.5, 1.0), 0.05)
+    grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=1.0), 0.05)
     mask = ball_mask(grid, (0.1, 0.7), 0.15)
     chart_ids = boundary_chart(grid).node_ids
     for ids in (grid.boundary_index, chart_ids):
@@ -219,7 +219,8 @@ def _off_centre_region():
 
 
 def _cartesian():
-    grid = build_grid(DomainSpec.rectangle((-1, -1), (1, 1)), 0.05)
+    grid = build_grid(DomainSpec("rectangle", corners=((-1, -1), (1, 1))),
+                      0.05)
     op = assemble(grid, make_medium(grid), 3.0)
     return build_forward_map(op, ball_mask(grid, (0, 0), 0.5),
                              boundary_chart(grid))

@@ -19,7 +19,8 @@ from helpers import cube_setup, disk_spectrum
 
 
 def test_rectangle_eigenvalues_with_multiplicity():
-    g = build_grid(DomainSpec.rectangle((0, 0), (np.pi, np.pi)), np.pi / 40)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
+                   np.pi / 40)
     rep = compute_sigma(g, make_medium(g), 8)
     expected = [2, 5, 5, 8, 10, 10, 13, 13]
     assert np.allclose(rep.eigenvalues, expected, atol=0.08)
@@ -30,7 +31,7 @@ def test_disk_ground_state_and_refinement():
     j01_sq = float(mp.besseljzero(0, 1)) ** 2
     errs = []
     for h in (0.06, 0.03):
-        g = build_grid(DomainSpec.disk(1.0), h)
+        g = build_grid(DomainSpec("disk", radius=1.0), h)
         rep = compute_sigma(g, make_medium(g), 4)
         errs.append(abs(rep.eigenvalues[0] - j01_sq))
     assert errs[1] < errs[0]
@@ -38,7 +39,7 @@ def test_disk_ground_state_and_refinement():
 
 
 def test_constant_potential_shifts_exactly():
-    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     base = compute_sigma(g, make_medium(g), 6)
     shifted = compute_sigma(
         g, make_medium(g, v_spec={"profile": "constant", "value": -2.5}), 6)
@@ -61,7 +62,7 @@ def test_admissibility_records():
 
 
 def test_admissible_fraction_of_sweep():
-    grid = build_grid(DomainSpec.disk(1.0), 0.02)
+    grid = build_grid(DomainSpec("disk", radius=1.0), 0.02)
     med = make_medium(grid)
     rep = compute_sigma(grid, med, 110)
     assert rep.eigenvalues[-1] > 2 * 20.0 ** 2 * 0.5  # reaches past 400
@@ -92,7 +93,7 @@ def test_find_admissible_k():
 
 
 def test_spectrum_window_guard():
-    g = build_grid(DomainSpec.disk(1.0), 0.04)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.04)
     med = make_medium(g)
     rep = compute_sigma(g, med, 10, shifts=(150.0,))
     with pytest.raises(SpectrumTooShort):
@@ -100,7 +101,8 @@ def test_spectrum_window_guard():
 
 
 def test_assumption_i_guard():
-    g = build_grid(DomainSpec.rectangle((0, 0), (np.pi, np.pi)), np.pi / 24)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
+                   np.pi / 24)
     base = compute_sigma(g, make_medium(g), 2)
     lam1 = base.eigenvalues[0]
     # V tuned to the discrete ground state makes -Delta - V singular
@@ -111,7 +113,7 @@ def test_assumption_i_guard():
 
 
 def test_pencil_orthogonality():
-    g = build_grid(DomainSpec.disk(1.0), 0.05)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": 0.3}, kappa=1.5)
     rep = compute_sigma(g, med, 8)
@@ -155,7 +157,7 @@ def _assert_matches_general(rep, A, M, count, shifts, rtol=1e-10):
 
 
 def test_window_edge_keeps_every_copy():
-    g = build_grid(DomainSpec.annulus(1.0, 2.0), 0.08)
+    g = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.08)
     med = make_medium(g, q_spec=_QUAD, kappa=2.02)
     rep = compute_sigma(g, med, 10, shifts=(50.0,))
     _assert_windows_complete(rep, *spectral._pencil(g, med))
@@ -166,7 +168,8 @@ def test_shift_invert_window_counts_every_copy(count):
     # on the square (0, pi)^2 the count-th nearest eigenvalue to 0 is one
     # copy of a double (5, 10, 13); its other copy is not returned, so the
     # window must stop short of the pair
-    g = build_grid(DomainSpec.rectangle((0, 0), (np.pi, np.pi)), np.pi / 30)
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
+                   np.pi / 30)
     med = make_medium(g)
     rep = compute_sigma(g, med, count)
     A, M = spectral._pencil(g, med)
@@ -183,11 +186,13 @@ def test_shift_invert_window_counts_every_copy(count):
 
 
 _POLAR_FIXTURES = [
-    (DomainSpec.disk(1.0), 0.05, None, 8, (0.0,)),
-    (DomainSpec.disk(1.0), 0.05, _QUAD, 8, (0.0,)),
-    (DomainSpec.annulus(1.0, 2.0), 0.08, _QUAD, 10, (50.0,)),
-    (DomainSpec.annulus(0.5, 2.0), 0.08, _QUAD, 30, (4.0, 16.0, 64.0)),
-    (DomainSpec.disk(1.0), 0.06, None, 10, (150.0,)),
+    (DomainSpec("disk", radius=1.0), 0.05, None, 8, (0.0,)),
+    (DomainSpec("disk", radius=1.0), 0.05, _QUAD, 8, (0.0,)),
+    (DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.08, _QUAD, 10,
+     (50.0,)),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.08, _QUAD, 30,
+     (4.0, 16.0, 64.0)),
+    (DomainSpec("disk", radius=1.0), 0.06, None, 10, (150.0,)),
 ]
 
 
@@ -226,7 +231,7 @@ def _off_centre_bump_q(g):
                                      "center": [0.3, 0.1], "radius": 0.4}),
 ])
 def test_off_centre_medium_keeps_lanczos(monkeypatch, medium):
-    g = build_grid(DomainSpec.disk(1.0), 0.08)
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.08)
     med = medium(g)
     calls = []
     eigsh = spla.eigsh
@@ -254,8 +259,9 @@ def test_off_centre_medium_keeps_lanczos(monkeypatch, medium):
        shift=st.floats(0.0, 80.0))
 def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
                                       amplitude, v, count, shift):
-    spec = (DomainSpec.annulus(r_inner, r_inner + width) if annulus
-            else DomainSpec.disk(radius))
+    spec = (DomainSpec("annulus", r_inner=r_inner, r_outer=r_inner + width)
+            if annulus
+            else DomainSpec("disk", radius=radius))
     g = build_grid(spec, h)
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": amplitude},

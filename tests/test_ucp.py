@@ -13,10 +13,11 @@ from helmlab.fields import BoundaryTrace, GridField, lp_norm, norm, trace_norm
 from helmlab.geometry import DomainSpec, ball_mask, boundary_chart, build_grid
 from helmlab.modes import mode_field, random_mode_superposition
 from helmlab.profiles import make_medium
-from helmlab.ucp import (boundary_distance, chain_propagate, estimate_exponent,
-                         three_ball_ratio)
+from helmlab.ucp import (ExponentFit, boundary_distance, chain_propagate,
+                         estimate_exponent, three_ball_ratio)
 
-from helpers import (caccioppoli_ratio, disk_grid, disk_setup, margin,
+from helpers import (caccioppoli_ratio, disk_grid, disk_setup,
+                     inradius_reference, level_curve_reference, margin,
                      source_neumann_ratio)
 
 
@@ -42,11 +43,11 @@ def _mode_at_nodes(grid, ell, k, parity, center):
 
 
 @pytest.mark.parametrize("spec,center", [
-    (DomainSpec.disk(1.0), None),
-    (DomainSpec.disk(1.0, center=(0.3, -0.2)), None),
-    (DomainSpec.annulus(0.5, 2.0), (0.0, 0.0)),
-    (DomainSpec.disk(1.0), (0.15, 0.05)),               # off-centre: node path
-    (DomainSpec.rectangle((-1, -1), (1, 1)), (0.0, 0.0)),
+    (DomainSpec("disk", radius=1.0), None),
+    (DomainSpec("disk", radius=1.0, center=(0.3, -0.2)), None),
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), (0.0, 0.0)),
+    (DomainSpec("disk", radius=1.0), (0.15, 0.05)),    # off-centre: node path
+    (DomainSpec("rectangle", corners=((-1, -1), (1, 1))), (0.0, 0.0)),
 ])
 def test_mode_field_per_ring_matches_nodes(spec, center):
     g = build_grid(spec, 0.05)
@@ -210,10 +211,11 @@ def _chain_runs(spec, gammas, eps_list, fit):
 
 def test_chain_matches_scalar_reference(monkeypatch):
     fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
-    runs = (_chain_runs(DomainSpec.disk(1.0), ("full", {"angles": [[0.0, np.pi]]}),
-                        (0.2, 0.1), fit)
-            + _chain_runs(DomainSpec.annulus(0.5, 2.0), ("full",), (0.2, 0.1), fit)
-            + _chain_runs(DomainSpec.rectangle((0, 0), (2, 1)),
+    runs = (_chain_runs(DomainSpec("disk", radius=1.0),
+                        ("full", {"angles": [[0.0, np.pi]]}), (0.2, 0.1), fit)
+            + _chain_runs(DomainSpec("annulus", r_inner=0.5, r_outer=2.0),
+                          ("full",), (0.2, 0.1), fit)
+            + _chain_runs(DomainSpec("rectangle", corners=((0, 0), (2, 1))),
                           ("full", {"edges": ["bottom"]}), (0.1,), fit))
     fast = [chain_propagate(*run, fit) for run in runs]
     monkeypatch.setattr(ucp, "_certify", _certify_reference)
@@ -267,6 +269,40 @@ def test_greedy_cover_matches_full_scan():
     assert got == _greedy_cover_reference(nodes, every, far, r_far, v_far)
 
 
+@pytest.mark.parametrize("spec", [
+    DomainSpec("disk", radius=1.0, center=(0.3, -0.2)),
+    DomainSpec("annulus", r_inner=0.5, r_outer=2.0),
+    DomainSpec("rectangle", corners=((2, 1), (0, 0)))],
+    ids=["disk", "annulus", "rectangle"])
+def test_width_and_level_sets_match_the_shape_references(spec):
+    # the chain's inradius and level sets moved from ucp onto DomainSpec
+    # with their arithmetic: each is bitwise what ucp computed kind by kind,
+    # at every level of a chain down to epsilon = 0.01 and at the inradius
+    grid = build_grid(spec, 0.05)
+    assert spec.width / 2 == inradius_reference(grid)
+    levels = [0.95 * (spec.width / 2)]
+    while levels[-1] > 0.01:
+        levels.append(max(levels[-1] * 0.91, 0.999 * 0.01))
+    for dl in levels + [spec.width / 2]:
+        got, want = spec.level_set(dl), level_curve_reference(grid, dl)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8),
+    (DomainSpec("masked_union",
+                rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2))]), 0.1)],
+    ids=["box", "masked_union"])
+def test_chain_needs_level_sets(spec, h):
+    grid = build_grid(spec, h)
+    op = assemble(grid, make_medium(grid), 1.0)
+    u = GridField(grid, np.ones(grid.n_nodes))
+    fit = ExponentFit(alpha_hat=0.5, intercepts={1.0: 0.0}, n_samples=10)
+    with pytest.raises(GeometryViolation, match="chain supports disk, "
+                                                "annulus, rectangle domains"):
+        chain_propagate(op, boundary_chart(grid), u, 1.0, 10.0, 0.1, fit)
+
+
 def test_chain_zero_data():
     grid, _, op, chart = disk_setup(4.0, h=0.02)
     fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
@@ -291,13 +327,14 @@ def test_boundary_distance_analytic():
     g = disk_grid(0.05)
     d = boundary_distance(g, np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert np.allclose(d, [1.0, 0.5])
-    ga = build_grid(DomainSpec.annulus(0.5, 2.0), 0.1)
+    ga = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1)
     d2 = boundary_distance(ga, np.array([[1.0, 0.0], [1.8, 0.0]]))
     assert np.allclose(d2, [0.5, 0.2])
 
 
 def test_boundary_distance_masked_union():
-    g = build_grid(DomainSpec.masked_union([((0, 0), (2, 1)), ((0, 0), (1, 2))]),
+    g = build_grid(DomainSpec("masked_union",
+                              rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2))]),
                    0.02)
     bnd = g.nodes[g.boundary_index]
     pts = np.vstack([g.nodes,
