@@ -65,15 +65,18 @@ class Medium:
 
     def __post_init__(self):
         if self.kappa <= 1.0:
-            raise HypothesisViolated("kappa must exceed 1")
+            raise HypothesisViolated("medium violates the pinch bounds: "
+                                     "kappa must exceed 1")
         qv = self.q.values
         if np.any(qv < 1.0 / self.kappa - 1e-12) or np.any(qv > self.kappa + 1e-12):
-            raise HypothesisViolated("q escapes [1/kappa, kappa]")
+            raise HypothesisViolated("medium violates the pinch bounds: q "
+                                     "escapes [1/kappa, kappa]")
         if self.monotone_flag:
             dd = radial_derivative(self.q)
             if np.any(dd < -1e-10):
                 raise HypothesisViolated(
-                    f"x . grad q >= 0 fails (min discrete slope {dd.min():.3e})")
+                    f"q is not radially nondecreasing: x . grad q >= 0 fails "
+                    f"(min discrete slope {dd.min():.3e})")
 
     @property
     def grid(self) -> Grid:
@@ -176,24 +179,30 @@ def default_spacing(k_max: float, kappa: float) -> float:
     return 2 * np.pi / (10.0 * 1.1 * k_max * math.sqrt(kappa)) * 0.95
 
 
+def wavelength_rule(grid: Grid, k: float, kappa: float) -> None:
+    """Raise :class:`UnderResolved` unless the grid's largest spacing meets
+    the ten-points-per-wavelength rule h <= 2 pi / (10 k sqrt(kappa))."""
+    h_max = grid.max_spacing()
+    h_allowed = 2.0 * np.pi / (10.0 * k * np.sqrt(kappa))
+    if h_max > h_allowed * (1 + 1e-9):
+        raise UnderResolved(
+            f"spacing {h_max:.4g} exceeds wavelength rule {h_allowed:.4g} at k={k:g}")
+
+
 def assemble(grid: Grid, medium: Medium, k: float,
              spectrum=None) -> DiscreteOperator:
     """Assemble the weighted operator at frequency k >= 1.
 
-    Raises :class:`UnderResolved` unless the spacing satisfies the
-    ten-points-per-wavelength rule h <= 2 pi / (10 k sqrt(kappa)), and, the
-    one resonance guard, :class:`NearResonance` when k^2 is inside the guard
-    band of the ``spectrum`` report (``check_admissibility(guard=True)``).
+    Raises :class:`UnderResolved` unless the spacing meets the
+    :func:`wavelength_rule` at k, and, the one resonance guard,
+    :class:`NearResonance` when k^2 is inside the guard band of the
+    ``spectrum`` report (``check_admissibility(guard=True)``).
     """
     if k < 1.0:
         raise HypothesisViolated("frequency must satisfy k >= 1")
     if medium.grid is not grid:
         raise RegionMismatch("medium sampled on a different grid")
-    h_max = grid.max_spacing()
-    h_allowed = 2.0 * np.pi / (10.0 * k * np.sqrt(medium.kappa))
-    if h_max > h_allowed * (1 + 1e-9):
-        raise UnderResolved(
-            f"spacing {h_max:.4g} exceeds wavelength rule {h_allowed:.4g} at k={k:g}")
+    wavelength_rule(grid, k, medium.kappa)
     if spectrum is not None:
         from .spectral import check_admissibility
         rec = check_admissibility(k, spectrum, guard=True)

@@ -10,8 +10,8 @@ config seed, so a rerun with the same config produces byte-identical files.
 
 Commands:
     lab run <config>        run the experiment (exit 0 ok, 1 compute, 2 config)
-    lab validate <config>   schema and assumption report, no computation
-                            (exit 2 when it finds a problem)
+    lab validate <config>   schema report and the run's own rules on its
+                            grid, no solve (exit 2 when it finds a problem)
     lab sigma <config>      spectrum shortcut for the configured domain/medium
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 # ``solve_dirichlet`` is reached through its module: perfbench/selftest.py
 # counts the bindings of that function across helmlab.
 from . import __version__, assembly
-from .assembly import assemble, default_spacing, radial_derivative
+from .assembly import assemble, default_spacing, wavelength_rule
 from .bessel import check_bessel_inequalities, optimality_lower_bound
 from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
     stability_check
@@ -43,15 +43,12 @@ from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
 from .geometry import LEVEL_SET_KINDS, SHAPE_KEYS, DomainSpec, \
     boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
-from .profiles import make_medium
+from .profiles import make_medium, medium_fields, profile_from_spec
 from .runge import SCENARIOS, aggregate_median, sweep_and_fit, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
     find_admissible_k, weyl_exponent
-from .ucp import boundary_distance, chain_propagate, estimate_exponent, \
+from .ucp import ball_rule, chain_propagate, estimate_exponent, \
     three_ball_ratio
-
-_MEDIUM_KEYS = {"q", "V", "kappa", "monotone"}
-_PROFILE_KEYS = {"profile", "value", "amplitude", "center", "radius"}
 
 # Each experiment's config, stated once: the top-level keys its runner reads
 # and its "params", with their defaults (None: ``domain`` is required, ``h``
@@ -92,6 +89,9 @@ _ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
 # grid pre-checks k; runge_sweep assembles at k moved to an admissible value
 _AT_K = ("solve", "chain", "calderon")
 _ASSEMBLED_AT_K = _AT_K + ("runge_sweep",)
+# experiments whose run grid meets the wavelength rule at each k of
+# ``k_list``, checked before the run; improved_ucp assembles near each
+_RESOLVED_K = _AT_K + ("improved_ucp",)
 # the domain kinds an experiment runs on, where it does not run on every kind
 _KINDS = {"chain": LEVEL_SET_KINDS, "carleman": (DOMAIN_KIND,),
           "improved_ucp": (DOMAIN_KIND,)}
@@ -100,8 +100,8 @@ _KINDS = {"chain": LEVEL_SET_KINDS, "carleman": (DOMAIN_KIND,),
 _MODE_FIELDS = ("three_balls", "chain")
 _FREE_MEDIUM = {"q": {"profile": "constant", "value": 1.0},
                 "V": {"profile": "constant", "value": 0.0}}
-# layers of the coarse validation probe grid across a domain's width, 10
-# where the kind is not listed
+# layers of the coarse grid of the admissibility pre-check across a
+# domain's width, 10 where the kind is not listed
 _PROBE_LAYERS = {"disk": 24.0, "annulus": 12.0}
 
 
@@ -136,7 +136,7 @@ def domain_from_config(dom: dict) -> DomainSpec:
         raise ConfigInvalid(f"unknown domain keys {sorted(unknown)} for a "
                             f"{kind}; valid: {sorted(SHAPE_KEYS[kind])}")
     if isinstance(dom.get("gamma"), list):
-        dom = dict(dom, gamma={"angles": [tuple(p) for p in dom["gamma"]]})
+        dom = dict(dom, gamma={"angles": dom["gamma"]})
     return DomainSpec(**dom)
 
 
@@ -217,34 +217,30 @@ def validate_config(cfg: dict) -> list:
                         f"not on a {spec.kind}")
 
     med = c.get("medium", {})
-    if not isinstance(med, dict) or set(med) - _MEDIUM_KEYS:
-        problems.append("medium section malformed")
-        med = {}
-    for where, prof in (("medium.q", med.get("q")), ("medium.V", med.get("V")),
-                        ("params.perturbation",
-                         c["params"].get("perturbation"))):
-        if prof is not None and (not isinstance(prof, dict)
-                                 or set(prof) - _PROFILE_KEYS):
-            problems.append(f"{where} profile malformed")
+    try:
+        medium_fields(med)
+    except ConfigInvalid as exc:
+        return problems + [str(exc)]
     if "V" in med and exp in ("runge_sweep", "calderon"):
         problems.append(f"{exp} sets no medium.V: it sets the potential")
     if exp in _MODE_FIELDS and any(med.get(key, free) != free
                                    for key, free in _FREE_MEDIUM.items()):
         problems.append(f"{exp} draws solutions of Delta u + k^2 u = 0: "
                         f"medium.q must be 1 and medium.V 0")
+    if exp in ("carleman", "improved_ucp") and not med.get("monotone"):
+        problems.append("experiment requires the radial monotone flag")
 
-    needs_monotone = exp in ("carleman", "improved_ucp")
     if exp == "runge_sweep":
+        # the sweep builds its scenario's own domain and medium
         scenario = c["params"]["scenario"]
         if scenario not in SCENARIOS:
-            problems.append(f"unknown scenario {scenario!r}; valid: "
-                            f"{tuple(SCENARIOS)}")
-            return problems
-        problems.extend(_scenario_report(scenario, spec, med))
-        med = SCENARIOS[scenario].medium     # whatever the config omits
-        needs_monotone = med["monotone"]
+            return problems + [f"unknown scenario {scenario!r}; valid: "
+                               f"{tuple(SCENARIOS)}"]
+        return problems + _scenario_report(scenario, spec, med)
     if spec is not None and not problems:
-        problems.extend(_assumption_report(cfg, spec, med, needs_monotone))
+        problems = _run_report(c, spec)
+    if not problems and exp in _AT_K and spec.dim == 2 and "k_list" in cfg:
+        problems = _precheck(c, spec)
     return problems
 
 
@@ -302,65 +298,68 @@ def _scenario_report(scenario, spec, med) -> list:
     return problems
 
 
-def _assumption_report(cfg, spec, med, needs_monotone) -> list:
-    """Sample the medium on a coarse probe grid and check the pinch bounds
-    (:class:`Medium` rejects q outside [1/kappa, kappa]), monotonicity where
-    required, a quick admissibility pre-check of the frequencies the probe
-    grid resolves where the run assembles at them (:data:`_AT_K`), and that
-    B_4r of each three-balls calibration centre lies in the domain."""
-    problems = []
-    h_probe = _probe_spacing(spec, cfg.get("h"))
+def _problem(check, *args):
+    """The message of the LabError ``check(*args)`` raises, else None."""
     try:
-        grid = build_grid(spec, h_probe)
+        check(*args)
     except LabError as exc:
-        return [f"probe grid: {exc}"]
-    if cfg["experiment"] in ("three_balls", "chain"):
-        r, centers, _ = _calibration(_config(cfg))
-        if any(len(x0) != grid.dim for x0 in centers):
-            return [f"calibration centres must be {grid.dim}D points"]
-        problems = [f"calibration centre {x0}: B_4r exits the domain (depth "
-                    f"{d:g}, needs > {4 * r:g})" for x0, d in zip(
-                        centers, boundary_distance(grid, np.array(centers)))
-                    if d <= 4 * r]
-    try:
-        medium = make_medium(grid, med.get("q"), med.get("V"),
-                             med.get("kappa"), monotone=False)
-    except LabError as exc:
-        return [f"medium violates the pinch bounds: {exc}"]
-    if needs_monotone:
-        if not med.get("monotone", False):
-            problems.append("experiment requires the radial monotone flag")
-        elif np.any(radial_derivative(medium.q) < -1e-10):
-            problems.append("q is not radially nondecreasing")
+        return str(exc)
 
-    # plane domains only: a box is left to the guard at assembly
-    k_list = cfg.get("k_list") or []
-    if k_list and cfg["experiment"] in _AT_K and spec.dim == 2:
+
+def _run_report(c: dict, spec: DomainSpec) -> list:
+    """The run's own rules on the grid and medium of its :func:`_setup`
+    (those of ``build_grid``, ``Medium`` and ``boundary_chart``), the
+    ``ball_rule`` at each calibration centre, the ``wavelength_rule`` at each
+    k of :data:`_RESOLVED_K` and ``calderon``'s perturbation profile."""
+    exp = c["experiment"]
+    r, centers, _ = _calibration(c) if exp in _MODE_FIELDS else (0, [], 0)
+    if any(len(x0) != spec.dim for x0 in centers):
+        return [f"calibration centres must be {spec.dim}D points"]
+    try:
+        grid, medium, k_list, _ = _setup(c)
+        boundary_chart(grid)
+    except LabError as exc:
+        return [str(exc)]
+    grid._chart_cache.clear()    # the chart refers back to the grid: free both
+    problems = [f"calibration centre {x0}: {p}" for x0 in centers
+                if (p := _problem(ball_rule, grid, x0, r))]
+    problems += [p for k in (k_list if exp in _RESOLVED_K else ())
+                 if (p := _problem(wavelength_rule, grid, k, medium.kappa))]
+    if exp == "calderon" and (p := _problem(
+            profile_from_spec, c["params"]["perturbation"], grid.dim)):
+        problems.append(f"params.perturbation: {p}")
+    return problems
+
+
+def _precheck(c: dict, spec: DomainSpec) -> list:
+    """A quick admissibility pre-check of the configured frequencies on a
+    coarse probe grid (:func:`_probe_spacing`), of those it resolves."""
+    med, k_list = c["medium"], c["k_list"]
+    try:
+        grid = build_grid(spec, _probe_spacing(spec, c["h"]))
+        medium = make_medium(grid, med.get("q"), med.get("V"), med.get("kappa"))
+        rep = compute_sigma(grid, medium, 24, shifts=tuple(k * k for k in k_list))
+    except LabError as exc:
+        return [f"spectrum pre-check failed: {exc}"]
+    lam = rep.eigenvalues
+    problems = []
+    for k in k_list:
         try:
-            rep = compute_sigma(grid, medium, 24,
-                                shifts=tuple(float(k) ** 2 for k in k_list))
-            lam = rep.eigenvalues
-            for k in k_list:
-                try:
-                    rec = check_admissibility(float(k), rep)
-                except SpectrumTooShort:
-                    continue
-                # on the coarse probe grid the eigenvalues themselves carry a
-                # discretization displacement; flag anything inside that band.
-                # A band as wide as half the gap around k^2 would flag every
-                # k in the gap: the probe grid does not resolve k, and the
-                # guard on the solve grid decides instead.
-                below, above = lam[lam <= k * k], lam[lam > k * k]
-                if below.size and above.size and rec["continuum_guard"] \
-                        >= 0.5 * (above[0] - below[-1]):
-                    continue
-                slack = max(rec["threshold"], rec["continuum_guard"])
-                if rec["dist"] <= slack:
-                    problems.append(
-                        f"k={k} fails the admissibility margin on the probe "
-                        f"grid (dist {rec['dist']:.3g} <= {slack:.3g})")
-        except LabError as exc:
-            problems.append(f"spectrum pre-check failed: {exc}")
+            rec = check_admissibility(k, rep)
+        except SpectrumTooShort:
+            continue
+        # flag k inside the probe eigenvalues' discretization band, unless
+        # the band covers half the gap around k^2: the probe grid does not
+        # resolve k there, and the guard at assembly decides instead
+        below, above = lam[lam <= k * k], lam[lam > k * k]
+        if below.size and above.size and rec["continuum_guard"] \
+                >= 0.5 * (above[0] - below[-1]):
+            continue
+        slack = max(rec["threshold"], rec["continuum_guard"])
+        if rec["dist"] <= slack:
+            problems.append(f"k={k} fails the admissibility margin on the "
+                            f"probe grid (dist {rec['dist']:.3g} <= "
+                            f"{slack:.3g})")
     return problems
 
 
@@ -436,13 +435,13 @@ def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
 def _setup(c):
     """Grid and medium of a config with its defaults (:func:`_config`).
     Without ``h`` the spacing resolves the largest frequency of ``k_list``."""
-    spec, med, h = domain_from_config(c["domain"]), c["medium"], c["h"]
+    spec, h = domain_from_config(c["domain"]), c["h"]
+    q, v, kappa, monotone = medium_fields(c["medium"])
     if h is None:
-        h = min(default_spacing(max(c["k_list"]), med.get("kappa") or 2.0),
+        h = min(default_spacing(max(c["k_list"]), kappa or 2.0),
                 _probe_spacing(spec, h) * 1.2)
     grid = build_grid(spec, float(h))
-    medium = make_medium(grid, med.get("q"), med.get("V"), med.get("kappa"),
-                         monotone=med.get("monotone", False))
+    medium = make_medium(grid, q, v, kappa, monotone=monotone)
     return grid, medium, c["k_list"], float(h)
 
 
@@ -532,7 +531,7 @@ def _calibration(c) -> tuple:
 def _calibration_triples(grid, c, k_list) -> list:
     """(ell, centre, triple) of each non-degenerate triple of the modes
     ell = 0 .. 2k + margin at each calibration centre, in (k, ell, centre)
-    order; validation has put B_4r of every centre in the domain."""
+    order; validation has checked the ``ball_rule`` at every centre."""
     r, centers, margin = _calibration(c)
     out = []
     for k in k_list:

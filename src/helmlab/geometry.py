@@ -20,6 +20,7 @@ a field to an inner region is an index selection with no interpolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -46,6 +47,63 @@ SHAPE_KEYS = {"disk": ("radius", "center"),
 LEVEL_SET_KINDS = ("disk", "annulus", "rectangle")
 
 
+# The sides of a rectangle and the faces of a box, as gamma names them
+_EDGES = ("bottom", "right", "top", "left")
+_FACES = ("x-", "x+", "y-", "y+", "z-", "z+")
+
+
+def is_number(v) -> bool:
+    """Whether ``v`` is a real number (a bool is none)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def _points(v, n: int, dim: int) -> bool:
+    """Whether ``v`` is a sequence of ``n`` points of ``dim`` numbers each
+    (any positive count where ``n`` is None)."""
+    seq = (list, tuple, np.ndarray)
+    return isinstance(v, seq) and len(v) == (n or len(v)) > 0 and all(
+        isinstance(p, seq) and len(p) == dim and all(map(is_number, p))
+        for p in v)
+
+
+# The form of each shape field on a domain of dimension ``dim``: its test
+# and what it must be
+_FIELD_FORMS = {
+    "radius": (lambda v, dim: is_number(v), "a number"),
+    "r_inner": (lambda v, dim: is_number(v), "a number"),
+    "r_outer": (lambda v, dim: is_number(v), "a number"),
+    "center": (lambda v, dim: _points([v], 1, dim), "a point of {dim} numbers"),
+    "corners": (lambda v, dim: _points(v, 2, dim),
+                "a pair of points of {dim} numbers"),
+    "rectangles": (lambda v, dim: isinstance(v, (list, tuple)) and len(v) > 0
+                   and all(_points(pair, 2, dim) for pair in v),
+                   "a non-empty list of corner pairs of {dim} numbers"),
+}
+
+
+def check_gamma(kind: str, gamma) -> None:
+    """The one statement of the gamma forms: ``"full"`` on every kind,
+    ``{"angles": [(a, b), ...]}`` (open arcs) on a disk or an annulus,
+    ``{"edges": [...]}`` (sides named in :data:`_EDGES`) on a rectangle and
+    ``{"face": "z-"}`` (a name of :data:`_FACES`), optionally with
+    ``"extent": [lo, hi]`` (two points in the face's tangential axes), on a
+    box.  Raises :class:`GeometryViolation` on any other descriptor."""
+    if isinstance(gamma, str) and gamma == "full":
+        return
+    g = gamma if isinstance(gamma, dict) else {}
+    edges = g.get("edges")
+    if not (kind in ("disk", "annulus") and set(g) == {"angles"}
+            and _points(g["angles"], None, 2)
+            or kind == "rectangle" and set(g) == {"edges"}
+            and isinstance(edges, (list, tuple)) and len(edges) > 0
+            and all(e in _EDGES for e in edges)
+            or kind == "box" and set(g) - {"extent"} == {"face"}
+            and g["face"] in _FACES
+            and _points(g.get("extent", ((0, 0), (0, 0))), 2, 2)):
+        raise GeometryViolation(f"bad gamma descriptor for a {kind}: "
+                                f"{gamma!r}")
+
+
 def _ordered(pair) -> tuple:
     """A corner pair as (lo, hi), tuples of floats with lo <= hi per axis."""
     return tuple(tuple(map(float, map(f, *pair))) for f in (min, max))
@@ -58,11 +116,11 @@ class DomainSpec:
 
     ``kind`` is one of ``disk``, ``annulus``, ``rectangle``, ``masked_union``,
     ``box``; it reads the fields of :data:`SHAPE_KEYS` and fixes ``dim``.
-    Sequences become tuples, each corner pair ordered lo <= hi.  ``gamma``
-    describes the sub-boundary used for data supports:
-    ``"full"``, ``{"angles": [(a, b), ...]}`` on circles, ``{"edges": [...]}``
-    on rectangle perimeters, or ``{"face": "z-"}`` (optionally with
-    ``"extent"``) on box surfaces.
+    Each field it reads has the form of :data:`_FIELD_FORMS`, and
+    sequences become tuples, each corner pair ordered lo <= hi.  ``gamma``
+    describes the sub-boundary used for data supports, in a form of its
+    kind (:func:`check_gamma`).  A malformed field raises
+    :class:`GeometryViolation`.
     """
 
     kind: str
@@ -78,6 +136,12 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in SHAPE_KEYS:
             raise GeometryViolation(f"unknown domain kind {self.kind!r}")
+        dim = 3 if self.kind == "box" else 2
+        for key in SHAPE_KEYS[self.kind]:
+            test, noun = _FIELD_FORMS[key]
+            if not test(getattr(self, key), dim):
+                raise GeometryViolation(f"{self.kind} {key} must be "
+                                        f"{noun.format(dim=dim)}")
         if self.kind == "disk" and self.radius <= 0:
             raise GeometryViolation("disk radius must be positive")
         if self.kind == "annulus":
@@ -85,12 +149,9 @@ class DomainSpec:
                 raise GeometryViolation("annulus radii must be positive")
             if self.r_inner >= self.r_outer:
                 raise GeometryViolation("annulus requires r_inner < r_outer")
-        if self.kind in ("rectangle", "box") and len(self.corners) != 2:
-            raise GeometryViolation("rectangle/box needs two corner points")
-        if self.kind == "masked_union" and not self.rectangles:
-            raise GeometryViolation("masked_union needs at least one rectangle")
+        check_gamma(self.kind, self.gamma)
         put = object.__setattr__
-        put(self, "dim", 3 if self.kind == "box" else 2)
+        put(self, "dim", dim)
         put(self, "center", tuple(self.center))
         put(self, "corners", _ordered(self.corners) if self.corners else ())
         put(self, "rectangles", tuple(map(_ordered, self.rectangles)))
@@ -214,12 +275,13 @@ class Grid:
         return float(np.max(self.spacings))
 
     def validate(self) -> None:
+        """Interior and boundary ids partition the nodes (each id counted
+        once over both), and every quadrature weight is positive."""
         n = self.n_nodes
-        both = np.intersect1d(self.interior_index, self.boundary_index)
-        if both.size:
-            raise GeometryViolation("node classified interior and boundary")
-        if self.interior_index.size + self.boundary_index.size != n:
-            raise GeometryViolation("interior/boundary masks do not partition nodes")
+        ids = np.concatenate([self.interior_index, self.boundary_index])
+        if ids.size != n or np.any(np.bincount(ids, minlength=n) != 1):
+            raise GeometryViolation("interior/boundary ids do not partition "
+                                    "the nodes")
         if np.any(self.quad_weights <= 0):
             raise GeometryViolation("non-positive quadrature weight")
 
@@ -684,6 +746,7 @@ def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:
     key = repr(gamma)
     if key in grid._chart_cache:
         return grid._chart_cache[key]
+    check_gamma(grid.spec.kind, gamma)
 
     if grid.topology == "polar":
         chart = _polar_chart(grid, gamma)
@@ -704,14 +767,12 @@ def _polar_chart(grid: Grid, gamma) -> BoundaryChart:
     weights = np.full(n_theta, r_out * grid.dtheta)
     if gamma == "full":
         mask = np.ones(n_theta, dtype=bool)
-    elif isinstance(gamma, dict) and "angles" in gamma:
+    else:
         # one column per arc (a, b), open at both ends
-        a, b = np.asarray(gamma["angles"], dtype=float).reshape(-1, 2).T
+        a, b = np.asarray(gamma["angles"], dtype=float).T
         th = np.mod(grid.thetas[:, None] - a, _TWO_PI)
         mask = np.any((th > 1e-12) & (th < np.mod(b - a, _TWO_PI) - 1e-12),
                       axis=1)
-    else:
-        raise GeometryViolation(f"bad gamma descriptor for circle: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
                          gamma_mask=mask)
 
@@ -723,7 +784,7 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
         ids = np.concatenate([lid[:-1, 0], lid[-1, :-1], lid[:0:-1, -1],
                               lid[0, :0:-1]])
         nx, ny = lid.shape[0] - 1, lid.shape[1] - 1
-        names = np.repeat(["bottom", "right", "top", "left"], [nx, ny, nx, ny])
+        names = np.repeat(_EDGES, [nx, ny, nx, ny])
     else:
         ids, names = _walk_boundary_cycle(grid)
 
@@ -736,13 +797,11 @@ def _perimeter_chart(grid: Grid, gamma) -> BoundaryChart:
 
     if gamma == "full":
         mask = np.ones(ids.size, dtype=bool)
-    elif isinstance(gamma, dict) and "edges" in gamma and names is not None:
+    else:
         mask = np.isin(names, list(gamma["edges"]))
         # relatively open subset: drop the first node of a selected edge
         # when the edge before it is unselected (the two share that corner)
         mask &= np.roll(mask, 1)
-    else:
-        raise GeometryViolation(f"bad gamma descriptor for perimeter: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights,
                          gamma_mask=mask)
 
@@ -802,8 +861,8 @@ def _surface_chart(grid: Grid, gamma) -> BoundaryChart:
 
     if gamma == "full":
         mask = np.ones(ids.size, dtype=bool)
-    elif isinstance(gamma, dict) and "face" in gamma:
-        axis = {"x": 0, "y": 1, "z": 2}[gamma["face"][0]]
+    else:
+        axis = "xyz".index(gamma["face"][0])
         tang = [t for t in range(3) if t != axis]
         # relatively open: drop the face rim
         mask = ((at_lo if gamma["face"].endswith("-") else at_hi)[:, axis]
@@ -812,6 +871,4 @@ def _surface_chart(grid: Grid, gamma) -> BoundaryChart:
             elo, ehi = (np.asarray(v, float) for v in gamma["extent"])
             mask &= np.all((pts[:, tang] > elo - 1e-12)
                            & (pts[:, tang] < ehi + 1e-12), axis=1)
-    else:
-        raise GeometryViolation(f"bad gamma descriptor for box surface: {gamma!r}")
     return BoundaryChart(grid=grid, node_ids=ids, weights=weights, gamma_mask=mask)

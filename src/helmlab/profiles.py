@@ -7,7 +7,12 @@ import numpy as np
 from .assembly import Medium
 from .errors import ConfigInvalid
 from .fields import GridField
-from .geometry import Grid
+from .geometry import Grid, is_number
+
+# The keys of a config medium section (:func:`medium_fields`) and of a
+# profile besides its name (:func:`profile_from_spec`)
+MEDIUM_KEYS = ("q", "V", "kappa", "monotone")
+_PROFILE_KEYS = ("value", "amplitude", "center", "radius")
 
 
 def constant_profile(value: float):
@@ -34,10 +39,20 @@ def bump_profile(amplitude: float, center, radius: float):
     return fn
 
 
-def profile_from_spec(spec: dict):
-    """Profile callable from a config fragment {"profile": name, ...}."""
-    if not isinstance(spec, dict) or "profile" not in spec:
+def profile_from_spec(spec: dict, dim: int):
+    """Profile callable on points of ``dim`` coordinates from a config
+    fragment {"profile": name, ...}: ``value``, ``amplitude`` and
+    ``radius`` are numbers, ``center`` a point of ``dim`` numbers."""
+    if not isinstance(spec, dict) or "profile" not in spec \
+            or set(spec) - {"profile", *_PROFILE_KEYS}:
         raise ConfigInvalid(f"bad profile spec {spec!r}")
+    center = spec.get("center")
+    if not all(is_number(spec[key]) for key in ("value", "amplitude", "radius")
+               if key in spec) or center is not None and not (
+                   isinstance(center, (list, tuple)) and len(center) == dim
+                   and all(map(is_number, center))):
+        raise ConfigInvalid(f"profile {spec!r}: value, amplitude and radius "
+                            f"must be numbers, center a point of {dim}")
     name = spec["profile"]
     if name == "constant":
         return constant_profile(spec.get("value", 0.0))
@@ -52,12 +67,28 @@ def profile_from_spec(spec: dict):
     raise ConfigInvalid(f"unknown profile {name!r}")
 
 
+def medium_fields(med: dict) -> tuple:
+    """(q, V, kappa, monotone) of a config medium section, the arguments of
+    :func:`make_medium`: its keys are :data:`MEDIUM_KEYS`, kappa is a number
+    or absent and the monotone flag a bool (false where absent)."""
+    if not isinstance(med, dict) or set(med) - set(MEDIUM_KEYS):
+        raise ConfigInvalid("medium section malformed")
+    q, v, kappa = med.get("q"), med.get("V"), med.get("kappa")
+    monotone = med.get("monotone", False)
+    if kappa is not None and not is_number(kappa):
+        raise ConfigInvalid(f"medium.kappa {kappa!r} must be a number")
+    if not isinstance(monotone, bool):
+        raise ConfigInvalid(f"medium.monotone {monotone!r} must be true or "
+                            f"false")
+    return q, v, kappa, monotone
+
+
 def make_medium(grid: Grid, q_spec: dict = None, v_spec: dict = None,
                 kappa: float = None, monotone: bool = False) -> Medium:
     q_spec = q_spec or {"profile": "constant", "value": 1.0}
     v_spec = v_spec or {"profile": "constant", "value": 0.0}
-    q_vals = profile_from_spec(q_spec)(grid.nodes)
-    v_vals = profile_from_spec(v_spec)(grid.nodes)
+    q_vals = profile_from_spec(q_spec, grid.dim)(grid.nodes)
+    v_vals = profile_from_spec(v_spec, grid.dim)(grid.nodes)
     if kappa is None:
         qmax = float(np.max(q_vals))
         qmin = float(np.min(q_vals))

@@ -77,18 +77,24 @@ def _triple_norms(u: GridField, x0: np.ndarray, r: float) -> list:
     return [norm(u, "L2", m) for m in _triple_masks(u.grid, x0, r)]
 
 
-def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:
-    """Quadrature norms of a solution over B_{r/2}, B_r, B_{2r} centered at
-    x0; requires B_{4r}(x0) inside the domain and r/2 >= 8 grid layers."""
-    grid = u.grid
-    x0 = np.asarray(x0, float)
-    depth = float(boundary_distance(grid, x0[None, :])[0])
+def ball_rule(grid: Grid, x0, r: float) -> None:
+    """Raise :class:`GeometryViolation` unless B_{4r}(x0) lies inside the
+    domain and r/2 spans at least 8 grid layers: the precondition of
+    :func:`three_ball_ratio`."""
+    depth = float(boundary_distance(grid, np.asarray(x0, float)[None, :])[0])
     if depth <= 4.0 * r:
-        raise GeometryViolation(f"B_4r at {tuple(x0)} exits the domain "
-                                f"(depth {depth:g}, needs > {4 * r:g})")
+        raise GeometryViolation(f"B_4r exits the domain (depth {depth:g}, "
+                                f"needs > {4 * r:g})")
     layer = grid.dr if grid.topology == "polar" else grid.max_spacing()
     if r / 2.0 < 8.0 * layer - 1e-12:
         raise GeometryViolation(f"smallest ball radius {r / 2:g} below 8 layers")
+
+
+def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:
+    """Quadrature norms of a solution over B_{r/2}, B_r, B_{2r} centered at
+    x0, under the :func:`ball_rule`."""
+    x0 = np.asarray(x0, float)
+    ball_rule(u.grid, x0, r)
     nh, nm, nb = _triple_norms(u, x0, r)
     if not (nh <= nm + 1e-14 and nm <= nb + 1e-14):
         raise GeometryViolation("nested ball norms are not monotone")

@@ -37,6 +37,13 @@ maps and probes take an assembled operator and trust its frequency.
 Each domain shape is stated once, on :class:`helmlab.geometry.DomainSpec`:
 ``ucp.py`` and ``cli.py`` never compare a domain kind with a string literal,
 and read the shape's width, depth and level sets from the spec.
+
+Each run-time precondition that validation checks before a run is one
+function of the module that enforces it, named by the run and by
+``cli._run_report`` alone: ``assembly.wavelength_rule``, the only raiser of
+``UnderResolved``, and ``ucp.ball_rule``.  ``cli.py`` names none of their
+ingredients (``max_spacing``, ``dr``, ``pi``) and neither
+``radial_derivative`` nor ``boundary_distance``.
 """
 
 import ast
@@ -357,6 +364,30 @@ def test_ucp_and_cli_never_branch_on_the_domain_kind():
                        "DomainSpec:\n" + "\n".join(stray))
 
 
+def users(target: str) -> list:
+    """``module.name`` of each top-level function or class of
+    ``src/helmlab`` besides ``target`` itself that names ``target``."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        out |= {f"{path.stem}.{top.name}"
+                for top in ast.parse(path.read_text()).body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and top.name != target
+                and any(name == target for name, _ in _references(top))}
+    return sorted(out)
+
+
+def test_each_run_time_precondition_is_stated_once():
+    assert users("wavelength_rule") == ["assembly.assemble",
+                                        "cli._run_report"]
+    assert users("UnderResolved") == ["assembly.wavelength_rule"]
+    assert users("ball_rule") == ["cli._run_report", "ucp.three_ball_ratio"]
+    cli = {name for name, _ in
+           _references(ast.parse((PACKAGE / "cli.py").read_text()))}
+    assert not cli & {"max_spacing", "dr", "pi", "radial_derivative",
+                      "boundary_distance"}
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -370,3 +401,4 @@ if __name__ == "__main__":
     print("\n".join(stray_names("modal", {})))
     print(guard_sites())
     print("\n".join(kind_branches()))
+    print({rule: users(rule) for rule in ("wavelength_rule", "ball_rule")})

@@ -228,7 +228,8 @@ def test_runge_sweep_validates_on_its_scenarios_medium(tmp_path, capsys,
 def test_admissibility_precheck_skips_unresolved_frequencies():
     # the probe grids' eigenvalue error bands at these k^2 cover half the
     # surrounding spectral gap, so the pre-check leaves them to the guard on
-    # the solve grid
+    # the solve grid.  At h = 0.01 the chain's r/2 = 0.08 spans 8 layers; on
+    # its default grid for k = 6 it spans fewer, and the run would fail
     convex = {
         "experiment": "runge_sweep",
         "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 2.0},
@@ -242,7 +243,7 @@ def test_admissibility_precheck_skips_unresolved_frequencies():
         "experiment": "chain",
         "domain": {"kind": "disk", "radius": 1.0, "gamma": [[0.0, PI]]},
         "medium": {"q": {"profile": "constant", "value": 1.0}},
-        "k_list": [6.0],
+        "h": 0.01, "k_list": [6.0],
     }
     assert validate_config(chain) == []
 
@@ -799,21 +800,63 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
     ("spectrum", {"domain": {"kind": "rectangle", "corners": [[0, 0], [2, 1]],
                              "center": [1.0, 0.5]}},
      "domain: unknown domain keys ['center'] for a rectangle; valid: "
-     "['corners']")],
+     "['corners']"),
+    ("spectrum", {"domain": {"kind": "rectangle", "corners": [[0, 0], [1, 0.3]]},
+                  "h": 0.05}, "width 0.3 spans fewer than 8 layers at h=0.05"),
+    ("solve", {"domain": _DISK, "k_list": [10.0]},
+     "spacing 0.09973 exceeds wavelength rule 0.0628 at k=10"),
+    ("improved_ucp", {"h": 0.1, "k_list": [8.0]},
+     "spacing 0.1 exceeds wavelength rule 0.05526 at k=8"),
+    ("solve", {"domain": {**_DISK, "gamma": {"edges": ["bottom"]}}},
+     "domain: bad gamma descriptor for a disk: {'edges': ['bottom']}"),
+    ("solve", {"domain": {**_DISK, "gamma": [1, 2]}},
+     "domain: bad gamma descriptor for a disk: {'angles': [1, 2]}"),
+    ("spectrum", {"domain": {**_DISK, "radius": "x"}},
+     "domain: disk radius must be a number"),
+    ("spectrum", {"domain": {"kind": "masked_union", "rectangles": [[[0, 0]]]}},
+     "domain: masked_union rectangles must be a non-empty list of corner "
+     "pairs of 2 numbers"),
+    ("spectrum", {"domain": {**_DISK, "center": "ab"}},
+     "domain: disk center must be a point of 2 numbers"),
+    ("spectrum", {"domain": {"kind": "rectangle",
+                             "corners": [[0, 0, 0], [1, 1, 1]]}},
+     "domain: rectangle corners must be a pair of points of 2 numbers"),
+    ("calderon", {"domain": {"kind": "box", "corners": [[0, 0, 0], [1, 1, 1]],
+                             "gamma": {"face": "w-"}}},
+     "domain: bad gamma descriptor for a box: {'face': 'w-'}"),
+    ("spectrum", {"medium": {"kappa": "x"}}, "medium.kappa 'x' must be a number"),
+    ("spectrum", {"medium": {"q": {"profile": "constant", "value": "x"}}},
+     "profile {'profile': 'constant', 'value': 'x'}: value, amplitude and "
+     "radius must be numbers, center a point of 2"),
+    ("carleman", {"medium": {**_MONOTONE, "monotone": "no"}},
+     "medium.monotone 'no' must be true or false"),
+    ("calderon", {"params": {"amplitudes": [1.0],
+                             "perturbation": {"center": [0.5, 0.5]}}},
+     "params.perturbation: profile {'profile': 'bump', 'center': [0.5, 0.5], "
+     "'radius': 0.25}: value, amplitude and radius must be numbers, center "
+     "a point of 3")],
     ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
          "chain_eps", "runge_eps", "runge_params_eps", "calderon_V",
          "carleman_rectangle", "improved_ucp_disk", "chain_union",
          "three_balls_q", "three_balls_V", "chain_q", "disk_corners",
-         "rectangle_center"])
+         "rectangle_center", "thin_rectangle", "solve_wavelength",
+         "improved_ucp_wavelength", "disk_edges", "flat_arcs", "radius_type",
+         "rectangles_type", "center_type", "rectangle_3d", "box_face",
+         "kappa_type", "q_value_type", "monotone_type",
+         "perturbation_centre"])
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
                                                    change, problem):
     # each once validated, then failed the run with exit 1 (k < 1 at
     # assembly, a negative epsilon as "smallest ball radius below 8
     # layers", V as "support touches the grid hull", chain on a masked
-    # union), died with a traceback (carleman on a rectangle), or wrote
-    # what the config did not ask for: runge_sweep filed the negative
-    # epsilon under dropped cells, improved_ucp on a disk a header-only CSV,
-    # three_balls the triples of q = 1, and a disk ignored its corners
+    # union, a grid too coarse for the width or the wavelength, edges on a
+    # circle), died with a traceback in the run (carleman on a rectangle,
+    # an unknown box face, a 2D perturbation centre on a box) or in
+    # validation (a value of the wrong type), or wrote what the config did
+    # not ask for: runge_sweep filed the negative epsilon under dropped
+    # cells, improved_ucp on a disk a header-only CSV, three_balls the
+    # triples of q = 1, a disk ignored its corners, a rectangle with 3D
+    # corners a box's spectrum, and carleman ran "monotone": "no" as true
     cfg = dict(_VALID[exp], **change)
     assert validate_config(cfg) == [problem]
     path = _write(tmp_path, "bad.json", cfg)
@@ -829,6 +872,10 @@ def test_spectrum_and_three_balls_take_a_frequency_below_1():
         assert validate_config(dict(_VALID[exp], k_list=[0.5])) == []
 
 
+_UNDER_8_LAYERS = ("calibration centre [0.0, 0.0]: smallest ball radius 0.08 "
+                   "below 8 layers")
+
+
 @pytest.mark.parametrize("cfg, problem", [
     (dict(_VALID["three_balls"], params={"centers": [[0.0, 0.0],
                                                      [0.5, 0.0]]}),
@@ -839,12 +886,20 @@ def test_spectrum_and_three_balls_take_a_frequency_below_1():
      "calibration centre [0.0, 0.0]: B_4r exits the domain (depth 0, "
      "needs > 0.64)"),
     (dict(_VALID["three_balls"], params={"centers": [[0.0, 0.0, 0.0]]}),
-     "calibration centres must be 2D points")],
-    ids=["three_balls_disk", "chain_rectangle", "dimension"])
+     "calibration centres must be 2D points"),
+    ({"experiment": "three_balls", "domain": _DISK, "k_list": [2.0]},
+     _UNDER_8_LAYERS),
+    (dict(_VALID["three_balls"], h=0.05), _UNDER_8_LAYERS),
+    (dict(_VALID["chain"], h=0.03, k_list=[4.0]), _UNDER_8_LAYERS),
+    (dict(_VALID["chain"], h=0.02, k_list=[6.0]), _UNDER_8_LAYERS)],
+    ids=["three_balls_disk", "chain_rectangle", "dimension",
+         "three_balls_default_h", "three_balls_h", "chain_h_k4",
+         "chain_h_k6"])
 def test_calibration_centres_inside_the_domain(tmp_path, capsys, cfg,
                                                problem):
     # three_balls once dropped such a centre without a word, and chain
-    # failed its run with "B_4r at (0, 0) exits the domain"
+    # failed its run with "B_4r at (0, 0) exits the domain"; where r/2
+    # spans fewer than 8 layers of the run's grid both failed their runs
     assert problem in validate_config(cfg)
     path = _write(tmp_path, "centres.json", cfg)
     assert main(["validate", str(path)]) == 2

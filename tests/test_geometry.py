@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,52 @@ def test_domain_spec_invariants():
         DomainSpec("disk", radius=-1.0)
     with pytest.raises(GeometryViolation):
         DomainSpec("annulus", r_inner=2.0, r_outer=1.0)
+    # each field the kind reads has its form: once a TypeError, or a
+    # rectangle built as a box
+    for kind, field in (("disk", {"radius": "x"}),
+                        ("disk", {"radius": 1.0, "center": (0.0, True)}),
+                        ("annulus", {"r_inner": 1, "r_outer": [2]}),
+                        ("rectangle", {"corners": ((0, 0, 0), (1, 1, 1))}),
+                        ("box", {"corners": ((0, 0, 0),)}),
+                        ("masked_union", {"rectangles": [((0, 0),)]})):
+        with pytest.raises(GeometryViolation, match=f"{kind} .* must be"):
+            DomainSpec(kind, **field)
+
+
+@pytest.mark.parametrize("spec, gamma", [
+    (DomainSpec("disk", radius=1.0), {"edges": ["bottom"]}),
+    (DomainSpec("annulus", r_inner=1.0, r_outer=2.0), {"angles": [0.0, 1.0]}),
+    (DomainSpec("rectangle", corners=((0, 0), (1, 1))), {"edges": ["front"]}),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), {"face": "w-"}),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))),
+     {"face": "z-", "extent": [0.2, 0.8]}),
+    (DomainSpec("masked_union", rectangles=[((0, 0), (1, 1))]),
+     {"edges": ["bottom"]})],
+    ids=["disk_edges", "flat_arc", "rectangle_side", "box_face",
+         "box_extent", "union_edges"])
+def test_spec_and_chart_state_the_gamma_forms_once(spec, gamma):
+    # the spec and the chart reject a descriptor with the same words; each
+    # once built (or failed in the run with a KeyError or an empty gamma)
+    with pytest.raises(GeometryViolation) as at_spec:
+        dataclasses.replace(spec, gamma=gamma)
+    with pytest.raises(GeometryViolation) as at_chart:
+        boundary_chart(build_grid(spec, spec.width / 8), gamma)
+    assert str(at_spec.value) == str(at_chart.value) \
+        == f"bad gamma descriptor for a {spec.kind}: {gamma!r}"
+
+
+def test_grid_partition_counts_each_node_once():
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 8)
+    g.validate()
+    I, B = g.interior_index, g.boundary_index
+    # a node in both sets, a missing node, and a duplicated interior id with
+    # a missing node (which the size check of the intersection test passed)
+    for interior, boundary in ((I, np.append(B, I[0])), (I[1:], B),
+                               (np.append(I[1:], I[2]), B)):
+        bad = dataclasses.replace(g, interior_index=interior,
+                                  boundary_index=boundary)
+        with pytest.raises(GeometryViolation, match="do not partition"):
+            bad.validate()
 
 
 # ---------------------------------------------------------------------------
