@@ -44,7 +44,8 @@ from .geometry import LEVEL_SET_KINDS, SHAPE_KEYS, DomainSpec, \
     boundary_chart, build_grid
 from .modes import mode_field, random_mode_superposition
 from .profiles import make_medium, medium_fields, profile_from_spec
-from .runge import SCENARIOS, aggregate_median, sweep_and_fit, sweep_params
+from .runge import FIT_MIN_CELLS, SCENARIOS, aggregate_median, \
+    sweep_and_fit, sweep_grid, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
     find_admissible_k, weyl_exponent
 from .ucp import ball_rule, chain_propagate, estimate_exponent, \
@@ -90,8 +91,8 @@ _ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
 _AT_K = ("solve", "chain", "calderon")
 _ASSEMBLED_AT_K = _AT_K + ("runge_sweep",)
 # experiments whose run grid meets the wavelength rule at each k of
-# ``k_list``, checked before the run; improved_ucp assembles near each
-_RESOLVED_K = _AT_K + ("improved_ucp",)
+# ``k_list``, checked before the run (improved_ucp, runge_sweep: near each)
+_RESOLVED_K = _AT_K + ("improved_ucp", "runge_sweep")
 # the domain kinds an experiment runs on, where it does not run on every kind
 _KINDS = {"chain": LEVEL_SET_KINDS, "carleman": (DOMAIN_KIND,),
           "improved_ucp": (DOMAIN_KIND,)}
@@ -231,12 +232,7 @@ def validate_config(cfg: dict) -> list:
         problems.append("experiment requires the radial monotone flag")
 
     if exp == "runge_sweep":
-        # the sweep builds its scenario's own domain and medium
-        scenario = c["params"]["scenario"]
-        if scenario not in SCENARIOS:
-            return problems + [f"unknown scenario {scenario!r}; valid: "
-                               f"{tuple(SCENARIOS)}"]
-        return problems + _scenario_report(scenario, spec, med)
+        problems += _sweep_report(c, spec, med)
     if spec is not None and not problems:
         problems = _run_report(c, spec)
     if not problems and exp in _AT_K and spec.dim == 2 and "k_list" in cfg:
@@ -278,10 +274,13 @@ def _value_report(section: dict, exp: str, where: str = "") -> list:
     return problems
 
 
-def _scenario_report(scenario, spec, med) -> list:
+def _sweep_report(c: dict, spec, med) -> list:
     """A runge_sweep runs on the domain and medium of its scenario record
-    (:data:`helmlab.runge.SCENARIOS`): the config may restate them or omit
-    its medium, but not change them."""
+    (:data:`helmlab.runge.SCENARIOS`), which the config may restate but not
+    change, with the ``FIT_MIN_CELLS`` (k, epsilon, seed) cells of a fit."""
+    scenario = c["params"]["scenario"]
+    if scenario not in SCENARIOS:
+        return [f"unknown scenario {scenario!r}; valid: {tuple(SCENARIOS)}"]
     want_spec, want = SCENARIOS[scenario].domain, SCENARIOS[scenario].medium
     problems = []
     if spec is not None and spec != want_spec:
@@ -295,6 +294,11 @@ def _scenario_report(scenario, spec, med) -> list:
         if key in med and med[key] != want[key]:
             problems.append(f"medium.{key} {med[key]!r} is not the {scenario} "
                             f"scenario's; it runs on medium {want}")
+    p = _sweep(c)
+    cells = len(p["k_list"]) * len(p["epsilon_list"]) * len(p["seeds"])
+    if cells < FIT_MIN_CELLS:
+        problems.append(f"the sweep's fit needs {FIT_MIN_CELLS} (k, epsilon, "
+                        f"seed) cells; it has {cells}")
     return problems
 
 
@@ -307,16 +311,22 @@ def _problem(check, *args):
 
 
 def _run_report(c: dict, spec: DomainSpec) -> list:
-    """The run's own rules on the grid and medium of its :func:`_setup`
-    (those of ``build_grid``, ``Medium`` and ``boundary_chart``), the
-    ``ball_rule`` at each calibration centre, the ``wavelength_rule`` at each
-    k of :data:`_RESOLVED_K` and ``calderon``'s perturbation profile."""
+    """The run's own rules on its grid and medium (:func:`_setup`, or a
+    sweep's ``sweep_grid``): those of ``build_grid``, ``Medium`` and
+    ``boundary_chart``, the ``ball_rule`` at each calibration centre, the
+    ``wavelength_rule`` at each k of :data:`_RESOLVED_K` and ``calderon``'s
+    perturbation profile."""
     exp = c["experiment"]
     r, centers, _ = _calibration(c) if exp in _MODE_FIELDS else (0, [], 0)
     if any(len(x0) != spec.dim for x0 in centers):
         return [f"calibration centres must be {spec.dim}D points"]
     try:
-        grid, medium, k_list, _ = _setup(c)
+        if exp == "runge_sweep":
+            p = _sweep(c)
+            grid, medium, _ = sweep_grid(p["scenario"], p)
+            k_list = p["k_list"]
+        else:
+            grid, medium, k_list, _ = _setup(c)
         boundary_chart(grid)
     except LabError as exc:
         return [str(exc)]
@@ -489,35 +499,35 @@ def run_solve(cfg, out: Path) -> list:
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
     u = assembly.solve_dirichlet(assemble(grid, medium, k, spectrum=rep),
                                  g=trace)
-    cols = [f"x{d}" for d in range(grid.dim)] + ["value"]
     rows = [dict({f"x{d}": grid.nodes[i, d] for d in range(grid.dim)},
                  value=u.values[i]) for i in range(grid.n_nodes)]
     return write_artifacts(cfg, out, [
-        ("field.csv", cols, rows),
+        ("field.csv", list(rows[0]), rows),
         ("solve.json", {"l2": norm(u, "L2"), "h1": norm(u, "H1"), "k": k})],
         h=h, k=k, admissibility=check_admissibility(k, rep))
 
 
-def run_runge_sweep(cfg, out: Path) -> list:
-    c = _config(cfg)
+def _sweep(c) -> dict:
+    """The :func:`helmlab.runge.sweep_params` of a runge_sweep config: its
+    ``params`` sweep axes over its top-level ones, and its ``h``."""
     params = dict(c["params"])
     scenario = params.pop("scenario")
     overrides = {key: v for key, v in [*c.items(), *params.items()]
-                 if key in ("k_list", "epsilon_list", "seeds", "h")
-                 and v is not None}
-    fit = sweep_and_fit(scenario, sweep_params(scenario, **overrides))
-    h = fit.records[0]["h"] if fit.records else None
-    cols = ["scenario", "k", "epsilon", "seed", "alpha", "err", "cost",
-            "cost_rel", "v_norm_h1", "v_l2", "admissible_margin", "h",
-            "n_retained", "residue"]
-    key = SCENARIOS[scenario].fit_key
-    n_seeds = len({r["seed"] for r in fit.records}) if fit.records else 0
-    med = aggregate_median(fit.records, by=("k", "epsilon"), key=key,
+                 if key in (*_SWEEP_AXES, "h") and v is not None}
+    return sweep_params(scenario, **overrides)
+
+
+def run_runge_sweep(cfg, out: Path) -> list:
+    params = _sweep(_config(cfg))
+    fit = sweep_and_fit(params["scenario"], params)
+    n_seeds = len({r["seed"] for r in fit.records})
+    med = aggregate_median(fit.records, by=("k", "epsilon"),
+                           key=SCENARIOS[fit.scenario].fit_key,
                            min_count=max(2, n_seeds // 2))
     return write_artifacts(cfg, out, [
-        ("runge_records.csv", cols, fit.records),
+        ("runge_records.csv", list(fit.records[0]), fit.records),
         ("runge_fit.json", {"fit": fit.to_dict(), "medians": med})],
-        h=h, scenario=scenario)
+        h=fit.records[0]["h"], scenario=fit.scenario)
 
 
 def _calibration(c) -> tuple:
@@ -553,8 +563,7 @@ def run_three_balls(cfg, out: Path) -> list:
              "norm_big": t.norm_big} for ell, x0, t in triples]
     fit = estimate_exponent([t for _, _, t in triples])
     return write_artifacts(cfg, out, [
-        ("triples.csv", ["k", "ell", "x0", "x1", "r", "norm_half", "norm_mid",
-                         "norm_big"], rows),
+        ("triples.csv", list(rows[0]), rows),
         ("three_balls_fit.json", {
             "alpha_hat": fit.alpha_hat,
             "log_c": {str(k): v for k, v in sorted(fit.intercepts.items())},
@@ -586,11 +595,8 @@ def run_chain(cfg, out: Path) -> list:
                      "bound_layer": res.bound_layer,
                      "bound_log": res.bound_log,
                      "measured": measured})
-    return write_artifacts(cfg, out, [
-        ("chain.csv", ["epsilon", "n_balls", "n_cover", "bound",
-                       "bound_interior", "bound_layer", "bound_log",
-                       "measured"], rows)],
-        h=h, k=k, alpha_hat=fit.alpha_hat)
+    return write_artifacts(cfg, out, [("chain.csv", list(rows[0]), rows)],
+                           h=h, k=k, alpha_hat=fit.alpha_hat)
 
 
 def run_carleman(cfg, out: Path) -> list:
@@ -678,8 +684,7 @@ def run_bessel_optimality(cfg, out: Path) -> list:
                      "bound_2ell": rec.bound_2ell,
                      "alpha_ell": rec.alpha_ell, "g_l2": rec.g_l2})
     return write_artifacts(cfg, out, [
-        ("optimality.csv", ["ell", "k", "epsilon", "min_boundary_norm",
-                            "bound_2ell", "alpha_ell", "g_l2"], rows),
+        ("optimality.csv", list(rows[0]), rows),
         ("bessel_inequalities.json", check_bessel_inequalities())])
 
 
@@ -710,8 +715,7 @@ def run_calderon(cfg, out: Path) -> list:
                          "lhs": rec.lhs, "identity_rel": ident})
     result = stability_check(records, n=grid.dim)
     return write_artifacts(cfg, out, [
-        ("calderon.csv", ["k", "amplitude", "delta", "lhs", "identity_rel"],
-         rows),
+        ("calderon.csv", list(rows[0]), rows),
         ("calderon_stability.json", {
             "best_C": result["best_C"], "validated": result["validated"],
             "worst_identity_rel": worst_identity, "n_records": len(records)})],

@@ -235,7 +235,6 @@ class Grid:
 
     spec: DomainSpec
     topology: str                       # 'polar' | 'cartesian'
-    h: float                            # target spacing
     nodes: np.ndarray                   # (N, dim)
     interior_index: np.ndarray
     boundary_index: np.ndarray
@@ -330,7 +329,7 @@ def _build_polar(spec: DomainSpec, h: float) -> Grid:
     c_angular = ext / (radii * dtheta)
 
     grid = Grid(
-        spec=spec, topology="polar", h=h, nodes=nodes,
+        spec=spec, topology="polar", nodes=nodes,
         interior_index=lattice_id[~on_boundary].ravel(),
         boundary_index=lattice_id[on_boundary].ravel(),
         quad_weights=weights.ravel(),
@@ -386,7 +385,7 @@ def _build_cartesian_block(spec: DomainSpec, h: float) -> Grid:
         ec.append(face[sl_a].ravel() / spacings[d])
 
     grid = Grid(
-        spec=spec, topology="cartesian", h=h, nodes=nodes,
+        spec=spec, topology="cartesian", nodes=nodes,
         interior_index=lattice_id[inner], boundary_index=lattice_id[~inner],
         quad_weights=reduce(np.multiply, exts).ravel(),
         edges=(np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)),
@@ -460,7 +459,7 @@ def _build_masked_union(spec: DomainSpec, h: float) -> Grid:
         ei.append(a_ids); ej.append(b_ids); ec.append(face / h)
 
     grid = Grid(
-        spec=spec, topology="cartesian", h=h, nodes=nodes,
+        spec=spec, topology="cartesian", nodes=nodes,
         interior_index=np.sort(interior), boundary_index=np.sort(boundary),
         quad_weights=weights,
         edges=(np.concatenate(ei), np.concatenate(ej), np.concatenate(ec)),

@@ -39,8 +39,8 @@ from .assembly import (DiscreteOperator, RingFactor, assemble,
                        default_spacing, mask_dirichlet_ring, mask_flux_pairing,
                        ring_factor, solve_dirichlet, solve_on_mask_multi,
                        verified_solve, weak_neumann_trace, whole_rings)
-from .errors import (GeometryViolation, InsufficientAdmissibleK,
-                     TargetUnreachable)
+from .errors import (DegenerateSamples, GeometryViolation,
+                     InsufficientAdmissibleK, TargetUnreachable)
 from .fields import (BoundaryTrace, GridField, gram_inverse_sqrt, norm,
                      riesz_map)
 from .geometry import (BoundaryChart, DomainSpec, annulus_mask,
@@ -78,10 +78,6 @@ class ForwardMap:
     wx: np.ndarray                  # quadrature weights on omega1 nodes
     factor: object                  # RingFactor or SuperLU of op.L_II
     _A: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    @property
-    def k(self) -> float:
-        return self.op.k
 
     @property
     def per_mode(self) -> bool:
@@ -251,19 +247,10 @@ class RungeApproximant:
     g_alpha: BoundaryTrace
     u_alpha: GridField
     err: float                      # measured ||u_alpha - v|| on the region
-    err_parseval: float             # discarded-mode tail
     cost: float                     # boundary trace norm of g_alpha
     beta: np.ndarray
     residue: float                  # out-of-span component of v
     n_retained: int
-
-
-def expand(system: SvdSystem, v_vals: np.ndarray):
-    beta = system.psi.T @ (system.fmap.wx * v_vals)
-    proj = system.psi @ beta
-    residue = math.sqrt(max(float(np.sum(system.fmap.wx * (v_vals - proj) ** 2)),
-                            0.0))
-    return beta, residue
 
 
 def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
@@ -281,7 +268,9 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
         raise TargetUnreachable("epsilon must be positive", "epsilon")
     fmap = system.fmap
     v_vals = v.values[fmap.omega1_ids]
-    beta, residue = expand(system, v_vals)
+    beta = system.psi.T @ (fmap.wx * v_vals)
+    residue = math.sqrt(max(float(np.sum(
+        fmap.wx * (v_vals - system.psi @ beta) ** 2)), 0.0))
     sv = system.singular_values
 
     tails = np.sqrt(np.cumsum((beta ** 2)[::-1])[::-1])  # tails[j] = ||beta[j:]||
@@ -314,8 +303,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
     diff = u_alpha.values[fmap.omega1_ids] - v_vals
     err = math.sqrt(float(np.sum(fmap.wx * diff ** 2)))
     return RungeApproximant(alpha=float(alpha), g_alpha=g_alpha, u_alpha=u_alpha,
-                            err=err, err_parseval=float(tails[n_keep]),
-                            cost=cost, beta=beta, residue=residue,
+                            err=err, cost=cost, beta=beta, residue=residue,
                             n_retained=n_keep)
 
 
@@ -480,6 +468,8 @@ SCENARIOS = {
         epsilon_list=(0.05,)),
 }
 
+FIT_MIN_CELLS = 3       # sweep cells with a positive fit key that a fit needs
+
 
 def sweep_params(scenario: str, **overrides) -> dict:
     """The sweep axes of a scenario, ``overrides`` over its record's
@@ -491,12 +481,25 @@ def sweep_params(scenario: str, **overrides) -> dict:
             **overrides}
 
 
+def sweep_grid(scenario: str, params: dict) -> tuple:
+    """(grid, medium, h) of a sweep: its scenario's domain and medium at the
+    ``h`` of ``params``, else at the spacing that resolves its largest
+    ``k_list`` target, capped at the scenario's ``h_cap``."""
+    sc = SCENARIOS[scenario]
+    kappa, k_max = sc.medium["kappa"], max(float(k) for k in params["k_list"])
+    h = params.get("h") or min(default_spacing(k_max, kappa), sc.h_cap)
+    grid = build_grid(sc.domain, h)
+    medium = make_medium(grid, q_spec=sc.medium["q"], kappa=kappa,
+                         monotone=sc.medium["monotone"])
+    return grid, medium, h
+
+
 def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     """Run the (epsilon, k) sweep for one scenario and fit its exponents.
 
     The scenario's :data:`SCENARIOS` record fixes all but the sweep axes
     and the optional spacing ``h`` of ``params`` (:func:`sweep_params`).
-    One shared grid (resolved for the largest frequency) carries all cells;
+    One shared grid (:func:`sweep_grid`) carries all cells;
     frequencies are snapped to admissible values near the requested targets
     (kept when the margin is already 3x the threshold, moved to the gap
     midpoint otherwise).  Cells are seeded deterministically and merged in
@@ -508,13 +511,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     p = sweep_params(scenario) if params is None else params
     k_targets = [float(k) for k in p["k_list"]]
     eps_list = [float(e) for e in p["epsilon_list"]]
-    seeds = list(p["seeds"])
 
-    kappa = sc.medium["kappa"]
-    h = p.get("h") or min(default_spacing(max(k_targets), kappa), sc.h_cap)
-    grid = build_grid(sc.domain, h)
-    medium = make_medium(grid, q_spec=sc.medium["q"], kappa=kappa,
-                         monotone=sc.medium["monotone"])
+    grid, medium, h = sweep_grid(scenario, p)
     chart = boundary_chart(grid)
     omega1 = annulus_mask(grid, *sc.target)
     family = annulus_mask(grid, *sc.family)
@@ -544,7 +542,7 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
         basis = MaskSolutionBasis(op, family)
         rec_k = check_admissibility(k, report)
         out = []
-        for seed in seeds:
+        for seed in p["seeds"]:
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), int(round(1000 * k))]))
             v = basis.sample(rng, decay=sc.decay, amplitude=sc.amplitude)
@@ -573,7 +571,6 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     records.sort(key=lambda r: (r["k"], -r["epsilon"], r["seed"]))
 
     fit = fit_records(scenario, records)
-    fit.records = records
     fit.dropped = [{"k": k, "epsilon": eps, "reason": reason,
                     "count": dropped[k, eps, reason]}
                    for k, eps, reason in sorted(
@@ -623,8 +620,8 @@ def fit_records(scenario: str, records: list) -> FitReport:
     """
     key = SCENARIOS[scenario].fit_key
     recs = [r for r in records if r[key] > 0]
-    if len(recs) < 3:
-        raise InsufficientAdmissibleK("too few sweep cells with positive cost")
+    if len(recs) < FIT_MIN_CELLS:
+        raise DegenerateSamples("too few sweep cells with positive cost")
     logc = np.log([r[key] for r in recs])
     eps = np.array([r["epsilon"] for r in recs])
     ks = np.array([r["k"] for r in recs])

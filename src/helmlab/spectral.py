@@ -174,8 +174,8 @@ def _check_invertible(A):
 
 def _shift_invert(A, M, lu, k_req: int, shifts):
     """The ``k_req`` eigenpairs nearest each shift by shift-invert Lanczos
-    (dense below 200 unknowns), merged over shifts, with one complete
-    window per shift (:func:`_complete_window`).
+    (one dense eigensolve for every shift below 200 unknowns), merged over
+    shifts, with one complete window per shift (:func:`_complete_window`).
 
     ARPACK's inverse (A - shift M)^-1 is one :func:`sparse_lu` factor per
     shift: minimum-degree ordering of A^T + A, diagonal pivots kept down to
@@ -184,9 +184,10 @@ def _shift_invert(A, M, lu, k_req: int, shifts):
     n = A.shape[0]
     vals_all, vecs_all, windows = [], [], []
     v0 = np.ones(n)
+    dense = _dense_fallback(A, M) if n < 200 else None
     for shift in shifts:
-        if n < 200:
-            lam, vecs = _dense_fallback(A, M)
+        if dense is not None:
+            lam, vecs = dense
             order = np.argsort(np.abs(lam - shift))[:k_req]
             lam, vecs = lam[order], vecs[:, order]
         else:
@@ -288,8 +289,7 @@ def _residuals(A, M, lam, vecs) -> np.ndarray:
 
 
 def _dense_fallback(A, M):
-    lam, vecs = la.eigh(A.toarray(), M.toarray())
-    return lam, vecs
+    return la.eigh(A.toarray(), M.toarray())
 
 
 def _dedupe_clusters(lam, vecs, M):

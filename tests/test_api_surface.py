@@ -44,6 +44,11 @@ function of the module that enforces it, named by the run and by
 ``UnderResolved``, and ``ucp.ball_rule``.  ``cli.py`` names none of their
 ingredients (``max_spacing``, ``dr``, ``pi``) and neither
 ``radial_derivative`` nor ``boundary_distance``.
+
+A Runge sweep's spacing, grid and medium are stated once, in
+``runge.sweep_grid``: it is the one function of ``runge.py`` that names
+``build_grid``, and the sweep and ``cli._run_report`` alone call it, so
+validation checks a sweep on the grid it runs on.
 """
 
 import ast
@@ -386,6 +391,15 @@ def test_each_run_time_precondition_is_stated_once():
            _references(ast.parse((PACKAGE / "cli.py").read_text()))}
     assert not cli & {"max_spacing", "dr", "pi", "radial_derivative",
                       "boundary_distance"}
+
+
+
+def test_the_sweep_grid_is_stated_once():
+    assert [u for u in users("build_grid") if u.startswith("runge.")] \
+        == ["runge.sweep_grid"]
+    assert users("sweep_grid") == ["cli._run_report", "runge.sweep_and_fit"]
+    assert users("wavelength_rule") == ["assembly.assemble",
+                                        "cli._run_report"]
 
 
 if __name__ == "__main__":

@@ -91,7 +91,8 @@ def test_runge_sweep_accepts_the_sweep_params_keys():
            "domain": {"kind": "disk", "radius": 1.0},
            "medium": {"q": {"profile": "constant", "value": 1.0}},
            "params": {"scenario": "interior", "k_list": [3.2],
-                      "epsilon_list": [0.25], "seeds": [0]}}
+                      "epsilon_list": [2.0 ** -4, 2.0 ** -5, 2.0 ** -6],
+                      "seeds": [0]}}
     assert validate_config(cfg) == []
     cfg["params"]["h"] = 0.05            # a top-level key, not a sweep param
     assert any("unknown params keys ['h']" in p for p in validate_config(cfg))
@@ -684,8 +685,8 @@ _VALID = {
               "medium": _UNIT_Q, "h": 0.1, "k_list": [2.0]},
     "runge_sweep": {"experiment": "runge_sweep", "domain": _DISK,
                     "medium": _UNIT_Q, "h": 0.05, "k_list": [3.2],
-                    "epsilon_list": [0.25], "seeds": [0],
-                    "params": {"scenario": "interior"}},
+                    "epsilon_list": [2.0 ** -4, 2.0 ** -5, 2.0 ** -6],
+                    "seeds": [0], "params": {"scenario": "interior"}},
     "three_balls": {"experiment": "three_balls", "domain": _DISK,
                     "medium": _UNIT_Q, "h": 0.01, "k_list": [2.0]},
 }
@@ -699,6 +700,15 @@ def test_every_experiment_takes_the_keys_its_runner_reads():
         assert validate_config(dict(cfg, seed=3, output_dir="elsewhere")) \
             == [], exp
     assert len(_UNREAD) == 18     # 90 (experiment, key) pairs, 72 accepted
+
+
+@pytest.mark.parametrize("exp", sorted(set(_VALID) - set(_RUNNER_CASES)))
+def test_every_valid_config_runs(tmp_path, exp):
+    # a one-cell runge_sweep once validated, then exited 1: its fit needs
+    # three cells with positive cost
+    path = _write(tmp_path, "valid.json", _VALID[exp])
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert list((tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("exp, key", _UNREAD,
@@ -834,7 +844,12 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
                              "perturbation": {"center": [0.5, 0.5]}}},
      "params.perturbation: profile {'profile': 'bump', 'center': [0.5, 0.5], "
      "'radius': 0.25}: value, amplitude and radius must be numbers, center "
-     "a point of 3")],
+     "a point of 3"),
+    ("runge_sweep", {"h": 0.2},
+     "spacing 0.1963 exceeds wavelength rule 0.1963 at k=3.2"),
+    ("runge_sweep", {"h": 0.3}, "width 2 spans fewer than 8 layers at h=0.3"),
+    ("runge_sweep", {"epsilon_list": [2.0 ** -4]},
+     "the sweep's fit needs 3 (k, epsilon, seed) cells; it has 1")],
     ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
          "chain_eps", "runge_eps", "runge_params_eps", "calderon_V",
          "carleman_rectangle", "improved_ucp_disk", "chain_union",
@@ -843,14 +858,16 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
          "improved_ucp_wavelength", "disk_edges", "flat_arcs", "radius_type",
          "rectangles_type", "center_type", "rectangle_3d", "box_face",
          "kappa_type", "q_value_type", "monotone_type",
-         "perturbation_centre"])
+         "perturbation_centre", "runge_wavelength", "runge_width",
+         "runge_one_cell"])
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
                                                    change, problem):
     # each once validated, then failed the run with exit 1 (k < 1 at
     # assembly, a negative epsilon as "smallest ball radius below 8
     # layers", V as "support touches the grid hull", chain on a masked
     # union, a grid too coarse for the width or the wavelength, edges on a
-    # circle), died with a traceback in the run (carleman on a rectangle,
+    # circle, a runge_sweep too coarse for its k or its width or with fewer
+    # cells than its fit needs), died with a traceback in the run (carleman on a rectangle,
     # an unknown box face, a 2D perturbation centre on a box) or in
     # validation (a value of the wrong type), or wrote what the config did
     # not ask for: runge_sweep filed the negative epsilon under dropped
@@ -862,8 +879,9 @@ def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
     path = _write(tmp_path, "bad.json", cfg)
     assert main(["validate", str(path)]) == 2
     assert f"problem: {problem}" in capsys.readouterr().out.splitlines()
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
+    for command in ("run", "sigma"):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 def test_spectrum_and_three_balls_take_a_frequency_below_1():

@@ -274,6 +274,23 @@ def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
     _assert_windows_complete(rep, A, M)
 
 
+def test_small_pencil_takes_one_dense_eigensolve(monkeypatch):
+    # below 200 unknowns the dense generalized eigh of the whole pencil does
+    # not depend on the shift, so one solve serves every shift
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 11)
+    med = make_medium(g)
+    calls = []
+    real = spectral._dense_fallback
+    monkeypatch.setattr(spectral, "_dense_fallback",
+                        lambda A, M: calls.append(A.shape) or real(A, M))
+    rep = compute_sigma(g, med, 6, shifts=(20.0, 100.0, 200.0))
+    assert calls == [(100, 100)]
+    A, M = spectral._pencil(g, med)
+    dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    assert all(np.min(np.abs(dense - lam)) <= 1e-9 * lam
+               for lam in rep.eigenvalues)
+
+
 def test_shift_zero_reuses_the_invertibility_factor(monkeypatch):
     # A - 0 M is A: the factor of the invertibility check serves ARPACK
     grid, medium, _, _ = cube_setup(8)
