@@ -230,6 +230,11 @@ def validate_config(cfg: dict) -> list:
                         f"medium.q must be 1 and medium.V 0")
     if exp in ("carleman", "improved_ucp") and not med.get("monotone"):
         problems.append("experiment requires the radial monotone flag")
+    if exp == "carleman" and (c["params"]["samples_per_cell"]
+                              + c["params"]["generic_per_cell"] < 1):
+        problems.append("carleman needs a sample per (tau, k) cell: "
+                        "params.samples_per_cell + params.generic_per_cell "
+                        "must be at least 1")
 
     if exp == "runge_sweep":
         problems += _sweep_report(c, spec, med)

@@ -31,6 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EmptyGamma, FeatureUnresolved, GeometryViolation
 
 _TWO_PI = 2.0 * np.pi
+# point pairs per block of a distance scan (512 kB of float64), so that the
+# scan's memory does not grow with the number of points
+PAIR_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +515,30 @@ def annulus_mask(grid: Grid, r_lo: float, r_hi: float) -> np.ndarray:
     return (d >= r_lo - 1e-12) & (d <= r_hi + 1e-12)
 
 
+def nearest_distance(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``points`` to its nearest row of ``sites``:
+    the minimum over the sites of sqrt(sum_i d_i^2), the squares summed in
+    coordinate order, which gives the bits of a KD-tree query.  The exact
+    scan runs over blocks of at most :data:`PAIR_BLOCK` point--site pairs
+    (one point per block where the sites alone exceed it)."""
+    rows = max(1, PAIR_BLOCK // sites.shape[0])
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], rows):
+        block = points[lo:lo + rows]
+        sq = np.zeros((block.shape[0], sites.shape[0]))
+        for i in range(points.shape[1]):
+            d = block[:, i, None] - sites[:, i]
+            sq += d * d
+        out[lo:lo + rows] = np.sqrt(sq.min(axis=1))
+    return out
+
+
 def check_nested_separation(grid: Grid, inner_mask: np.ndarray,
                             min_layers: int = 4,
                             boundary_ids: Optional[np.ndarray] = None) -> float:
     """Distance between an inner mask and a set of boundary nodes (default:
-    the whole boundary).
+    the whole boundary), by the blocked exact scan of
+    :func:`nearest_distance`.
 
     Nested configurations need a strictly positive separation; raises
     :class:`GeometryViolation` when the gap is thinner than ``min_layers``
@@ -526,9 +548,8 @@ def check_nested_separation(grid: Grid, inner_mask: np.ndarray,
         boundary_ids = grid.boundary_index
     if not np.any(inner_mask):
         raise GeometryViolation("empty inner mask")
-    from scipy.spatial import cKDTree
-    dist, _ = cKDTree(grid.nodes[boundary_ids]).query(grid.nodes[inner_mask])
-    sep = float(dist.min())
+    sep = float(nearest_distance(grid.nodes[inner_mask],
+                                 grid.nodes[boundary_ids]).min())
     min_sep = min_layers * grid.max_spacing()
     if sep < min_sep:
         raise GeometryViolation(

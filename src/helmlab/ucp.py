@@ -24,7 +24,8 @@ import numpy as np
 from .assembly import DiscreteOperator
 from .errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from .fields import GridField, norm
-from .geometry import BoundaryChart, Grid, ball_mask
+from .geometry import PAIR_BLOCK, BoundaryChart, Grid, ball_mask, \
+    nearest_distance
 
 
 # ---------------------------------------------------------------------------
@@ -34,14 +35,13 @@ from .geometry import BoundaryChart, Grid, ball_mask
 def boundary_distance(grid: Grid, points: np.ndarray) -> np.ndarray:
     """Distance to the domain boundary: the spec's analytic
     :meth:`~helmlab.geometry.DomainSpec.depth`, and on a masked union the
-    distance to the nearest boundary node."""
+    distance to the nearest boundary node, by the blocked exact scan of
+    :func:`~helmlab.geometry.nearest_distance`."""
     pts = np.atleast_2d(points)
     depth = grid.spec.depth(pts)
     if depth is not None:
         return depth
-    from scipy.spatial import cKDTree
-    dist, _ = cKDTree(grid.nodes[grid.boundary_index]).query(pts)
-    return dist
+    return nearest_distance(pts, grid.nodes[grid.boundary_index])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
 
     starting from the envelope C(k) (M+eta)^(1-alpha) eta^alpha of ``fit``
     at a start ball on the data sub-boundary, over a ball graph built once
-    from one batched KD-tree query over the centers.  The deep nodes are
+    from x-strips of the centers sorted by x.  The deep nodes are
     then covered greedily by certified balls in order of value.  The
     uncovered nodes are kept sorted by x; each ball proposes the live nodes
     of its x-strip and the exact distance test |x - c| <= r decides
@@ -269,22 +269,35 @@ def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,
 
     An edge x -> y exists when the half-ball of y sits inside the ball of x
     and carries the value ``step(m)``; values only degrade along edges, so
-    processing by increasing value is optimal.  The graph is built once: one
-    batched KD-tree query proposes every ball's neighbours, one array test
-    keeps the edges, and each ball's out-edges are a slice of the CSR arrays
+    processing by increasing value is optimal.  The graph is built once.
+    The neighbours ball x proposes are the balls of its x-strip
+    |x_y - x_x| <= r_x, found by bisection in the centers sorted by x; an
+    edge has dist <= r_x - r_y/2 + 1e-12 < r_x, so the strip holds every
+    one.  Blocks of source balls of at most about
+    :data:`~helmlab.geometry.PAIR_BLOCK` candidate pairs take the exact
+    edge test, and each ball's out-edges are a slice of the CSR arrays
     ``indptr`` and ``dst``.  The heap keys (value, index) fix the pop order
     whatever the order of the edges.  Returns each ball's value (inf where
     unreachable) and hop count.
     """
-    from scipy.spatial import cKDTree
     n = centers.shape[0]
-    near = cKDTree(centers).query_ball_point(centers, radii)
-    src = np.repeat(np.arange(n), [len(a) for a in near])
-    dst = np.concatenate(near).astype(np.intp)
-    dist = np.linalg.norm(centers[dst] - centers[src], axis=1)
-    edge = dist + radii[dst] / 2.0 <= radii[src] + 1e-12
-    dst = dst[edge]
-    indptr = np.searchsorted(src[edge], np.arange(n + 1))
+    order = np.argsort(centers[:, 0], kind="stable")
+    xs = centers[order, 0]
+    lo = np.searchsorted(xs, centers[:, 0] - radii, "left")
+    span = np.searchsorted(xs, centers[:, 0] + radii, "right") - lo
+    rows = max(1, PAIR_BLOCK // int(span.max()))
+    edges = []
+    for first in range(0, n, rows):
+        block = np.arange(first, min(first + rows, n))
+        src = np.repeat(block, span[block])
+        start = np.cumsum(span[block]) - span[block]
+        dst = order[np.arange(src.size)
+                    + np.repeat(lo[block] - start, span[block])]
+        dist = np.linalg.norm(centers[dst] - centers[src], axis=1)
+        edge = dist + radii[dst] / 2.0 <= radii[src] + 1e-12
+        edges.append((src[edge], dst[edge]))
+    src, dst = map(np.concatenate, zip(*edges))
+    indptr = np.searchsorted(src, np.arange(n + 1))
     value = np.full(n, np.inf)
     value[seed] = m0
     hops = np.zeros(n, dtype=int)

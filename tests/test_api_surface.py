@@ -49,6 +49,12 @@ A Runge sweep's spacing, grid and medium are stated once, in
 ``runge.sweep_grid``: it is the one function of ``runge.py`` that names
 ``build_grid``, and the sweep and ``cli._run_report`` alone call it, so
 validation checks a sweep on the grid it runs on.
+
+No module under ``src/helmlab`` imports ``scipy.spatial``: each ``lab
+run`` is a fresh interpreter and would pay the import, and nearest
+distances and ball neighbours are blocked exact scans
+(``geometry.nearest_distance``, ``ucp._certify``).  Tests may keep
+``cKDTree`` as an oracle.
 """
 
 import ast
@@ -402,6 +408,31 @@ def test_the_sweep_grid_is_stated_once():
                                         "cli._run_report"]
 
 
+def spatial_imports() -> list:
+    """``file:line`` of each import of ``scipy.spatial`` or a module under
+    it in ``src/helmlab``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.spatial" or n.startswith("scipy.spatial.")
+                   for n in names):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_module_imports_scipy_spatial():
+    stray = spatial_imports()
+    assert not stray, (f"{len(stray)} imports of scipy.spatial in src:\n"
+                       + "\n".join(stray))
+
+
 if __name__ == "__main__":
     every, unpassed = audit()
     print(len(every), "defaulted;", len(unpassed), "never passed")
@@ -416,3 +447,4 @@ if __name__ == "__main__":
     print(guard_sites())
     print("\n".join(kind_branches()))
     print({rule: users(rule) for rule in ("wavelength_rule", "ball_rule")})
+    print("\n".join(spatial_imports()))

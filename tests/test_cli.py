@@ -849,7 +849,11 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
      "spacing 0.1963 exceeds wavelength rule 0.1963 at k=3.2"),
     ("runge_sweep", {"h": 0.3}, "width 2 spans fewer than 8 layers at h=0.3"),
     ("runge_sweep", {"epsilon_list": [2.0 ** -4]},
-     "the sweep's fit needs 3 (k, epsilon, seed) cells; it has 1")],
+     "the sweep's fit needs 3 (k, epsilon, seed) cells; it has 1"),
+    ("carleman", {"params": {"tau_list": [10, 20], "samples_per_cell": 0,
+                             "generic_per_cell": 0}},
+     "carleman needs a sample per (tau, k) cell: params.samples_per_cell + "
+     "params.generic_per_cell must be at least 1")],
     ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
          "chain_eps", "runge_eps", "runge_params_eps", "calderon_V",
          "carleman_rectangle", "improved_ucp_disk", "chain_union",
@@ -859,7 +863,7 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
          "rectangles_type", "center_type", "rectangle_3d", "box_face",
          "kappa_type", "q_value_type", "monotone_type",
          "perturbation_centre", "runge_wavelength", "runge_width",
-         "runge_one_cell"])
+         "runge_one_cell", "carleman_no_samples"])
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
                                                    change, problem):
     # each once validated, then failed the run with exit 1 (k < 1 at
@@ -867,9 +871,10 @@ def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
     # layers", V as "support touches the grid hull", chain on a masked
     # union, a grid too coarse for the width or the wavelength, edges on a
     # circle, a runge_sweep too coarse for its k or its width or with fewer
-    # cells than its fit needs), died with a traceback in the run (carleman on a rectangle,
-    # an unknown box face, a 2D perturbation centre on a box) or in
-    # validation (a value of the wrong type), or wrote what the config did
+    # cells than its fit needs), died with a traceback in the run
+    # (carleman on a rectangle or with no sample per cell, an unknown box
+    # face, a 2D perturbation centre on a box) or in validation (a value
+    # of the wrong type), or wrote what the config did
     # not ask for: runge_sweep filed the negative epsilon under dropped
     # cells, improved_ucp on a disk a header-only CSV, three_balls the
     # triples of q = 1, a disk ignored its corners, a rectangle with 3D

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import ellipj, ellipk
 
 from helmlab.errors import EmptyGamma, FeatureUnresolved, GeometryViolation
 from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
                               _sqrt_pencil_block, ball_mask, boundary_chart,
                               build_grid, check_nested_separation,
-                              mask_connected)
+                              mask_connected, nearest_distance)
 
 from helpers import domain_area, modal, modal_h_half_gram
 
@@ -113,6 +114,17 @@ def test_nested_separation_guard():
         check_nested_separation(g, ball_mask(g, (0, 0), 0.95))
     sep = check_nested_separation(g, ball_mask(g, (0, 0), 0.5))
     assert 0.4 < sep < 0.55
+
+
+@pytest.mark.parametrize("dim, n_sites", [(2, 300), (3, 300), (2, 70000)],
+                         ids=["2d", "3d", "one_point_per_block"])
+def test_nearest_distance_has_the_kd_tree_bits(dim, n_sites):
+    # 300 sites take 218 points a block: 1000 points end in a short block
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-3.0, 3.0, (1000 if n_sites < 1000 else 5, dim))
+    sites = rng.uniform(-2.0, 2.0, (n_sites, dim))
+    want, _ = cKDTree(sites).query(pts)
+    assert nearest_distance(pts, sites).tobytes() == want.tobytes()
 
 
 def test_ball_mask_radii_rows():

@@ -89,16 +89,25 @@ def test_forward_map_accepts_target_on_uncharted_boundary():
 
 
 def test_separation_matches_brute_force():
+    # the annulus chart is the outer circle alone; the box's is its surface
+    for spec, h, center in (
+            (DomainSpec("annulus", r_inner=0.5, r_outer=1.0), 0.05,
+             (0.1, 0.7)),
+            (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8,
+             (0.4, 0.5, 0.3))):
+        grid = build_grid(spec, h)
+        mask = ball_mask(grid, center, 0.15)
+        chart_ids = boundary_chart(grid).node_ids
+        for ids in (grid.boundary_index, chart_ids):
+            brute = np.min(np.linalg.norm(grid.nodes[mask][:, None, :]
+                                          - grid.nodes[ids][None, :, :],
+                                          axis=2))
+            sep = check_nested_separation(grid, mask, 0, boundary_ids=ids)
+            assert abs(sep - brute) <= 1e-14
     grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=1.0), 0.05)
     mask = ball_mask(grid, (0.1, 0.7), 0.15)
-    chart_ids = boundary_chart(grid).node_ids
-    for ids in (grid.boundary_index, chart_ids):
-        brute = np.min(np.linalg.norm(grid.nodes[mask][:, None, :]
-                                      - grid.nodes[ids][None, :, :], axis=2))
-        sep = check_nested_separation(grid, mask, 0, boundary_ids=ids)
-        assert abs(sep - brute) <= 1e-14
-    assert check_nested_separation(grid, mask, 0) < \
-        check_nested_separation(grid, mask, 0, boundary_ids=chart_ids)
+    assert check_nested_separation(grid, mask, 0) < check_nested_separation(
+        grid, mask, 0, boundary_ids=boundary_chart(grid).node_ids)
 
 
 def test_svd_identities():

@@ -238,6 +238,32 @@ def test_certify_keeps_a_half_ball_touching_the_sphere():
     assert hops.tolist() == [0, 1, 0]
 
 
+def _strip_cases():
+    rng = np.random.default_rng(2)
+    # 60 balls on 5 x values: the sorted x hold long runs of ties
+    tied = np.column_stack([rng.integers(0, 5, 60) * 0.1,
+                            rng.uniform(-0.5, 0.5, 60)])
+    # neighbours at |dx| = r_0 exactly, reached through the 1e-12 slack
+    edge = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.5, 0.5]])
+    return [(tied, rng.uniform(0.05, 0.3, 60), 4),
+            (edge, np.array([0.5, 1e-12, 1e-12, 0.5]), 1),
+            (np.array([[0.3, -0.1]]), np.array([0.2]), 1)]
+
+
+@pytest.mark.parametrize("centers, radii, n_seed", _strip_cases(),
+                         ids=["tied_x", "strip_edge", "one_ball"])
+def test_certify_strip_matches_kd_tree_reference(centers, radii, n_seed):
+    # every edge of the ball graph lies in its source's x-strip
+    seed = np.arange(radii.size) < n_seed
+    got = ucp._certify(centers, radii, seed, 1.0, lambda m: 2.0 * m)
+    want = _certify_reference(centers, radii, seed, 1.0, lambda m: 2.0 * m)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    if radii.size == 60:
+        assert got[1].max() > 1 and np.isinf(got[0]).sum() < 60 - n_seed
+    if radii.size == 4:
+        assert got[0].tolist() == [1.0, 2.0, 2.0, np.inf]
+
+
 def test_greedy_cover_matches_full_scan():
     g = disk_grid(0.02)
     nodes = g.nodes
