@@ -12,6 +12,12 @@ quadrature; f defaults to the full discrete residual (Delta + k^2 q) u, and a
 caller's divergence-mode splitting routes part of the data through the F^j
 weights (``divergence_splitting`` in ``tests/helpers.py`` builds one).
 
+Both sample families are ring x angle products: each factor depends on the
+radius alone or on the angle alone, so it is evaluated on ``grid.radii`` or
+``grid.thetas`` and the field is their outer product, raveled ring-major
+like the nodes of a polar grid.  The node-wise formulas they reproduce bit
+for bit are the references in ``tests/helpers.py``.
+
 The improved-continuation probe manufactures high-degree solutions on the
 annulus with small outer Cauchy data and records the quantities entering the
 logarithmic and polynomial (in k^3 eta / M) envelopes.
@@ -29,7 +35,7 @@ from .assembly import (DiscreteOperator, Medium, solve_dirichlet, stiffness,
                        weak_neumann_trace)
 from .errors import GeometryViolation, HypothesisViolated, SupportViolation
 from .fields import GridField, functional_norm, masked_gradient, norm
-from .geometry import Grid, annulus_mask
+from .geometry import Grid, annulus_mask, node_radius
 
 # smallest weight exponent tau of the Carleman estimate
 TAU0 = 10.0
@@ -84,24 +90,34 @@ def apply_principal(grid: Grid, medium: Medium, k: float,
     return (-(K @ values) + w * (k * k * medium.q.values) * values) / w
 
 
+def _require_annulus(grid: Grid) -> None:
+    if grid.spec.kind != DOMAIN_KIND:
+        raise GeometryViolation(f"requires an {DOMAIN_KIND} domain, not "
+                                f"{grid.spec.kind}")
+
+
 def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
                    f: Optional[GridField] = None,
                    F: Optional[tuple] = None) -> CarlemanSample:
     """Evaluate both sides of the weighted inequality for one sample.
 
     Default mode computes f = (Delta + k^2 q) u by direct differencing with
-    F = 0; passing (f, F) uses the caller's splitting (the identity
-    f + div F = (Delta + k^2 q) u is the caller's responsibility).  Requires
-    the monotone flag and tau >= ``TAU0``.
+    F = 0; passing f, or (f, F), uses the caller's splitting (the identity
+    f + div F = (Delta + k^2 q) u is the caller's responsibility), and F
+    without f is :class:`HypothesisViolated`.  Requires an annulus, the
+    monotone flag and tau >= ``TAU0``.
     """
+    grid = u.grid
+    _require_annulus(grid)
     if not medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
     if tau < TAU0:
         raise HypothesisViolated(f"tau={tau:g} below tau0={TAU0:g}")
-    grid = u.grid
+    if f is None and F is not None:
+        raise HypothesisViolated("a divergence splitting needs f with F")
     check_support(u)
 
-    r = np.linalg.norm(grid.nodes - np.asarray(grid.spec.center), axis=1)
+    r = node_radius(grid)
     ephi = np.exp(tau * np.log(r))
     q = medium.q.values
 
@@ -112,30 +128,26 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     lhs2 = _weighted_l2(grid, ephi * r * grad_mag)
     lhs3 = math.sqrt(tau) * k * _weighted_l2(grid, np.sqrt(q) * r * ephi * u.values)
 
-    if f is None:
-        fv = apply_principal(grid, medium, k, u.values)
-        Fx = Fy = np.zeros(grid.n_nodes)
-        div_mode = False
-    else:
-        fv = f.values
-        Fx, Fy = (c.values for c in F) if F is not None else (np.zeros(grid.n_nodes),) * 2
-        div_mode = F is not None
+    fv = apply_principal(grid, medium, k, u.values) if f is None else f.values
     rhs1 = _weighted_l2(grid, ephi * r ** 2 * fv)
-    rhs2 = max(tau, k) * (_weighted_l2(grid, ephi * r * Fx)
-                          + _weighted_l2(grid, ephi * r * Fy))
+    rhs2 = 0.0
+    if F is not None:
+        Fx, Fy = (c.values for c in F)
+        rhs2 = max(tau, k) * (_weighted_l2(grid, ephi * r * Fx)
+                              + _weighted_l2(grid, ephi * r * Fy))
     lhs = lhs1 + lhs2 + lhs3
     rhs = rhs1 + rhs2
     ratio = lhs / rhs if rhs > 0 else 0.0
     return CarlemanSample(tau=tau, k=k, lhs_terms=(lhs1, lhs2, lhs3),
                           rhs_terms=(rhs1, rhs2), ratio=ratio,
-                          divergence_mode=div_mode)
+                          divergence_mode=F is not None)
 
 
-def _radial_bump(grid: Grid, mid: float, halfwidth: float) -> np.ndarray:
-    n_r, n_t = grid.lattice_shape
-    r = np.repeat(grid.radii, n_t)
-    s = np.zeros(grid.n_nodes)
-    t = (r - mid) / halfwidth
+def _radial_bump(radii: np.ndarray, mid: float, halfwidth: float) -> np.ndarray:
+    """exp(1 - 1/(1 - t^2)) with t = (r - mid) / halfwidth on |t| < 1, and 0
+    elsewhere, at each ring radius."""
+    s = np.zeros(radii.size)
+    t = (radii - mid) / halfwidth
     inside = np.abs(t) < 1.0
     s[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
     return s
@@ -143,22 +155,23 @@ def _radial_bump(grid: Grid, mid: float, halfwidth: float) -> np.ndarray:
 
 def random_compact_sample(grid: Grid, rng: np.random.Generator) -> GridField:
     """Smooth random field with exact compact support inside the annulus,
-    three rings clear of either circle."""
-    r_in, r_out = grid.radii[0], grid.radii[-1]
+    three rings clear of either circle: s(r) (c1 cos m theta + c2 sin m
+    theta) (1 + sin(omega r + phase) / 2), s a bump in r."""
+    _require_annulus(grid)
+    r = grid.radii
+    r_in, r_out = r[0], r[-1]
     pad = 3 * grid.dr
     a = r_in + pad + rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
     b = r_out - pad - rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
-    n_r, n_t = grid.lattice_shape
-    r = np.repeat(grid.radii, n_t)
-    th = np.tile(grid.thetas, n_r)
-    s = _radial_bump(grid, 0.5 * (a + b), 0.5 * (b - a))
+    th = grid.thetas
+    s = _radial_bump(r, 0.5 * (a + b), 0.5 * (b - a))
     m = int(rng.integers(0, 9))
     c1, c2 = rng.standard_normal(2)
     omega = rng.uniform(0.0, 12.0)
     phase = rng.uniform(0.0, 2 * np.pi)
-    vals = s * (c1 * np.cos(m * th) + c2 * np.sin(m * th)) \
-        * (1.0 + 0.5 * np.sin(omega * r + phase))
-    return GridField(grid, vals)
+    ang = c1 * np.cos(m * th) + c2 * np.sin(m * th)
+    rad = 1.0 + 0.5 * np.sin(omega * r + phase)
+    return GridField(grid, (s[:, None] * ang * rad[:, None]).ravel())
 
 
 def adapted_compact_sample(grid: Grid, medium: Medium,
@@ -173,25 +186,24 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
     double, so the uniformity scan draws most samples from this family.
     The support stays three rings clear of either circle.
     """
-    r_in, r_out = grid.radii[0], grid.radii[-1]
+    _require_annulus(grid)
+    r = grid.radii
+    r_in, r_out = r[0], r[-1]
     pad = 3 * grid.dr
     a, b = r_in + pad, r_out - pad
     mid = rng.uniform(a + 0.25 * (b - a), b - 0.25 * (b - a))
     halfwidth = min(mid - a, b - mid) * rng.uniform(0.5, 1.0)
-    n_r, n_t = grid.lattice_shape
-    r = np.repeat(grid.radii, n_t)
-    th = np.tile(grid.thetas, n_r)
-    s = _radial_bump(grid, mid, halfwidth)
+    s = _radial_bump(r, mid, halfwidth)
 
-    ring = np.argmin(np.abs(grid.radii - mid))
+    ring = np.argmin(np.abs(r - mid))
     q_mid = float(medium.q.values[grid.lattice_id[ring, 0]])
     m_star = math.sqrt(tau * tau + k * k * q_mid * mid * mid)
-    m = min(int(round(m_star * rng.uniform(0.85, 1.05))), n_t // 3)
+    m = min(int(round(m_star * rng.uniform(0.85, 1.05))), grid.thetas.size // 3)
     omega = math.sqrt(max(tau * tau + k * k * q_mid * mid * mid - m * m, 0.0))
     amp = np.exp(-tau * (np.log(r) - math.log(mid)))
-    vals = amp * s * np.cos(omega * np.log(r) + rng.uniform(0, 2 * np.pi)) \
-        * np.cos(m * th + rng.uniform(0, 2 * np.pi))
-    return GridField(grid, vals)
+    rad = amp * s * np.cos(omega * np.log(r) + rng.uniform(0, 2 * np.pi))
+    ang = np.cos(m * grid.thetas + rng.uniform(0, 2 * np.pi))
+    return GridField(grid, (rad[:, None] * ang).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +236,7 @@ def improved_ucp_probe(op: DiscreteOperator, delta: float,
     assembled (:func:`~helmlab.assembly.assemble`).
     """
     grid, k = op.grid, op.k
-    if grid.spec.kind != DOMAIN_KIND:
-        raise GeometryViolation(f"probe requires an {DOMAIN_KIND} domain")
+    _require_annulus(grid)
     if not op.medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
 

@@ -78,6 +78,53 @@ class GridField:
 # Norms
 # ---------------------------------------------------------------------------
 
+def _shifted(a: np.ndarray, axis: int, periodic: bool) -> list:
+    """``a[i+s]`` for s = 0, 1, -1, 2, -2 along ``axis``, zero off the
+    lattice edge or wrapped where ``periodic``; views in lattice order, so
+    differences of them ravel without a copy."""
+    n = a.shape[axis]
+    pad = [(2, 2) if i == axis else (0, 0) for i in range(a.ndim)]
+    p = np.pad(a, pad, mode="wrap" if periodic else "constant")
+    return [p[(slice(None),) * axis + (slice(2 + s, 2 + s + n),)]
+            for s in (0, 1, -1, 2, -2)]
+
+
+def _gradient_plan(grid: Grid, region: np.ndarray) -> tuple:
+    """What :func:`masked_gradient` reads of the region alone, built once
+    per grid and region and held read-only on the grid: the node ->
+    lattice map, the lattice index of each region node, and per axis its
+    step, whether it wraps, the lattice sites off a centred stencil and the
+    run ends of each one-sided stencil."""
+    key = region.tobytes()
+    if key in grid._gradient_plans:
+        return grid._gradient_plans[key]
+    shape = grid.lattice_shape
+    ok = grid.lattice_id >= 0
+    pos = np.empty(grid.n_nodes, dtype=int)         # node id -> lattice index
+    pos[grid.lattice_id[ok]] = np.flatnonzero(ok)
+    m = np.zeros(ok.size, dtype=bool)
+    m[pos] = region
+    m = m.reshape(shape)
+    polar = grid.topology == "polar"
+    axes = []
+    for axis, h in enumerate((grid.dr, grid.dtheta) if polar else grid.spacings):
+        periodic = polar and axis == 1
+        m0, mp1, mm1, mp2, mm2 = _shifted(m, axis, periodic)
+        fwd, bwd = m0 & mp1 & ~mm1, m0 & mm1 & ~mp1
+        off = ~(m0 & mp1 & mm1)
+        # forward and backward ends of runs of three or more, then of two
+        ends = [np.nonzero(e) for e in (fwd & mp2, bwd & mm2,
+                                        fwd & ~mp2, bwd & ~mm2)]
+        for a in [off, *(i for e in ends for i in e)]:
+            a.flags.writeable = False
+        axes.append((h, periodic, off, ends))
+    at = pos[region]
+    for a in (pos, at):
+        a.flags.writeable = False
+    plan = grid._gradient_plans[key] = (pos, at, tuple(axes))
+    return plan
+
+
 def masked_gradient(grid: Grid, values: np.ndarray, region: np.ndarray):
     """Componentwise gradient restricted to a region mask.
 
@@ -97,44 +144,27 @@ def masked_gradient(grid: Grid, values: np.ndarray, region: np.ndarray):
     The theta axis of a polar grid is periodic, so its runs wrap around and
     a full ring is centred everywhere.  Runs end at the lattice edge and at
     holes: region gaps, and lattice sites a masked union leaves out.  Values
-    off the region are never read.
+    off the region are never read.  Where the runs lie depends on the region
+    alone, and is read from the grid's plan for it (:func:`_gradient_plan`).
     """
-    shape = grid.lattice_shape
-    ok = grid.lattice_id >= 0
-    pos = np.empty(grid.n_nodes, dtype=int)         # node id -> lattice index
-    pos[grid.lattice_id[ok]] = np.flatnonzero(ok)
-    m = np.zeros(ok.size, dtype=bool)
-    v = np.zeros(ok.size, dtype=values.dtype)
-    m[pos] = region
-    v[pos[region]] = values[region]
-    m, v = m.reshape(shape), v.reshape(shape)
-    polar = grid.topology == "polar"
+    pos, at, axes = _gradient_plan(grid, region)
+    v = np.zeros(grid.lattice_id.size, dtype=values.dtype)
+    v[at] = values[region]
+    v = v.reshape(grid.lattice_shape)
     comps = []
-    for axis, h in enumerate((grid.dr, grid.dtheta) if polar else grid.spacings):
-        periodic = polar and axis == 1
-        pad = [(2, 2) if i == axis else (0, 0) for i in range(len(shape))]
-
-        def shifted(a):
-            """``a[i+s]`` for s = 0, 1, -1, 2, -2 along the axis; views in
-            lattice order, so differences of them ravel without a copy."""
-            p = np.pad(a, pad, mode="wrap" if periodic else "constant")
-            return [p[(slice(None),) * axis + (slice(2 + s, 2 + s + shape[axis]),)]
-                    for s in (0, 1, -1, 2, -2)]
-
-        v0, vp1, vm1, vp2, vm2 = shifted(v)
-        m0, mp1, mm1, mp2, mm2 = shifted(m)
+    for axis, (h, periodic, off, ends) in enumerate(axes):
+        v0, vp1, vm1, vp2, vm2 = _shifted(v, axis, periodic)
         # centred differences inside runs, then the few run ends in place
-        fwd, bwd = m0 & mp1 & ~mm1, m0 & mm1 & ~mp1
         d = vp1 - vm1
         d /= 2 * h
-        d[~(m0 & mp1 & mm1)] = 0
-        e = fwd & mp2
+        d[off] = 0
+        e = ends[0]
         d[e] = (-3 * v0[e] + 4 * vp1[e] - vp2[e]) / (2 * h)
-        e = bwd & mm2
+        e = ends[1]
         d[e] = (3 * v0[e] - 4 * vm1[e] + vm2[e]) / (2 * h)
-        e = fwd & ~mp2
+        e = ends[2]
         d[e] = (vp1[e] - v0[e]) / h
-        e = bwd & ~mm2
+        e = ends[3]
         d[e] = (v0[e] - vm1[e]) / h
         if periodic:
             d /= grid.radii[:, None]

@@ -232,8 +232,10 @@ class Grid:
     ``quad_weights`` are midpoint-cell measures, halved at boundary nodes.
     A grid holds what is built from it once: its boundary charts, one per
     gamma descriptor, its read-only flux stiffness
-    (:func:`helmlab.assembly.stiffness`) and the read-only three-ball masks
-    of each centre and radius (:func:`helmlab.ucp.three_ball_ratio`).
+    (:func:`helmlab.assembly.stiffness`), the read-only three-ball masks
+    of each centre and radius (:func:`helmlab.ucp.three_ball_ratio`), its
+    read-only node radius (:func:`node_radius`) and the read-only gradient
+    plan of each region (:func:`helmlab.fields.masked_gradient`).
     """
 
     spec: DomainSpec
@@ -256,6 +258,8 @@ class Grid:
     _chart_cache: dict = field(default_factory=dict, repr=False)
     _stiffness: object = field(default=None, repr=False)   # CSR K, built once
     _ball_masks: dict = field(default_factory=dict, repr=False)  # by (x0, r)
+    _node_radius: object = field(default=None, repr=False)  # |x - c|, once
+    _gradient_plans: dict = field(default_factory=dict, repr=False)  # by region
 
     @property
     def n_nodes(self) -> int:
@@ -507,11 +511,21 @@ def ball_mask(grid: Grid, center, radius) -> np.ndarray:
     return d <= np.asarray(radius, dtype=float)[..., None] + 1e-12
 
 
+def node_radius(grid: Grid) -> np.ndarray:
+    """|x - c| at every node, c the domain centre of a polar grid and the
+    origin of a cartesian one; computed once per grid and held read-only on
+    it."""
+    if grid._node_radius is None:
+        c = grid.spec.center if grid.topology == "polar" else np.zeros(grid.dim)
+        r = np.linalg.norm(grid.nodes - np.asarray(c, dtype=float), axis=1)
+        r.flags.writeable = False
+        grid._node_radius = r
+    return grid._node_radius
+
+
 def annulus_mask(grid: Grid, r_lo: float, r_hi: float) -> np.ndarray:
-    """Nodes with r_lo <= |x - c| <= r_hi, c the domain centre of a polar
-    grid and the origin of a cartesian one."""
-    c = grid.spec.center if grid.topology == "polar" else np.zeros(grid.dim)
-    d = np.linalg.norm(grid.nodes - np.asarray(c, dtype=float), axis=1)
+    """Nodes with r_lo <= |x - c| <= r_hi, c as in :func:`node_radius`."""
+    d = node_radius(grid)
     return (d >= r_lo - 1e-12) & (d <= r_hi + 1e-12)
 
 

@@ -400,3 +400,60 @@ def commutator_min(medium: Medium, tau: float, k: float) -> float:
     r = grid.radii[:-1][:, None]
     quantity = 2.0 * (1.0 + tau) * k * k * r ** 2 * (2.0 * q[:-1] + r * rd)
     return float(quantity.min())
+
+
+def _radial_bump_reference(grid: Grid, mid: float, halfwidth: float) -> np.ndarray:
+    n_r, n_t = grid.lattice_shape
+    r = np.repeat(grid.radii, n_t)
+    s = np.zeros(grid.n_nodes)
+    t = (r - mid) / halfwidth
+    inside = np.abs(t) < 1.0
+    s[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return s
+
+
+def random_compact_sample_reference(grid: Grid,
+                                    rng: np.random.Generator) -> GridField:
+    """``carleman.random_compact_sample`` evaluated node by node, with the
+    same draws from ``rng`` in the same order."""
+    r_in, r_out = grid.radii[0], grid.radii[-1]
+    pad = 3 * grid.dr
+    a = r_in + pad + rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
+    b = r_out - pad - rng.uniform(0.0, 0.25 * (r_out - r_in - 2 * pad))
+    n_r, n_t = grid.lattice_shape
+    r = np.repeat(grid.radii, n_t)
+    th = np.tile(grid.thetas, n_r)
+    s = _radial_bump_reference(grid, 0.5 * (a + b), 0.5 * (b - a))
+    m = int(rng.integers(0, 9))
+    c1, c2 = rng.standard_normal(2)
+    omega = rng.uniform(0.0, 12.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
+    vals = s * (c1 * np.cos(m * th) + c2 * np.sin(m * th)) \
+        * (1.0 + 0.5 * np.sin(omega * r + phase))
+    return GridField(grid, vals)
+
+
+def adapted_compact_sample_reference(grid: Grid, medium: Medium,
+                                     rng: np.random.Generator, tau: float,
+                                     k: float) -> GridField:
+    """``carleman.adapted_compact_sample`` evaluated node by node, with the
+    same draws from ``rng`` in the same order."""
+    r_in, r_out = grid.radii[0], grid.radii[-1]
+    pad = 3 * grid.dr
+    a, b = r_in + pad, r_out - pad
+    mid = rng.uniform(a + 0.25 * (b - a), b - 0.25 * (b - a))
+    halfwidth = min(mid - a, b - mid) * rng.uniform(0.5, 1.0)
+    n_r, n_t = grid.lattice_shape
+    r = np.repeat(grid.radii, n_t)
+    th = np.tile(grid.thetas, n_r)
+    s = _radial_bump_reference(grid, mid, halfwidth)
+
+    ring = np.argmin(np.abs(grid.radii - mid))
+    q_mid = float(medium.q.values[grid.lattice_id[ring, 0]])
+    m_star = math.sqrt(tau * tau + k * k * q_mid * mid * mid)
+    m = min(int(round(m_star * rng.uniform(0.85, 1.05))), n_t // 3)
+    omega = math.sqrt(max(tau * tau + k * k * q_mid * mid * mid - m * m, 0.0))
+    amp = np.exp(-tau * (np.log(r) - math.log(mid)))
+    vals = amp * s * np.cos(omega * np.log(r) + rng.uniform(0, 2 * np.pi)) \
+        * np.cos(m * th + rng.uniform(0, 2 * np.pi))
+    return GridField(grid, vals)

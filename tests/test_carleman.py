@@ -8,14 +8,16 @@ from helmlab import assembly
 from helmlab.assembly import assemble
 from helmlab.carleman import (adapted_compact_sample, carleman_check,
                               improved_ucp_probe, random_compact_sample)
-from helmlab.errors import HypothesisViolated, SolverBreakdown, SupportViolation
+from helmlab.errors import (GeometryViolation, HypothesisViolated,
+                            SolverBreakdown, SupportViolation)
 from helmlab.fields import GridField
 from helmlab.geometry import DomainSpec, build_grid
 from helmlab.profiles import make_medium
 from helmlab.spectral import compute_sigma, find_admissible_k
 
-from helpers import (annulus_setup, commutator_min, divergence_splitting,
-                     fit_line)
+from helpers import (adapted_compact_sample_reference, annulus_setup,
+                     commutator_min, divergence_splitting, fit_line,
+                     random_compact_sample_reference)
 
 
 def _grid_medium(h=0.02):
@@ -47,6 +49,47 @@ def test_divergence_mode():
     assert s.divergence_mode
     assert 0.0 < s.ratio < 1.0
     assert s.rhs_terms[1] > 0.0      # the max(tau, k)-weighted part is active
+
+
+def test_divergence_mode_needs_f_with_F():
+    # F alone used to be dropped, giving the default-mode ratio
+    grid, med = _grid_medium()
+    u = random_compact_sample(grid, np.random.default_rng(1))
+    _, F = divergence_splitting(grid, med, 5.0, u)
+    with pytest.raises(HypothesisViolated):
+        carleman_check(u, med, 5.0, 20.0, F=F)
+
+
+def test_samples_and_checks_need_an_annulus():
+    grid = build_grid(DomainSpec("disk", radius=2.0), 0.05)
+    med = make_medium(grid, q_spec={"profile": "radial_quadratic",
+                                    "amplitude": 0.25}, monotone=True)
+    rng = np.random.default_rng(0)
+    with pytest.raises(GeometryViolation):
+        adapted_compact_sample(grid, med, rng, 20.0, 2.0)
+    with pytest.raises(GeometryViolation):
+        random_compact_sample(grid, rng)
+    u = GridField(grid, np.zeros(grid.n_nodes))
+    with pytest.raises(GeometryViolation):
+        carleman_check(u, med, 2.0, 20.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+def test_samples_match_node_wise_reference(seed):
+    # ring x angle products keep each node's bits and each draw from rng
+    grid, med = annulus_setup(0.02)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for tau in (10.0, 80.0):
+        for k in (1.0, 32.0):
+            for _ in range(2):
+                got = adapted_compact_sample(grid, med, rng, tau, k)
+                want = adapted_compact_sample_reference(grid, med, ref, tau, k)
+                assert np.array_equal(got.values, want.values)
+                assert rng.bit_generator.state == ref.bit_generator.state
+            got = random_compact_sample(grid, rng)
+            want = random_compact_sample_reference(grid, ref)
+            assert np.array_equal(got.values, want.values)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_divergence_splitting_checks_its_poisson_solve(monkeypatch):

@@ -326,6 +326,34 @@ def test_masked_gradient_matches_line_loop(kind, data, density, seed):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("spec,h", [
+    (DomainSpec("annulus", r_inner=0.5, r_outer=1.5), 0.1),
+    (DomainSpec("masked_union", rectangles=_UNIONS[1]), _EIGHTH)])
+def test_gradient_plan_is_kept_per_region(spec, h):
+    # regions A, B, A again, then A changed in place: each call answers for
+    # the region it is given, and the grid keeps one read-only plan a region
+    g = build_grid(spec, h)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(g.n_nodes)
+    a = rng.random(g.n_nodes) < 0.7
+    b = rng.random(g.n_nodes) < 0.4
+    for region, n_plans in ((a, 1), (b, 2), (a, 2)):
+        got = masked_gradient(g, values, region)
+        want = _reference_gradient(g, values, region)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert len(g._gradient_plans) == n_plans
+    a[: g.n_nodes // 2] = ~a[: g.n_nodes // 2]
+    got = masked_gradient(g, values, a)
+    want = _reference_gradient(g, values, a)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert len(g._gradient_plans) == 3
+    for pos, at, axes in g._gradient_plans.values():
+        held = [pos, at]
+        for _, _, off, ends in axes:
+            held += [off, *(i for e in ends for i in e)]
+        assert not any(x.flags.writeable for x in held)
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_box_gradient_of_each_coordinate(axis):
     g = build_grid(DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 0.1)

@@ -10,7 +10,7 @@ from helmlab.errors import EmptyGamma, FeatureUnresolved, GeometryViolation
 from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
                               _sqrt_pencil_block, ball_mask, boundary_chart,
                               build_grid, check_nested_separation,
-                              mask_connected, nearest_distance)
+                              mask_connected, nearest_distance, node_radius)
 
 from helpers import domain_area, modal, modal_h_half_gram
 
@@ -34,6 +34,19 @@ def test_annulus_gamma_full_outer_circle():
     # the inner circle is boundary but not charted
     rb = np.linalg.norm(g.nodes[g.boundary_index], axis=1)
     assert np.isclose(rb.min(), 0.5)
+
+
+@pytest.mark.parametrize("spec,c", [
+    (DomainSpec("annulus", r_inner=0.5, r_outer=2.0, center=(0.3, -1)),
+     (0.3, -1.0)),
+    (DomainSpec("rectangle", corners=((-1, 0), (1, 2))), (0.0, 0.0))])
+def test_node_radius_is_held_once(spec, c):
+    # measured from the centre of a polar grid and the origin of a
+    # cartesian one, with the bits of a fresh norm
+    g = build_grid(spec, 0.1)
+    r = node_radius(g)
+    assert r is node_radius(g) and not r.flags.writeable
+    assert np.array_equal(r, np.linalg.norm(g.nodes - np.asarray(c), axis=1))
 
 
 def test_rectangle_interior_count():
