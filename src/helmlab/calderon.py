@@ -61,14 +61,15 @@ def dtn_map(op: DiscreteOperator) -> DtnMatrix:
 
 
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
-    """Operator norm of the difference, supported trace norm -> its dual."""
+    """Operator norm of the difference, supported trace norm -> its dual:
+    the 2-norm of the symmetric part, its largest eigenvalue modulus."""
     if a.op.grid is not b.op.grid or a.k != b.k \
             or not np.array_equal(a.gamma_ids, b.gamma_ids):
         raise ContextMismatch("maps built on different grids, k, or gamma")
     G_half_inv = gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv
-    return float(np.linalg.norm(0.5 * (M + M.T), 2))
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
 
 
 # ---------------------------------------------------------------------------

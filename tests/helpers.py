@@ -7,18 +7,20 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helmlab.assembly import (DiscreteOperator, Medium, assemble,
-                              radial_derivative, solve_dirichlet, stiffness,
-                              verified_solve, weak_neumann_trace)
+                              radial_derivative, solve_dirichlet, sparse_lu,
+                              stiffness, verified_solve, weak_neumann_trace)
 from helmlab.bessel import bessel_j
 from helmlab.carleman import _collar_mask, apply_principal
 from helmlab.errors import GeometryViolation
 from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
                             functional_norm, masked_gradient, norm)
-from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, annulus_mask,
-                              ball_mask, boundary_chart, build_grid)
+from helmlab.geometry import (BoundaryChart, DomainSpec, Grid, _ellipj,
+                              _pencil_bound, annulus_mask, ball_mask,
+                              boundary_chart, build_grid)
 from helmlab.profiles import make_medium
 from helmlab.runge import build_forward_map, svd
 from helmlab.spectral import compute_sigma
@@ -165,6 +167,28 @@ def modal_h_half_gram(chart: BoundaryChart, ids: np.ndarray,
     G = WE @ ((1.0 + lam)[:, None] ** 0.5 * WE.T)
     G = 0.5 * (G + G.T)
     return G[np.ix_(ids, ids)]
+
+
+def sqrt_pencil_block_reference(L, w: np.ndarray,
+                                ids: np.ndarray) -> np.ndarray:
+    """The rational quadrature of ``geometry._sqrt_pencil_block`` on the
+    whole chart: at each shift one factor of B + sigma W on every chart node
+    and one solve of all ``ids`` columns of W there, then B[ids] times the
+    sum (the path the block took before its Schur complement onto
+    ``ids``)."""
+    M = _pencil_bound(L, w)
+    N = math.ceil((math.log(M) + 3.0) * math.log(1e15) / (2.0 * math.pi ** 2))
+    sn, cn, dn, Kp = _ellipj((np.arange(N) + 0.5) / N, 1.0 - 1.0 / M)
+    W = sp.diags(w, format="csr")
+    B = W + L
+    rhs = np.zeros((w.size, ids.size))
+    rhs[ids, np.arange(ids.size)] = w[ids]
+    S = np.zeros_like(rhs)
+    for sigma, a in zip((sn / cn) ** 2, dn / cn ** 2):
+        A = (B + sigma * W).tocsc()
+        S += a * verified_solve(A, sparse_lu(A), rhs)
+    G = (2.0 * Kp / (math.pi * N)) * (B[ids] @ S)
+    return 0.5 * (G + G.T)
 
 
 # Modal references for the trace norms of ``helmlab.fields``: sums over the

@@ -168,6 +168,34 @@ def test_gram_inverse_sqrt_cached_per_chart_block():
     for amp in (0.5, 2.0):
         d2 = dtn_map(assemble(grid, _perturbed(grid, amp), 1.0))
         M = ref @ (d1.matrix - d2.matrix) @ ref
-        want = float(np.linalg.norm(0.5 * (M + M.T), 2))
+        want = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
         assert dtn_distance(d1, d2) == want
     assert gram_inverse_sqrt(chart, ids) is X
+
+
+def test_distance_eigenvalue_modulus_matches_svd_norm(tmp_path, monkeypatch):
+    # the symmetric part's largest eigenvalue modulus is its 2-norm: on the
+    # maps of a small calderon run it agrees with the SVD norm to rounding
+    from helmlab import calderon
+    from helmlab.cli import run_experiment
+    pairs, distance = [], calderon.dtn_distance
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return distance(a, b)
+
+    monkeypatch.setattr(calderon, "dtn_distance", recording)
+    run_experiment({"experiment": "calderon",
+                    "domain": {"kind": "box", "corners": [[0, 0, 0], [1, 1, 1]],
+                               "gamma": {"face": "z-"}},
+                    "medium": {"q": {"profile": "constant", "value": 1.0},
+                               "kappa": 1.01},
+                    "h": 1 / 8, "k_list": [1.0, 2.0], "seed": 0,
+                    "params": {"amplitudes": [0.5, 2.0]}}, tmp_path)
+    assert len(pairs) == 4
+    for a, b in pairs:
+        X = gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
+        M = X @ (a.matrix - b.matrix) @ X
+        want = float(np.linalg.norm(0.5 * (M + M.T), 2))
+        assert want > 0
+        assert abs(distance(a, b) - want) <= 1e-14 * want

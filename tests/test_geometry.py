@@ -12,7 +12,8 @@ from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
                               build_grid, check_nested_separation,
                               mask_connected, nearest_distance, node_radius)
 
-from helpers import domain_area, modal, modal_h_half_gram
+from helpers import (domain_area, modal, modal_h_half_gram,
+                     sqrt_pencil_block_reference)
 
 
 def test_disk_lattice_matches_spacing_rule():
@@ -608,6 +609,56 @@ def test_quadrature_gram_matches_dense_modal_gram(spec, h):
     # the Gershgorin bound holds the spectrum of W^-1 (W + L)
     lam, _ = basis
     assert _pencil_bound(L, chart.weights) >= 1.0 + lam.max()
+
+
+_CUBE_FACE = DomainSpec("box", corners=((0, 0, 0), (1, 1, 1)),
+                        gamma={"face": "z-"})
+_RECTANGLE = DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85)),
+                        gamma={"edges": ["bottom", "right"]})
+
+
+@pytest.mark.parametrize("spec, h, whole", [
+    (_CUBE_FACE, 1 / 14, False),
+    (_CUBE_FACE, 1 / 21, False),
+    (_RECTANGLE, 0.1, False),
+    (DomainSpec("box", corners=((0, 0, 0), (1, 1, 1))), 1 / 8, True),
+    (_RECTANGLE, 0.1, True),
+    (DomainSpec("masked_union", rectangles=[((0, 0), (2, 1)), ((0, 0), (1, 2)),
+                              ((1, 1.5), (1.8, 2.5))]), 0.1, True)],
+    ids=["cube14", "cube21", "rectangle", "cube8_full", "rectangle_full",
+         "masked_union"])
+def test_schur_block_matches_whole_surface_quadrature(spec, h, whole):
+    # eliminating the rest of the chart moves a proper block at rounding
+    # level; on the whole chart nothing is eliminated, so no bit moves
+    chart = boundary_chart(build_grid(spec, h))
+    ids = np.arange(chart.n) if whole else chart.positions(chart.gamma_ids())
+    L = chart._surface_stiffness()
+    got = _sqrt_pencil_block(L, chart.weights, ids)
+    want = sqrt_pencil_block_reference(L, chart.weights, ids)
+    if whole:
+        assert np.array_equal(got, want)
+    else:
+        assert ids.size < chart.n
+        assert _rel_err(got, want) <= 1e-14
+
+
+def test_schur_block_solves_only_the_border_columns(monkeypatch):
+    # cube14, gamma the 13 x 13 open face z-: each of the 19 shifts solves
+    # the 52 border columns on the 1,009 rest nodes and the 169 columns of
+    # W on the Schur complement, never a column on all 1,178 surface nodes
+    from helmlab import assembly
+    chart = boundary_chart(build_grid(_CUBE_FACE, 1 / 14))
+    ids = chart.positions(chart.gamma_ids())
+    assert (chart.n, ids.size) == (1178, 169)
+    shapes, solve = [], assembly.verified_solve
+
+    def recording(A, factor, rhs):
+        shapes.append((A.shape[0], rhs.shape[0], rhs.shape[1]))
+        return solve(A, factor, rhs)
+
+    monkeypatch.setattr(assembly, "verified_solve", recording)
+    _sqrt_pencil_block(chart._surface_stiffness(), chart.weights, ids)
+    assert shapes == [(1009, 1009, 52), (169, 169, 169)] * 19
 
 
 def test_quadrature_gram_matches_analytic_gram_on_a_circle():
