@@ -45,7 +45,7 @@ from scipy.linalg import lapack
 from .errors import (HypothesisViolated, NearResonance, NotASolution,
                      RegionMismatch, SolverBreakdown, UnderResolved)
 from .fields import BoundaryFunctional, BoundaryTrace, GridField, masked_gradient
-from .geometry import Grid, boundary_chart
+from .geometry import Grid, boundary_chart, held
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +157,18 @@ class DiscreteOperator:
 def stiffness(grid: Grid) -> sp.csr_matrix:
     """Flux stiffness K >= 0 with w * (Laplacian u) = -K u on interior rows.
 
-    K is built once per grid and held on it; every later call returns that
-    same matrix, whose ``data``, ``indices`` and ``indptr`` are read-only.
+    K is built once per grid and held on it (:func:`helmlab.geometry.held`);
+    every later call returns that same matrix, whose ``data``, ``indices``
+    and ``indptr`` are read-only.
     """
-    if grid._stiffness is None:
+    def build():
         ei, ej, ec = grid.edges
         n = grid.n_nodes
         rows = np.concatenate([ei, ej, ei, ej])
         cols = np.concatenate([ej, ei, ei, ej])
         vals = np.concatenate([-ec, -ec, ec, ec])
-        K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        for a in (K.data, K.indices, K.indptr):
-            a.flags.writeable = False
-        grid._stiffness = K
-    return grid._stiffness
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return held(grid, "stiffness", build)
 
 
 def default_spacing(k_max: float, kappa: float) -> float:
@@ -352,10 +350,11 @@ def verified_solve(A, factor, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs for one column or many with a factorization of A.
 
     Every column's residual ||A x - b|| is verified to 1e-10 relative to
-    max(||b||, ||x||).  A block of columns that misses it gets one step of
-    iterative refinement; :class:`SolverBreakdown` is raised if it still
-    misses.  Residuals are formed one block of columns at a time, so the
-    check holds at most one block of extra memory.
+    max(||b||, ||x||); a residual that is not finite misses it.  A block of
+    columns that misses it gets one step of iterative refinement;
+    :class:`SolverBreakdown` is raised if it still misses.  Residuals are
+    formed one block of columns at a time, so the check holds at most one
+    block of extra memory.
     """
     x = factor.solve(rhs)
     X = x.reshape(x.shape[0], -1)
@@ -370,10 +369,10 @@ def verified_solve(A, factor, rhs: np.ndarray) -> np.ndarray:
     for start in range(0, X.shape[1], _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
         R, rel = residual(cols)
-        if rel > _RESIDUAL_TOL:
+        if not rel <= _RESIDUAL_TOL:
             X[:, cols] -= factor.solve(R)
             _, rel = residual(cols)
-            if rel > _RESIDUAL_TOL:
+            if not rel <= _RESIDUAL_TOL:
                 raise SolverBreakdown(
                     f"interior residual {rel:.2e} above {_RESIDUAL_TOL:g}")
     return x

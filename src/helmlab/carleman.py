@@ -56,7 +56,6 @@ class CarlemanSample:
     lhs_terms: tuple          # (tau term, gradient term, large-k term)
     rhs_terms: tuple          # (f term, F term incl. max(tau,k))
     ratio: float
-    divergence_mode: bool
 
 
 def _weighted_l2(grid: Grid, values: np.ndarray) -> float:
@@ -139,8 +138,7 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     rhs = rhs1 + rhs2
     ratio = lhs / rhs if rhs > 0 else 0.0
     return CarlemanSample(tau=tau, k=k, lhs_terms=(lhs1, lhs2, lhs3),
-                          rhs_terms=(rhs1, rhs2), ratio=ratio,
-                          divergence_mode=F is not None)
+                          rhs_terms=(rhs1, rhs2), ratio=ratio)
 
 
 def _radial_bump(radii: np.ndarray, mid: float, halfwidth: float) -> np.ndarray:

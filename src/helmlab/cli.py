@@ -86,8 +86,10 @@ _EXPERIMENTS = {exp: {**_EVERYWHERE, **row} for exp, row in {
 
 # experiments that run the first frequency of ``k_list`` alone
 _ONE_FREQUENCY = ("solve", "chain", "bessel_optimality")
-# experiments that assemble at each k of ``k_list`` as given, so the probe
-# grid pre-checks k; runge_sweep assembles at k moved to an admissible value
+# experiments that run each k of ``k_list`` as given, so the probe grid
+# pre-checks k (solve and calderon guard it again at assembly, chain
+# assembles with no spectrum); runge_sweep assembles at k moved to an
+# admissible value
 _AT_K = ("solve", "chain", "calderon")
 _ASSEMBLED_AT_K = _AT_K + ("runge_sweep",)
 # experiments whose run grid meets the wavelength rule at each k of
@@ -335,7 +337,7 @@ def _run_report(c: dict, spec: DomainSpec) -> list:
         boundary_chart(grid)
     except LabError as exc:
         return [str(exc)]
-    grid._chart_cache.clear()    # the chart refers back to the grid: free both
+    grid._held.clear()    # the chart refers back to the grid: free both
     problems = [f"calibration centre {x0}: {p}" for x0 in centers
                 if (p := _problem(ball_rule, grid, x0, r))]
     problems += [p for k in (k_list if exp in _RESOLVED_K else ())
@@ -365,7 +367,7 @@ def _precheck(c: dict, spec: DomainSpec) -> list:
             continue
         # flag k inside the probe eigenvalues' discretization band, unless
         # the band covers half the gap around k^2: the probe grid does not
-        # resolve k there, and the guard at assembly decides instead
+        # resolve k there, and only a guard at assembly can decide
         below, above = lam[lam <= k * k], lam[lam > k * k]
         if below.size and above.size and rec["continuum_guard"] \
                 >= 0.5 * (above[0] - below[-1]):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (GeometryViolation, GramNotSPD, RegionMismatch,
                      SupportTouchesBox)
-from .geometry import BoundaryChart, Grid
+from .geometry import BoundaryChart, Grid, held
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,11 @@ def _gradient_plan(grid: Grid, region: np.ndarray) -> tuple:
     lattice map, the lattice index of each region node, and per axis its
     step, whether it wraps, the lattice sites off a centred stencil and the
     run ends of each one-sided stencil."""
-    key = region.tobytes()
-    if key in grid._gradient_plans:
-        return grid._gradient_plans[key]
+    return held(grid, ("gradient_plan", region.tobytes()),
+                lambda: _build_gradient_plan(grid, region))
+
+
+def _build_gradient_plan(grid: Grid, region: np.ndarray) -> tuple:
     shape = grid.lattice_shape
     ok = grid.lattice_id >= 0
     pos = np.empty(grid.n_nodes, dtype=int)         # node id -> lattice index
@@ -115,14 +117,8 @@ def _gradient_plan(grid: Grid, region: np.ndarray) -> tuple:
         # forward and backward ends of runs of three or more, then of two
         ends = [np.nonzero(e) for e in (fwd & mp2, bwd & mm2,
                                         fwd & ~mp2, bwd & ~mm2)]
-        for a in [off, *(i for e in ends for i in e)]:
-            a.flags.writeable = False
         axes.append((h, periodic, off, ends))
-    at = pos[region]
-    for a in (pos, at):
-        a.flags.writeable = False
-    plan = grid._gradient_plans[key] = (pos, at, tuple(axes))
-    return plan
+    return pos, pos[region], tuple(axes)
 
 
 def masked_gradient(grid: Grid, values: np.ndarray, region: np.ndarray):
@@ -246,18 +242,14 @@ def spd_inverse_sqrt(G: np.ndarray) -> np.ndarray:
 
 def gram_inverse_sqrt(chart: BoundaryChart, ids: np.ndarray) -> np.ndarray:
     """G^(-1/2) of the trace Gram block on the chart positions ``ids``,
-    taken once per chart and block and held read-only on the chart.  The
-    block itself is read on every call, so that a traced run counts one
-    Gram read per dual quantity; a circulant block is a gather and every
-    other block is cached on the chart, so a read after the first is
-    cheap."""
+    taken once per chart and block and held read-only on the chart
+    (:func:`helmlab.geometry.held`).  The block itself is read on every
+    call, so that a traced run counts one Gram read per dual quantity; a
+    circulant block is a gather and every other block is held on the chart,
+    so a read after the first is cheap."""
     G = chart.h_half_gram(ids)
-    key = ids.tobytes()
-    if key not in chart._gram_inv_sqrt:
-        X = spd_inverse_sqrt(G)
-        X.flags.writeable = False
-        chart._gram_inv_sqrt[key] = X
-    return chart._gram_inv_sqrt[key]
+    return held(chart, ("gram_inv_sqrt", ids.tobytes()),
+                lambda: spd_inverse_sqrt(G))
 
 
 def mask_to_gamma(t: BoundaryTrace) -> BoundaryTrace:

@@ -230,12 +230,12 @@ class Grid:
     ``edges`` is a triple of arrays ``(i, j, c)``: node pairs of the flux
     stencil with geometric coupling ``c`` (face measure / node distance).
     ``quad_weights`` are midpoint-cell measures, halved at boundary nodes.
-    A grid holds what is built from it once: its boundary charts, one per
-    gamma descriptor, its read-only flux stiffness
-    (:func:`helmlab.assembly.stiffness`), the read-only three-ball masks
-    of each centre and radius (:func:`helmlab.ucp.three_ball_ratio`), its
-    read-only node radius (:func:`node_radius`) and the read-only gradient
-    plan of each region (:func:`helmlab.fields.masked_gradient`).
+    A grid keeps in ``_held`` (:func:`held`) what is built from it once:
+    its boundary charts, one per gamma descriptor, its flux stiffness
+    (:func:`helmlab.assembly.stiffness`), the three-ball masks of each
+    centre and radius (:func:`helmlab.ucp.three_ball_ratio`), its node
+    radius (:func:`node_radius`) and the gradient plan of each region
+    (:func:`helmlab.fields.masked_gradient`).
     """
 
     spec: DomainSpec
@@ -255,11 +255,7 @@ class Grid:
     # cartesian metadata
     origin: Optional[np.ndarray] = None
     spacings: Optional[np.ndarray] = None
-    _chart_cache: dict = field(default_factory=dict, repr=False)
-    _stiffness: object = field(default=None, repr=False)   # CSR K, built once
-    _ball_masks: dict = field(default_factory=dict, repr=False)  # by (x0, r)
-    _node_radius: object = field(default=None, repr=False)  # |x - c|, once
-    _gradient_plans: dict = field(default_factory=dict, repr=False)  # by region
+    _held: dict = field(default_factory=dict, repr=False)   # by :func:`held`
 
     @property
     def n_nodes(self) -> int:
@@ -290,6 +286,29 @@ class Grid:
                                     "the nodes")
         if np.any(self.quad_weights <= 0):
             raise GeometryViolation("non-positive quadrature weight")
+
+
+def held(owner, key, build):
+    """The value ``build()`` held on ``owner``, a :class:`Grid` or a
+    :class:`BoundaryChart`, under ``key``: built on the first call, and the
+    same object on every later one.  Every array in it is made read-only
+    (an ndarray, the arrays of nested tuples or lists, a CSR matrix's
+    ``data``, ``indices`` and ``indptr``); any other object, such as a
+    chart, is kept as it is."""
+    if key not in owner._held:
+        owner._held[key] = build()
+        _freeze(owner._held[key])
+    return owner._held[key]
+
+
+def _freeze(value) -> None:
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _freeze(v)
+    elif hasattr(value, "indptr"):      # a CSR matrix
+        _freeze((value.data, value.indices, value.indptr))
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +534,9 @@ def node_radius(grid: Grid) -> np.ndarray:
     """|x - c| at every node, c the domain centre of a polar grid and the
     origin of a cartesian one; computed once per grid and held read-only on
     it."""
-    if grid._node_radius is None:
-        c = grid.spec.center if grid.topology == "polar" else np.zeros(grid.dim)
-        r = np.linalg.norm(grid.nodes - np.asarray(c, dtype=float), axis=1)
-        r.flags.writeable = False
-        grid._node_radius = r
-    return grid._node_radius
+    c = grid.spec.center if grid.topology == "polar" else np.zeros(grid.dim)
+    return held(grid, "node_radius", lambda: np.linalg.norm(
+        grid.nodes - np.asarray(c, dtype=float), axis=1))
 
 
 def annulus_mask(grid: Grid, r_lo: float, r_hi: float) -> np.ndarray:
@@ -603,20 +619,20 @@ class BoundaryChart:
     used for supported traces.  Every H^(+-1/2) trace quantity reads the
     Gram blocks of :meth:`h_half_gram`: on a uniform closed curve from the
     circulant :meth:`symbol`, on every other chart by sparse quadrature
-    with a Schur complement onto the block's positions, each block cached
-    read-only.  The inverse square root of each block, shared by the dual
-    norms and the dense Runge SVD (:func:`helmlab.fields.gram_inverse_sqrt`),
-    is cached read-only on the chart too.  The random data of ``lab solve``
-    take one sparse solve with W + L (:meth:`_surface_stiffness`); no chart
-    builds its Laplace--Beltrami eigenbasis.
+    with a Schur complement onto the block's positions, each block held
+    on the chart (:func:`held`).  The inverse square root of each block,
+    shared by the dual norms and the dense Runge SVD
+    (:func:`helmlab.fields.gram_inverse_sqrt`), is held the same way.  The
+    random data of ``lab solve`` take one sparse solve with W + L
+    (:meth:`_surface_stiffness`); no chart builds its Laplace--Beltrami
+    eigenbasis.
     """
 
     grid: Grid
     node_ids: np.ndarray
     weights: np.ndarray
     gamma_mask: np.ndarray
-    _gram_blocks: dict = field(default_factory=dict, repr=False)  # by block
-    _gram_inv_sqrt: dict = field(default_factory=dict, repr=False)  # by block
+    _held: dict = field(default_factory=dict, repr=False)   # by :func:`held`
 
     @property
     def n(self) -> int:
@@ -694,7 +710,7 @@ class BoundaryChart:
         each shift eliminates the other chart nodes by a Schur complement
         onto ``ids`` and solves only the columns of the rest nodes that
         couple to ``ids``, with no dense surface matrix.  The block is
-        cached read-only."""
+        held on the chart (:func:`held`)."""
         g = self.symbol()
         if g is not None:
             n = self.n
@@ -702,13 +718,8 @@ class BoundaryChart:
             c = np.fft.irfft(g, n)[np.minimum(lag, n - lag)]  # lags 1-n .. n-1
             # row i of the circulant is the window of c at the lags j - i
             return sliding_window_view(c, n)[::-1][np.ix_(ids, ids)]
-        key = ids.tobytes()
-        if key not in self._gram_blocks:
-            G = _sqrt_pencil_block(self._surface_stiffness(), self.weights,
-                                   ids)
-            G.flags.writeable = False
-            self._gram_blocks[key] = G
-        return self._gram_blocks[key].copy()
+        return held(self, ("gram", ids.tobytes()), lambda: _sqrt_pencil_block(
+            self._surface_stiffness(), self.weights, ids)).copy()
 
 
 def _pencil_bound(L, w: np.ndarray) -> float:
@@ -830,11 +841,11 @@ def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:
     :class:`EmptyGamma` when no node falls in the requested subset.
     """
     gamma = grid.spec.gamma if gamma is None else gamma
-    key = repr(gamma)
-    if key in grid._chart_cache:
-        return grid._chart_cache[key]
-    check_gamma(grid.spec.kind, gamma)
+    return held(grid, ("chart", repr(gamma)), lambda: _chart(grid, gamma))
 
+
+def _chart(grid: Grid, gamma) -> BoundaryChart:
+    check_gamma(grid.spec.kind, gamma)
     if grid.topology == "polar":
         chart = _polar_chart(grid, gamma)
     elif grid.dim == 2:
@@ -843,7 +854,6 @@ def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:
         chart = _surface_chart(grid, gamma)
     if not np.any(chart.gamma_mask):
         raise EmptyGamma(f"gamma descriptor {gamma!r} marks no node")
-    grid._chart_cache[key] = chart
     return chart
 
 

@@ -32,8 +32,9 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import Medium, ring_coefficients, sparse_lu, stiffness
-from .errors import AssumptionIViolated, SpectrumTooShort
+from .assembly import (Medium, ring_coefficients, sparse_lu, stiffness,
+                       verified_solve)
+from .errors import AssumptionIViolated, SolverBreakdown, SpectrumTooShort
 from .geometry import Grid
 
 _TWO_PI = 2.0 * np.pi
@@ -152,23 +153,19 @@ def compute_sigma(grid: Grid, medium: Medium, count: int,
 def _check_invertible(A):
     """The :func:`sparse_lu` factor of -Delta - V; raises
     :class:`AssumptionIViolated` unless it is invertible.  A numerically
-    singular factor shows up as an enormous amplification of a generic
+    singular factor shows up as a probe solve that fails
+    :func:`verified_solve`, or as an enormous amplification of the
     probe."""
     n = A.shape[0]
+    probe = np.ones(n) / np.sqrt(n)
     try:
         lu = sparse_lu(A)
-        probe = np.ones(n) / np.sqrt(n)
-        x = lu.solve(probe)
-        if not np.all(np.isfinite(x)):
-            raise AssumptionIViolated("factorization of -Delta - V produced NaN")
-        a_scale = float(abs(A).sum(axis=0).max())
-        if np.linalg.norm(x) * a_scale > 1e8 * np.linalg.norm(probe):
-            raise AssumptionIViolated("-Delta - V numerically singular")
-        resid = np.linalg.norm(A @ x - probe)
-        if resid > 1e-6 * a_scale * max(np.linalg.norm(x), 1.0):
-            raise AssumptionIViolated("-Delta - V numerically singular")
-    except RuntimeError as exc:
-        raise AssumptionIViolated(f"factorization failed: {exc}") from exc
+        x = verified_solve(A, lu, probe)
+    except (RuntimeError, SolverBreakdown) as exc:
+        raise AssumptionIViolated(f"-Delta - V not invertible: {exc}") from exc
+    a_scale = float(abs(A).sum(axis=0).max())
+    if np.linalg.norm(x) * a_scale > 1e8 * np.linalg.norm(probe):
+        raise AssumptionIViolated("-Delta - V numerically singular")
     return lu
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .assembly import DiscreteOperator
 from .errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from .fields import GridField, norm
-from .geometry import PAIR_BLOCK, BoundaryChart, Grid, ball_mask, \
+from .geometry import PAIR_BLOCK, BoundaryChart, Grid, ball_mask, held, \
     nearest_distance
 
 
@@ -64,12 +64,8 @@ class BallTriple:
 def _triple_masks(grid: Grid, x0: np.ndarray, r: float) -> np.ndarray:
     """Masks of B_{r/2}, B_r and B_{2r} centered at x0, one row each; built
     once per grid, centre and radius and held read-only on the grid."""
-    key = (*x0.tolist(), r)
-    if key not in grid._ball_masks:
-        masks = ball_mask(grid, x0, (r / 2.0, r, 2.0 * r))
-        masks.flags.writeable = False
-        grid._ball_masks[key] = masks
-    return grid._ball_masks[key]
+    return held(grid, ("triple_masks", *x0.tolist(), r),
+                lambda: ball_mask(grid, x0, (r / 2.0, r, 2.0 * r)))
 
 
 def _triple_norms(u: GridField, x0: np.ndarray, r: float) -> list:
@@ -158,7 +154,6 @@ class ChainResult:
     bound_interior: float
     bound_layer: float
     bound_log: float                  # closed-form logarithmic bound, C=1
-    covered: bool
 
 
 def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
@@ -205,11 +200,11 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     if eta == 0.0:
         return ChainResult(bound=0.0, n_balls=0, n_cover=0,
                            bound_interior=0.0, bound_layer=0.0,
-                           bound_log=0.0, covered=True)
+                           bound_log=0.0)
     if not np.any(omega_eps):
         return ChainResult(bound=bound_layer, n_balls=0, n_cover=0,
                            bound_interior=0.0, bound_layer=bound_layer,
-                           bound_log=bound_log, covered=True)
+                           bound_log=bound_log)
 
     # synthetic ball centers on geometric depth levels, from the inradius
     d_top = 0.95 * (grid.spec.width / 2)
@@ -260,7 +255,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     bound = math.sqrt(bound_interior ** 2 + bound_layer ** 2)
     return ChainResult(bound=bound, n_balls=int(hops.max()), n_cover=n_cover,
                        bound_interior=bound_interior, bound_layer=bound_layer,
-                       bound_log=bound_log, covered=True)
+                       bound_log=bound_log)
 
 
 def _certify(centers: np.ndarray, radii: np.ndarray, seed: np.ndarray,

@@ -137,6 +137,25 @@ def test_verified_solve_breakdown():
     assert factor.calls == 2
 
 
+class _ConstantFactor:
+    """Factor stand-in whose every solve is one constant."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def solve(self, b):
+        return np.full(b.shape, self.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_verified_solve_rejects_non_finite(value):
+    # a NaN residual (inf / inf for an infinite solve) compares false with
+    # every tolerance, so it must count as a miss
+    A = sp.identity(5, format="csc")
+    with np.errstate(invalid="ignore"), pytest.raises(SolverBreakdown):
+        verified_solve(A, _ConstantFactor(value), np.ones(5))
+
+
 def test_medium_invariants():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     with pytest.raises(HypothesisViolated):

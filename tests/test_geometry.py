@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.special import ellipj, ellipk
 
+from helmlab.assembly import stiffness
 from helmlab.errors import EmptyGamma, FeatureUnresolved, GeometryViolation
+from helmlab.fields import _gradient_plan, gram_inverse_sqrt
 from helmlab.geometry import (DomainSpec, _ellipj, _pencil_bound,
                               _sqrt_pencil_block, ball_mask, boundary_chart,
                               build_grid, check_nested_separation,
                               mask_connected, nearest_distance, node_radius)
+from helmlab.ucp import _triple_masks
 
 from helpers import (domain_area, modal, modal_h_half_gram,
                      sqrt_pencil_block_reference)
@@ -574,11 +578,11 @@ def test_h_half_gram_cached_per_chart(spec, h):
     if spec.kind == "disk":
         # a uniform closed curve gathers its block from the symbol; no cache
         assert _rel_err(again, want) <= 1e-13
-        assert not chart._gram_blocks
+        assert not any(key[0] == "gram" for key in chart._held)
         return
-    # every other chart takes the quadrature block, cached read-only
+    # every other chart takes the quadrature block, held read-only
     assert _rel_err(again, want) <= 1e-12
-    cached = chart._gram_blocks[ids.tobytes()]
+    cached = chart._held["gram", ids.tobytes()]
     assert not np.shares_memory(again, cached)
     with pytest.raises(ValueError):
         cached[0, 0] = 0.0
@@ -586,6 +590,59 @@ def test_h_half_gram_cached_per_chart(spec, h):
 
 def _rel_err(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _arrays(value) -> list:
+    """The arrays of a held value: an ndarray, those of nested tuples and
+    lists, and a sparse matrix's data, indices and indptr."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    if sp.issparse(value):
+        return [value.data, value.indices, value.indptr]
+    return []
+
+
+def _gamma_ids(grid):
+    chart = boundary_chart(grid)
+    return chart, chart.positions(chart.gamma_ids())
+
+
+def _held_gram_block(grid):
+    chart, ids = _gamma_ids(grid)
+    chart.h_half_gram(ids)
+    return chart._held["gram", ids.tobytes()]
+
+
+# each hold of a grid or its chart, read through the function that builds it
+_HOLDS = {
+    "stiffness": stiffness,
+    "node_radius": node_radius,
+    "boundary_chart": boundary_chart,
+    "h_half_gram": _held_gram_block,
+    "triple_masks": lambda g: _triple_masks(g, np.array([0.65, 0.4]), 0.2),
+    "gradient_plan": lambda g: _gradient_plan(g, np.ones(g.n_nodes, bool)),
+    "gram_inverse_sqrt": lambda g: gram_inverse_sqrt(*_gamma_ids(g)),
+}
+
+
+@pytest.mark.parametrize("hold", list(_HOLDS))
+def test_hold_is_built_once_and_frozen(hold):
+    # a rectangle with hx != hy, whose Gram blocks take the quadrature
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1.3, 0.85)),
+                              gamma={"edges": ["bottom", "right"]}), 0.1)
+    value = _HOLDS[hold](g)
+    assert _HOLDS[hold](g) is value
+    if hold == "boundary_chart":
+        # a chart is held as it is
+        assert all(a.flags.writeable for a in (value.node_ids, value.weights,
+                                               value.gamma_mask))
+        return
+    arrays = _arrays(value)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0].flat[0] = 0
 
 
 @pytest.mark.parametrize("spec, h", [

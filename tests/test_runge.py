@@ -289,9 +289,9 @@ def test_injectivity_at_discrete_level():
 
 def test_gram_not_spd_guard(monkeypatch):
     fmap = disk_arc_map(2.0)
-    # a copy of the chart with no inverse square root cached, whose Gram
+    # a copy of the chart with no inverse square root held, whose Gram
     # blocks are negative definite
-    chart = dataclasses.replace(fmap.chart, _gram_inv_sqrt={})
+    chart = dataclasses.replace(fmap.chart, _held={})
     monkeypatch.setattr(chart, "h_half_gram", lambda ids: -np.eye(ids.size))
     with pytest.raises(GramNotSPD):
         svd(dataclasses.replace(fmap, chart=chart))
