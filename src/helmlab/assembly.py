@@ -135,7 +135,7 @@ class DiscreteOperator:
     L: sp.csr_matrix                      # full symmetric operator, all nodes
     L_II: sp.csc_matrix
     L_IB: sp.csr_matrix
-    _lu: Optional[spla.SuperLU] = field(default=None, repr=False)
+    _lu: Optional[spla.SuperLU] = field(default=None, init=False, repr=False)
 
     @property
     def interior(self) -> np.ndarray:

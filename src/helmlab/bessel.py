@@ -286,9 +286,6 @@ def check_bessel_inequalities() -> dict:
 
 @dataclass
 class OptimalityRecord:
-    ell: int
-    k: float
-    n: int
     epsilon: float
     alpha_ell: float                  # 1 / ||g_ell||_{H1(B_1/2)}
     g_l2: float                       # ||g_ell||_{L2(B_1/2)}
@@ -331,6 +328,6 @@ def optimality_lower_bound(k: float, ell: int, epsilon: float = None,
     bound = (2.0 * math.sqrt(ell) * ratio
              * (2.0 ** (-n / 2.0) / (1.0 + k + math.sqrt(2.0 * ell / k))
                 - epsilon * math.sqrt(2.0 * ell + n)))
-    return OptimalityRecord(ell=ell, k=k, n=n, epsilon=epsilon,
-                            alpha_ell=alpha_ell, g_l2=math.sqrt(g_l2_sq),
+    return OptimalityRecord(epsilon=epsilon, alpha_ell=alpha_ell,
+                            g_l2=math.sqrt(g_l2_sq),
                             min_boundary_norm=min_norm, bound_2ell=bound)

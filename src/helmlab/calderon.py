@@ -30,12 +30,17 @@ from .geometry import BoundaryChart, boundary_chart
 
 @dataclass
 class DtnMatrix:
-    """Map from supported-boundary nodal data to dual nodal values."""
+    """Map from supported-boundary nodal data to dual nodal values, rows and
+    columns on gamma in chart order (:meth:`BoundaryChart.gamma_positions`),
+    so its distance reads the chart's one G^(-1/2) of gamma."""
 
     op: DiscreteOperator
     chart: BoundaryChart
-    gamma_ids: np.ndarray
     matrix: np.ndarray            # (n_gamma, n_gamma)
+
+    @property
+    def gamma_ids(self) -> np.ndarray:
+        return self.chart.gamma_ids()
 
     @property
     def k(self) -> float:
@@ -48,7 +53,7 @@ def dtn_map(op: DiscreteOperator) -> DtnMatrix:
     chart.  The frequency is guarded when ``op`` is assembled."""
     grid = op.grid
     chart = boundary_chart(grid)
-    gamma_ids = np.sort(chart.gamma_ids())
+    gamma_ids = chart.gamma_ids()
     bpos = np.searchsorted(grid.boundary_index, gamma_ids)
 
     rhs = -op.L_IB[:, bpos].toarray()
@@ -57,7 +62,7 @@ def dtn_map(op: DiscreteOperator) -> DtnMatrix:
     # dual values = residual of the full operator rows at gamma nodes
     L_G = op.L[gamma_ids]
     T = -(L_G[:, grid.interior_index] @ u_int + L_G[:, gamma_ids].toarray())
-    return DtnMatrix(op=op, chart=chart, gamma_ids=gamma_ids, matrix=T)
+    return DtnMatrix(op=op, chart=chart, matrix=T)
 
 
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
@@ -66,7 +71,7 @@ def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
     if a.op.grid is not b.op.grid or a.k != b.k \
             or not np.array_equal(a.gamma_ids, b.gamma_ids):
         raise ContextMismatch("maps built on different grids, k, or gamma")
-    G_half_inv = gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
+    G_half_inv = gram_inverse_sqrt(a.chart, a.chart.gamma_positions())
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
@@ -132,7 +137,6 @@ def stability_rhs(C: float, k: float, delta: float, n: int) -> float:
 @dataclass
 class StabilityRecord:
     k: float
-    amplitude: float
     delta: float
     lhs: float
 
@@ -151,8 +155,7 @@ def stability_check(records: list, n: int = 3) -> dict:
 
 
 def perturbation_record(op1: DiscreteOperator, op2: DiscreteOperator,
-                        dtn1: DtnMatrix, dtn2: DtnMatrix,
-                        amplitude: float) -> StabilityRecord:
+                        dtn1: DtnMatrix, dtn2: DtnMatrix) -> StabilityRecord:
     delta = dtn_distance(dtn1, dtn2)
     lhs = hminus1_norm_fourier(difference_field(op1, op2))
-    return StabilityRecord(k=op1.k, amplitude=amplitude, delta=delta, lhs=lhs)
+    return StabilityRecord(k=op1.k, delta=delta, lhs=lhs)

@@ -51,8 +51,6 @@ DOMAIN_KIND = "annulus"
 
 @dataclass
 class CarlemanSample:
-    tau: float
-    k: float
     lhs_terms: tuple          # (tau term, gradient term, large-k term)
     rhs_terms: tuple          # (f term, F term incl. max(tau,k))
     ratio: float
@@ -137,8 +135,8 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     lhs = lhs1 + lhs2 + lhs3
     rhs = rhs1 + rhs2
     ratio = lhs / rhs if rhs > 0 else 0.0
-    return CarlemanSample(tau=tau, k=k, lhs_terms=(lhs1, lhs2, lhs3),
-                          rhs_terms=(rhs1, rhs2), ratio=ratio)
+    return CarlemanSample(lhs_terms=(lhs1, lhs2, lhs3), rhs_terms=(rhs1, rhs2),
+                          ratio=ratio)
 
 
 def _radial_bump(radii: np.ndarray, mid: float, halfwidth: float) -> np.ndarray:
@@ -210,9 +208,6 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
 
 @dataclass
 class ImprovedProbe:
-    k: float
-    ell: int
-    delta: float
     eta: float
     M: float
     lhs: float                 # ||u|| on the outer sub-annulus r >= 1+delta
@@ -258,5 +253,5 @@ def improved_ucp_probe(op: DiscreteOperator, delta: float,
     x = k ** 3 * eta / M
     rhs_log = abs(math.log(x)) ** (-MU_HAT) * M
     rhs_poly = (k ** 3 * eta) ** NU_HAT * M ** (1 - NU_HAT)
-    return ImprovedProbe(k=k, ell=ell, delta=delta, eta=eta, M=M, lhs=lhs,
-                         lhs_full=lhs_full, rhs_log=rhs_log, rhs_poly=rhs_poly)
+    return ImprovedProbe(eta=eta, M=M, lhs=lhs, lhs_full=lhs_full,
+                         rhs_log=rhs_log, rhs_poly=rhs_poly)

@@ -4,9 +4,11 @@
 and writes CSV/JSON artifacts into the output directory.  Each runner
 computes its rows and payloads, then hands them to :func:`write_artifacts`,
 the one writer: it builds the run's manifest (config hash, code version,
-grid spacing, admissibility constant) and writes every file under it.  Rows
-are emitted in deterministic order, and all randomness is derived from the
-config seed, so a rerun with the same config produces byte-identical files.
+admissibility constant, and the grid spacing ``h`` where the run has a
+grid) and writes every file under it: a CSV file's first line, a JSON
+file's ``manifest`` key.  Rows are emitted in deterministic order, and all
+randomness is derived from the config seed, so a rerun with the same config
+produces byte-identical files.
 
 Commands:
     lab run <config>        run the experiment (exit 0 ok, 1 compute, 2 config)
@@ -711,7 +713,7 @@ def run_calderon(cfg, out: Path) -> list:
                                {**pert, "amplitude": amp}, medium.kappa)
             op2 = assemble(grid, med2, k, spectrum=rep)
             d2 = dtn_map(op2)
-            rec = perturbation_record(op1, op2, d1, d2, amp)
+            rec = perturbation_record(op1, op2, d1, d2)
             records.append(rec)
             g1 = rng.standard_normal(d1.gamma_ids.size)
             g2 = rng.standard_normal(d1.gamma_ids.size)

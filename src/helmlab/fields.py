@@ -54,25 +54,6 @@ class GridField:
         if not np.all(np.isfinite(self.values[self.region])):
             raise RegionMismatch("non-finite values on the field region")
 
-    def _check_same_grid(self, other: "GridField"):
-        if other.grid is not self.grid:
-            raise RegionMismatch("arithmetic requires the identical grid object")
-
-    def __add__(self, other):
-        self._check_same_grid(other)
-        return GridField(self.grid, self.values + other.values,
-                         self.region & other.region)
-
-    def __sub__(self, other):
-        self._check_same_grid(other)
-        return GridField(self.grid, self.values - other.values,
-                         self.region & other.region)
-
-    def __mul__(self, c):
-        return GridField(self.grid, self.values * c, self.region.copy())
-
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
 # Norms

@@ -616,16 +616,18 @@ class BoundaryChart:
     ``node_ids`` walk the outer boundary (closed curve in 2D; the whole box
     surface in 3D).  ``weights`` are arclength (2D) or surface-area (3D)
     measures.  ``gamma_mask`` marks the nodes of the relatively open subset
-    used for supported traces.  Every H^(+-1/2) trace quantity reads the
-    Gram blocks of :meth:`h_half_gram`: on a uniform closed curve from the
-    circulant :meth:`symbol`, on every other chart by sparse quadrature
-    with a Schur complement onto the block's positions, each block held
-    on the chart (:func:`held`).  The inverse square root of each block,
-    shared by the dual norms and the dense Runge SVD
-    (:func:`helmlab.fields.gram_inverse_sqrt`), is held the same way.  The
-    random data of ``lab solve`` take one sparse solve with W + L
-    (:meth:`_surface_stiffness`); no chart builds its Laplace--Beltrami
-    eigenbasis.
+    used for supported traces; gamma is indexed in chart order
+    (:meth:`gamma_positions`) by every map that reads it.  Every
+    H^(+-1/2) trace quantity reads the Gram blocks of :meth:`h_half_gram`:
+    on a uniform closed curve from the circulant :meth:`symbol`, on every
+    other chart by sparse quadrature with a Schur complement onto the
+    block's positions, each block held on the chart (:func:`held`).  The
+    inverse square root of each block, shared by the dual norms, the dense
+    Runge SVD and the DtN distance (:func:`helmlab.fields.gram_inverse_sqrt`),
+    is held the same way, so a chart holds one Gram block and one
+    G^(-1/2) per gamma.  The random data of ``lab solve`` take one sparse
+    solve with W + L (:meth:`_surface_stiffness`); no chart builds its
+    Laplace--Beltrami eigenbasis.
     """
 
     grid: Grid
@@ -641,10 +643,10 @@ class BoundaryChart:
     def gamma_ids(self) -> np.ndarray:
         return self.node_ids[self.gamma_mask]
 
-    def positions(self, ids: np.ndarray) -> np.ndarray:
-        """Chart positions of the boundary node ids ``ids``."""
-        order = np.argsort(self.node_ids)
-        return order[np.searchsorted(self.node_ids, ids, sorter=order)]
+    def gamma_positions(self) -> np.ndarray:
+        """Chart positions of gamma, in chart order: the one index of gamma
+        that every gamma-supported map and Gram read uses."""
+        return np.flatnonzero(self.gamma_mask)
 
     def _circulant(self) -> bool:
         """Whether the chart is a uniform closed curve."""

@@ -62,7 +62,9 @@ _FORWARD_BLOCK = 64
 @dataclass
 class ForwardMap:
     """Data-to-restriction map with its quadrature weights and the factor
-    of the interior block; the trace Gram on gamma is read from the chart.
+    of the interior block.  Its gamma columns are in chart order
+    (:meth:`BoundaryChart.gamma_positions`), so the map reads the chart's
+    one Gram block and G^(-1/2) of gamma, as :func:`riesz_map` does.
 
     Columns of the dense matrix ``A`` (n_omega1, n_gamma) are solved on
     first read: :meth:`columns` solves the gamma columns asked for, and
@@ -74,7 +76,6 @@ class ForwardMap:
     op: DiscreteOperator
     chart: BoundaryChart
     omega1_ids: np.ndarray          # interior node ids of the target region
-    gamma_ids: np.ndarray           # node ids of the supported sub-boundary
     wx: np.ndarray                  # quadrature weights on omega1 nodes
     factor: object                  # RingFactor or SuperLU of op.L_II
     _A: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -83,6 +84,10 @@ class ForwardMap:
     def per_mode(self) -> bool:
         """Invariant under rotation and solved per angular mode, see svd."""
         return isinstance(self.factor, RingFactor)
+
+    @property
+    def gamma_ids(self) -> np.ndarray:
+        return self.chart.gamma_ids()
 
     @property
     def A(self) -> np.ndarray:
@@ -106,7 +111,7 @@ class ForwardMap:
         return verified_solve(self.op.L_II, self.factor, rhs)[ipos]
 
     def gamma_positions(self) -> np.ndarray:
-        return self.chart.positions(self.gamma_ids)
+        return self.chart.gamma_positions()
 
     def trace_from_gamma(self, gvals: np.ndarray) -> BoundaryTrace:
         vals = np.zeros(self.chart.n)
@@ -134,13 +139,11 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     check_nested_separation(grid, omega1_mask, boundary_ids=chart.node_ids)
 
     omega1_ids = np.intersect1d(np.flatnonzero(omega1_mask), grid.interior_index)
-    gamma_ids = np.sort(chart.gamma_ids())
     factor = None
     if chart.gamma_mask.all() and whole_rings(grid, omega1_ids):
         factor = ring_factor(grid, grid.interior_index, op.L_II)
     return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
-                      gamma_ids=gamma_ids, wx=grid.quad_weights[omega1_ids],
-                      factor=factor or op.lu())
+                      wx=grid.quad_weights[omega1_ids], factor=factor or op.lu())
 
 
 def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
@@ -455,9 +458,12 @@ SCENARIOS = {
     "boundary": Scenario(**_UNIT_DISK, family=(0.0, 0.5), decay=1.5),
     # target solves on a strictly larger submesh: cost polynomial in 1/eps
     "interior": Scenario(**_UNIT_DISK, family=(0.0, 0.6), decay=1.25),
-    # radially monotone q, pinned inner circle: cost polynomial in k.  The
-    # budget is L2-relative: with the H1 one every family trivializes (cost
-    # 0) once k >~ 1/eps, since ||v||_L2(region) <= C ||v||_H1 / k
+    # radially monotone q (x . grad q >= 0), pinned inner circle: cost
+    # polynomial in k.  The name is the profile's: the target 0.5 <= |x| <= 1
+    # and the domain are annuli, not convex sets; the convex target is the
+    # disk |x| <= 0.5 of "interior" (and "boundary").  The budget is
+    # L2-relative: with the H1 one every family trivializes (cost 0) once
+    # k >~ 1/eps, since ||v||_L2(region) <= C ||v||_H1 / k
     "convex": Scenario(
         domain=DomainSpec("annulus", r_inner=0.5, r_outer=2.0),
         medium={"q": {"profile": "radial_quadratic", "amplitude": 0.25},

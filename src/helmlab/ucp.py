@@ -50,7 +50,6 @@ def boundary_distance(grid: Grid, points: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BallTriple:
-    center: tuple
     r: float
     k: float
     norm_half: float
@@ -94,8 +93,7 @@ def three_ball_ratio(u: GridField, x0, r: float, k: float) -> BallTriple:
     nh, nm, nb = _triple_norms(u, x0, r)
     if not (nh <= nm + 1e-14 and nm <= nb + 1e-14):
         raise GeometryViolation("nested ball norms are not monotone")
-    return BallTriple(center=tuple(x0), r=r, k=k, norm_half=nh, norm_mid=nm,
-                      norm_big=nb)
+    return BallTriple(r=r, k=k, norm_half=nh, norm_mid=nm, norm_big=nb)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,7 @@ def dtn_matrix_reference(op: DiscreteOperator, chart: BoundaryChart):
     interior and boundary x boundary slices), taken at the gamma rows
     afterwards."""
     grid = op.grid
-    gamma_ids = np.sort(chart.gamma_ids())
-    bpos = np.searchsorted(grid.boundary_index, gamma_ids)
+    bpos = np.searchsorted(grid.boundary_index, chart.gamma_ids())
     u_int = verified_solve(op.L_II, op.lu(), -op.L_IB[:, bpos].toarray())
     L_BI = op.L[grid.boundary_index][:, grid.interior_index].tocsr()
     L_BB = op.L[grid.boundary_index][:, grid.boundary_index].tocsr()

@@ -311,7 +311,7 @@ def test_criterion_11_calderon_stability():
                                kappa=1.01)
             opb = assemble(grid, med2, k)
             db = dtn_map(opb)
-            records.append(perturbation_record(opa, opb, da, db, amp))
+            records.append(perturbation_record(opa, opb, da, db))
             g1 = rng.standard_normal(da.gamma_ids.size)
             g2 = rng.standard_normal(da.gamma_ids.size)
             vol, bnd = alessandrini_gap(da, db, g1, g2)

@@ -142,14 +142,14 @@ def test_stability_slack_grows_as_amplitude_shrinks():
     slacks = []
     for a in (1.0, 0.25):
         op2 = assemble(grid, _perturbed(grid, a), 1.0)
-        rec = perturbation_record(op, op2, d0, dtn_map(op2), a)
+        rec = perturbation_record(op, op2, d0, dtn_map(op2))
         slacks.append(stability_rhs(1.0, rec.k, rec.delta, 3) - rec.lhs)
         assert rec.lhs > 0 and rec.delta > 0
     assert slacks[1] > slacks[0]
 
 
 def test_stability_check_identical_media():
-    rec = StabilityRecord(k=1.0, amplitude=0.0, delta=0.0, lhs=0.0)
+    rec = StabilityRecord(k=1.0, delta=0.0, lhs=0.0)
     out = stability_check([rec])
     assert out["validated"]
 
@@ -157,7 +157,7 @@ def test_stability_check_identical_media():
 def test_gram_inverse_sqrt_cached_per_chart_block():
     grid, med, op, chart = cube_setup()
     d1 = dtn_map(op)
-    ids = chart.positions(d1.gamma_ids)
+    ids = chart.gamma_positions()
     X = gram_inverse_sqrt(chart, ids)
     ref = spd_inverse_sqrt(chart.h_half_gram(ids))
     assert np.array_equal(X, ref)
@@ -194,7 +194,7 @@ def test_distance_eigenvalue_modulus_matches_svd_norm(tmp_path, monkeypatch):
                     "params": {"amplitudes": [0.5, 2.0]}}, tmp_path)
     assert len(pairs) == 4
     for a, b in pairs:
-        X = gram_inverse_sqrt(a.chart, a.chart.positions(a.gamma_ids))
+        X = gram_inverse_sqrt(a.chart, a.chart.gamma_positions())
         M = X @ (a.matrix - b.matrix) @ X
         want = float(np.linalg.norm(0.5 * (M + M.T), 2))
         assert want > 0

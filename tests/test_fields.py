@@ -51,8 +51,10 @@ def test_norm_axioms_random_fields():
     u = GridField(g, rng.standard_normal(g.n_nodes))
     v = GridField(g, rng.standard_normal(g.n_nodes))
     for which in ("L2", "H1"):
-        assert abs(norm(u * 3.5, which) - 3.5 * norm(u, which)) < 1e-12
-        assert norm(u + v, which) <= norm(u, which) + norm(v, which) + 1e-12
+        assert abs(norm(GridField(g, u.values * 3.5), which)
+                   - 3.5 * norm(u, which)) < 1e-12
+        assert norm(GridField(g, u.values + v.values), which) \
+            <= norm(u, which) + norm(v, which) + 1e-12
 
 
 def test_region_mismatch():

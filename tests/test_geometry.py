@@ -564,7 +564,7 @@ def test_box_grid_and_surface_chart_match_loops(corners, h):
                           gamma={"edges": ["bottom", "right"]}), 0.1)])
 def test_h_half_gram_cached_per_chart(spec, h):
     chart = boundary_chart(build_grid(spec, h))
-    ids = chart.positions(chart.gamma_ids())
+    ids = chart.gamma_positions()
     assert 0 < ids.size < chart.n
     want = modal_h_half_gram(chart, ids, modal(chart))
     got = chart.h_half_gram(ids)
@@ -606,7 +606,7 @@ def _arrays(value) -> list:
 
 def _gamma_ids(grid):
     chart = boundary_chart(grid)
-    return chart, chart.positions(chart.gamma_ids())
+    return chart, chart.gamma_positions()
 
 
 def _held_gram_block(grid):
@@ -658,7 +658,7 @@ def test_hold_is_built_once_and_frozen(hold):
     ids=["cube14", "cube21", "cube8_full", "rectangle", "masked_union"])
 def test_quadrature_gram_matches_dense_modal_gram(spec, h):
     chart = boundary_chart(build_grid(spec, h))
-    ids = chart.positions(chart.gamma_ids())
+    ids = chart.gamma_positions()
     L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
     basis = modal(chart)
@@ -688,7 +688,7 @@ def test_schur_block_matches_whole_surface_quadrature(spec, h, whole):
     # eliminating the rest of the chart moves a proper block at rounding
     # level; on the whole chart nothing is eliminated, so no bit moves
     chart = boundary_chart(build_grid(spec, h))
-    ids = np.arange(chart.n) if whole else chart.positions(chart.gamma_ids())
+    ids = np.arange(chart.n) if whole else chart.gamma_positions()
     L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
     want = sqrt_pencil_block_reference(L, chart.weights, ids)
@@ -705,7 +705,7 @@ def test_schur_block_solves_only_the_border_columns(monkeypatch):
     # W on the Schur complement, never a column on all 1,178 surface nodes
     from helmlab import assembly
     chart = boundary_chart(build_grid(_CUBE_FACE, 1 / 14))
-    ids = chart.positions(chart.gamma_ids())
+    ids = chart.gamma_positions()
     assert (chart.n, ids.size) == (1178, 169)
     shapes, solve = [], assembly.verified_solve
 
@@ -721,7 +721,7 @@ def test_schur_block_solves_only_the_border_columns(monkeypatch):
 def test_quadrature_gram_matches_analytic_gram_on_a_circle():
     chart = boundary_chart(build_grid(
         DomainSpec("disk", radius=1.0, gamma={"angles": [(0.3, 2.1)]}), 0.05))
-    ids = chart.positions(chart.gamma_ids())
+    ids = chart.gamma_positions()
     L = chart._surface_stiffness()
     got = _sqrt_pencil_block(L, chart.weights, ids)
     assert _rel_err(got, chart.h_half_gram(ids)) <= 1e-12
@@ -780,7 +780,7 @@ def test_symbol_gram_matches_modal_gram(spec, h):
     if spec.kind == "annulus":
         assert chart.n % 2 == 0
     basis = modal(chart)
-    for ids in (np.arange(chart.n), chart.positions(chart.gamma_ids())):
+    for ids in (np.arange(chart.n), chart.gamma_positions()):
         got = chart.h_half_gram(ids)
         assert np.array_equal(got, got.T)
         assert _rel_err(got, modal_h_half_gram(chart, ids, basis)) <= 1e-13

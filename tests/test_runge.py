@@ -462,3 +462,26 @@ def test_superlu_map_solves_A_on_first_read(monkeypatch):
     A = fmap.A
     assert np.array_equal(A, _one_solve(fmap, fmap.op.lu()))
     assert fmap.A is A
+
+
+@pytest.mark.parametrize("h", [0.05, 0.06])     # hx = hy, then hx != hy
+def test_one_gamma_index_holds_one_gram_per_gamma(h):
+    # a perimeter walk is not in node order; every map indexes gamma in the
+    # chart's own order, so the chart holds one G^(-1/2) (and, off the
+    # circulant, one quadrature block) for gamma
+    spec = DomainSpec("rectangle", corners=((-1, -1), (1, 1.3)),
+                      gamma={"edges": ["top", "left", "bottom"]})
+    grid = build_grid(spec, h)
+    chart = boundary_chart(grid)
+    assert (chart.symbol() is None) == (h == 0.06)
+    op = assemble(grid, make_medium(grid), 3.0)
+    fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.4), chart)
+    svd(fmap)
+    u = np.random.default_rng(0).standard_normal(fmap.omega1_ids.size)
+    pde, oracle = adjoint_apply(fmap, u), adjoint_apply_matrix(fmap, u)
+    kinds = [key[0] for key in chart._held]
+    assert kinds.count("gram_inv_sqrt") == 1
+    assert kinds.count("gram") == (1 if h == 0.06 else 0)
+    assert np.array_equal(fmap.gamma_ids, chart.gamma_ids())
+    assert np.max(np.abs(pde.values - oracle.values)) \
+        <= 1e-10 * np.max(np.abs(oracle.values))
