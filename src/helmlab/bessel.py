@@ -293,10 +293,11 @@ class OptimalityRecord:
     bound_2ell: float
 
 
-def optimality_lower_bound(k: float, ell: int, epsilon: float = None,
+def optimality_lower_bound(k: float, ell: int,
                            n: int = 2) -> OptimalityRecord:
-    """Minimal boundary norm over all global modes within epsilon of the
-    normalized single mode, evaluated exactly in the modal decomposition.
+    """Minimal boundary norm over all global modes within
+    epsilon = 1 / (2^(n/2 + 4) ell) of the normalized single mode,
+    evaluated exactly in the modal decomposition.
 
     The minimizer lives in the single-mode direction (off-mode components
     only increase both the mismatch and the boundary norm), so the minimum is
@@ -312,8 +313,7 @@ def optimality_lower_bound(k: float, ell: int, epsilon: float = None,
         raise HypothesisViolated(
             f"ell={ell} too small for k={k}, n={n} "
             f"(needs >= 3 * max(k^2, n) and order > k)")
-    if epsilon is None:
-        epsilon = 1.0 / (2.0 ** (n / 2.0 + 4.0) * ell)
+    epsilon = 1.0 / (2.0 ** (n / 2.0 + 4.0) * ell)
 
     g_l2_sq = mode_l2_sq(ell, k, n)
     g_h1_sq = g_l2_sq + mode_h1_semi_sq(ell, k, n)

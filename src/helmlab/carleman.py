@@ -208,19 +208,25 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
 
 @dataclass
 class ImprovedProbe:
+    u: GridField               # the manufactured solution
     eta: float
     M: float
-    lhs: float                 # ||u|| on the outer sub-annulus r >= 1+delta
     lhs_full: float            # ||u|| on the whole annulus
     rhs_log: float
     rhs_poly: float
 
+    def lhs(self, delta: float) -> float:
+        """||u|| on the outer sub-annulus r >= r_inner + delta."""
+        grid = self.u.grid
+        outer = annulus_mask(grid, grid.radii[0] + delta, grid.radii[-1])
+        return norm(self.u, "L2", outer)
 
-def improved_ucp_probe(op: DiscreteOperator, delta: float,
-                       ell: int) -> ImprovedProbe:
+
+def improved_ucp_probe(op: DiscreteOperator, ell: int) -> ImprovedProbe:
     """Manufacture a high-degree solution with small outer Cauchy data and
     record the envelope quantities |log x|^(-MU_HAT) M and
-    (k^3 eta)^NU_HAT M^(1-NU_HAT), x = k^3 eta / M.
+    (k^3 eta)^NU_HAT M^(1-NU_HAT), x = k^3 eta / M; the norm on each outer
+    sub-annulus is read from the one solve (:meth:`ImprovedProbe.lhs`).
 
     The solve carries data cos(ell theta) on the inner circle and zero on the
     outer circle, so eta is the outer weak-Neumann norm alone.  Runs on an
@@ -246,12 +252,8 @@ def improved_ucp_probe(op: DiscreteOperator, delta: float,
         raise HypothesisViolated(
             f"needs 0 < k^3 eta <= M (k^3 eta = {k ** 3 * eta:.3g}, M = {M:.3g})")
 
-    r_in, r_out = grid.radii[0], grid.radii[-1]
-    outer = annulus_mask(grid, r_in + delta, r_out)
-    lhs = norm(u, "L2", outer)
-    lhs_full = norm(u, "L2")
     x = k ** 3 * eta / M
     rhs_log = abs(math.log(x)) ** (-MU_HAT) * M
     rhs_poly = (k ** 3 * eta) ** NU_HAT * M ** (1 - NU_HAT)
-    return ImprovedProbe(eta=eta, M=M, lhs=lhs, lhs_full=lhs_full,
+    return ImprovedProbe(u=u, eta=eta, M=M, lhs_full=norm(u, "L2"),
                          rhs_log=rhs_log, rhs_poly=rhs_poly)

@@ -590,7 +590,7 @@ def run_chain(cfg, out: Path) -> list:
     chart = boundary_chart(grid)
     rng = np.random.default_rng(c["seed"])
     u = random_mode_superposition(grid, k, int(2 * k) + 2, rng)
-    eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
+    eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]))
     M = norm(u, "H1")
     c_sob = 1.5 * lp_norm(u, 4) / M
     measured = norm(u, "L2")
@@ -658,16 +658,16 @@ def run_improved_ucp(cfg, out: Path) -> list:
     for kt in k_list:
         k = find_admissible_k(rep, kt)
         op = assemble(grid, medium, k, spectrum=rep)
-        for delta in deltas:
-            for ell in range(int(k) + 2, int(k) + c["params"]["ell_span"]):
-                try:
-                    pr = improved_ucp_probe(op, delta, ell=ell)
-                except HypothesisViolated:      # 0 < k^3 eta <= M fails
-                    continue
-                rows.append({"k": k, "ell": ell, "delta": delta,
-                             "eta": pr.eta, "M": pr.M, "lhs": pr.lhs,
-                             "lhs_full": pr.lhs_full, "rhs_log": pr.rhs_log,
-                             "rhs_poly": pr.rhs_poly})
+        probes = []
+        for ell in range(int(k) + 2, int(k) + c["params"]["ell_span"]):
+            try:
+                probes.append((ell, improved_ucp_probe(op, ell)))
+            except HypothesisViolated:          # 0 < k^3 eta <= M fails
+                pass
+        rows += [{"k": k, "ell": ell, "delta": delta, "eta": pr.eta,
+                  "M": pr.M, "lhs": pr.lhs(delta), "lhs_full": pr.lhs_full,
+                  "rhs_log": pr.rhs_log, "rhs_poly": pr.rhs_poly}
+                 for delta in deltas for ell, pr in probes]
     # per-delta exponent fit of log(lhs/M) on log(k^3 eta / M)
     fits = {}
     for delta in deltas:

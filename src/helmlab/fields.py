@@ -10,12 +10,14 @@ uniform closed curve, see :meth:`BoundaryChart.symbol`), with the whole
 chart ``ids = arange(n)``.  With X = G^(-1/2), cached on the chart
 (:func:`gram_inverse_sqrt`), w the boundary weights and v nodal values,
 
-    ||t||_(1/2) = sqrt(v^T G v),      ||t||_(-1/2) = ||X (w v)||,
-    ||ell||_* = ||X f||,              riesz_map(ell) = X (X f),
+    ||t||_(1/2) = sqrt(v^T G v),      ||ell||_* = ||X f||,
+    riesz_map(ell) = X (X f),
 
-f the dual values of a functional on ``ids``; this is the modal sum
-sum_m (1 + lambda_m)^(+-1/2) |c_m|^2 over the boundary Laplace--Beltrami
-eigenbasis without forming the basis.  Traces supported on a sub-boundary
+f the dual values of a functional on ``ids``.  The order -1/2 norm of a
+trace is the dual norm of its weighted values, ||t||_(-1/2) = ||X (w v)||
+= ``functional_norm(BoundaryFunctional(chart, w * v))``.  Each is the
+modal sum sum_m (1 + lambda_m)^(+-1/2) |c_m|^2 over the boundary
+Laplace--Beltrami eigenbasis without forming the basis.  Traces supported on a sub-boundary
 are enforced by hard masking before norm evaluation.  The H^-1 norm of
 compactly supported volume fields is evaluated on the Fourier side,
 weighting |F(b)|^2 by (1+|zeta|^2)^-1 on a padded box.
@@ -238,16 +240,10 @@ def mask_to_gamma(t: BoundaryTrace) -> BoundaryTrace:
     return BoundaryTrace(t.chart, vals)
 
 
-def trace_norm(t: BoundaryTrace, order: float) -> float:
-    """Trace norm of order +1/2 or -1/2 on the full outer boundary."""
-    if order not in (0.5, -0.5):
-        raise ValueError("trace_norm supports orders +-1/2")
-    ids = np.arange(t.chart.n)
-    if order > 0:
-        G = t.chart.h_half_gram(ids)
-        return float(np.sqrt(t.values @ G @ t.values))
-    X = gram_inverse_sqrt(t.chart, ids)
-    return float(np.linalg.norm(X @ (t.chart.weights * t.values)))
+def trace_norm(t: BoundaryTrace) -> float:
+    """Trace norm of order +1/2 on the full outer boundary."""
+    G = t.chart.h_half_gram(np.arange(t.chart.n))
+    return float(np.sqrt(t.values @ G @ t.values))
 
 
 def _positions(chart: BoundaryChart,

@@ -231,7 +231,7 @@ class Grid:
     stencil with geometric coupling ``c`` (face measure / node distance).
     ``quad_weights`` are midpoint-cell measures, halved at boundary nodes.
     A grid keeps in ``_held`` (:func:`held`) what is built from it once:
-    its boundary charts, one per gamma descriptor, its flux stiffness
+    its one boundary chart, for ``spec.gamma``, its flux stiffness
     (:func:`helmlab.assembly.stiffness`), the three-ball masks of each
     centre and radius (:func:`helmlab.ucp.three_ball_ratio`), its node
     radius (:func:`node_radius`) and the gradient plan of each region
@@ -564,27 +564,19 @@ def nearest_distance(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
 
 
 def check_nested_separation(grid: Grid, inner_mask: np.ndarray,
-                            min_layers: int = 4,
-                            boundary_ids: Optional[np.ndarray] = None) -> float:
-    """Distance between an inner mask and a set of boundary nodes (default:
-    the whole boundary), by the blocked exact scan of
-    :func:`nearest_distance`.
-
-    Nested configurations need a strictly positive separation; raises
-    :class:`GeometryViolation` when the gap is thinner than ``min_layers``
-    grid layers.  Returns the measured separation.
-    """
-    if boundary_ids is None:
-        boundary_ids = grid.boundary_index
+                            boundary_ids: np.ndarray) -> None:
+    """Raise :class:`GeometryViolation` unless an inner mask lies at least
+    four grid layers from the nodes ``boundary_ids``, measured by the
+    blocked exact scan of :func:`nearest_distance`; nested configurations
+    need a strictly positive separation."""
     if not np.any(inner_mask):
         raise GeometryViolation("empty inner mask")
     sep = float(nearest_distance(grid.nodes[inner_mask],
                                  grid.nodes[boundary_ids]).min())
-    min_sep = min_layers * grid.max_spacing()
+    min_sep = 4 * grid.max_spacing()
     if sep < min_sep:
         raise GeometryViolation(
-            f"nested separation {sep:g} below {min_layers} layers ({min_sep:g})")
-    return sep
+            f"nested separation {sep:g} below 4 layers ({min_sep:g})")
 
 
 def mask_connected(grid: Grid, mask: np.ndarray) -> bool:
@@ -836,18 +828,15 @@ def _ellipj(t: np.ndarray, m: float) -> tuple:
     return np.sin(phi), cn, cn / np.cos(prev - phi), K
 
 
-def boundary_chart(grid: Grid, gamma=None) -> BoundaryChart:
-    """Chart of the full outer boundary with the ``gamma`` subset marked.
-
-    ``gamma`` defaults to the descriptor stored in the domain spec.  Raises
-    :class:`EmptyGamma` when no node falls in the requested subset.
-    """
-    gamma = grid.spec.gamma if gamma is None else gamma
-    return held(grid, ("chart", repr(gamma)), lambda: _chart(grid, gamma))
+def boundary_chart(grid: Grid) -> BoundaryChart:
+    """Chart of the full outer boundary with the subset ``grid.spec.gamma``
+    marked, built once per grid.  Raises :class:`EmptyGamma` when no node
+    falls in the subset."""
+    return held(grid, "chart", lambda: _chart(grid))
 
 
-def _chart(grid: Grid, gamma) -> BoundaryChart:
-    check_gamma(grid.spec.kind, gamma)
+def _chart(grid: Grid) -> BoundaryChart:
+    gamma = grid.spec.gamma
     if grid.topology == "polar":
         chart = _polar_chart(grid, gamma)
     elif grid.dim == 2:

@@ -257,15 +257,14 @@ class RungeApproximant:
 
 
 def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
-                      v_h1: float,
-                      alpha: Optional[float] = None) -> RungeApproximant:
+                      v_h1: float) -> RungeApproximant:
     """Largest cutoff whose discarded-mode error (plus the out-of-span
-    residue) stays within epsilon * v_h1.
+    residue) stays within the budget epsilon * v_h1; the budget alone sets
+    the cutoff.
 
     ``v`` must carry the target region in its mask; ``v_h1`` is the reference
-    norm multiplying epsilon.  Passing ``alpha`` forces the cutoff instead.
-    Raises :class:`TargetUnreachable` when full retention cannot meet the
-    budget.
+    norm multiplying epsilon.  Raises :class:`TargetUnreachable` when full
+    retention cannot meet the budget.
     """
     if epsilon <= 0:
         raise TargetUnreachable("epsilon must be positive", "epsilon")
@@ -279,19 +278,16 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
     tails = np.sqrt(np.cumsum((beta ** 2)[::-1])[::-1])  # tails[j] = ||beta[j:]||
     tails = np.append(tails, 0.0)
 
-    if alpha is not None:
-        n_keep = int(np.sum(sv >= alpha))
-    else:
-        budget = epsilon * v_h1
-        if residue > budget:
-            raise TargetUnreachable(
-                f"out-of-span residue {residue:.3e} exceeds budget {budget:.3e}",
-                "residue")
-        errs = np.hypot(tails, residue)
-        n_keep = int(np.argmax(errs <= budget))
-        if errs[n_keep] > budget:
-            raise TargetUnreachable("no admissible cutoff", "cutoff")
-        alpha = sv[n_keep - 1] if n_keep >= 1 else 2.0 * sv[0]
+    budget = epsilon * v_h1
+    if residue > budget:
+        raise TargetUnreachable(
+            f"out-of-span residue {residue:.3e} exceeds budget {budget:.3e}",
+            "residue")
+    errs = np.hypot(tails, residue)
+    n_keep = int(np.argmax(errs <= budget))
+    if errs[n_keep] > budget:
+        raise TargetUnreachable("no admissible cutoff", "cutoff")
+    alpha = sv[n_keep - 1] if n_keep >= 1 else 2.0 * sv[0]
 
     kept = slice(0, n_keep)
     if n_keep:

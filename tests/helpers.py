@@ -58,11 +58,13 @@ def disk_grid(h: float):
 
 
 @lru_cache(maxsize=None)
-def disk_setup(k: float, h: float = None):
-    """(grid, medium, op, chart) for the unit disk at frequency k."""
+def disk_setup(k: float, h: float = None, arc: bool = False):
+    """(grid, medium, op, chart) for the unit disk at frequency k; with
+    ``arc``, the spec's gamma is the arc 0 < theta < 3 pi / 2."""
     if h is None:
         h = min(2 * np.pi / (10.0 * k) * 0.9, 0.05)
-    grid = disk_grid(h)
+    grid = build_grid(DomainSpec("disk", radius=1.0, gamma={
+        "angles": [(0.0, 1.5 * np.pi)]}), h) if arc else disk_grid(h)
     medium = make_medium(grid)
     op = assemble(grid, medium, k)
     chart = boundary_chart(grid)
@@ -83,8 +85,7 @@ def disk_arc_map(k: float, h: float = None, inner: float = 0.5):
     """Forward map of the nested disk pair with gamma the arc
     0 < theta < 3 pi / 2; not invariant under rotation, so it is solved by
     SuperLU."""
-    grid, _, op, _ = disk_setup(k, h)
-    chart = boundary_chart(grid, {"angles": [(0.0, 1.5 * np.pi)]})
+    grid, _, op, chart = disk_setup(k, h, arc=True)
     return build_forward_map(op, ball_mask(grid, (0, 0), inner), chart)
 
 

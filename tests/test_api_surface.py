@@ -1,13 +1,15 @@
 """The package holds only what runs.
 
-Every defaulted parameter of the package is set by at least one caller.  A
-default that no call in ``src``, ``tests`` or ``perfbench`` overrides is a
-configuration that nothing runs; it belongs inside its function as a
-constant.  The audit parses the sources with ``ast`` and matches calls to
-definitions by name: ``f(...)`` and ``obj.f(...)`` reach every definition
-named ``f``, and ``Cls(...)`` reaches ``Cls.__init__``.  A parameter counts
-as passed when a call names it as a keyword, fills its position, or spreads
-``*args`` over it or ``**kwargs`` into the call.
+Every defaulted parameter of the package is set by at least one run.  A
+default that no call in ``src`` or ``perfbench`` overrides is a
+configuration that nothing runs, even where a test sets it; it belongs
+inside its function as a constant.  ``DEFAULT_ALLOWED`` names the few that
+only tests set, each with its reason.  The audit parses the sources with
+``ast`` and matches calls to definitions by name: ``f(...)`` and
+``obj.f(...)`` reach every definition named ``f``, and ``Cls(...)``
+reaches ``Cls.__init__``.  A parameter counts as passed when a call names
+it as a keyword, fills its position, or spreads ``*args`` over it or
+``**kwargs`` into the call.
 
 Every top-level function and class of the package, and every public method
 of its classes, is reached from a run: ``src/helmlab`` names it outside its
@@ -62,7 +64,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "helmlab"
-CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+CALLERS = [ROOT / "src", ROOT / "perfbench"]
+
+# Defaulted parameters that only tests set, kept for the reason given.
+DEFAULT_ALLOWED = {
+    "carleman.carleman_check(f)": "the divergence data of the Carleman "
+    "estimate, which test_divergence_mode checks",
+    "carleman.carleman_check(F)": "the divergence data of the Carleman "
+    "estimate, which test_divergence_mode checks",
+    "fields.functional_norm(gamma)": "the dual norm paired with "
+    "riesz_map(gamma), which adjoint_apply runs",
+}
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool):
@@ -155,9 +167,12 @@ def audit():
 def test_every_default_is_overridden_by_some_caller():
     every, unpassed = audit()
     assert every, "the audit found no defaulted parameters"
-    assert not unpassed, (
-        f"{len(unpassed)} of {len(every)} defaulted parameters are never "
-        "passed:\n" + "\n".join(unpassed))
+    left = [p for p in unpassed if p not in DEFAULT_ALLOWED]
+    assert not left, (
+        f"{len(left)} of {len(every)} defaulted parameters are never "
+        "passed by a run:\n" + "\n".join(left))
+    stale = sorted(set(DEFAULT_ALLOWED) - set(unpassed))
+    assert not stale, f"allowlisted defaults now passed by a run: {stale}"
 
 
 # Reached only from tests until the stage trace evaluates them on a run.
@@ -435,7 +450,8 @@ def test_no_module_imports_scipy_spatial():
 
 if __name__ == "__main__":
     every, unpassed = audit()
-    print(len(every), "defaulted;", len(unpassed), "never passed")
+    print(len(every), "defaulted;", len(unpassed), "never passed by a run;",
+          len(DEFAULT_ALLOWED), "allowlisted")
     print("\n".join(unpassed))
     flagged = unreached()
     print(len(flagged), "reached only from tests;", len(REACH_ALLOWED),

@@ -8,7 +8,7 @@ from helmlab.assembly import (Medium, assemble, default_spacing,
                               mask_dirichlet_ring, mask_flux_pairing,
                               radial_derivative, solve_dirichlet,
                               solve_on_mask_multi, stiffness, verified_solve,
-                              weak_neumann_trace)
+                              wavelength_rule, weak_neumann_trace)
 from helmlab.bessel import bessel_j, bessel_j_prime
 from helmlab.errors import (HypothesisViolated, NearResonance, NotASolution,
                             SolverBreakdown, UnderResolved)
@@ -74,6 +74,14 @@ def test_wavelength_rule_guard():
         assemble(g, med, 20.0)
     with pytest.raises(HypothesisViolated):
         assemble(g, med, 0.5)
+
+
+def test_wavelength_message_tells_a_near_miss_apart():
+    # both sides print alike at 4 digits; the relative excess does not
+    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
+    k = 2 * np.pi / (10 * g.max_spacing()) * (1 + 2e-9)
+    with pytest.raises(UnderResolved, match=r"by 2e-07% at k="):
+        wavelength_rule(g, k, 1.0)
 
 
 def test_near_resonance_guard():

@@ -120,11 +120,15 @@ def test_radial_profile_reduces_to_j_in_2d():
 
 
 def test_optimality_eps_zero_variant():
-    rec0 = optimality_lower_bound(2.0, 12, epsilon=1e-300)
+    # the closed-form minimum at the record's epsilon 1 / (2^5 ell); at
+    # epsilon -> 0 it tends to alpha_ell |R_ell(k)| (1 + lambda^(1/2))^(1/2)
+    rec = optimality_lower_bound(2.0, 12)
+    assert rec.epsilon == 1.0 / (2.0 ** 5 * 12)
     lam = 12 * 12
-    expected = rec0.alpha_ell * abs(radial_profile(12, 2.0, 2, np.array([1.0]))[0]) \
+    expected = (rec.alpha_ell - rec.epsilon / rec.g_l2) \
+        * abs(radial_profile(12, 2.0, 2, np.array([1.0]))[0]) \
         * math.sqrt(1 + math.sqrt(lam))
-    assert abs(rec0.min_boundary_norm - expected) < 1e-12 * expected
+    assert abs(rec.min_boundary_norm - expected) < 1e-12 * expected
 
 
 def test_optimality_bound_positive_and_growth():

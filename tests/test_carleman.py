@@ -161,12 +161,12 @@ def test_improved_probe_gate_and_envelope():
     k = find_admissible_k(rep, 4.0)
     op = assemble(grid, med, k)
     with pytest.raises(HypothesisViolated):
-        improved_ucp_probe(op, 0.2, ell=int(k) + 2)   # eta too large
+        improved_ucp_probe(op, int(k) + 2)   # eta too large
     for ell in (12, 16, 20):
-        pr = improved_ucp_probe(op, 0.2, ell=ell)
+        pr = improved_ucp_probe(op, ell)
         assert 0.0 < k ** 3 * pr.eta <= pr.M
-        assert pr.lhs <= pr.rhs_poly
-        assert pr.lhs <= pr.lhs_full
+        assert pr.lhs(0.2) <= pr.rhs_poly
+        assert pr.lhs(0.2) <= pr.lhs_full
 
 
 def test_improved_constant_contrast_with_general_geometry():
@@ -186,11 +186,11 @@ def test_improved_constant_contrast_with_general_geometry():
         pts = []
         for ell in range(int(k) + 7, int(k) + 23):
             try:
-                pr = improved_ucp_probe(op, 0.2, ell=ell)
+                pr = improved_ucp_probe(op, ell)
             except HypothesisViolated:
                 continue
             pts.append((math.log(k ** 3 * pr.eta / pr.M),
-                        math.log(pr.lhs / pr.M)))
+                        math.log(pr.lhs(0.2) / pr.M)))
         probes[kt] = pts
         xs_all += [p[0] for p in pts]
         ys_all += [p[1] for p in pts]
@@ -224,12 +224,8 @@ def test_improved_probe_delta_monotone_exponent():
     rep = compute_sigma(grid, med, 40, shifts=(16.0,))
     k = find_admissible_k(rep, 4.0)
     op = assemble(grid, med, k)
-    nus = []
-    for delta in (0.1, 0.2, 0.4):
-        xs, ys = [], []
-        for ell in range(11, 24):
-            pr = improved_ucp_probe(op, delta, ell=ell)
-            xs.append(math.log(k ** 3 * pr.eta / pr.M))
-            ys.append(math.log(pr.lhs / pr.M))
-        nus.append(fit_line(xs, ys)[0])
+    probes = [improved_ucp_probe(op, ell) for ell in range(11, 24)]
+    xs = [math.log(k ** 3 * pr.eta / pr.M) for pr in probes]
+    nus = [fit_line(xs, [math.log(pr.lhs(delta) / pr.M) for pr in probes])[0]
+           for delta in (0.1, 0.2, 0.4)]
     assert nus[0] < nus[1] < nus[2]

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import helmlab
-from helmlab import cli
+from helmlab import carleman, cli
 from helmlab.assembly import default_spacing
 from helmlab.cli import (load_config, main, run_experiment, validate_config)
 from helmlab.errors import ConfigInvalid, GeometryViolation
@@ -814,9 +814,9 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
     ("spectrum", {"domain": {"kind": "rectangle", "corners": [[0, 0], [1, 0.3]]},
                   "h": 0.05}, "width 0.3 spans fewer than 8 layers at h=0.05"),
     ("solve", {"domain": _DISK, "k_list": [10.0]},
-     "spacing 0.09973 exceeds wavelength rule 0.0628 at k=10"),
+     "spacing 0.09973 exceeds wavelength rule 0.0628 by 59% at k=10"),
     ("improved_ucp", {"h": 0.1, "k_list": [8.0]},
-     "spacing 0.1 exceeds wavelength rule 0.05526 at k=8"),
+     "spacing 0.1 exceeds wavelength rule 0.05526 by 81% at k=8"),
     ("solve", {"domain": {**_DISK, "gamma": {"edges": ["bottom"]}}},
      "domain: bad gamma descriptor for a disk: {'edges': ['bottom']}"),
     ("solve", {"domain": {**_DISK, "gamma": [1, 2]}},
@@ -846,7 +846,7 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
      "'radius': 0.25}: value, amplitude and radius must be numbers, center "
      "a point of 3"),
     ("runge_sweep", {"h": 0.2},
-     "spacing 0.1963 exceeds wavelength rule 0.1963 at k=3.2"),
+     "spacing 0.1963 exceeds wavelength rule 0.1963 by 0.05% at k=3.2"),
     ("runge_sweep", {"h": 0.3}, "width 2 spans fewer than 8 layers at h=0.3"),
     ("runge_sweep", {"epsilon_list": [2.0 ** -4]},
      "the sweep's fit needs 3 (k, epsilon, seed) cells; it has 1"),
@@ -940,6 +940,28 @@ def test_sigma_keeps_the_keys_spectrum_reads(tmp_path):
     path = _write(tmp_path, "chain.json", cfg)
     assert main(["sigma", str(path), "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "spectrum.json").exists()
+
+
+def test_improved_ucp_solves_once_per_k_and_ell(tmp_path, monkeypatch):
+    # the solve, eta and M depend on (k, ell) alone: each delta's outer norm
+    # is read from the one solve, in rows ordered by k, delta, ell
+    cfg = dict(_RUNNER_CASES["improved_ucp"][0])
+    cfg["params"] = dict(cfg["params"], delta_list=[0.2, 0.4])
+    real, solved = carleman.solve_dirichlet, []
+
+    def spy(op, **kwargs):
+        solved.append(op.k)
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(carleman, "solve_dirichlet", spy)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert len(solved) == len(cfg["k_list"]) * (cfg["params"]["ell_span"] - 2)
+    lines = (tmp_path / "improved_ucp.csv").read_text().splitlines()[2:]
+    rows = [line.split(",") for line in lines]
+    half = len(rows) // 2
+    assert half and [r[2] for r in rows] == ["0.2"] * half + ["0.4"] * half
+    assert [r[:2] + r[3:5] for r in rows[:half]] == \
+        [r[:2] + r[3:5] for r in rows[half:]]
 
 
 def test_improved_ucp_run_lets_a_shape_error_through(tmp_path):

@@ -69,13 +69,13 @@ def test_trace_norm_constant_and_mode():
     g = disk_grid(0.05)
     chart = boundary_chart(g)
     t = BoundaryTrace(chart, np.ones(chart.n))
-    assert abs(trace_norm(t, 0.5) - np.sqrt(2 * np.pi)) < 1e-12
+    assert abs(trace_norm(t) - np.sqrt(2 * np.pi)) < 1e-12
     errs = []
     for h in (0.05, 0.025):
         gg = disk_grid(h)
         ch = boundary_chart(gg)
         tm = BoundaryTrace(ch, np.cos(4 * gg.thetas))
-        errs.append(abs(trace_norm(tm, 0.5) ** 2 - np.pi * np.sqrt(1 + 16)))
+        errs.append(abs(trace_norm(tm) ** 2 - np.pi * np.sqrt(1 + 16)))
     assert errs[1] < errs[0]
 
 
@@ -85,10 +85,10 @@ def test_riesz_isometry_and_duality():
     rng = np.random.default_rng(1)
     ell = BoundaryFunctional(chart, rng.standard_normal(chart.n))
     r = riesz_map(ell)
-    # <ell, R ell> = ||ell||^2 and trace_norm(+1/2) of the image matches
+    # <ell, R ell> = ||ell||^2 and the +1/2 trace norm of the image matches
     n2 = functional_norm(ell) ** 2
     assert abs(pairing(ell, r) - n2) < 1e-10 * n2
-    assert abs(trace_norm(r, 0.5) - functional_norm(ell)) < 1e-10
+    assert abs(trace_norm(r) - functional_norm(ell)) < 1e-10
 
     zero = BoundaryFunctional(chart, np.zeros(chart.n))
     assert np.allclose(riesz_map(zero).values, 0.0)
@@ -96,14 +96,14 @@ def test_riesz_isometry_and_duality():
     # duality bound and sharpness
     for _ in range(5):
         t = BoundaryTrace(chart, rng.standard_normal(chart.n))
-        assert abs(pairing(ell, t)) <= functional_norm(ell) * trace_norm(t, 0.5) * (1 + 1e-12)
-    unit = BoundaryTrace(chart, r.values / trace_norm(r, 0.5))
+        assert abs(pairing(ell, t)) <= functional_norm(ell) * trace_norm(t) * (1 + 1e-12)
+    unit = BoundaryTrace(chart, r.values / trace_norm(r))
     assert abs(pairing(ell, unit) - functional_norm(ell)) < 1e-8 * functional_norm(ell)
 
 
 def test_riesz_gamma_restricted():
-    g = disk_grid(0.05)
-    chart = boundary_chart(g, {"angles": [(0.0, np.pi)]})
+    chart = boundary_chart(build_grid(DomainSpec(
+        "disk", radius=1.0, gamma={"angles": [(0.0, np.pi)]}), 0.05))
     rng = np.random.default_rng(2)
     ell = BoundaryFunctional(chart, rng.standard_normal(chart.n))
     r = riesz_map(ell, gamma=chart.gamma_mask)
@@ -119,8 +119,10 @@ def test_trace_interlacing():
     for _ in range(5):
         t = BoundaryTrace(chart, rng.standard_normal(chart.n))
         l2 = np.sqrt(np.sum(chart.weights * t.values ** 2))
-        assert trace_norm(t, -0.5) <= l2 * (1 + 1e-12)
-        assert l2 <= trace_norm(t, 0.5) * (1 + 1e-12)
+        minus = functional_norm(BoundaryFunctional(chart,
+                                                   chart.weights * t.values))
+        assert minus <= l2 * (1 + 1e-12)
+        assert l2 <= trace_norm(t) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("spec, h", [
@@ -137,9 +139,12 @@ def test_trace_norms_match_modal_sums(spec, h):
     rng = np.random.default_rng(5)
     for _ in range(3):
         t = BoundaryTrace(chart, rng.standard_normal(chart.n))
-        for order in (0.5, -0.5):
+        # the -1/2 norm is the dual norm of the weighted values
+        minus = functional_norm(BoundaryFunctional(chart,
+                                                   chart.weights * t.values))
+        for order, got in ((0.5, trace_norm(t)), (-0.5, minus)):
             want = modal_trace_norm(t, order, basis)
-            assert abs(trace_norm(t, order) - want) <= 1e-12 * want
+            assert abs(got - want) <= 1e-12 * want
         ell = BoundaryFunctional(chart, rng.standard_normal(chart.n))
         want = modal_functional_norm(ell, basis)
         assert abs(functional_norm(ell) - want) <= 1e-12 * want
@@ -158,8 +163,8 @@ def test_whole_boundary_is_the_all_true_gamma():
 
 
 def test_gamma_masking():
-    g = disk_grid(0.06)
-    chart = boundary_chart(g, {"angles": [(0.0, 1.0)]})
+    chart = boundary_chart(build_grid(DomainSpec(
+        "disk", radius=1.0, gamma={"angles": [(0.0, 1.0)]}), 0.06))
     t = BoundaryTrace(chart, np.ones(chart.n))
     masked = mask_to_gamma(t)
     assert np.max(np.abs(masked.values[~chart.gamma_mask])) == 0.0

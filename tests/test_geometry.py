@@ -102,23 +102,26 @@ def test_chart_weights_and_gamma_arc():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
     chart = boundary_chart(g)
     assert abs(chart.weights.sum() - 2 * np.pi) < 1e-12
-    half = boundary_chart(g, {"angles": [(0.0, np.pi)]})
+    half = boundary_chart(build_grid(DomainSpec(
+        "disk", radius=1.0, gamma={"angles": [(0.0, np.pi)]}), 0.1))
     frac = half.gamma_mask.mean()
     assert 0.4 < frac < 0.6
 
 
 def test_chart_rectangle_edges():
-    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1))), 1 / 16)
-    chart = boundary_chart(g, {"edges": ["bottom"]})
+    g = build_grid(DomainSpec("rectangle", corners=((0, 0), (1, 1)),
+                              gamma={"edges": ["bottom"]}), 1 / 16)
+    chart = boundary_chart(g)
     pts = g.nodes[chart.gamma_ids()]
     assert np.allclose(pts[:, 1], 0.0)
     assert abs(chart.weights.sum() - 4.0) < 1e-12
 
 
 def test_empty_gamma_raises():
-    g = build_grid(DomainSpec("disk", radius=1.0), 0.1)
+    g = build_grid(DomainSpec("disk", radius=1.0,
+                              gamma={"angles": [(1.0, 1.0 + 1e-9)]}), 0.1)
     with pytest.raises(EmptyGamma):
-        boundary_chart(g, {"angles": [(1.0, 1.0 + 1e-9)]})
+        boundary_chart(g)
 
 
 def test_feature_unresolved():
@@ -129,8 +132,11 @@ def test_feature_unresolved():
 def test_nested_separation_guard():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     with pytest.raises(GeometryViolation):
-        check_nested_separation(g, ball_mask(g, (0, 0), 0.95))
-    sep = check_nested_separation(g, ball_mask(g, (0, 0), 0.5))
+        check_nested_separation(g, ball_mask(g, (0, 0), 0.95),
+                                g.boundary_index)
+    inner = ball_mask(g, (0, 0), 0.5)
+    check_nested_separation(g, inner, g.boundary_index)
+    sep = nearest_distance(g.nodes[inner], g.nodes[g.boundary_index]).min()
     assert 0.4 < sep < 0.55
 
 
@@ -254,13 +260,12 @@ def test_domain_spec_invariants():
     ids=["disk_edges", "flat_arc", "rectangle_side", "box_face",
          "box_extent", "union_edges"])
 def test_spec_and_chart_state_the_gamma_forms_once(spec, gamma):
-    # the spec and the chart reject a descriptor with the same words; each
-    # once built (or failed in the run with a KeyError or an empty gamma)
+    # the spec rejects a descriptor before any grid or chart is built (each
+    # once built, or failed in the run with a KeyError or an empty gamma);
+    # a chart reads its gamma from the spec alone
     with pytest.raises(GeometryViolation) as at_spec:
         dataclasses.replace(spec, gamma=gamma)
-    with pytest.raises(GeometryViolation) as at_chart:
-        boundary_chart(build_grid(spec, spec.width / 8), gamma)
-    assert str(at_spec.value) == str(at_chart.value) \
+    assert str(at_spec.value) \
         == f"bad gamma descriptor for a {spec.kind}: {gamma!r}"
 
 
@@ -489,7 +494,8 @@ def test_polar_grid_matches_ring_loops(spec, h):
     assert np.array_equal(chart.node_ids, g.lattice_id[-1])
     for angles in ([(0.0, np.pi)], [(5.5, 0.5), (2.0, 3.0)],
                    [(1.0, 2.0), (1.5, 4.0), (-1.0, 0.25)]):
-        chart = boundary_chart(g, {"angles": angles})
+        chart = boundary_chart(build_grid(
+            dataclasses.replace(spec, gamma={"angles": angles}), h))
         assert np.array_equal(chart.gamma_mask, _reference_arcs(g, angles))
 
 
@@ -510,7 +516,8 @@ def test_rectangle_grid_and_charts_match_loops(corners, h):
     _assert_grid_equal(g, _reference_block(g))
     assert domain_area(spec) == _reference_area(spec)
     for gamma in _EDGE_GAMMAS:
-        chart = boundary_chart(g, gamma)
+        chart = boundary_chart(build_grid(
+            dataclasses.replace(spec, gamma=gamma), h))
         ids, mask = _reference_perimeter(g, gamma)
         assert np.array_equal(chart.node_ids, ids)
         assert np.array_equal(chart.gamma_mask, mask)
@@ -546,7 +553,8 @@ def test_box_grid_and_surface_chart_match_loops(corners, h):
     for gamma in ["full", {"face": "z-"}, {"face": "x+"}, {"face": "y-"},
                   {"face": "z+", "extent": [lo[:2], mid[:2]]},
                   {"face": "x-", "extent": [mid[1:], hi[1:]]}]:
-        chart = boundary_chart(g, gamma)
+        chart = boundary_chart(build_grid(
+            dataclasses.replace(spec, gamma=gamma), h))
         weights, mask = _reference_surface(g, gamma)
         assert np.array_equal(chart.node_ids, g.boundary_index)
         assert np.array_equal(chart.weights, weights)

@@ -157,11 +157,17 @@ def test_cost_identity_at_a_forced_alpha(kind, data, amplitude, k_frac, seed,
     fmap = _draw_map(kind, data, amplitude, k_frac)
     system = svd(fmap)
     sv = system.singular_values
-    alpha = sv[int(keep * (sv.size - 1))]
-    rng = np.random.default_rng(seed)
-    v = GridField(fmap.op.grid, rng.standard_normal(fmap.op.grid.n_nodes))
-    ap = runge_approximate(system, v, 1.0, 1.0, alpha=alpha)
-    assert ap.n_retained == np.count_nonzero(sv >= alpha)
+    n = 1 + int(keep * (sv.size - 1))
+    # v in the span of the region's modes; a budget halfway between the
+    # tail errors of n - 1 and n retained modes retains exactly n
+    values = np.zeros(fmap.op.grid.n_nodes)
+    values[fmap.omega1_ids] = system.psi @ np.random.default_rng(
+        seed).standard_normal(sv.size)
+    beta = system.psi.T @ (fmap.wx * values[fmap.omega1_ids])
+    tails = np.append(np.sqrt(np.cumsum((beta ** 2)[::-1])[::-1]), 0.0)
+    v = GridField(fmap.op.grid, values)
+    ap = runge_approximate(system, v, (tails[n - 1] + tails[n]) / 2, 1.0)
+    assert ap.n_retained == n and ap.alpha == sv[n - 1]
     kept = slice(0, ap.n_retained)
     cost_sq = float(np.sum(ap.beta[kept] ** 2 / system.mu[kept]))
     # the boundary trace norm of g_alpha, taken from its nodal values

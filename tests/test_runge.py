@@ -13,7 +13,7 @@ from helmlab.errors import GeometryViolation, GramNotSPD, TargetUnreachable
 from helmlab.fields import GridField, norm
 from helmlab.geometry import (DomainSpec, annulus_mask, ball_mask,
                               boundary_chart, build_grid,
-                              check_nested_separation)
+                              check_nested_separation, nearest_distance)
 from helmlab.modes import mode_field
 from helmlab.profiles import bump_profile, make_medium
 from helmlab.runge import (MaskSolutionBasis, adjoint_apply,
@@ -83,7 +83,7 @@ def test_forward_map_accepts_target_on_uncharted_boundary():
     chart = boundary_chart(grid)
     omega1 = annulus_mask(grid, 0.5, 1.0)          # touches the inner circle
     with pytest.raises(GeometryViolation):
-        check_nested_separation(grid, omega1)
+        check_nested_separation(grid, omega1, grid.boundary_index)
     fmap = build_forward_map(op, omega1, chart)
     assert fmap.A.shape == (fmap.omega1_ids.size, chart.n)
 
@@ -102,12 +102,13 @@ def test_separation_matches_brute_force():
             brute = np.min(np.linalg.norm(grid.nodes[mask][:, None, :]
                                           - grid.nodes[ids][None, :, :],
                                           axis=2))
-            sep = check_nested_separation(grid, mask, 0, boundary_ids=ids)
+            sep = nearest_distance(grid.nodes[mask], grid.nodes[ids]).min()
             assert abs(sep - brute) <= 1e-14
     grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=1.0), 0.05)
-    mask = ball_mask(grid, (0.1, 0.7), 0.15)
-    assert check_nested_separation(grid, mask, 0) < check_nested_separation(
-        grid, mask, 0, boundary_ids=boundary_chart(grid).node_ids)
+    pts = grid.nodes[ball_mask(grid, (0.1, 0.7), 0.15)]
+    whole, charted = (nearest_distance(pts, grid.nodes[ids]).min() for ids
+                      in (grid.boundary_index, boundary_chart(grid).node_ids))
+    assert whole < charted
 
 
 def test_svd_identities():
@@ -309,8 +310,8 @@ def test_single_mode_approximant():
     assert ap.err < 1e-8
     assert abs(ap.cost - 1.0 / system.singular_values[0]) < 1e-8
 
-    forced = runge_approximate(system, v, 0.5, 1.0,
-                               alpha=2.0 * system.singular_values[0])
+    # a budget above ||v|| retains no mode
+    forced = runge_approximate(system, v, 2.0, norm(v, "L2", mask))
     assert forced.n_retained == 0 and forced.cost == 0.0
     assert abs(forced.err - norm(v, "L2", mask)) < 1e-10
 
@@ -453,8 +454,7 @@ def test_column_zero_alone_matches_A(case):
 
 
 def test_superlu_map_solves_A_on_first_read(monkeypatch):
-    grid, _, op, _ = disk_setup(5.0)
-    chart = boundary_chart(grid, {"angles": [(0.0, 1.5 * np.pi)]})
+    grid, _, op, chart = disk_setup(5.0, arc=True)
     with monkeypatch.context() as mp:
         solved = _column_solves(mp)
         fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart)

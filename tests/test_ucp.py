@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -46,15 +47,17 @@ def _mode_at_nodes(grid, ell, k, parity, center):
     (DomainSpec("disk", radius=1.0), None),
     (DomainSpec("disk", radius=1.0, center=(0.3, -0.2)), None),
     (DomainSpec("annulus", r_inner=0.5, r_outer=2.0), (0.0, 0.0)),
-    (DomainSpec("disk", radius=1.0), (0.15, 0.05)),    # off-centre: node path
+    (DomainSpec("disk", radius=1.0, center=(0.15, 0.05)), (0.15, 0.05)),
     (DomainSpec("rectangle", corners=((-1, -1), (1, 1))), (0.0, 0.0)),
 ])
 def test_mode_field_per_ring_matches_nodes(spec, center):
+    # every mode is centred at the domain centre (``center``, or the spec's
+    # when None): per ring on a polar grid, per node on a Cartesian one
     g = build_grid(spec, 0.05)
     c = g.spec.center if center is None else center
     for ell in (0, 1, 4, 11):
         for parity in ("cos", "sin"):
-            got = mode_field(g, ell, 4.0, parity, center).values
+            got = mode_field(g, ell, 4.0, parity).values
             want = _mode_at_nodes(g, ell, 4.0, parity, c)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)),
                                                           1e-300)
@@ -127,7 +130,7 @@ def test_chain_growth_and_validity():
     fit = estimate_exponent(cal)
     rng = np.random.default_rng(11)
     u = random_mode_superposition(grid, 4.0, 10, rng)
-    eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
+    eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]))
     M = norm(u, "H1")
     c4 = 1.5 * lp_norm(u, 4) / M
     rows = []
@@ -195,15 +198,15 @@ def _greedy_cover_reference(nodes, deep, centers, radii, value):
 
 def _chain_runs(spec, gammas, eps_list, fit):
     """(op, chart, u, eta, M, eps) on a grid of ``spec`` at h = 0.02 for each
-    gamma and epsilon."""
-    grid = build_grid(spec, 0.02)
-    op = assemble(grid, make_medium(grid), 4.0)
-    u = random_mode_superposition(grid, 4.0, 10, np.random.default_rng(3))
-    M = norm(u, "H1")
+    gamma, carried by the spec, and epsilon."""
     runs = []
     for gamma in gammas:
-        chart = boundary_chart(grid, gamma)
-        eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]), 0.5)
+        grid = build_grid(dataclasses.replace(spec, gamma=gamma), 0.02)
+        op = assemble(grid, make_medium(grid), 4.0)
+        u = random_mode_superposition(grid, 4.0, 10, np.random.default_rng(3))
+        M = norm(u, "H1")
+        chart = boundary_chart(grid)
+        eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]))
         runs += [(op, chart, u, eta, M, eps) for eps in eps_list]
     return runs
 
