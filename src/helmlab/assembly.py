@@ -129,7 +129,6 @@ def sparse_lu(A) -> spla.SuperLU:
 
 @dataclass
 class DiscreteOperator:
-    grid: Grid
     medium: Medium
     k: float
     L: sp.csr_matrix                      # full symmetric operator, all nodes
@@ -138,12 +137,8 @@ class DiscreteOperator:
     _lu: Optional[spla.SuperLU] = field(default=None, init=False, repr=False)
 
     @property
-    def interior(self) -> np.ndarray:
-        return self.grid.interior_index
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return self.grid.boundary_index
+    def grid(self) -> Grid:
+        return self.medium.grid
 
     def lu(self) -> spla.SuperLU:
         """SuperLU factor of L_II, taken once by :func:`sparse_lu`:
@@ -190,9 +185,8 @@ def wavelength_rule(grid: Grid, k: float, kappa: float) -> None:
             f"by {100 * (h_max / h_allowed - 1):.2g}% at k={k:g}")
 
 
-def assemble(grid: Grid, medium: Medium, k: float,
-             spectrum=None) -> DiscreteOperator:
-    """Assemble the weighted operator at frequency k >= 1.
+def assemble(medium: Medium, k: float, spectrum=None) -> DiscreteOperator:
+    """Assemble the weighted operator of a medium at frequency k >= 1.
 
     Raises :class:`UnderResolved` unless the spacing meets the
     :func:`wavelength_rule` at k, and, the one resonance guard,
@@ -201,8 +195,7 @@ def assemble(grid: Grid, medium: Medium, k: float,
     """
     if k < 1.0:
         raise HypothesisViolated("frequency must satisfy k >= 1")
-    if medium.grid is not grid:
-        raise RegionMismatch("medium sampled on a different grid")
+    grid = medium.grid
     wavelength_rule(grid, k, medium.kappa)
     if spectrum is not None:
         from .spectral import check_admissibility
@@ -220,8 +213,7 @@ def assemble(grid: Grid, medium: Medium, k: float,
     B = grid.boundary_index
     L_II = L[I][:, I].tocsc()
     L_IB = L[I][:, B].tocsr()
-    return DiscreteOperator(grid=grid, medium=medium, k=k, L=L,
-                            L_II=L_II, L_IB=L_IB)
+    return DiscreteOperator(medium=medium, k=k, L=L, L_II=L_II, L_IB=L_IB)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +223,15 @@ def assemble(grid: Grid, medium: Medium, k: float,
 def _boundary_values(op: DiscreteOperator, g) -> np.ndarray:
     """Accept a BoundaryTrace (chart nodes; zero on uncharted boundary) or a
     nodal array over all boundary nodes."""
-    n_b = op.boundary.size
+    B = op.grid.boundary_index
     if g is None:
-        return np.zeros(n_b)
+        return np.zeros(B.size)
     if isinstance(g, BoundaryTrace):
         full = np.zeros(op.grid.n_nodes)
         full[g.chart.node_ids] = g.values
-        return full[op.boundary]
+        return full[B]
     g = np.asarray(g, dtype=float)
-    if g.shape != (n_b,):
+    if g.shape != (B.size,):
         raise RegionMismatch("boundary data length mismatch")
     return g
 
@@ -395,15 +387,15 @@ def solve_dirichlet(op: DiscreteOperator, f: Optional[GridField] = None,
     :func:`verified_solve`.
     """
     gb = _boundary_values(op, g)
-    w = op.grid.quad_weights
+    I = op.grid.interior_index
     rhs = -op.L_IB @ gb
     if f is not None:
-        rhs = rhs + w[op.interior] * f.values[op.interior]
+        rhs = rhs + op.grid.quad_weights[I] * f.values[I]
     u_int = verified_solve(op.L_II, op.lu(), rhs)
 
     vals = np.zeros(op.grid.n_nodes)
-    vals[op.interior] = u_int
-    vals[op.boundary] = gb
+    vals[I] = u_int
+    vals[op.grid.boundary_index] = gb
     return GridField(op.grid, vals)
 
 
@@ -418,7 +410,7 @@ def weak_neumann_trace(op: DiscreteOperator, u: GridField,
     if f is not None:
         resid = resid + w * f.values
     scale = max(float(np.max(np.abs(lu))), 1e-300)
-    interior_resid = np.max(np.abs(resid[op.interior]))
+    interior_resid = np.max(np.abs(resid[op.grid.interior_index]))
     if interior_resid > 1e-8 * scale:
         raise NotASolution(
             f"field does not solve the equation (residual {interior_resid:.2e})")

@@ -35,16 +35,15 @@ class DtnMatrix:
     so its distance reads the chart's one G^(-1/2) of gamma."""
 
     op: DiscreteOperator
-    chart: BoundaryChart
     matrix: np.ndarray            # (n_gamma, n_gamma)
+
+    @property
+    def chart(self) -> BoundaryChart:
+        return boundary_chart(self.op.grid)
 
     @property
     def gamma_ids(self) -> np.ndarray:
         return self.chart.gamma_ids()
-
-    @property
-    def k(self) -> float:
-        return self.op.k
 
 
 def dtn_map(op: DiscreteOperator) -> DtnMatrix:
@@ -62,15 +61,14 @@ def dtn_map(op: DiscreteOperator) -> DtnMatrix:
     # dual values = residual of the full operator rows at gamma nodes
     L_G = op.L[gamma_ids]
     T = -(L_G[:, grid.interior_index] @ u_int + L_G[:, gamma_ids].toarray())
-    return DtnMatrix(op=op, chart=chart, matrix=T)
+    return DtnMatrix(op=op, matrix=T)
 
 
 def dtn_distance(a: DtnMatrix, b: DtnMatrix) -> float:
     """Operator norm of the difference, supported trace norm -> its dual:
     the 2-norm of the symmetric part, its largest eigenvalue modulus."""
-    if a.op.grid is not b.op.grid or a.k != b.k \
-            or not np.array_equal(a.gamma_ids, b.gamma_ids):
-        raise ContextMismatch("maps built on different grids, k, or gamma")
+    if a.op.grid is not b.op.grid or a.op.k != b.op.k:
+        raise ContextMismatch("maps built on different grids or k")
     G_half_inv = gram_inverse_sqrt(a.chart, a.chart.gamma_positions())
     D = a.matrix - b.matrix
     M = G_half_inv @ D @ G_half_inv

@@ -79,11 +79,11 @@ def check_support(u: GridField) -> None:
             "sample not zero on a 2-layer collar of the annulus")
 
 
-def apply_principal(grid: Grid, medium: Medium, k: float,
+def apply_principal(medium: Medium, k: float,
                     values: np.ndarray) -> np.ndarray:
-    """(Delta + k^2 q) u by direct differencing (the assembled stencil)."""
-    K = stiffness(grid)
-    w = grid.quad_weights
+    """(Delta + k^2 q) u on the medium's grid by direct differencing."""
+    K = stiffness(medium.grid)
+    w = medium.grid.quad_weights
     return (-(K @ values) + w * (k * k * medium.q.values) * values) / w
 
 
@@ -91,6 +91,13 @@ def _require_annulus(grid: Grid) -> None:
     if grid.spec.kind != DOMAIN_KIND:
         raise GeometryViolation(f"requires an {DOMAIN_KIND} domain, not "
                                 f"{grid.spec.kind}")
+
+
+def tau_rule(tau: float) -> None:
+    """Raise :class:`HypothesisViolated` unless tau >= :data:`TAU0`, the
+    smallest weight exponent of the estimate."""
+    if tau < TAU0:
+        raise HypothesisViolated(f"tau={tau:g} below tau0={TAU0:g}")
 
 
 def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
@@ -102,14 +109,13 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     F = 0; passing f, or (f, F), uses the caller's splitting (the identity
     f + div F = (Delta + k^2 q) u is the caller's responsibility), and F
     without f is :class:`HypothesisViolated`.  Requires an annulus, the
-    monotone flag and tau >= ``TAU0``.
+    monotone flag and the :func:`tau_rule`.
     """
     grid = u.grid
     _require_annulus(grid)
     if not medium.monotone_flag:
         raise HypothesisViolated("radially monotone profile required")
-    if tau < TAU0:
-        raise HypothesisViolated(f"tau={tau:g} below tau0={TAU0:g}")
+    tau_rule(tau)
     if f is None and F is not None:
         raise HypothesisViolated("a divergence splitting needs f with F")
     check_support(u)
@@ -125,7 +131,7 @@ def carleman_check(u: GridField, medium: Medium, k: float, tau: float,
     lhs2 = _weighted_l2(grid, ephi * r * grad_mag)
     lhs3 = math.sqrt(tau) * k * _weighted_l2(grid, np.sqrt(q) * r * ephi * u.values)
 
-    fv = apply_principal(grid, medium, k, u.values) if f is None else f.values
+    fv = apply_principal(medium, k, u.values) if f is None else f.values
     rhs1 = _weighted_l2(grid, ephi * r ** 2 * fv)
     rhs2 = 0.0
     if F is not None:
@@ -170,11 +176,10 @@ def random_compact_sample(grid: Grid, rng: np.random.Generator) -> GridField:
     return GridField(grid, (s[:, None] * ang * rad[:, None]).ravel())
 
 
-def adapted_compact_sample(grid: Grid, medium: Medium,
-                           rng: np.random.Generator, tau: float,
-                           k: float) -> GridField:
+def adapted_compact_sample(medium: Medium, rng: np.random.Generator,
+                           tau: float, k: float) -> GridField:
     """Compactly supported sample concentrated where the weighted inequality
-    is tight.
+    is tight, on the medium's grid.
 
     The conjugated symbol vanishes at angular order m ~ sqrt(tau^2 + (kr)^2 q)
     with small radial frequency, and the weight turns a flat profile into
@@ -182,6 +187,7 @@ def adapted_compact_sample(grid: Grid, medium: Medium,
     double, so the uniformity scan draws most samples from this family.
     The support stays three rings clear of either circle.
     """
+    grid = medium.grid
     _require_annulus(grid)
     r = grid.radii
     r_in, r_out = r[0], r[-1]

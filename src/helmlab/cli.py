@@ -38,7 +38,7 @@ from .bessel import check_bessel_inequalities, optimality_lower_bound
 from .calderon import alessandrini_gap, dtn_map, perturbation_record, \
     stability_check
 from .carleman import DOMAIN_KIND, adapted_compact_sample, carleman_check, \
-    improved_ucp_probe, random_compact_sample
+    improved_ucp_probe, random_compact_sample, tau_rule
 from .errors import ConfigInvalid, HypothesisViolated, LabError, \
     SpectrumTooShort
 from .fields import BoundaryTrace, lp_norm, mask_to_gamma, norm, trace_norm
@@ -49,7 +49,7 @@ from .profiles import make_medium, medium_fields, profile_from_spec
 from .runge import FIT_MIN_CELLS, SCENARIOS, aggregate_median, \
     sweep_and_fit, sweep_grid, sweep_params
 from .spectral import C_ADMISSIBILITY, check_admissibility, compute_sigma, \
-    find_admissible_k, weyl_exponent
+    count_rule, find_admissible_k, weyl_exponent
 from .ucp import ball_rule, chain_propagate, estimate_exponent, \
     three_ball_ratio
 
@@ -323,7 +323,8 @@ def _run_report(c: dict, spec: DomainSpec) -> list:
     """The run's own rules on its grid and medium (:func:`_setup`, or a
     sweep's ``sweep_grid``): those of ``build_grid``, ``Medium`` and
     ``boundary_chart``, the ``ball_rule`` at each calibration centre, the
-    ``wavelength_rule`` at each k of :data:`_RESOLVED_K` and ``calderon``'s
+    ``wavelength_rule`` at each k of :data:`_RESOLVED_K`, spectrum's
+    ``count_rule``, carleman's ``tau_rule`` at each tau and ``calderon``'s
     perturbation profile."""
     exp = c["experiment"]
     r, centers, _ = _calibration(c) if exp in _MODE_FIELDS else (0, [], 0)
@@ -347,6 +348,11 @@ def _run_report(c: dict, spec: DomainSpec) -> list:
     if exp == "calderon" and (p := _problem(
             profile_from_spec, c["params"]["perturbation"], grid.dim)):
         problems.append(f"params.perturbation: {p}")
+    if exp == "spectrum" and (p := _problem(count_rule, c["params"]["count"])):
+        problems.append(f"params.count: {p}")
+    problems += [f"params.tau_list: {p}" for tau in
+                 (c["params"]["tau_list"] if exp == "carleman" else ())
+                 if (p := _problem(tau_rule, tau))]
     return problems
 
 
@@ -357,7 +363,7 @@ def _precheck(c: dict, spec: DomainSpec) -> list:
     try:
         grid = build_grid(spec, _probe_spacing(spec, c["h"]))
         medium = make_medium(grid, med.get("q"), med.get("V"), med.get("kappa"))
-        rep = compute_sigma(grid, medium, 24, shifts=tuple(k * k for k in k_list))
+        rep = compute_sigma(medium, 24, shifts=tuple(k * k for k in k_list))
     except LabError as exc:
         return [f"spectrum pre-check failed: {exc}"]
     lam = rep.eigenvalues
@@ -453,23 +459,30 @@ def write_artifacts(cfg: dict, out: Path, artifacts: list, **extra) -> list:
 
 def _setup(c):
     """Grid and medium of a config with its defaults (:func:`_config`).
-    Without ``h`` the spacing resolves the largest frequency of ``k_list``."""
-    spec, h = domain_from_config(c["domain"]), c["h"]
+    Without ``h`` the spacing resolves the largest frequency of ``k_list``
+    at the medium's kappa, or at kappa 2 where the medium derives a smaller
+    one from q; a derived kappa above 2 takes a second, finer grid."""
+    spec = domain_from_config(c["domain"])
     q, v, kappa, monotone = medium_fields(c["medium"])
-    if h is None:
-        h = min(default_spacing(max(c["k_list"]), kappa or 2.0),
-                _probe_spacing(spec, h) * 1.2)
-    grid = build_grid(spec, float(h))
-    medium = make_medium(grid, q, v, kappa, monotone=monotone)
-    return grid, medium, c["k_list"], float(h)
+
+    def at(kappa_h):
+        h = float(c["h"] or min(default_spacing(max(c["k_list"]), kappa_h),
+                                _probe_spacing(spec, None) * 1.2))
+        grid = build_grid(spec, h)
+        return grid, make_medium(grid, q, v, kappa, monotone=monotone), h
+
+    grid, medium, h = at(kappa or 2.0)
+    if c["h"] is None and kappa is None and medium.kappa > 2.0:
+        grid, medium, h = at(medium.kappa)
+    return grid, medium, c["k_list"], h
 
 
 def run_spectrum(cfg, out: Path) -> list:
     c = _config(cfg)
-    grid, medium, k_list, h = _setup(c)
+    _, medium, k_list, h = _setup(c)
     # without a k_list, the smallest eigenvalues
     shifts = tuple(k * k for k in k_list) if "k_list" in cfg else (0.0,)
-    rep = compute_sigma(grid, medium, c["params"]["count"], shifts=shifts)
+    rep = compute_sigma(medium, c["params"]["count"], shifts=shifts)
     payload = rep.to_dict()
     try:
         payload["weyl_exponent"] = weyl_exponent(rep)
@@ -501,13 +514,12 @@ def run_solve(cfg, out: Path) -> list:
     c = _config(cfg)
     grid, medium, k_list, h = _setup(c)
     k = k_list[0]
-    rep = compute_sigma(grid, medium, 24, shifts=(k * k,))
+    rep = compute_sigma(medium, 24, shifts=(k * k,))
     chart = boundary_chart(grid)
     rng = np.random.default_rng(c["seed"])
     gvals = _random_data(chart, rng.standard_normal((chart.n, 1)))[:, 0]
     trace = mask_to_gamma(BoundaryTrace(chart, gvals))
-    u = assembly.solve_dirichlet(assemble(grid, medium, k, spectrum=rep),
-                                 g=trace)
+    u = assembly.solve_dirichlet(assemble(medium, k, spectrum=rep), g=trace)
     rows = [dict({f"x{d}": grid.nodes[i, d] for d in range(grid.dim)},
                  value=u.values[i]) for i in range(grid.n_nodes)]
     return write_artifacts(cfg, out, [
@@ -586,7 +598,7 @@ def run_chain(cfg, out: Path) -> list:
     fit = estimate_exponent(
         [t for _, _, t in _calibration_triples(grid, c, k_list)])
 
-    op = assemble(grid, medium, k)
+    op = assemble(medium, k)
     chart = boundary_chart(grid)
     rng = np.random.default_rng(c["seed"])
     u = random_mode_superposition(grid, k, int(2 * k) + 2, rng)
@@ -596,8 +608,7 @@ def run_chain(cfg, out: Path) -> list:
     measured = norm(u, "L2")
     rows = []
     for eps in c["epsilon_list"]:
-        res = chain_propagate(op, chart, u, eta, M, eps, fit,
-                              sobolev_constant=c_sob)
+        res = chain_propagate(op, u, eta, M, eps, fit, sobolev_constant=c_sob)
         rows.append({"epsilon": eps, "n_balls": res.n_balls,
                      "n_cover": res.n_cover, "bound": res.bound,
                      "bound_interior": res.bound_interior,
@@ -621,7 +632,7 @@ def run_carleman(cfg, out: Path) -> list:
         for k in k_list:
             best = 0.0
             for i in range(n_adapted + n_generic):
-                u = (adapted_compact_sample(grid, medium, rng, tau, k)
+                u = (adapted_compact_sample(medium, rng, tau, k)
                      if i < n_adapted else random_compact_sample(grid, rng))
                 s = carleman_check(u, medium, k, tau)
                 best = max(best, s.ratio)
@@ -651,13 +662,13 @@ def run_carleman(cfg, out: Path) -> list:
 
 def run_improved_ucp(cfg, out: Path) -> list:
     c = _config(cfg)
-    grid, medium, k_list, h = _setup(c)
+    _, medium, k_list, h = _setup(c)
     deltas = c["params"]["delta_list"]
-    rep = compute_sigma(grid, medium, 40, shifts=tuple(k * k for k in k_list))
+    rep = compute_sigma(medium, 40, shifts=tuple(k * k for k in k_list))
     rows = []
     for kt in k_list:
         k = find_admissible_k(rep, kt)
-        op = assemble(grid, medium, k, spectrum=rep)
+        op = assemble(medium, k, spectrum=rep)
         probes = []
         for ell in range(int(k) + 2, int(k) + c["params"]["ell_span"]):
             try:
@@ -701,17 +712,17 @@ def run_calderon(cfg, out: Path) -> list:
     c = _config(cfg)
     grid, medium, k_list, h = _setup(c)
     pert = c["params"]["perturbation"]
-    rep = compute_sigma(grid, medium, 20)
+    rep = compute_sigma(medium, 20)
     rows, records = [], []
     rng = np.random.default_rng(c["seed"])
     worst_identity = 0.0
     for k in k_list:
-        op1 = assemble(grid, medium, k, spectrum=rep)
+        op1 = assemble(medium, k, spectrum=rep)
         d1 = dtn_map(op1)
         for amp in c["params"]["amplitudes"]:
             med2 = make_medium(grid, c["medium"].get("q"),
                                {**pert, "amplitude": amp}, medium.kappa)
-            op2 = assemble(grid, med2, k, spectrum=rep)
+            op2 = assemble(med2, k, spectrum=rep)
             d2 = dtn_map(op2)
             rec = perturbation_record(op1, op2, d1, d2)
             records.append(rec)

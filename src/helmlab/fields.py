@@ -41,20 +41,17 @@ from .geometry import BoundaryChart, Grid, held
 
 @dataclass
 class GridField:
-    """Scalar samples on grid nodes, meaningful on ``region``."""
+    """Finite scalar samples on every grid node."""
 
     grid: Grid
     values: np.ndarray
-    region: np.ndarray = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.region is None:
-            self.region = np.ones(self.grid.n_nodes, dtype=bool)
         if self.values.shape != (self.grid.n_nodes,):
             raise RegionMismatch("field length does not match grid")
-        if not np.all(np.isfinite(self.values[self.region])):
-            raise RegionMismatch("non-finite values on the field region")
+        if not np.all(np.isfinite(self.values)):
+            raise RegionMismatch("non-finite field values")
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +149,12 @@ def masked_gradient(grid: Grid, values: np.ndarray, region: np.ndarray):
 
 
 def norm(f: GridField, which: str = "L2", region: Optional[np.ndarray] = None) -> float:
-    """Quadrature-weighted norm over a region mask.
+    """Quadrature-weighted norm over a region mask, or over every node.
 
     ``which`` is ``L2``, ``H1`` or ``H1_semi``; ``H1 = sqrt(L2^2 + H1_semi^2)``.
     """
     if region is None:
-        region = f.region
-    if np.any(region & ~f.region):
-        raise RegionMismatch("requested region exceeds the field region")
+        region = np.ones(f.grid.n_nodes, dtype=bool)
     w = f.grid.quad_weights
     if which == "L2":
         return float(np.sqrt(np.sum(w[region] * np.abs(f.values[region]) ** 2)))
@@ -176,10 +171,9 @@ def norm(f: GridField, which: str = "L2", region: Optional[np.ndarray] = None) -
 
 
 def lp_norm(f: GridField, p: float) -> float:
-    """Quadrature-weighted L^p norm over the field region."""
-    region = f.region
-    return float(np.sum(f.grid.quad_weights[region]
-                        * np.abs(f.values[region]) ** p) ** (1.0 / p))
+    """Quadrature-weighted L^p norm over every node."""
+    return float(np.sum(f.grid.quad_weights * np.abs(f.values) ** p)
+                 ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

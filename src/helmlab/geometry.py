@@ -119,6 +119,9 @@ class DomainSpec:
 
     ``kind`` is one of ``disk``, ``annulus``, ``rectangle``, ``masked_union``,
     ``box``; it reads the fields of :data:`SHAPE_KEYS` and fixes ``dim``.
+    Only a disk and an annulus read ``center``; every other kind keeps the
+    origin (0, 0), which may lie outside it, as the centre of its modes
+    (:func:`helmlab.modes.mode_field`).
     Each field it reads has the form of :data:`_FIELD_FORMS`, and
     sequences become tuples, each corner pair ordered lo <= hi.  ``gamma``
     describes the sub-boundary used for data supports, in a form of its

@@ -17,9 +17,11 @@ from .geometry import Grid
 def mode_field(grid: Grid, ell: int, k: float,
                parity: str = "cos") -> GridField:
     """J_ell(k r) {cos, sin}(ell theta) about the domain centre
-    ``grid.spec.center``, the one centre of every mode.  On a polar grid the
-    Bessel profile is evaluated once per ring, at ``grid.radii``; on a
-    Cartesian grid at every node."""
+    ``grid.spec.center``, the one centre of every mode: the centre of a disk
+    or an annulus, and the origin (0, 0) on a rectangle, a box or a masked
+    union, where it may lie outside the domain.  On a polar grid the Bessel
+    profile is evaluated once per ring, at ``grid.radii``; on a Cartesian
+    grid at every node."""
     if grid.topology == "polar":
         rad = radial_profile(ell, k, 2, grid.radii)[:, None]
         th = grid.thetas

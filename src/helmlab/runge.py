@@ -61,8 +61,8 @@ _FORWARD_BLOCK = 64
 
 @dataclass
 class ForwardMap:
-    """Data-to-restriction map with its quadrature weights and the factor
-    of the interior block.  Its gamma columns are in chart order
+    """Data-to-restriction map with the factor of the interior block.  Its
+    gamma columns are in the order of its grid's chart
     (:meth:`BoundaryChart.gamma_positions`), so the map reads the chart's
     one Gram block and G^(-1/2) of gamma, as :func:`riesz_map` does.
 
@@ -74,11 +74,18 @@ class ForwardMap:
     """
 
     op: DiscreteOperator
-    chart: BoundaryChart
     omega1_ids: np.ndarray          # interior node ids of the target region
-    wx: np.ndarray                  # quadrature weights on omega1 nodes
     factor: object                  # RingFactor or SuperLU of op.L_II
     _A: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def chart(self) -> BoundaryChart:
+        return boundary_chart(self.op.grid)
+
+    @property
+    def wx(self) -> np.ndarray:
+        """Quadrature weights on the omega1 nodes."""
+        return self.op.grid.quad_weights[self.omega1_ids]
 
     @property
     def per_mode(self) -> bool:
@@ -119,11 +126,11 @@ class ForwardMap:
         return BoundaryTrace(self.chart, vals)
 
 
-def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
-                      chart: BoundaryChart) -> ForwardMap:
-    """Data-to-restriction map, one Dirichlet solve per supported-boundary
-    basis function: factored here, its columns solved when first read
-    (:class:`ForwardMap`).
+def build_forward_map(op: DiscreteOperator,
+                      omega1_mask: np.ndarray) -> ForwardMap:
+    """Data-to-restriction map from the gamma of the grid's chart, one
+    Dirichlet solve per supported-boundary basis function: factored here,
+    its columns solved when first read (:class:`ForwardMap`).
 
     Verifies that the complement of the target region is connected and that
     the target stays at least four grid layers from the charted boundary.
@@ -133,6 +140,7 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     solved one angular mode at a time, every other one by SuperLU.
     """
     grid = op.grid
+    chart = boundary_chart(grid)
     if not mask_connected(grid, ~omega1_mask):
         raise GeometryViolation("complement of the target region is disconnected")
     # an uncharted inner boundary may touch the region; its data is pinned
@@ -142,8 +150,7 @@ def build_forward_map(op: DiscreteOperator, omega1_mask: np.ndarray,
     factor = None
     if chart.gamma_mask.all() and whole_rings(grid, omega1_ids):
         factor = ring_factor(grid, grid.interior_index, op.L_II)
-    return ForwardMap(op=op, chart=chart, omega1_ids=omega1_ids,
-                      wx=grid.quad_weights[omega1_ids], factor=factor or op.lu())
+    return ForwardMap(op=op, omega1_ids=omega1_ids, factor=factor or op.lu())
 
 
 def adjoint_apply(fmap: ForwardMap, u_vals: np.ndarray) -> BoundaryTrace:
@@ -262,7 +269,7 @@ def runge_approximate(system: SvdSystem, v: GridField, epsilon: float,
     residue) stays within the budget epsilon * v_h1; the budget alone sets
     the cutoff.
 
-    ``v`` must carry the target region in its mask; ``v_h1`` is the reference
+    ``v`` is read on the map's target region; ``v_h1`` is the reference
     norm multiplying epsilon.  Raises :class:`TargetUnreachable` when full
     retention cannot meet the budget.
     """
@@ -396,11 +403,10 @@ class MaskSolutionBasis:
             raise ValueError(f"unknown amplitude mode {amplitude!r}")
         coef = draw * (1.0 + self.mode_orders) ** (-decay)
         vals = self.solutions @ coef
-        u = GridField(self.grid, vals, self.mask.copy())
-        h1 = norm(u, "H1", self.mask)
+        h1 = norm(GridField(self.grid, vals), "H1", self.mask)
         if h1 == 0:
             raise GeometryViolation("degenerate random solution")
-        return GridField(self.grid, vals / h1, self.mask.copy())
+        return GridField(self.grid, vals / h1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +521,10 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     eps_list = [float(e) for e in p["epsilon_list"]]
 
     grid, medium, h = sweep_grid(scenario, p)
-    chart = boundary_chart(grid)
     omega1 = annulus_mask(grid, *sc.target)
     family = annulus_mask(grid, *sc.family)
 
-    report = compute_sigma(grid, medium, 60,
+    report = compute_sigma(medium, 60,
                            shifts=tuple(kt * kt for kt in k_targets))
 
     ks = []
@@ -538,8 +543,8 @@ def sweep_and_fit(scenario: str, params: Optional[dict] = None) -> FitReport:
     # one call per frequency, so that its factor, forward map and SVD are
     # freed before the next frequency's are built
     def run_one_k(k):
-        op = assemble(grid, medium, k, spectrum=report)
-        fmap = build_forward_map(op, omega1, chart)
+        op = assemble(medium, k, spectrum=report)
+        fmap = build_forward_map(op, omega1)
         system = svd(fmap)
         basis = MaskSolutionBasis(op, family)
         rec_k = check_admissibility(k, report)

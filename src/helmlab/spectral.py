@@ -35,7 +35,6 @@ import scipy.sparse.linalg as spla
 from .assembly import (Medium, ring_coefficients, sparse_lu, stiffness,
                        verified_solve)
 from .errors import AssumptionIViolated, SolverBreakdown, SpectrumTooShort
-from .geometry import Grid
 
 _TWO_PI = 2.0 * np.pi
 _CLUSTER_TOL = 1e-6        # relative gap below which eigenvalues are one cluster
@@ -115,27 +114,37 @@ def check_admissibility(k: float, report: SpectrumReport,
             "continuum_guard": 10.0 * report.discretization_error(lam_near)}
 
 
-def _pencil(grid: Grid, medium: Medium):
-    I = grid.interior_index
-    K = stiffness(grid)
-    w = grid.quad_weights
+def _pencil(medium: Medium):
+    I = medium.grid.interior_index
+    K = stiffness(medium.grid)
+    w = medium.grid.quad_weights
     A = (K - sp.diags(w * medium.V.values))[I][:, I].tocsc()
     M = sp.diags(w[I] * medium.q.values[I]).tocsc()
     return A, M
 
 
-def compute_sigma(grid: Grid, medium: Medium, count: int,
+def count_rule(count: int) -> None:
+    """Raise :class:`SpectrumTooShort` unless ``count``, the eigenvalues
+    :func:`compute_sigma` finds near each shift, is at least 1."""
+    if count < 1:
+        raise SpectrumTooShort(f"count {count} below 1: a spectrum reports "
+                               f"at least one eigenvalue per shift")
+
+
+def compute_sigma(medium: Medium, count: int,
                   shifts: Sequence[float] = (0.0,)) -> SpectrumReport:
     """Eigenvalues of (-Delta - V) u = lambda q u nearest each shift point.
 
     The default shift 0 returns the ``count`` smallest eigenvalues of a
-    positive pencil.  Checks solvability of -Delta - V first (zero must not
-    be an eigenvalue) and reports the relative pencil residual of every
-    eigenpair.  A polar grid whose pencil is constant on every ring is
-    solved one angular mode at a time; every other grid by shift-invert
-    Lanczos.
+    positive pencil, under the :func:`count_rule`.  Checks solvability of
+    -Delta - V first (zero must not be an eigenvalue) and reports the
+    relative pencil residual of every eigenpair.  A polar grid whose pencil
+    is constant on every ring is solved one angular mode at a time; every
+    other grid by shift-invert Lanczos.
     """
-    A, M = _pencil(grid, medium)
+    count_rule(count)
+    grid = medium.grid
+    A, M = _pencil(medium)
     lu = _check_invertible(A)
     k_req = min(count, A.shape[0] - 2)
     rings = ring_coefficients(grid, grid.interior_index, A, M)

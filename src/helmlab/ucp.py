@@ -24,7 +24,7 @@ import numpy as np
 from .assembly import DiscreteOperator
 from .errors import ChainBlocked, DegenerateSamples, GeometryViolation
 from .fields import GridField, norm
-from .geometry import PAIR_BLOCK, BoundaryChart, Grid, ball_mask, held, \
+from .geometry import PAIR_BLOCK, Grid, ball_mask, boundary_chart, held, \
     nearest_distance
 
 
@@ -154,8 +154,8 @@ class ChainResult:
     bound_log: float                  # closed-form logarithmic bound, C=1
 
 
-def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
-                    eta: float, M: float, epsilon: float, fit: ExponentFit,
+def chain_propagate(op: DiscreteOperator, u: GridField, eta: float, M: float,
+                    epsilon: float, fit: ExponentFit,
                     sobolev_constant: float = 1.0) -> ChainResult:
     """Propagate boundary smallness into the deep set with the fitted
     three-balls inequality.
@@ -183,7 +183,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     grid = op.grid
     k = op.k
     depth = boundary_distance(grid, grid.nodes)
-    in_region = u.region & (depth > 0)
+    in_region = depth > 0
     omega_eps = in_region & (depth >= epsilon)
 
     w = grid.quad_weights
@@ -220,6 +220,7 @@ def chain_propagate(op: DiscreteOperator, chart: BoundaryChart, u: GridField,
     radii = np.concatenate(radii)
 
     # boundary-bulk start ball on the data sub-boundary
+    chart = boundary_chart(grid)
     gids = chart.gamma_ids()
     gpts = grid.nodes[gids]
     x0 = gpts[np.argmin(np.linalg.norm(gpts - gpts.mean(axis=0), axis=1))]

@@ -66,7 +66,7 @@ def disk_setup(k: float, h: float = None, arc: bool = False):
     grid = build_grid(DomainSpec("disk", radius=1.0, gamma={
         "angles": [(0.0, 1.5 * np.pi)]}), h) if arc else disk_grid(h)
     medium = make_medium(grid)
-    op = assemble(grid, medium, k)
+    op = assemble(medium, k)
     chart = boundary_chart(grid)
     return grid, medium, op, chart
 
@@ -74,9 +74,9 @@ def disk_setup(k: float, h: float = None, arc: bool = False):
 @lru_cache(maxsize=None)
 def disk_pair_svd(k: float, h: float = None, inner: float = 0.5):
     """Forward map and singular system for the nested disk pair."""
-    grid, medium, op, chart = disk_setup(k, h)
+    grid, _, op, _ = disk_setup(k, h)
     omega1 = ball_mask(grid, (0, 0), inner)
-    fmap = build_forward_map(op, omega1, chart)
+    fmap = build_forward_map(op, omega1)
     return fmap, svd(fmap)
 
 
@@ -85,8 +85,8 @@ def disk_arc_map(k: float, h: float = None, inner: float = 0.5):
     """Forward map of the nested disk pair with gamma the arc
     0 < theta < 3 pi / 2; not invariant under rotation, so it is solved by
     SuperLU."""
-    grid, _, op, chart = disk_setup(k, h, arc=True)
-    return build_forward_map(op, ball_mask(grid, (0, 0), inner), chart)
+    grid, _, op, _ = disk_setup(k, h, arc=True)
+    return build_forward_map(op, ball_mask(grid, (0, 0), inner))
 
 
 @lru_cache(maxsize=None)
@@ -98,16 +98,15 @@ def convex_map(k: float = 4.0, h: float = 0.1):
     medium = make_medium(grid, q_spec={"profile": "radial_quadratic",
                                        "amplitude": 0.25},
                          kappa=2.02, monotone=True)
-    op = assemble(grid, medium, k)
-    return build_forward_map(op, annulus_mask(grid, 0.5, 1.0),
-                             boundary_chart(grid))
+    op = assemble(medium, k)
+    return build_forward_map(op, annulus_mask(grid, 0.5, 1.0))
 
 
 @lru_cache(maxsize=None)
 def disk_spectrum(h: float = 0.03, count: int = 40):
     grid = disk_grid(h)
     medium = make_medium(grid)
-    return grid, medium, compute_sigma(grid, medium, count)
+    return grid, medium, compute_sigma(medium, count)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +125,7 @@ def cube_setup(n: int = 16, k: float = 1.0):
                                      gamma={"face": "z-"}), 1.0 / n)
     medium = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                          kappa=1.01)
-    op = assemble(grid, medium, k)
+    op = assemble(medium, k)
     chart = boundary_chart(grid)
     return grid, medium, op, chart
 
@@ -292,8 +291,8 @@ def caccioppoli_ratio(u: GridField, epsilon: float, k: float) -> float:
     bounded by one constant across a solution family."""
     grid = u.grid
     depth = boundary_distance(grid, grid.nodes)
-    num = norm(u, "H1_semi", u.region & (depth >= epsilon))
-    den = k / epsilon * norm(u, "L2", u.region & (depth >= epsilon / 2.0))
+    num = norm(u, "H1_semi", depth >= epsilon)
+    den = k / epsilon * norm(u, "L2", depth >= epsilon / 2.0)
     if den == 0:
         return 0.0
     return num / den
@@ -396,7 +395,7 @@ def divergence_splitting(grid: Grid, medium: Medium, k: float,
     (keeps supp F inside the annulus), and folds the exact discrete
     remainder into f, so f + div_h F matches the residual by construction.
     """
-    rho = apply_principal(grid, medium, k, u.values)
+    rho = apply_principal(medium, k, u.values)
     K = stiffness(grid)
     I = grid.interior_index
     rhs = (grid.quad_weights * rho)[I]

@@ -136,7 +136,7 @@ def test_criterion_05_cutoff_bound_and_energy_identity():
 
     grid, _, op, chart = disk_setup(3.2, 0.025)
     omega1 = ball_mask(grid, (0, 0), 0.5)
-    fmap = build_forward_map(op, omega1, chart)
+    fmap = build_forward_map(op, omega1)
     system = svd(fmap)
     basis = MaskSolutionBasis(op, ball_mask(grid, (0, 0), 0.6))
     worst = 0.0
@@ -164,7 +164,7 @@ def test_criterion_06_apriori_resonance_slope():
     dists, ratios = [], []
     for d in (2.0, 1.0, 0.5, 0.25, 0.125):
         k = math.sqrt(lam1 + d)
-        u = solve_dirichlet(assemble(grid, med, k), f=f)
+        u = solve_dirichlet(assemble(med, k), f=f)
         dists.append(d)
         ratios.append(norm(u, "H1") / norm(f, "L2"))
     slope, _, _ = fit_line(np.log(dists), np.log(ratios))
@@ -225,7 +225,7 @@ def test_criterion_08_carleman_uniformity():
         for k in ks:
             best = 0.0
             for _ in range(16):
-                u = adapted_compact_sample(grid, med, rng, tau, k)
+                u = adapted_compact_sample(med, rng, tau, k)
                 best = max(best, carleman_check(u, med, k, tau).ratio)
                 n_samples += 1
             for _ in range(3):
@@ -270,7 +270,7 @@ def test_criterion_10_optimality_cross_check():
     k = 2.0
     grid, _, op, chart = disk_setup(k, h=0.02)
     omega1 = ball_mask(grid, (0, 0), 0.5)
-    fmap = build_forward_map(op, omega1, chart)
+    fmap = build_forward_map(op, omega1)
     system = svd(fmap)
     r = np.linalg.norm(grid.nodes, axis=1)
     th = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
@@ -279,7 +279,7 @@ def test_criterion_10_optimality_cross_check():
         rec = optimality_lower_bound(k, ell, n=2)
         vals = rec.alpha_ell * radial_profile(ell, k, 2, r) \
             * np.cos(ell * th) / math.sqrt(math.pi)
-        v = GridField(grid, np.where(omega1, vals, 0.0), omega1)
+        v = GridField(grid, np.where(omega1, vals, 0.0))
         ap = runge_approximate(system, v, rec.epsilon, 1.0)
         ratios.append(ap.cost / rec.min_boundary_norm)
         assert ap.cost >= 0.5 * rec.min_boundary_norm
@@ -300,7 +300,7 @@ def test_criterion_11_calderon_stability():
     records = []
     worst_identity = 0.0
     for k in (1.0, 2.0, 3.0):
-        opa = assemble(grid, med, k)
+        opa = assemble(med, k)
         da = dtn_map(opa)
         for amp in (0.5, 1.0, 2.0):
             med2 = make_medium(grid,
@@ -309,7 +309,7 @@ def test_criterion_11_calderon_stability():
                                        "center": [0.5, 0.5, 0.5],
                                        "radius": 0.25},
                                kappa=1.01)
-            opb = assemble(grid, med2, k)
+            opb = assemble(med2, k)
             db = dtn_map(opb)
             records.append(perturbation_record(opa, opb, da, db))
             g1 = rng.standard_normal(da.gamma_ids.size)

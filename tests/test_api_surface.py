@@ -14,10 +14,14 @@ it as a keyword, fills its position, or spreads ``*args`` over it or
 Every top-level function and class of the package, and every public method
 of its classes, is reached from a run: ``src/helmlab`` names it outside its
 own definition.  A top-level name counts only in a module that defines or
-imports it, as an attribute of its module, or as an export of
-``helmlab/__init__.py``; a method counts only as an attribute, never
-through a local variable of the same name.  What only tests use belongs in
-``tests/helpers.py``.
+imports it, or as an attribute of its module; an export of
+``helmlab/__init__.py`` is no use.  A method counts only as an attribute,
+never through a local variable of the same name.  What only tests use
+belongs in ``tests/helpers.py``.
+
+Each input has one owner: a medium owns its grid, a grid its one chart.
+No function of ``src/helmlab`` takes a ``grid`` with a ``medium`` or an
+``op`` with a ``chart``, and no class stores either pair as fields.
 
 Every name a module under ``tests/`` imports is used in that module.
 
@@ -45,7 +49,8 @@ function of the module that enforces it, named by the run and by
 ``cli._run_report`` alone: ``assembly.wavelength_rule``, the only raiser of
 ``UnderResolved``, and ``ucp.ball_rule``.  ``cli.py`` names none of their
 ingredients (``max_spacing``, ``dr``, ``pi``) and neither
-``radial_derivative`` nor ``boundary_distance``.
+``radial_derivative`` nor ``boundary_distance``.  So are spectrum's
+``spectral.count_rule`` and carleman's ``carleman.tau_rule``.
 
 A Runge sweep's spacing, grid and medium are stated once, in
 ``runge.sweep_grid``: it is the one function of ``runge.py`` that names
@@ -177,8 +182,9 @@ def test_every_default_is_overridden_by_some_caller():
 
 # Reached only from tests until the stage trace evaluates them on a run.
 REACH_ALLOWED = dict.fromkeys(
-    ("runge.truncation_energy_identity", "runge.adjoint_apply_matrix",
-     "runge.trace_inner", "calderon.check_agreement"),
+    ("runge.truncation_energy_identity", "runge.adjoint_apply",
+     "runge.adjoint_apply_matrix", "runge.trace_inner",
+     "calderon.check_agreement"),
     "ROADMAP item 2 runs these identity probes under the trace")
 
 
@@ -200,10 +206,10 @@ def unreached():
     """Qualified names (``module.name`` or ``module.Class.method``) that no
     line of ``src/helmlab`` outside their own definition reaches.  A
     top-level function or class is reached through its name in a module
-    that defines or imports it, as an attribute of its module, or as an
-    export of ``helmlab/__init__.py``; a method only through an attribute.
-    A local variable that shares a method's name, or a name in a module
-    that never imports it, reaches nothing."""
+    that defines or imports it, or as an attribute of its module; a method
+    only through an attribute.  An export of ``helmlab/__init__.py``, a
+    local variable that shares a method's name, or a name in a module that
+    never imports it, reaches nothing."""
     defs, names, attrs, imports = [], [], [], {}
     for path in sorted(PACKAGE.glob("*.py")):
         module, tree = path.stem, ast.parse(path.read_text())
@@ -233,9 +239,7 @@ def unreached():
             refs += [(mod, line) for mod, name, line in names
                      if name == node.name
                      and (mod == module or name in imports[mod])]
-        exported = not method and node.name in imports["__init__"]
-        if not exported and all(mod == module and line in own
-                                for mod, line in refs):
+        if all(mod == module and line in own for mod, line in refs):
             out.append(f"{module}.{qual}")
     return sorted(out)
 
@@ -408,11 +412,44 @@ def test_each_run_time_precondition_is_stated_once():
                                         "cli._run_report"]
     assert users("UnderResolved") == ["assembly.wavelength_rule"]
     assert users("ball_rule") == ["cli._run_report", "ucp.three_ball_ratio"]
+    assert users("count_rule") == ["cli._run_report", "spectral.compute_sigma"]
+    assert users("tau_rule") == ["carleman.carleman_check", "cli._run_report"]
     cli = {name for name, _ in
            _references(ast.parse((PACKAGE / "cli.py").read_text()))}
     assert not cli & {"max_spacing", "dr", "pi", "radial_derivative",
                       "boundary_distance"}
 
+
+# (value, owner) parameter and field pairs: a medium owns its grid, and the
+# grid of an operator owns its one chart
+OWNED_PAIRS = (("grid", "medium"), ("op", "chart"))
+
+
+def second_owners() -> list:
+    """``module.name`` of each function of ``src/helmlab`` whose parameters,
+    and each class whose annotated fields, hold both names of a pair of
+    :data:`OWNED_PAIRS`."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            elif isinstance(node, ast.ClassDef):
+                names = {x.target.id for x in node.body
+                         if isinstance(x, ast.AnnAssign)
+                         and isinstance(x.target, ast.Name)}
+            else:
+                continue
+            if any(set(pair) <= names for pair in OWNED_PAIRS):
+                out.append(f"{path.stem}.{node.name}")
+    return sorted(out)
+
+
+def test_each_input_has_one_owner():
+    stray = second_owners()
+    assert not stray, (f"{len(stray)} functions or classes take or store a "
+                       "value with its owner:\n" + "\n".join(stray))
 
 
 def test_the_sweep_grid_is_stated_once():
@@ -462,5 +499,7 @@ if __name__ == "__main__":
     print("\n".join(stray_names("modal", {})))
     print(guard_sites())
     print("\n".join(kind_branches()))
-    print({rule: users(rule) for rule in ("wavelength_rule", "ball_rule")})
+    print({rule: users(rule) for rule in ("wavelength_rule", "ball_rule",
+                                          "count_rule", "tau_rule")})
+    print("\n".join(second_owners()))
     print("\n".join(spatial_imports()))

@@ -67,16 +67,16 @@ def test_distance_axioms_and_invariance():
     grid, med, op, chart = cube_setup()
     k = 1.0
     d0 = dtn_map(op)
-    d0b = dtn_map(assemble(grid, med, k))
+    d0b = dtn_map(assemble(med, k))
     assert dtn_distance(d0, d0b) <= 1e-10
 
     media = [_perturbed(grid, a) for a in (0.5, 1.0)]
-    d1, d2 = (dtn_map(assemble(grid, m, k)) for m in media)
+    d1, d2 = (dtn_map(assemble(m, k)) for m in media)
     assert abs(dtn_distance(d1, d2) - dtn_distance(d2, d1)) < 1e-14
     assert dtn_distance(d0, d2) <= dtn_distance(d0, d1) + dtn_distance(d1, d2) + 1e-14
 
     with pytest.raises(ContextMismatch):
-        dtn_distance(d0, dtn_map(assemble(grid, med, 1.5)))
+        dtn_distance(d0, dtn_map(assemble(med, 1.5)))
 
 
 def test_delta_linear_in_amplitude():
@@ -84,7 +84,7 @@ def test_delta_linear_in_amplitude():
     d0 = dtn_map(op)
     deltas = []
     for a in (0.25, 0.5):
-        d = dtn_map(assemble(grid, _perturbed(grid, a), 1.0))
+        d = dtn_map(assemble(_perturbed(grid, a), 1.0))
         deltas.append(dtn_distance(d0, d))
     ratio = deltas[1] / deltas[0]
     assert abs(ratio - 2.0) <= 0.4
@@ -97,7 +97,7 @@ def test_constant_shift_changes_lambda_weakly():
     grid, med, op, chart = cube_setup()
     k = 1.0
     base = dtn_distance(dtn_map(op),
-                        dtn_map(assemble(grid, _perturbed(grid, 0.5), k)))
+                        dtn_map(assemble(_perturbed(grid, 0.5), k)))
     changes = []
     for c in (0.25, 0.5):
         med_c = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
@@ -105,8 +105,8 @@ def test_constant_shift_changes_lambda_weakly():
                             kappa=1.01)
         m1_c = _perturbed(grid, 0.5)
         m1_c.V.values += c
-        shifted = dtn_distance(dtn_map(assemble(grid, med_c, k)),
-                               dtn_map(assemble(grid, m1_c, k)))
+        shifted = dtn_distance(dtn_map(assemble(med_c, k)),
+                               dtn_map(assemble(m1_c, k)))
         changes.append(abs(shifted - base) / base)
     assert changes[0] < 0.05
     assert changes[1] < 0.11
@@ -115,7 +115,7 @@ def test_constant_shift_changes_lambda_weakly():
 
 def test_agreement_guard():
     grid, med, op, chart = cube_setup()
-    op2 = assemble(grid, _perturbed(grid, 1.0), 1.0)
+    op2 = assemble(_perturbed(grid, 1.0), 1.0)
     inner = ball_mask(grid, (0.5, 0.5, 0.5), 0.3)
     from helmlab.calderon import check_agreement
     check_agreement(op, op2, inner)
@@ -125,7 +125,7 @@ def test_agreement_guard():
 
 def test_alessandrini_identity():
     grid, med, op, chart = cube_setup()
-    op2 = assemble(grid, _perturbed(grid, 2.0), 1.0)
+    op2 = assemble(_perturbed(grid, 2.0), 1.0)
     d1 = dtn_map(op)
     d2 = dtn_map(op2)
     rng = np.random.default_rng(3)
@@ -141,7 +141,7 @@ def test_stability_slack_grows_as_amplitude_shrinks():
     d0 = dtn_map(op)
     slacks = []
     for a in (1.0, 0.25):
-        op2 = assemble(grid, _perturbed(grid, a), 1.0)
+        op2 = assemble(_perturbed(grid, a), 1.0)
         rec = perturbation_record(op, op2, d0, dtn_map(op2))
         slacks.append(stability_rhs(1.0, rec.k, rec.delta, 3) - rec.lhs)
         assert rec.lhs > 0 and rec.delta > 0
@@ -166,7 +166,7 @@ def test_gram_inverse_sqrt_cached_per_chart_block():
         X[0, 0] = 1.0
     # the distance reads the cached block and keeps the bits of a fresh one
     for amp in (0.5, 2.0):
-        d2 = dtn_map(assemble(grid, _perturbed(grid, amp), 1.0))
+        d2 = dtn_map(assemble(_perturbed(grid, amp), 1.0))
         M = ref @ (d1.matrix - d2.matrix) @ ref
         want = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
         assert dtn_distance(d1, d2) == want

@@ -65,7 +65,7 @@ def test_samples_and_checks_need_an_annulus():
                                     "amplitude": 0.25}, monotone=True)
     rng = np.random.default_rng(0)
     with pytest.raises(GeometryViolation):
-        adapted_compact_sample(grid, med, rng, 20.0, 2.0)
+        adapted_compact_sample(med, rng, 20.0, 2.0)
     with pytest.raises(GeometryViolation):
         random_compact_sample(grid, rng)
     u = GridField(grid, np.zeros(grid.n_nodes))
@@ -81,7 +81,7 @@ def test_samples_match_node_wise_reference(seed):
     for tau in (10.0, 80.0):
         for k in (1.0, 32.0):
             for _ in range(2):
-                got = adapted_compact_sample(grid, med, rng, tau, k)
+                got = adapted_compact_sample(med, rng, tau, k)
                 want = adapted_compact_sample_reference(grid, med, ref, tau, k)
                 assert np.array_equal(got.values, want.values)
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -142,7 +142,7 @@ def test_uniformity_mini_scan():
     taus, ks = (10.0, 20.0), (2.0, 4.0)
     for tau in taus:
         for k in ks:
-            vals = [carleman_check(adapted_compact_sample(grid, med, rng, tau, k),
+            vals = [carleman_check(adapted_compact_sample(med, rng, tau, k),
                                    med, k, tau).ratio for _ in range(10)]
             worst[(tau, k)] = max(vals)
     for k in ks:
@@ -157,9 +157,9 @@ def test_improved_probe_gate_and_envelope():
     grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
-    rep = compute_sigma(grid, med, 40, shifts=(16.0,))
+    rep = compute_sigma(med, 40, shifts=(16.0,))
     k = find_admissible_k(rep, 4.0)
-    op = assemble(grid, med, k)
+    op = assemble(med, k)
     with pytest.raises(HypothesisViolated):
         improved_ucp_probe(op, int(k) + 2)   # eta too large
     for ell in (12, 16, 20):
@@ -176,13 +176,13 @@ def test_improved_constant_contrast_with_general_geometry():
     grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
-    rep = compute_sigma(grid, med, 60, shifts=(16.0, 64.0))
+    rep = compute_sigma(med, 60, shifts=(16.0, 64.0))
     consts = {}
     xs_all, ys_all = [], []
     probes = {}
     for kt in (4.0, 8.0):
         k = find_admissible_k(rep, kt)
-        op = assemble(grid, med, k)
+        op = assemble(med, k)
         pts = []
         for ell in range(int(k) + 7, int(k) + 23):
             try:
@@ -221,9 +221,9 @@ def test_improved_probe_delta_monotone_exponent():
     grid = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.02)
     med = make_medium(grid, q_spec={"profile": "constant", "value": 1.0},
                       kappa=1.01, monotone=True)
-    rep = compute_sigma(grid, med, 40, shifts=(16.0,))
+    rep = compute_sigma(med, 40, shifts=(16.0,))
     k = find_admissible_k(rep, 4.0)
-    op = assemble(grid, med, k)
+    op = assemble(med, k)
     probes = [improved_ucp_probe(op, ell) for ell in range(11, 24)]
     xs = [math.log(k ** 3 * pr.eta / pr.M) for pr in probes]
     nus = [fit_line(xs, [math.log(pr.lhs(delta) / pr.M) for pr in probes])[0]

@@ -372,7 +372,7 @@ def test_solve_near_resonance_fails_at_assembly(tmp_path, capsys):
                       "V": {"profile": "constant", "value": -50.0}},
            "h": 0.05, "k_list": [1.0], "seed": 0}
     grid, medium, _, _ = cli._setup(cfg)
-    k = float(np.sqrt(compute_sigma(grid, medium, 24).eigenvalues[0]))
+    k = float(np.sqrt(compute_sigma(medium, 24).eigenvalues[0]))
     cfg["k_list"] = [k]
     assert validate_config(cfg) == []
     path = _write(tmp_path, "resonant.json", cfg)
@@ -853,7 +853,16 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
     ("carleman", {"params": {"tau_list": [10, 20], "samples_per_cell": 0,
                              "generic_per_cell": 0}},
      "carleman needs a sample per (tau, k) cell: params.samples_per_cell + "
-     "params.generic_per_cell must be at least 1")],
+     "params.generic_per_cell must be at least 1"),
+    ("spectrum", {"domain": {"kind": "rectangle", "corners": [[0, 0], [1, 1]]},
+                  "params": {"count": 0}},
+     "params.count: count 0 below 1: a spectrum reports at least one "
+     "eigenvalue per shift"),
+    ("spectrum", {"params": {"count": -3}},
+     "params.count: count -3 below 1: a spectrum reports at least one "
+     "eigenvalue per shift"),
+    ("carleman", {"params": {"tau_list": [5.0]}},
+     "params.tau_list: tau=5 below tau0=10")],
     ids=["solve_k", "chain_k", "calderon_k", "runge_k", "runge_params_k",
          "chain_eps", "runge_eps", "runge_params_eps", "calderon_V",
          "carleman_rectangle", "improved_ucp_disk", "chain_union",
@@ -863,7 +872,8 @@ _MODE_MEDIUM = ("{} draws solutions of Delta u + k^2 u = 0: medium.q must be "
          "rectangles_type", "center_type", "rectangle_3d", "box_face",
          "kappa_type", "q_value_type", "monotone_type",
          "perturbation_centre", "runge_wavelength", "runge_width",
-         "runge_one_cell", "carleman_no_samples"])
+         "runge_one_cell", "carleman_no_samples", "spectrum_count_0",
+         "spectrum_count_negative", "carleman_tau_below_tau0"])
 def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
                                                    change, problem):
     # each once validated, then failed the run with exit 1 (k < 1 at
@@ -873,12 +883,14 @@ def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
     # circle, a runge_sweep too coarse for its k or its width or with fewer
     # cells than its fit needs), died with a traceback in the run
     # (carleman on a rectangle or with no sample per cell, an unknown box
-    # face, a 2D perturbation centre on a box) or in validation (a value
-    # of the wrong type), or wrote what the config did
+    # face, a 2D perturbation centre on a box, a spectrum count of 0) or in
+    # validation (a value of the wrong type), or wrote what the config did
     # not ask for: runge_sweep filed the negative epsilon under dropped
     # cells, improved_ucp on a disk a header-only CSV, three_balls the
     # triples of q = 1, a disk ignored its corners, a rectangle with 3D
-    # corners a box's spectrum, and carleman ran "monotone": "no" as true
+    # corners a box's spectrum, carleman ran "monotone": "no" as true, and
+    # a spectrum count of -3 wrote all but the 3 farthest eigenvalues; a
+    # tau below tau0 exited 1
     cfg = dict(_VALID[exp], **change)
     assert validate_config(cfg) == [problem]
     path = _write(tmp_path, "bad.json", cfg)
@@ -887,6 +899,25 @@ def test_values_a_run_cannot_use_are_config_errors(tmp_path, capsys, exp,
     for command in ("run", "sigma"):
         assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+
+def test_default_spacing_resolves_the_kappa_the_medium_derives(tmp_path):
+    # q = 3 derives kappa 3.003; the grid was sized at kappa 2, and
+    # validation rejected its own default spacing by 5% at k = 6
+    cfg = {"experiment": "solve",
+           "domain": {"kind": "disk", "radius": 1.0, "gamma": [[0.0, 3.14159]]},
+           "medium": {"q": {"profile": "constant", "value": 3.0}},
+           "k_list": [6.0]}
+    assert validate_config(cfg) == []
+    _, medium, _, h = cli._setup(cli._config(cfg))
+    assert medium.kappa == pytest.approx(3.003)
+    assert h == default_spacing(6.0, medium.kappa)
+    path = _write(tmp_path, "derived.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "field.csv").stat().st_size > 0
+    # a derived kappa of at most 2 keeps the spacing of kappa 2
+    unit = dict(cfg, medium={"q": {"profile": "constant", "value": 1.5}})
+    assert cli._setup(cli._config(unit))[3] == default_spacing(6.0, 2.0)
 
 
 def test_spectrum_and_three_balls_take_a_frequency_below_1():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from helmlab.assembly import radial_derivative
 from helmlab.bessel import bessel_j, gauss_legendre
-from helmlab.errors import RegionMismatch, SupportTouchesBox
+from helmlab.errors import SupportTouchesBox
 from helmlab.fields import (BoundaryFunctional, BoundaryTrace, GridField,
                             functional_norm,
                             hminus1_norm_fourier, lp_norm, mask_to_gamma,
@@ -55,14 +55,6 @@ def test_norm_axioms_random_fields():
                    - 3.5 * norm(u, which)) < 1e-12
         assert norm(GridField(g, u.values + v.values), which) \
             <= norm(u, which) + norm(v, which) + 1e-12
-
-
-def test_region_mismatch():
-    g = disk_grid(0.08)
-    inner = np.linalg.norm(g.nodes, axis=1) < 0.5
-    f = GridField(g, np.ones(g.n_nodes), inner)
-    with pytest.raises(RegionMismatch):
-        norm(f, "L2", ~inner)
 
 
 def test_trace_norm_constant_and_mode():

@@ -77,7 +77,7 @@ def test_symmetric_operator_and_riesz_identity(kind, data, amplitude, v,
     # any frequency the wavelength rule admits on this grid
     k_max = 2 * np.pi / (10 * g.max_spacing() * np.sqrt(med.kappa))
     assert k_max > 1
-    L = assemble(g, med, 1 + k_frac * (k_max - 1) * (1 - 1e-9)).L
+    L = assemble(med, 1 + k_frac * (k_max - 1) * (1 - 1e-9)).L
     assert (L != L.T).nnz == 0
 
     chart = boundary_chart(g)
@@ -125,8 +125,8 @@ def _draw_map(kind, data, amplitude, k_frac):
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": amplitude})
     k_max = 2 * np.pi / (10 * g.max_spacing() * np.sqrt(med.kappa))
-    op = assemble(g, med, 1 + k_frac * (k_max - 1) * (1 - 1e-9))
-    return build_forward_map(op, region, boundary_chart(g))
+    op = assemble(med, 1 + k_frac * (k_max - 1) * (1 - 1e-9))
+    return build_forward_map(op, region)
 
 
 @pytest.mark.parametrize("kind", sorted(_MAP_DOMAINS))

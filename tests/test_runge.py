@@ -72,19 +72,19 @@ def test_adjoint_pairing_and_matrix_agreement():
 
 
 def test_forward_map_rejects_target_near_charted_boundary():
-    grid, _, op, chart = disk_setup(2.0)
+    grid, _, op, _ = disk_setup(2.0)
     with pytest.raises(GeometryViolation):
-        build_forward_map(op, ball_mask(grid, (0, 0), 0.9), chart)
+        build_forward_map(op, ball_mask(grid, (0, 0), 0.9))
 
 
 def test_forward_map_accepts_target_on_uncharted_boundary():
     grid = build_grid(DomainSpec("annulus", r_inner=0.5, r_outer=2.0), 0.1)
-    op = assemble(grid, make_medium(grid), 2.0)
+    op = assemble(make_medium(grid), 2.0)
     chart = boundary_chart(grid)
     omega1 = annulus_mask(grid, 0.5, 1.0)          # touches the inner circle
     with pytest.raises(GeometryViolation):
         check_nested_separation(grid, omega1, grid.boundary_index)
-    fmap = build_forward_map(op, omega1, chart)
+    fmap = build_forward_map(op, omega1)
     assert fmap.A.shape == (fmap.omega1_ids.size, chart.n)
 
 
@@ -215,25 +215,24 @@ def _arc_gamma():
 
 
 def _off_centre_bump_q():
-    grid, _, _, chart = disk_setup(5.0)
+    grid, _, _, _ = disk_setup(5.0)
     bump = bump_profile(0.5, (0.3, 0.1), 0.3)(grid.nodes)
     medium = Medium(q=GridField(grid, 1.0 + bump),
                     V=GridField(grid, np.zeros(grid.n_nodes)), kappa=2.0)
-    op = assemble(grid, medium, 2.0)
-    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart)
+    op = assemble(medium, 2.0)
+    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5))
 
 
 def _off_centre_region():
-    grid, _, op, chart = disk_setup(5.0)
-    return build_forward_map(op, ball_mask(grid, (0.1, 0.0), 0.4), chart)
+    grid, _, op, _ = disk_setup(5.0)
+    return build_forward_map(op, ball_mask(grid, (0.1, 0.0), 0.4))
 
 
 def _cartesian():
     grid = build_grid(DomainSpec("rectangle", corners=((-1, -1), (1, 1))),
                       0.05)
-    op = assemble(grid, make_medium(grid), 3.0)
-    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5),
-                             boundary_chart(grid))
+    op = assemble(make_medium(grid), 3.0)
+    return build_forward_map(op, ball_mask(grid, (0, 0), 0.5))
 
 
 @pytest.mark.parametrize("build", [_arc_gamma, _off_centre_bump_q,
@@ -290,12 +289,13 @@ def test_injectivity_at_discrete_level():
 
 def test_gram_not_spd_guard(monkeypatch):
     fmap = disk_arc_map(2.0)
-    # a copy of the chart with no inverse square root held, whose Gram
-    # blocks are negative definite
+    # the grid holds, in place of its chart, a copy with no inverse square
+    # root held, whose Gram blocks are negative definite
     chart = dataclasses.replace(fmap.chart, _held={})
     monkeypatch.setattr(chart, "h_half_gram", lambda ids: -np.eye(ids.size))
+    monkeypatch.setitem(fmap.op.grid._held, "chart", chart)
     with pytest.raises(GramNotSPD):
-        svd(dataclasses.replace(fmap, chart=chart))
+        svd(fmap)
 
 
 def test_single_mode_approximant():
@@ -304,7 +304,7 @@ def test_single_mode_approximant():
     v_vals[fmap.omega1_ids] = system.psi[:, 0]
     mask = np.zeros(fmap.op.grid.n_nodes, dtype=bool)
     mask[fmap.omega1_ids] = True
-    v = GridField(fmap.op.grid, v_vals, mask)
+    v = GridField(fmap.op.grid, v_vals)
     ap = runge_approximate(system, v, 0.5, 1.0)
     assert ap.n_retained == 1
     assert ap.err < 1e-8
@@ -322,7 +322,7 @@ def test_cost_monotonicity_and_cutoff_bound():
     v = mode_field(grid, 3, 5.0)
     mask = np.zeros(grid.n_nodes, dtype=bool)
     mask[fmap.omega1_ids] = True
-    v = GridField(grid, np.where(mask, v.values, 0.0), mask)
+    v = GridField(grid, np.where(mask, v.values, 0.0))
     v_l2 = norm(v, "L2", mask)
     prev_cost, prev_err = -1.0, np.inf
     for eps in (0.5, 0.25, 0.125, 0.0625, 0.03125):
@@ -339,8 +339,7 @@ def test_target_unreachable_for_noise():
     grid = fmap.op.grid
     mask = np.zeros(grid.n_nodes, dtype=bool)
     mask[fmap.omega1_ids] = True
-    noise = GridField(grid, np.where(mask, rng.standard_normal(grid.n_nodes), 0.0),
-                      mask)
+    noise = GridField(grid, np.where(mask, rng.standard_normal(grid.n_nodes), 0.0))
     with pytest.raises(TargetUnreachable):
         runge_approximate(system, noise, 1e-12, 1.0)
 
@@ -348,7 +347,7 @@ def test_target_unreachable_for_noise():
 def test_energy_identity_and_orthogonal_split():
     grid, _, op, chart = disk_setup(5.0, 0.025)
     omega1 = ball_mask(grid, (0, 0), 0.5)
-    fmap = build_forward_map(op, omega1, chart)
+    fmap = build_forward_map(op, omega1)
     system = svd(fmap)
     basis = MaskSolutionBasis(op, ball_mask(grid, (0, 0), 0.6))
     v = basis.sample(np.random.default_rng(3), decay=1.25)
@@ -369,7 +368,7 @@ def test_basis_determinism_and_normalization():
     v1 = basis.sample(np.random.default_rng(7), decay=1.0)
     v2 = basis.sample(np.random.default_rng(7), decay=1.0)
     assert np.array_equal(v1.values, v2.values)
-    assert abs(norm(v1, "H1", v1.region) - 1.0) < 1e-10
+    assert abs(norm(v1, "H1", basis.mask) - 1.0) < 1e-10
 
 
 def test_sweep_records_and_fits():
@@ -454,10 +453,10 @@ def test_column_zero_alone_matches_A(case):
 
 
 def test_superlu_map_solves_A_on_first_read(monkeypatch):
-    grid, _, op, chart = disk_setup(5.0, arc=True)
+    grid, _, op, _ = disk_setup(5.0, arc=True)
     with monkeypatch.context() as mp:
         solved = _column_solves(mp)
-        fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.5), chart)
+        fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.5))
     assert solved == [] and not fmap.per_mode
     A = fmap.A
     assert np.array_equal(A, _one_solve(fmap, fmap.op.lu()))
@@ -474,8 +473,8 @@ def test_one_gamma_index_holds_one_gram_per_gamma(h):
     grid = build_grid(spec, h)
     chart = boundary_chart(grid)
     assert (chart.symbol() is None) == (h == 0.06)
-    op = assemble(grid, make_medium(grid), 3.0)
-    fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.4), chart)
+    op = assemble(make_medium(grid), 3.0)
+    fmap = build_forward_map(op, ball_mask(grid, (0, 0), 0.4))
     svd(fmap)
     u = np.random.default_rng(0).standard_normal(fmap.omega1_ids.size)
     pde, oracle = adjoint_apply(fmap, u), adjoint_apply_matrix(fmap, u)

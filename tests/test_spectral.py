@@ -21,7 +21,7 @@ from helpers import cube_setup, disk_spectrum
 def test_rectangle_eigenvalues_with_multiplicity():
     g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
                    np.pi / 40)
-    rep = compute_sigma(g, make_medium(g), 8)
+    rep = compute_sigma(make_medium(g), 8)
     expected = [2, 5, 5, 8, 10, 10, 13, 13]
     assert np.allclose(rep.eigenvalues, expected, atol=0.08)
     assert rep.residuals.max() < 1e-8
@@ -32,7 +32,7 @@ def test_disk_ground_state_and_refinement():
     errs = []
     for h in (0.06, 0.03):
         g = build_grid(DomainSpec("disk", radius=1.0), h)
-        rep = compute_sigma(g, make_medium(g), 4)
+        rep = compute_sigma(make_medium(g), 4)
         errs.append(abs(rep.eigenvalues[0] - j01_sq))
     assert errs[1] < errs[0]
     assert errs[1] < 0.01
@@ -40,9 +40,9 @@ def test_disk_ground_state_and_refinement():
 
 def test_constant_potential_shifts_exactly():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
-    base = compute_sigma(g, make_medium(g), 6)
+    base = compute_sigma(make_medium(g), 6)
     shifted = compute_sigma(
-        g, make_medium(g, v_spec={"profile": "constant", "value": -2.5}), 6)
+        make_medium(g, v_spec={"profile": "constant", "value": -2.5}), 6)
     assert np.allclose(shifted.eigenvalues, base.eigenvalues + 2.5, atol=1e-8)
 
 
@@ -64,7 +64,7 @@ def test_admissibility_records():
 def test_admissible_fraction_of_sweep():
     grid = build_grid(DomainSpec("disk", radius=1.0), 0.02)
     med = make_medium(grid)
-    rep = compute_sigma(grid, med, 110)
+    rep = compute_sigma(med, 110)
     assert rep.eigenvalues[-1] > 2 * 20.0 ** 2 * 0.5  # reaches past 400
     ks = np.arange(1.0, 20.0 + 1e-9, 0.25)
     ok = 0
@@ -95,7 +95,7 @@ def test_find_admissible_k():
 def test_spectrum_window_guard():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.04)
     med = make_medium(g)
-    rep = compute_sigma(g, med, 10, shifts=(150.0,))
+    rep = compute_sigma(med, 10, shifts=(150.0,))
     with pytest.raises(SpectrumTooShort):
         check_admissibility(1.5, rep)
 
@@ -103,20 +103,20 @@ def test_spectrum_window_guard():
 def test_assumption_i_guard():
     g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
                    np.pi / 24)
-    base = compute_sigma(g, make_medium(g), 2)
+    base = compute_sigma(make_medium(g), 2)
     lam1 = base.eigenvalues[0]
     # V tuned to the discrete ground state makes -Delta - V singular
     med = Medium(q=GridField(g, np.ones(g.n_nodes)),
                  V=GridField(g, np.full(g.n_nodes, lam1)), kappa=1.5)
     with pytest.raises(AssumptionIViolated):
-        compute_sigma(g, med, 2)
+        compute_sigma(med, 2)
 
 
 def test_pencil_orthogonality():
     g = build_grid(DomainSpec("disk", radius=1.0), 0.05)
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": 0.3}, kappa=1.5)
-    rep = compute_sigma(g, med, 8)
+    rep = compute_sigma(med, 8)
     assert rep.residuals.max() < 1e-8
     assert np.all(np.diff(rep.eigenvalues) > -1e-10)
 
@@ -159,8 +159,8 @@ def _assert_matches_general(rep, A, M, count, shifts, rtol=1e-10):
 def test_window_edge_keeps_every_copy():
     g = build_grid(DomainSpec("annulus", r_inner=1.0, r_outer=2.0), 0.08)
     med = make_medium(g, q_spec=_QUAD, kappa=2.02)
-    rep = compute_sigma(g, med, 10, shifts=(50.0,))
-    _assert_windows_complete(rep, *spectral._pencil(g, med))
+    rep = compute_sigma(med, 10, shifts=(50.0,))
+    _assert_windows_complete(rep, *spectral._pencil(med))
 
 
 @pytest.mark.parametrize("count", [2, 5, 7])
@@ -171,8 +171,8 @@ def test_shift_invert_window_counts_every_copy(count):
     g = build_grid(DomainSpec("rectangle", corners=((0, 0), (np.pi, np.pi))),
                    np.pi / 30)
     med = make_medium(g)
-    rep = compute_sigma(g, med, count)
-    A, M = spectral._pencil(g, med)
+    rep = compute_sigma(med, count)
+    A, M = spectral._pencil(med)
     dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     assert len(rep.coverage) == 1
     lo, hi = rep.coverage[0]
@@ -209,8 +209,8 @@ def test_polar_modes_skip_lanczos_and_match_it(monkeypatch, spec, h, q_spec,
         for owner, name in ((spla, "eigsh"), (spectral, "_dense_fallback"),
                             (spectral, "_dedupe_clusters")):
             mp.setattr(owner, name, refuse)
-        rep = compute_sigma(g, med, count, shifts=shifts)
-    A, M = spectral._pencil(g, med)
+        rep = compute_sigma(med, count, shifts=shifts)
+    A, M = spectral._pencil(med)
     assert rep.residuals.max() <= 1e-10
     _assert_matches_general(rep, A, M, count, shifts)
     _assert_windows_complete(rep, A, M)
@@ -241,9 +241,9 @@ def test_off_centre_medium_keeps_lanczos(monkeypatch, medium):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", spy)
-    rep = compute_sigma(g, med, 8, shifts=(20.0,))
+    rep = compute_sigma(med, 8, shifts=(20.0,))
     assert calls == [20.0]
-    A, M = spectral._pencil(g, med)
+    A, M = spectral._pencil(med)
     assert ring_coefficients(g, g.interior_index, A, M) is None
     dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     near = np.sort(dense[np.argsort(np.abs(dense - 20.0))[:8]])
@@ -266,9 +266,9 @@ def test_per_mode_spectrum_properties(annulus, h, radius, r_inner, width,
     med = make_medium(g, q_spec={"profile": "radial_quadratic",
                                  "amplitude": amplitude},
                       v_spec={"profile": "constant", "value": v})
-    A, M = spectral._pencil(g, med)
+    A, M = spectral._pencil(med)
     assert ring_coefficients(g, g.interior_index, A, M) is not None
-    rep = compute_sigma(g, med, count, shifts=(shift,))
+    rep = compute_sigma(med, count, shifts=(shift,))
     assert rep.residuals.max() <= 1e-10
     _assert_matches_general(rep, A, M, count, (shift,))
     _assert_windows_complete(rep, A, M)
@@ -283,9 +283,9 @@ def test_small_pencil_takes_one_dense_eigensolve(monkeypatch):
     real = spectral._dense_fallback
     monkeypatch.setattr(spectral, "_dense_fallback",
                         lambda A, M: calls.append(A.shape) or real(A, M))
-    rep = compute_sigma(g, med, 6, shifts=(20.0, 100.0, 200.0))
+    rep = compute_sigma(med, 6, shifts=(20.0, 100.0, 200.0))
     assert calls == [(100, 100)]
-    A, M = spectral._pencil(g, med)
+    A, M = spectral._pencil(med)
     dense = la.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     assert all(np.min(np.abs(dense - lam)) <= 1e-9 * lam
                for lam in rep.eigenvalues)
@@ -298,6 +298,6 @@ def test_shift_zero_reuses_the_invertibility_factor(monkeypatch):
     real = spectral.sparse_lu
     monkeypatch.setattr(spectral, "sparse_lu",
                         lambda A: calls.append(A.shape) or real(A))
-    rep = compute_sigma(grid, medium, 10, shifts=(0.0,))
+    rep = compute_sigma(medium, 10, shifts=(0.0,))
     assert len(calls) == 1
     assert rep.eigenvalues.size == 10

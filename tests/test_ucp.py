@@ -135,8 +135,7 @@ def test_chain_growth_and_validity():
     c4 = 1.5 * lp_norm(u, 4) / M
     rows = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        res = chain_propagate(op, chart, u, eta, M, eps, fit,
-                              sobolev_constant=c4)
+        res = chain_propagate(op, u, eta, M, eps, fit, sobolev_constant=c4)
         assert res.bound >= norm(u, "L2")
         assert res.bound_log > 0
         rows.append((eps, res.n_balls))
@@ -197,17 +196,17 @@ def _greedy_cover_reference(nodes, deep, centers, radii, value):
 
 
 def _chain_runs(spec, gammas, eps_list, fit):
-    """(op, chart, u, eta, M, eps) on a grid of ``spec`` at h = 0.02 for each
+    """(op, u, eta, M, eps) on a grid of ``spec`` at h = 0.02 for each
     gamma, carried by the spec, and epsilon."""
     runs = []
     for gamma in gammas:
         grid = build_grid(dataclasses.replace(spec, gamma=gamma), 0.02)
-        op = assemble(grid, make_medium(grid), 4.0)
+        op = assemble(make_medium(grid), 4.0)
         u = random_mode_superposition(grid, 4.0, 10, np.random.default_rng(3))
         M = norm(u, "H1")
         chart = boundary_chart(grid)
         eta = 2.0 * trace_norm(BoundaryTrace(chart, u.values[chart.node_ids]))
-        runs += [(op, chart, u, eta, M, eps) for eps in eps_list]
+        runs += [(op, u, eta, M, eps) for eps in eps_list]
     return runs
 
 
@@ -323,31 +322,31 @@ def test_width_and_level_sets_match_the_shape_references(spec):
     ids=["box", "masked_union"])
 def test_chain_needs_level_sets(spec, h):
     grid = build_grid(spec, h)
-    op = assemble(grid, make_medium(grid), 1.0)
+    op = assemble(make_medium(grid), 1.0)
     u = GridField(grid, np.ones(grid.n_nodes))
     fit = ExponentFit(alpha_hat=0.5, intercepts={1.0: 0.0}, n_samples=10)
     with pytest.raises(GeometryViolation, match="chain supports disk, "
                                                 "annulus, rectangle domains"):
-        chain_propagate(op, boundary_chart(grid), u, 1.0, 10.0, 0.1, fit)
+        chain_propagate(op, u, 1.0, 10.0, 0.1, fit)
 
 
 def test_chain_zero_data():
-    grid, _, op, chart = disk_setup(4.0, h=0.02)
+    grid, _, op, _ = disk_setup(4.0, h=0.02)
     fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
     z = GridField(grid, np.zeros(grid.n_nodes))
-    res = chain_propagate(op, chart, z, 0.0, 0.0, 0.1, fit)
+    res = chain_propagate(op, z, 0.0, 0.0, 0.1, fit)
     assert res.bound == 0.0 and res.n_balls == 0
 
 
 def test_chain_blocked_above_level_stack():
-    grid, _, op, chart = disk_setup(4.0, h=0.02)
+    grid, _, op, _ = disk_setup(4.0, h=0.02)
     fit = estimate_exponent(_mode_samples(disk_grid(0.01), 4.0))
     u = mode_field(grid, 0, 4.0)
     # a deep set above the top chain level cannot be reached
     with pytest.raises(ChainBlocked):
-        chain_propagate(op, chart, u, 1.0, 10.0, 0.96, fit)
+        chain_propagate(op, u, 1.0, 10.0, 0.96, fit)
     # an empty deep set degrades gracefully to the layer bound
-    res = chain_propagate(op, chart, u, 1.0, 10.0, 2.0, fit)
+    res = chain_propagate(op, u, 1.0, 10.0, 2.0, fit)
     assert res.n_balls == 0 and res.bound == res.bound_layer
 
 
@@ -390,8 +389,7 @@ def test_source_neumann_ratio_uniform():
         omega1 = np.linalg.norm(grid.nodes, axis=1) <= 0.5
         rng = np.random.default_rng(int(k))
         for _ in range(3):
-            v = GridField(grid, np.where(omega1, rng.standard_normal(grid.n_nodes), 0.0),
-                          omega1)
+            v = GridField(grid, np.where(omega1, rng.standard_normal(grid.n_nodes), 0.0))
             ratios.append(source_neumann_ratio(op, chart, v, omega1))
     ratios = np.array(ratios)
     # a single constant bounds eta / (k^(n+2) ||v||) across the family
